@@ -32,6 +32,7 @@
 #include "serve/Server.h"
 #include "support/Args.h"
 #include "support/Cancel.h"
+#include "support/ChildProc.h"
 #include "support/Timing.h"
 
 #include <algorithm>
@@ -44,7 +45,6 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace grassp;
@@ -88,18 +88,6 @@ pid_t forkServer(const std::string &Socket, const std::string &CacheDir,
   int Rc = Server.run();
   std::fflush(nullptr);
   ::_exit(Rc);
-}
-
-void stopServer(pid_t Pid) {
-  if (Pid <= 0)
-    return;
-  ::kill(Pid, SIGTERM);
-  Deadline Until = Deadline::after(10.0);
-  int St = 0;
-  while (::waitpid(Pid, &St, WNOHANG) == 0 && !Until.expired())
-    ::usleep(5000);
-  ::kill(Pid, SIGKILL);
-  ::waitpid(Pid, &St, 0);
 }
 
 double percentile(std::vector<double> V, double P) {
@@ -181,7 +169,7 @@ int main(int argc, char **argv) {
   std::string Err;
   if (!Client.connect(Socket, 10.0, &Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
-    stopServer(Server);
+    stopChild(Server, SIGTERM, 10.0);
     return 1;
   }
 
@@ -308,7 +296,7 @@ int main(int argc, char **argv) {
     Ok = false;
   }
 
-  stopServer(Server);
+  stopChild(Server, SIGTERM, 10.0);
 
   double WorstSpeedup = 1e30;
   for (const Row &R : Rows)

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # One-command verification: the tier-1 build + full ctest suite, then a
 # ThreadSanitizer build of the concurrency-heavy targets (runner, thread
-# pool, parallel synthesis driver, chaos/fault-injection tests) so data
+# pool, process pool, parallel synthesis driver, chaos/fault-injection
+# tests) so data
 # races in the fault-tolerant paths fail loudly instead of flaking.
 #
 # Usage: scripts/check.sh [build-dir] [tsan-build-dir]
@@ -34,8 +35,9 @@ echo "== tier 2: ThreadSanitizer over the concurrent paths ($TSAN) =="
 cmake -B "$TSAN" -S . -DGRASSP_SANITIZE=thread >/dev/null
 cmake --build "$TSAN" -j "$JOBS" --target \
     runtime_runner_test support_threadpool_test support_cancel_test \
-    smt_solver_test synth_paralleldriver_test chaos_smoke dist_smoke
+    support_childproc_test smt_solver_test synth_paralleldriver_test \
+    chaos_smoke dist_smoke
 ctest --test-dir "$TSAN" --output-on-failure -j "$JOBS" \
-    -R 'runtime_runner|support_threadpool|support_cancel|smt_solver|paralleldriver|chaos_smoke|dist_smoke'
+    -R 'runtime_runner|support_threadpool|support_cancel|support_childproc|smt_solver|paralleldriver|chaos_smoke|dist_smoke'
 
 echo "== all checks passed =="

@@ -7,17 +7,11 @@
 #include "support/Timing.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdlib>
-#include <ctime>
 #include <sstream>
 
 #include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 namespace grassp {
@@ -54,14 +48,21 @@ std::string DistRunReport::describe() const {
 
 DistCoordinator::DistCoordinator(const runtime::CompiledPlan &Plan,
                                  const DistConfig &Cfg)
-    : Plan(Plan), Cfg(Cfg), PlanHash(Plan.compiled().bytecodeHash()) {
+    : Plan(Plan), Cfg(Cfg), PlanHash(Plan.compiled().bytecodeHash()),
+      // The current mapping's fd (if any) is inherited at fork: workers
+      // forked after a publication never need a Publish frame.
+      // workerMain never returns.
+      Pool(std::max(1u, Cfg.Workers), Cfg.MaxWorkerRestarts,
+           [this](int Fd) {
+             workerMain(Fd, this->Plan, this->Cfg.Faults,
+                        this->Cfg.HeartbeatSeconds, Map);
+           }),
+      Procs(Pool.slots()) {
   // Belt and braces with FrameWriter's MSG_NOSIGNAL: no socket write
   // anywhere in the coordinator (or a worker forked from it) may turn
   // a dead peer into a process-killing SIGPIPE — it must surface as an
   // I/O error through the recovery matrix.
   ignoreSigpipe();
-  if (this->Cfg.Workers == 0)
-    this->Cfg.Workers = 1;
   if (this->Cfg.BatchShards == 0)
     this->Cfg.BatchShards = 1;
   ShmEnabled = this->Cfg.UseShm && std::getenv("GRASSP_DIST_NO_SHM") == nullptr;
@@ -70,14 +71,6 @@ DistCoordinator::DistCoordinator(const runtime::CompiledPlan &Plan,
 DistCoordinator::~DistCoordinator() {
   shutdown();
   Map.reset();
-}
-
-unsigned DistCoordinator::liveWorkers() const {
-  unsigned N = 0;
-  for (const Proc &P : Procs)
-    if (P.Fd >= 0)
-      ++N;
-  return N;
 }
 
 bool DistCoordinator::publishSegments(
@@ -125,109 +118,34 @@ bool DistCoordinator::publishFileRegion(int Fd, uint64_t ByteOffset,
   return true;
 }
 
-bool DistCoordinator::spawn() {
-  int Sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv) != 0)
-    return false;
-  pid_t Pid = ::fork();
-  if (Pid < 0) {
-    ::close(Sv[0]);
-    ::close(Sv[1]);
-    return false;
+unsigned DistCoordinator::adopt(const std::vector<unsigned> &Forked) {
+  for (unsigned Slot : Forked) {
+    Procs[Slot] = Proc();
+    Procs[Slot].LastSeenNs = nowNs();
   }
-  if (Pid == 0) {
-    // Child. Drop the parent's ends of every sibling channel so a
-    // coordinator death EOFs all workers, then run the protocol loop.
-    // The current mapping's fd (if any) is inherited right here —
-    // workers forked after a publication never need a Publish frame.
-    // workerMain never returns.
-    ::close(Sv[0]);
-    for (const Proc &Sib : Procs)
-      if (Sib.Fd >= 0)
-        ::close(Sib.Fd);
-    workerMain(Sv[1], Plan, Cfg.Faults, Cfg.HeartbeatSeconds, Map);
-  }
-  ::close(Sv[1]);
-  Proc P;
-  P.Pid = Pid;
-  P.Fd = Sv[0];
-  P.LastSeenNs = nowNs();
-  Procs.push_back(std::move(P));
-  return true;
+  return static_cast<unsigned>(Forked.size());
 }
 
-void DistCoordinator::destroyProc(Proc &P, bool Graceful) {
-  if (P.Fd >= 0) {
-    if (Graceful)
-      writeFrame(P.Fd, MsgType::Shutdown, {});
-    else if (P.Pid >= 0)
-      ::kill(P.Pid, SIGKILL);
-    // Closing our end EOFs (or EPIPEs) the worker even if the Shutdown
-    // frame is never read.
-    ::close(P.Fd);
-    P.Fd = -1;
-  }
-  if (P.Pid >= 0) {
-    if (Graceful) {
-      for (int I = 0; I != 300 && P.Pid >= 0; ++I) {
-        int St = 0;
-        if (::waitpid(P.Pid, &St, WNOHANG) == P.Pid) {
-          P.Pid = -1;
-          break;
-        }
-        struct timespec Ts = {0, 1000000}; // 1ms
-        ::nanosleep(&Ts, nullptr);
-      }
-    }
-    if (P.Pid >= 0) {
-      ::kill(P.Pid, SIGKILL);
-      int St = 0;
-      ::waitpid(P.Pid, &St, 0);
-      P.Pid = -1;
-    }
-  }
-  P.Queue.clear();
-  P.HelloOk = false;
-  P.MapGeneration = 0;
-}
-
-void DistCoordinator::prewarm() {
-  while (liveWorkers() < Cfg.Workers)
-    if (!spawn())
-      break;
-}
+void DistCoordinator::prewarm() { adopt(Pool.fill()); }
 
 void DistCoordinator::shutdown() {
-  if (ShutdownDone)
-    return;
-  for (Proc &P : Procs)
-    destroyProc(P, /*Graceful=*/true);
-  Procs.clear();
-  ShutdownDone = true;
+  Pool.shutdown(/*GraceSec=*/0.3, [](int Fd) {
+    writeFrame(Fd, MsgType::Shutdown, {});
+  });
 }
 
-void DistCoordinator::handleDeath(Proc &P, DeathReason Reason,
+void DistCoordinator::handleDeath(unsigned Slot, DeathReason Reason,
                                   DistRunReport &R,
                                   std::vector<ShardState> &Shards) {
   Stopwatch Rec;
-  if (P.Pid >= 0) {
-    // Corrupt/hung workers are still alive; kill before reaping. (The
-    // frame checksum already rejected their bytes, and framing past a
-    // bad frame is untrusted — restart is the only safe response.)
-    if (Reason != DeathReason::Eof)
-      ::kill(P.Pid, SIGKILL);
-    int St = 0;
-    ::waitpid(P.Pid, &St, 0);
-    if (WIFSIGNALED(St))
-      ++R.WorkersKilled;
-    else if (WIFEXITED(St) && WEXITSTATUS(St) != 0)
-      ++R.WorkersExited;
-    P.Pid = -1;
-  }
-  if (P.Fd >= 0) {
-    ::close(P.Fd);
-    P.Fd = -1;
-  }
+  // Corrupt/hung workers are still alive; kill before reaping. (The
+  // frame checksum already rejected their bytes, and framing past a
+  // bad frame is untrusted — restart is the only safe response.)
+  int St = Pool.reap(Slot, /*Kill=*/Reason != DeathReason::Eof);
+  if (waitStatusSignaled(St))
+    ++R.WorkersKilled;
+  else if (!waitStatusOk(St))
+    ++R.WorkersExited;
   if (Reason == DeathReason::Corrupt)
     ++R.CorruptFrames;
   else if (Reason == DeathReason::Hang)
@@ -235,7 +153,7 @@ void DistCoordinator::handleDeath(Proc &P, DeathReason Reason,
 
   // Every assignment the worker held — the one it was folding and
   // everything batched behind it — is lost with it.
-  for (const Assign &A : P.Queue) {
+  for (const Assign &A : Procs[Slot].Queue) {
     if (A.Shard < 0)
       continue;
     ShardState &S = Shards[static_cast<size_t>(A.Shard)];
@@ -257,28 +175,16 @@ void DistCoordinator::handleDeath(Proc &P, DeathReason Reason,
       S.EligibleNs = nowNs() + static_cast<int64_t>(S.PrevSleep * 1e9);
     }
   }
-  P.Queue.clear();
-  P.HelloOk = false;
-  P.MapGeneration = 0;
-  P.Reader = FrameReader();
-
-  if (TotalRestarts < Cfg.MaxWorkerRestarts) {
-    ++TotalRestarts;
-    // NOTE: spawn() push_backs into Procs and may reallocate it — P is
-    // dangling from here on. Callers re-index after handleDeath.
-    if (spawn()) {
-      ++R.WorkersRestarted;
-      ++R.WorkersSpawned;
-    }
-  }
+  Procs[Slot] = Proc();
   R.RecoverySeconds += Rec.seconds();
 }
 
 bool DistCoordinator::dispatchBatch(
-    Proc &P, const std::vector<size_t> &Batch, bool IsBackup,
+    unsigned Slot, const std::vector<size_t> &Batch, bool IsBackup,
     DistRunReport &R, std::vector<ShardState> &Shards,
     const std::function<runtime::SegmentView(size_t)> &Chunk,
     const DescTable *Desc) {
+  Proc &P = Procs[Slot];
   // A worker whose mapping generation is stale gets the current region
   // re-published first — fd via SCM_RIGHTS on the Publish frame, and
   // SOCK_STREAM ordering guarantees it adopts the mapping before the
@@ -290,7 +196,7 @@ bool DistCoordinator::dispatchBatch(
     Pub.ByteOffset = Map.ByteOffset;
     Pub.Elems = Map.Elems;
     encodePublish(Pub, P.Writer.payload());
-    if (!P.Writer.sendWithFd(P.Fd, MsgType::Publish, Map.Fd))
+    if (!P.Writer.sendWithFd(Pool.fd(Slot), MsgType::Publish, Map.Fd))
       return false; // caller reaps the dead worker.
     P.MapGeneration = Map.Generation;
     ++R.PublishFrames;
@@ -317,7 +223,7 @@ bool DistCoordinator::dispatchBatch(
     T.Items.push_back(std::move(It));
   }
   encodeTask(T, P.Writer.payload());
-  if (!P.Writer.send(P.Fd, MsgType::Task))
+  if (!P.Writer.send(Pool.fd(Slot), MsgType::Task))
     return false;
   ++R.TaskFrames;
   R.BytesShipped += P.Writer.lastFrameBytes();
@@ -350,16 +256,17 @@ bool DistCoordinator::dispatchBatch(
   return true;
 }
 
-void DistCoordinator::drainFrames(Proc &P, DistRunReport &R,
+void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
                                   std::vector<ShardState> &Shards,
                                   size_t *DonePtr) {
+  Proc &P = Procs[Slot];
   Frame F;
   for (;;) {
     RecvStatus St = P.Reader.next(&F);
     if (St == RecvStatus::NeedMore)
       return;
     if (St != RecvStatus::Ok) {
-      handleDeath(P, DeathReason::Corrupt, R, Shards);
+      handleDeath(Slot, DeathReason::Corrupt, R, Shards);
       return;
     }
     P.LastSeenNs = nowNs();
@@ -368,7 +275,7 @@ void DistCoordinator::drainFrames(Proc &P, DistRunReport &R,
       HelloMsg M;
       if (!decodeHello(F.Payload, &M) || M.PlanHash != PlanHash) {
         // A worker not running OUR plan must never fold a shard.
-        handleDeath(P, DeathReason::Corrupt, R, Shards);
+        handleDeath(Slot, DeathReason::Corrupt, R, Shards);
         return;
       }
       if (M.ShmGeneration == Map.Generation && Map.valid() &&
@@ -376,7 +283,7 @@ void DistCoordinator::drainFrames(Proc &P, DistRunReport &R,
         // Claims the current generation with the wrong identity stamp:
         // an aliased or stale inherited mapping. Fail loudly before any
         // descriptor is dealt to it.
-        handleDeath(P, DeathReason::Corrupt, R, Shards);
+        handleDeath(Slot, DeathReason::Corrupt, R, Shards);
         return;
       }
       // Any other generation (older, or none) is fine: the first
@@ -390,7 +297,7 @@ void DistCoordinator::drainFrames(Proc &P, DistRunReport &R,
     case MsgType::Result: {
       ResultMsg M;
       if (!decodeResult(F.Payload, &M)) {
-        handleDeath(P, DeathReason::Corrupt, R, Shards);
+        handleDeath(Slot, DeathReason::Corrupt, R, Shards);
         return;
       }
       R.BytesShipped += F.Payload.size() + FrameHeaderBytes;
@@ -433,21 +340,13 @@ DistRunReport DistCoordinator::runImpl(
   R.Shards = static_cast<unsigned>(N);
   R.UsedShm = Desc != nullptr;
   Stopwatch Total;
-  ShutdownDone = false;
 
   // A cancelled previous run may have left workers mid-batch; their
   // eventual results would be stale, so restart them clean.
-  for (Proc &P : Procs)
-    if (P.Fd >= 0 && !P.Queue.empty())
-      destroyProc(P, /*Graceful=*/false);
-  Procs.erase(std::remove_if(Procs.begin(), Procs.end(),
-                             [](const Proc &P) { return P.Fd < 0; }),
-              Procs.end());
-  while (liveWorkers() < Cfg.Workers) {
-    if (!spawn())
-      break;
-    ++R.WorkersSpawned;
-  }
+  for (unsigned Slot = 0; Slot != Procs.size(); ++Slot)
+    if (Pool.live(Slot) && !Procs[Slot].Queue.empty())
+      Pool.reap(Slot, /*Kill=*/true);
+  R.WorkersSpawned += adopt(Pool.fill());
 
   std::vector<ShardState> Shards(N);
   size_t Done = 0;
@@ -460,25 +359,21 @@ DistRunReport DistCoordinator::runImpl(
       break;
     }
 
-    // A dead pool with restart budget left must not spin: spawn() can
-    // fail outright (fork/socketpair exhaustion) in the initial loop or
-    // on the last worker's respawn, leaving zero workers with nothing
-    // on the event loop that would ever bring one back. Retry here;
-    // failed attempts burn the budget so the serial-refold last resort
-    // below is guaranteed to fire once it runs out.
-    while (liveWorkers() == 0 && TotalRestarts < Cfg.MaxWorkerRestarts) {
-      ++TotalRestarts;
-      if (spawn()) {
-        ++R.WorkersRestarted;
-        ++R.WorkersSpawned;
-        break;
-      }
+    // Dead slots are refilled every tick while the restart budget
+    // lasts. Failed forks burn budget too, so a pool that cannot be
+    // refilled runs dry and the serial-refold last resort below fires.
+    if (Pool.liveCount() != Pool.slots()) {
+      Stopwatch Rec;
+      unsigned Respawned = adopt(Pool.refill());
+      R.WorkersRestarted += Respawned;
+      R.WorkersSpawned += Respawned;
+      R.RecoverySeconds += Rec.seconds();
     }
 
     // Guaranteed last resort: a shard that exhausted its attempts (or
     // outlived the worker pool) refolds serially right here, with no
     // injection — mirroring runParallel's refold path.
-    bool NoWorkers = liveWorkers() == 0;
+    bool NoWorkers = Pool.liveCount() == 0;
     for (size_t I = 0; I != N; ++I) {
       ShardState &S = Shards[I];
       if (S.Done || S.Outstanding != 0)
@@ -499,8 +394,8 @@ DistRunReport DistCoordinator::runImpl(
     // split evenly across the idle pool first so a small run is never
     // serialized onto one worker by a large BatchShards.
     size_t IdleCount = 0;
-    for (const Proc &P : Procs)
-      if (P.Fd >= 0 && P.HelloOk && P.Queue.empty())
+    for (unsigned Slot = 0; Slot != Procs.size(); ++Slot)
+      if (idle(Slot))
         ++IdleCount;
     if (IdleCount != 0) {
       std::vector<size_t> Pending;
@@ -515,75 +410,54 @@ DistRunReport DistCoordinator::runImpl(
         size_t Per = std::min<size_t>(
             Cfg.BatchShards, (Pending.size() + IdleCount - 1) / IdleCount);
         size_t Next = 0;
-        for (size_t Pi = 0; Pi != Procs.size() && Next != Pending.size();
-             ++Pi) {
-          Proc &P = Procs[Pi];
-          if (P.Fd < 0 || !P.HelloOk || !P.Queue.empty())
+        for (unsigned Slot = 0;
+             Slot != Procs.size() && Next != Pending.size(); ++Slot) {
+          if (!idle(Slot))
             continue;
           std::vector<size_t> Batch(
               Pending.begin() + Next,
               Pending.begin() +
                   std::min(Pending.size(), Next + Per));
           Next += Batch.size();
-          if (!dispatchBatch(P, Batch, /*IsBackup=*/false, R, Shards, Chunk,
-                             Desc))
-            handleDeath(P, DeathReason::Eof, R, Shards);
-          // handleDeath may respawn (Procs realloc): P is stale now;
-          // the indexed loop re-derives it next iteration.
+          if (!dispatchBatch(Slot, Batch, /*IsBackup=*/false, R, Shards,
+                             Chunk, Desc))
+            handleDeath(Slot, DeathReason::Eof, R, Shards);
         }
       }
     }
 
     // Stragglers: one speculative backup per overdue assignment, first
-    // commit wins. Candidates are collected first — dispatching can
-    // kill a worker and reallocate Procs, which would invalidate any
-    // reference held across it.
-    if (Cfg.Speculate) {
-      std::vector<size_t> Overdue;
-      for (const Proc &P : Procs) {
-        if (P.Fd < 0)
+    // commit wins. A backup only goes to an idle worker, whose queue is
+    // empty, so dispatching never touches the queue being walked.
+    for (unsigned Slot = 0; Cfg.Speculate && Slot != Procs.size(); ++Slot) {
+      if (!Pool.live(Slot))
+        continue;
+      for (const Assign &A : Procs[Slot].Queue) {
+        if (A.IsBackup || A.Shard < 0)
           continue;
-        for (const Assign &A : P.Queue) {
-          if (A.IsBackup || A.Shard < 0)
-            continue;
-          ShardState &S = Shards[static_cast<size_t>(A.Shard)];
-          if (S.Done || S.BackupActive || S.Attempts > Cfg.MaxRetries)
-            continue;
-          if (Now - A.DispatchNs <= taskDeadlineNs(Cfg, A.Elems))
-            continue;
-          if (std::find(Overdue.begin(), Overdue.end(),
-                        static_cast<size_t>(A.Shard)) == Overdue.end())
-            Overdue.push_back(static_cast<size_t>(A.Shard));
-        }
-      }
-      for (size_t Shard : Overdue) {
-        ShardState &S = Shards[Shard];
+        ShardState &S = Shards[static_cast<size_t>(A.Shard)];
         if (S.Done || S.BackupActive || S.Attempts > Cfg.MaxRetries)
           continue;
-        size_t IdleIdx = Procs.size();
-        for (size_t Qi = 0; Qi != Procs.size(); ++Qi)
-          if (Procs[Qi].Fd >= 0 && Procs[Qi].HelloOk &&
-              Procs[Qi].Queue.empty()) {
-            IdleIdx = Qi;
-            break;
-          }
-        if (IdleIdx == Procs.size())
+        if (Now - A.DispatchNs <= taskDeadlineNs(Cfg, A.Elems))
+          continue;
+        unsigned Idle = 0;
+        while (Idle != Procs.size() && !idle(Idle))
+          ++Idle;
+        if (Idle == Procs.size())
           break;
-        if (!dispatchBatch(Procs[IdleIdx], {Shard}, /*IsBackup=*/true, R,
-                           Shards, Chunk, Desc))
-          handleDeath(Procs[IdleIdx], DeathReason::Eof, R, Shards);
+        if (!dispatchBatch(Idle, {static_cast<size_t>(A.Shard)},
+                           /*IsBackup=*/true, R, Shards, Chunk, Desc))
+          handleDeath(Idle, DeathReason::Eof, R, Shards);
       }
     }
 
     // Hang detection: a busy worker whose CURRENT item has run past
     // HangKillFactor x its (size-scaled) deadline is SIGKILLed (it
     // stopped responding; EOF alone would never come), and an idle
-    // worker that stopped heartbeating likewise. Indexed sweep:
-    // handleDeath respawns, and spawn's push_back can reallocate Procs,
-    // which would invalidate a range-for here.
-    for (size_t Pi = 0; Pi != Procs.size(); ++Pi) {
-      Proc &P = Procs[Pi];
-      if (P.Fd < 0)
+    // worker that stopped heartbeating likewise.
+    for (unsigned Slot = 0; Slot != Procs.size(); ++Slot) {
+      const Proc &P = Procs[Slot];
+      if (!Pool.live(Slot))
         continue;
       if (!P.Queue.empty()) {
         int64_t HangNs = static_cast<int64_t>(
@@ -591,38 +465,23 @@ DistRunReport DistCoordinator::runImpl(
                 taskDeadlineNs(Cfg, P.Queue.front().Elems)) *
             Cfg.HangKillFactor);
         if (Now - P.BusySinceNs > HangNs)
-          handleDeath(P, DeathReason::Hang, R, Shards);
+          handleDeath(Slot, DeathReason::Hang, R, Shards);
       } else if (Now - P.LastSeenNs > HbTimeoutNs) {
-        handleDeath(P, DeathReason::Hang, R, Shards);
+        handleDeath(Slot, DeathReason::Hang, R, Shards);
       }
     }
 
     // Wait for bytes (results, heartbeats, hellos) or the next timer.
-    std::vector<struct pollfd> Fds;
-    std::vector<size_t> FdProc;
-    for (size_t Pi = 0; Pi != Procs.size(); ++Pi)
-      if (Procs[Pi].Fd >= 0) {
-        Fds.push_back({Procs[Pi].Fd, POLLIN, 0});
-        FdProc.push_back(Pi);
-      }
-    if (Fds.empty())
-      continue; // all dead: the refold sweep above finishes the run.
-    int Rc = ::poll(Fds.data(), Fds.size(), /*ms=*/2);
-    if (Rc <= 0)
-      continue;
-    for (size_t Fi = 0; Fi != Fds.size(); ++Fi) {
-      if (!(Fds[Fi].revents & (POLLIN | POLLHUP | POLLERR)))
-        continue;
-      Proc &P = Procs[FdProc[Fi]];
-      if (P.Fd != Fds[Fi].fd)
-        continue; // replaced by a respawn during this sweep.
-      RecvStatus St = P.Reader.fill(P.Fd);
+    // With every worker dead this returns at once and the refold sweep
+    // above finishes the run.
+    for (unsigned Slot : Pool.readable(/*TimeoutMs=*/2)) {
+      RecvStatus St = Procs[Slot].Reader.fill(Pool.fd(Slot));
       if (St == RecvStatus::Eof || St == RecvStatus::Error)
-        handleDeath(P, DeathReason::Eof, R, Shards);
+        handleDeath(Slot, DeathReason::Eof, R, Shards);
       else if (St == RecvStatus::Corrupt)
-        handleDeath(P, DeathReason::Corrupt, R, Shards);
+        handleDeath(Slot, DeathReason::Corrupt, R, Shards);
       else
-        drainFrames(P, R, Shards, &Done);
+        drainFrames(Slot, R, Shards, &Done);
     }
   }
 

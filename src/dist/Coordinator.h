@@ -9,7 +9,8 @@
 // (bench/bench_dist).
 //
 // The coordinator is a SINGLE-THREADED poll() event loop; workers are
-// threadless fork children (dist/Worker.h). That keeps the whole
+// threadless fork children (dist/Worker.h), forked, reaped and respawned
+// by the fixed-slot support/ChildProc pool. That keeps the whole
 // runtime fork-safe and TSan-clean, and makes every recovery decision
 // sequential and replayable.
 //
@@ -42,32 +43,14 @@
 // of forks happens from a single-threaded parent; only chaos respawns
 // then depend on the glibc guarantee.
 //
-// Failure handling (the robustness core):
-//
-//   detection                  | signal                     | response
-//   ---------------------------+----------------------------+---------
-//   socket EOF / write failure | worker died; waitpid says  | requeue
-//     (child closed its end)   | HOW: WIFSIGNALED = killed, | batch,
-//                              | WIFEXITED = crashed/exited | respawn
-//   corrupt frame (checksum)   | bad bytes; framing past it | SIGKILL +
-//     — sticky in FrameReader  | is untrusted               | respawn
-//   stale-map exit (status     | worker held the wrong      | requeue
-//     113)                     | mapping generation         | batch,
-//                              |                            | respawn
-//                              |                            | (which
-//                              |                            | inherits
-//                              |                            | the
-//                              |                            | current
-//                              |                            | mapping)
-//   task deadline exceeded     | straggler                  | backup on
-//     (scaled by shard size)   |                            | a peer,
-//                              |                            | first-
-//                              |                            | commit-
-//                              |                            | wins
-//   task deadline x HangKill   | hung (stopped heartbeating | SIGKILL +
-//     Factor                   | /responding)               | respawn
-//   idle heartbeat silence     | hung while idle            | SIGKILL +
-//                              |                            | respawn
+// Failure handling (the robustness core; the full detection matrix is
+// in DESIGN.md, "Distributed runtime"): a worker that hung up, exited
+// (the stale-mapping exit 113 included), sent a corrupt frame, or
+// overran HangKillFactor x its size-scaled task deadline or the idle
+// heartbeat timeout is reaped — SIGKILLed first unless it hung up
+// itself — and its whole batch requeued; its slot is refilled on the
+// next tick, inheriting the current mapping. A task past its plain
+// deadline gets a speculative backup on a peer; first commit wins.
 //
 // Requeued shards wait out a decorrelated-jitter backoff
 // (runtime::decorrelatedBackoff — shared with RunPolicy) before
@@ -88,13 +71,13 @@
 #include "runtime/Kernels.h"
 #include "runtime/Runner.h"
 #include "support/Cancel.h"
+#include "support/ChildProc.h"
 #include "support/FaultInject.h"
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
-#include <sys/types.h>
 #include <vector>
 
 namespace grassp {
@@ -193,7 +176,7 @@ struct DistRunReport {
   unsigned PublishFrames = 0;    // mapping re-publications to live workers.
   double WallSeconds = 0;
   double MergeSeconds = 0;
-  /// Time spent inside death handling: waitpid, requeue, respawn.
+  /// Time spent on recovery: reap, requeue, respawn.
   double RecoverySeconds = 0;
 
   /// One-line human summary.
@@ -234,7 +217,7 @@ public:
   void prewarm();
 
   /// Workers currently alive (for tests).
-  unsigned liveWorkers() const;
+  unsigned liveWorkers() const { return Pool.liveCount(); }
   /// The run index the next run() will stamp into attempt keys.
   uint64_t runIndex() const { return RunIndex; }
   /// True when this coordinator can publish shared mappings at all
@@ -265,9 +248,9 @@ private:
     uint64_t Elems = 0;
   };
 
+  /// Per-worker protocol state, indexed by pool slot; reset whenever
+  /// the slot is reaped or refilled.
   struct Proc {
-    pid_t Pid = -1;
-    int Fd = -1;
     FrameReader Reader;
     FrameWriter Writer; // per-connection reusable encode buffers.
     bool HelloOk = false;
@@ -309,20 +292,27 @@ private:
   /// mapping.
   bool publishFileRegion(int Fd, uint64_t ByteOffset, uint64_t TotalElems);
 
-  bool spawn();
-  void destroyProc(Proc &P, bool Graceful);
-  /// waitpid + status decode + requeue + respawn; Reason feeds counters.
+  /// Resets the protocol state of freshly forked slots; returns how
+  /// many there were.
+  unsigned adopt(const std::vector<unsigned> &Forked);
+  /// Live, handshaken and holding no assignment.
+  bool idle(unsigned Slot) const {
+    return Pool.live(Slot) && Procs[Slot].HelloOk && Procs[Slot].Queue.empty();
+  }
+  /// Reap + status decode + requeue; Reason feeds counters. The pool
+  /// refills the slot on the next tick.
   enum class DeathReason { Eof, Corrupt, Hang };
-  void handleDeath(Proc &P, DeathReason Reason, DistRunReport &R,
+  void handleDeath(unsigned Slot, DeathReason Reason, DistRunReport &R,
                    std::vector<ShardState> &Shards);
   /// Sends one batched Task frame (re-publishing the mapping first when
   /// the worker's generation is stale). Returns false on send failure —
   /// the caller reaps the dead worker.
-  bool dispatchBatch(Proc &P, const std::vector<size_t> &Batch, bool IsBackup,
-                     DistRunReport &R, std::vector<ShardState> &Shards,
+  bool dispatchBatch(unsigned Slot, const std::vector<size_t> &Batch,
+                     bool IsBackup, DistRunReport &R,
+                     std::vector<ShardState> &Shards,
                      const std::function<runtime::SegmentView(size_t)> &Chunk,
                      const DescTable *Desc);
-  void drainFrames(Proc &P, DistRunReport &R,
+  void drainFrames(unsigned Slot, DistRunReport &R,
                    std::vector<ShardState> &Shards, size_t *DonePtr);
 
   const runtime::CompiledPlan &Plan;
@@ -333,11 +323,11 @@ private:
   ShmRegion Map;
   bool ShmEnabled = false;
   uint64_t NextGeneration = 1;
+  /// Workers: Cfg.Workers slots, Cfg.MaxWorkerRestarts respawns.
+  ChildPool Pool;
   std::vector<Proc> Procs;
   uint64_t NextTaskId = 1;
   uint64_t RunIndex = 0;
-  unsigned TotalRestarts = 0;
-  bool ShutdownDone = false;
 };
 
 } // namespace dist

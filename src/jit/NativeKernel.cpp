@@ -2,6 +2,8 @@
 
 #include "jit/NativeKernel.h"
 
+#include "support/ChildProc.h"
+
 #include <cassert>
 #include <cerrno>
 #include <cstdio>
@@ -15,7 +17,6 @@
 #include <dlfcn.h>
 #include <sys/stat.h>
 #include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 namespace grassp {
@@ -229,20 +230,6 @@ std::string shellQuote(const std::string &S) {
   }
   Out += "'";
   return Out;
-}
-
-std::string describeWaitStatus(int Rc) {
-  if (Rc == -1)
-    return "could not run (system() failed)";
-  if (WIFEXITED(Rc))
-    return "exit " + std::to_string(WEXITSTATUS(Rc));
-  if (WIFSIGNALED(Rc))
-    return "killed by signal " + std::to_string(WTERMSIG(Rc));
-  return "unknown wait status " + std::to_string(Rc);
-}
-
-bool waitStatusOk(int Rc) {
-  return Rc != -1 && WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0;
 }
 
 std::string hostCxx() {

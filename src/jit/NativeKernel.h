@@ -28,8 +28,9 @@
 // Everything degrades gracefully: no host compiler (probe honors $CXX,
 // falls back to g++), a failing compile, or GRASSP_JIT_DISABLE=1 simply
 // yields no kernel, and tier selection falls back to Specialized/LoopVM.
-// All std::system results are decoded through WIFEXITED/WIFSIGNALED so
-// a crashed compiler is reported, not mistaken for "unavailable".
+// All std::system results are decoded through support/ChildProc's
+// wait-status helpers so a crashed compiler is reported, not mistaken
+// for "unavailable".
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,13 +59,6 @@ std::string emitFoldKernelCpp(const ir::BytecodeFunction &F, uint64_t Hash);
 /// Single-quotes \p S for /bin/sh (embedded quotes included), so paths
 /// with spaces or metacharacters survive std::system.
 std::string shellQuote(const std::string &S);
-
-/// Human-readable decoding of a std::system/waitpid status: "exit N",
-/// "killed by signal N", or "could not run" for a -1 result.
-std::string describeWaitStatus(int Rc);
-
-/// True when \p Rc is a normal exit with status 0.
-bool waitStatusOk(int Rc);
 
 /// The host C++ compiler: $CXX when set and non-empty, g++ otherwise.
 std::string hostCxx();

@@ -9,6 +9,7 @@
 #include "serve/ProgramText.h"
 #include "serve/Server.h"
 #include "support/Cancel.h"
+#include "support/ChildProc.h"
 #include "support/FaultInject.h"
 
 #include <algorithm>
@@ -23,7 +24,6 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 namespace grassp {
@@ -59,6 +59,9 @@ struct Campaign {
   uint64_t Truncations = 0;
   uint64_t Divergences = 0;
   uint64_t ServiceDeaths = 0;
+  /// The fault-sweep server's pool counters: proof that kills happened.
+  uint64_t SolverDeaths = 0;
+  uint64_t SolverRespawns = 0;
 };
 
 void note(const Campaign &C, const char *Fmt, ...)
@@ -136,33 +139,6 @@ pid_t forkServer(Campaign &C, bool WithFaults) {
   int Rc = Server.run();
   std::fflush(nullptr);
   ::_exit(Rc);
-}
-
-/// Reaps \p Pid within \p TimeoutSec; false when it did not exit.
-bool waitForExit(pid_t Pid, double TimeoutSec, int *Status) {
-  Deadline Until = Deadline::after(TimeoutSec);
-  for (;;) {
-    pid_t R = ::waitpid(Pid, Status, WNOHANG);
-    if (R == Pid)
-      return true;
-    if (R < 0 && errno == ECHILD)
-      return true;
-    if (Until.expired())
-      return false;
-    ::usleep(5000);
-  }
-}
-
-void stopServer(Campaign &C, int Sig) {
-  if (C.ServerPid <= 0)
-    return;
-  ::kill(C.ServerPid, Sig);
-  int St = 0;
-  if (!waitForExit(C.ServerPid, 20.0, &St)) {
-    ::kill(C.ServerPid, SIGKILL);
-    waitForExit(C.ServerPid, 5.0, &St);
-  }
-  C.ServerPid = -1;
 }
 
 /// One synth round trip with retries across the service's typed
@@ -350,6 +326,19 @@ bool phaseFaultSweep(Campaign &C) {
     }
   }
 
+  // The recovery paths must really have run: read the pool's counters.
+  ServeClient Probe;
+  ClientReply Stats;
+  std::string Err;
+  if (Probe.connect(C.SocketPath, 2.0, &Err) && Probe.stats(&Stats) &&
+      Stats.IsOk)
+    for (const auto &KV : Stats.Ok.Stats.Counters) {
+      if (KV.first == "pool.worker-deaths")
+        C.SolverDeaths = KV.second;
+      else if (KV.first == "pool.respawns")
+        C.SolverRespawns = KV.second;
+    }
+
   note(C, "  sweep: %llu requests, %llu ok, %llu typed errors, %llu "
           "truncations\n",
        (unsigned long long)C.Requests, (unsigned long long)C.OkReplies,
@@ -370,7 +359,8 @@ bool phaseKillRestart(Campaign &C) {
       if (P)
         sendSynthNoWait(C, printProgramText(*P));
       ::usleep(20000);
-      stopServer(C, SIGKILL);
+      stopChild(C.ServerPid, SIGKILL, 5.0);
+      C.ServerPid = -1;
       note(C, "  cycle %u: server SIGKILLed\n", Cycle);
     }
 
@@ -410,17 +400,12 @@ bool phaseDrain(Campaign &C) {
     return false;
   checkAnswer(C, P->Name, A);
 
-  ::kill(C.ServerPid, SIGTERM);
-  int St = 0;
-  if (!waitForExit(C.ServerPid, 20.0, &St)) {
-    diverge(C, "server did not exit within 20s of SIGTERM");
-    stopServer(C, SIGKILL);
-    return false;
-  }
+  // Past 20s the drain is SIGKILLed, which fails the status check.
+  int St = stopChild(C.ServerPid, SIGTERM, 20.0);
   C.ServerPid = -1;
-  if (!WIFEXITED(St) || WEXITSTATUS(St) != 0) {
-    diverge(C, "drain exit status not clean (wait status " +
-                   std::to_string(St) + ")");
+  if (!waitStatusOk(St)) {
+    diverge(C, "SIGTERM drain did not exit cleanly within 20s (" +
+                   describeWaitStatus(St) + ")");
     return false;
   }
   struct stat Sb;
@@ -452,16 +437,18 @@ int serveChaosMain(const ServeChaosOptions &OptsIn) {
   C.CacheDir = C.Dir + "/cache";
 
   bool Ok = phaseFaultSweep(C) && phaseKillRestart(C) && phaseDrain(C);
-  stopServer(C, SIGKILL);
+  stopChild(C.ServerPid, SIGKILL, 5.0);
 
   std::fprintf(stderr,
                "chaos --serve: %llu requests, %llu ok, %llu typed errors, "
-               "%llu truncated clients, %llu divergences, %llu service "
-               "deaths -> %s\n",
+               "%llu truncated clients, %llu solver deaths, %llu solver "
+               "respawns, %llu divergences, %llu service deaths -> %s\n",
                (unsigned long long)C.Requests,
                (unsigned long long)C.OkReplies,
                (unsigned long long)C.TypedErrors,
                (unsigned long long)C.Truncations,
+               (unsigned long long)C.SolverDeaths,
+               (unsigned long long)C.SolverRespawns,
                (unsigned long long)C.Divergences,
                (unsigned long long)C.ServiceDeaths,
                Ok && C.Divergences == 0 && C.ServiceDeaths == 0 ? "OK"

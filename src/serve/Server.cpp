@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -32,11 +31,6 @@ bool certWireFromName(const std::string &S, CertWire *Out) {
     }
   }
   return false;
-}
-
-bool setNonBlocking(int Fd) {
-  int Flags = ::fcntl(Fd, F_GETFL, 0);
-  return Flags >= 0 && ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
 }
 
 } // namespace
@@ -86,7 +80,7 @@ bool ServeServer::init(const ServerOptions &O, std::string *Err) {
     *Err = "socket path too long: " + Opts.SocketPath;
     return false;
   }
-  ListenFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ListenFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (ListenFd < 0) {
     *Err = std::string("socket: ") + std::strerror(errno);
     return false;
@@ -103,7 +97,6 @@ bool ServeServer::init(const ServerOptions &O, std::string *Err) {
            std::strerror(errno);
     return false;
   }
-  setNonBlocking(ListenFd);
 
   SolverPoolOptions PO;
   PO.PoolSize = Opts.PoolSize;
@@ -140,11 +133,11 @@ void ServeServer::dropConn(size_t Idx) {
 
 void ServeServer::acceptPending() {
   for (;;) {
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
+    // Nonblocking: replies buffer + drain on POLLOUT, never block.
+    int Fd = ::accept4(ListenFd, nullptr, nullptr,
+                       SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (Fd < 0)
       return; // EAGAIN (or transient) — next tick.
-    ::fcntl(Fd, F_SETFD, FD_CLOEXEC);
-    setNonBlocking(Fd); // replies buffer + drain on POLLOUT, never block.
     if (Conns.size() >= Opts.MaxConns) {
       ::close(Fd); // over the connection cap: refuse by closing.
       continue;

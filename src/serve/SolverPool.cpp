@@ -8,12 +8,7 @@
 #include "synth/Grassp.h"
 
 #include <csignal>
-#include <cstring>
-#include <sstream>
 
-#include <fcntl.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 namespace grassp {
@@ -33,23 +28,6 @@ CertWire certWireOf(chc::CertStatus S) {
     return CertWire::Unsupported;
   }
   return CertWire::Unknown;
-}
-
-bool setNonBlocking(int Fd) {
-  int Flags = ::fcntl(Fd, F_GETFL, 0);
-  return Flags >= 0 && ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
-}
-
-/// Human-readable decode of a worker's wait status.
-std::string describeWait(int St) {
-  std::ostringstream OS;
-  if (WIFSIGNALED(St))
-    OS << "killed by signal " << WTERMSIG(St);
-  else if (WIFEXITED(St))
-    OS << "exited with status " << WEXITSTATUS(St);
-  else
-    OS << "ended with wait status " << St;
-  return OS.str();
 }
 
 /// The fault key for one (key, attempt) pair: pure, so a chaos run
@@ -147,46 +125,23 @@ uint64_t attemptFaultKey(uint64_t Key, unsigned Attempt) {
 
 SolverPool::~SolverPool() { shutdown(0.5); }
 
-bool SolverPool::spawnWorker(std::string *Err) {
-  int Fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds) != 0) {
-    if (Err)
-      *Err = std::string("socketpair: ") + std::strerror(errno);
-    return false;
-  }
-  pid_t Pid = ::fork();
-  if (Pid < 0) {
-    ::close(Fds[0]);
-    ::close(Fds[1]);
-    if (Err)
-      *Err = std::string("fork: ") + std::strerror(errno);
-    return false;
-  }
-  if (Pid == 0) {
-    // Child: drop the parent end and every server resource the owner
-    // registered (listen socket, client fds, cache journal fd), then
-    // serve solves until told otherwise.
-    ::close(Fds[0]);
-    if (Opts.AtForkChild)
-      Opts.AtForkChild();
-    solverWorkerMain(Fds[1], Opts.Faults);
-  }
-  ::close(Fds[1]);
-  setNonBlocking(Fds[0]);
-  Worker W;
-  W.Pid = Pid;
-  W.Fd = Fds[0];
-  Workers.push_back(std::move(W));
-  return true;
-}
-
 bool SolverPool::start(const SolverPoolOptions &O, std::string *Err) {
   Opts = O;
-  for (size_t I = 0; I != Opts.PoolSize; ++I)
-    if (!spawnWorker(Err))
-      return false;
-  Started = true;
-  return true;
+  Workers.assign(Opts.PoolSize, Worker());
+  // The child drops every server resource the owner registered (listen
+  // socket, client fds, cache journal fd), then serves solves until
+  // told otherwise.
+  Children = std::make_unique<ChildPool>(
+      static_cast<unsigned>(Opts.PoolSize), Opts.MaxRespawns, [this](int Fd) {
+        if (Opts.AtForkChild)
+          Opts.AtForkChild();
+        solverWorkerMain(Fd, Opts.Faults);
+      });
+  if (Children->fill(Err).size() == Opts.PoolSize)
+    return true;
+  Children.reset();
+  Workers.clear();
+  return false;
 }
 
 uint64_t SolverPool::submit(uint64_t Key, const std::string &ProgramText) {
@@ -219,23 +174,15 @@ bool SolverPool::quarantined(uint64_t Key, uint32_t *RetryAfterMs) {
 }
 
 void SolverPool::pollFds(std::vector<struct pollfd> *Out) const {
-  for (const Worker &W : Workers)
-    if (W.Fd >= 0)
-      Out->push_back({W.Fd, POLLIN, 0});
+  for (unsigned Slot = 0; Slot != Workers.size(); ++Slot)
+    if (Children->live(Slot))
+      Out->push_back({Children->fd(Slot), POLLIN, 0});
 }
 
 size_t SolverPool::idleWorkers() const {
   size_t N = 0;
-  for (const Worker &W : Workers)
-    if (W.Fd >= 0 && !W.Busy)
-      ++N;
-  return N;
-}
-
-size_t SolverPool::liveWorkers() const {
-  size_t N = 0;
-  for (const Worker &W : Workers)
-    if (W.Fd >= 0)
+  for (unsigned Slot = 0; Slot != Workers.size(); ++Slot)
+    if (Children->live(Slot) && !Workers[Slot].Busy)
       ++N;
   return N;
 }
@@ -243,7 +190,7 @@ size_t SolverPool::liveWorkers() const {
 size_t SolverPool::inFlightJobs() const {
   size_t N = 0;
   for (const Worker &W : Workers)
-    if (W.Fd >= 0 && W.Busy)
+    if (W.Busy)
       ++N;
   return N;
 }
@@ -289,36 +236,22 @@ void SolverPool::failAttempt(Job J, const std::string &Reason,
   Out->push_back(std::move(O));
 }
 
-void SolverPool::handleWorkerDown(size_t Idx, std::vector<SolveOutcome> *Out) {
-  Worker &W = Workers[Idx];
-  ::close(W.Fd);
-  W.Fd = -1;
-  int St = 0;
-  std::string Reason = "solver worker died";
-  // The fd is closed, so the child (if merely wedged rather than dead)
-  // got EOF; give waitpid one blocking chance after a SIGKILL nudge.
-  ::kill(W.Pid, SIGKILL);
-  if (::waitpid(W.Pid, &St, 0) == W.Pid)
-    Reason = "solver worker " + describeWait(St);
-  W.Pid = -1;
-  if (W.Busy) {
-    W.Busy = false;
-    failAttempt(std::move(W.Current), Reason, Out);
-    W.Current = Job();
-  }
-  // Keep the pool at strength unless we are shutting down or the
-  // fork-bomb backstop tripped.
-  if (!ShutDown && Counters.Respawns < Opts.MaxRespawns) {
-    std::string Err;
-    if (spawnWorker(&Err))
-      ++Counters.Respawns;
-  }
+void SolverPool::handleWorkerDown(unsigned Slot,
+                                  std::vector<SolveOutcome> *Out) {
+  // A worker with a corrupt stream or a blown deadline may still be
+  // running, so kill before reaping.
+  int St = Children->reap(Slot, /*Kill=*/true);
+  Worker &W = Workers[Slot];
+  if (W.Busy)
+    failAttempt(std::move(W.Current), "solver worker " + describeWaitStatus(St),
+                Out);
+  W = Worker();
 }
 
-void SolverPool::dispatchReady() {
-  for (size_t I = 0; I != Workers.size() && !Pending.empty(); ++I) {
-    Worker &W = Workers[I];
-    if (W.Fd < 0 || W.Busy)
+void SolverPool::dispatchReady(std::vector<SolveOutcome> *Out) {
+  for (unsigned Slot = 0; Slot != Workers.size() && !Pending.empty(); ++Slot) {
+    Worker &W = Workers[Slot];
+    if (!Children->live(Slot) || W.Busy)
       continue;
     // Find the first pending job whose backoff has elapsed.
     size_t Pick = Pending.size();
@@ -347,13 +280,12 @@ void SolverPool::dispatchReady() {
     Msg.CertTimeoutMs = Opts.CertTimeoutMs;
     Msg.Program = J.Program;
     encodeSolveJob(Msg, W.Writer.payload());
-    if (!W.Writer.send(W.Fd, dist::MsgType::SolveJob)) {
-      // Send failed: the worker is gone. Requeue the job unscathed (the
-      // death path will also run when pump notices the fd) and mark the
-      // worker down right here so we do not loop on it.
+    // The fd blocks, and an idle worker is blocked reading, so a send
+    // of any size completes unless the worker is gone.
+    if (!W.Writer.send(Children->fd(Slot), dist::MsgType::SolveJob)) {
+      // Requeue the job unscathed; the slot is refilled next pump.
       Pending.push_front(std::move(J));
-      std::vector<SolveOutcome> Ignore;
-      handleWorkerDown(I, &Ignore);
+      handleWorkerDown(Slot, Out);
       continue;
     }
     W.Busy = true;
@@ -363,35 +295,25 @@ void SolverPool::dispatchReady() {
 }
 
 void SolverPool::pump(std::vector<SolveOutcome> *Out) {
-  if (!Started || ShutDown)
+  if (!Children || ShutDown)
     return;
 
-  for (size_t I = 0; I != Workers.size(); ++I) {
-    Worker &W = Workers[I];
-    if (W.Fd < 0)
-      continue;
-
-    // Deadline-blown hang: SIGKILL; the read below then sees EOF.
-    if (W.Busy && W.JobDeadline.expired()) {
+  // Deadline-blown hangs: SIGKILL, reap and fail the attempt right here.
+  for (unsigned Slot = 0; Slot != Workers.size(); ++Slot)
+    if (Workers[Slot].Busy && Workers[Slot].JobDeadline.expired()) {
       ++Counters.DeadlineKills;
-      ::kill(W.Pid, SIGKILL);
+      handleWorkerDown(Slot, Out);
     }
 
-    // Drain whatever the worker sent; nonblocking, so an idle worker
-    // costs one EAGAIN.
-    bool Down = false;
-    for (;;) {
-      dist::RecvStatus S = W.Reader.fill(W.Fd);
-      if (S == dist::RecvStatus::NeedMore)
-        break;
-      if (S != dist::RecvStatus::Ok) {
-        Down = true;
-        break;
-      }
-    }
-    for (;;) {
+  // One read per worker with bytes or a hangup pending: the fds block,
+  // so a worker is never read blind.
+  for (unsigned Slot : Children->readable(/*TimeoutMs=*/0)) {
+    Worker &W = Workers[Slot];
+    dist::RecvStatus S = W.Reader.fill(Children->fd(Slot));
+    bool Down = S != dist::RecvStatus::Ok && S != dist::RecvStatus::NeedMore;
+    while (!Down) {
       dist::Frame F;
-      dist::RecvStatus S = W.Reader.next(&F);
+      S = W.Reader.next(&F);
       if (S == dist::RecvStatus::NeedMore)
         break;
       if (S != dist::RecvStatus::Ok) {
@@ -421,44 +343,23 @@ void SolverPool::pump(std::vector<SolveOutcome> *Out) {
       W.Current = Job();
     }
     if (Down)
-      handleWorkerDown(I, Out);
+      handleWorkerDown(Slot, Out);
   }
 
-  dispatchReady();
+  // Keep the pool at strength: every empty slot gets one respawn
+  // attempt per pump while the fork-bomb backstop lasts.
+  Counters.Respawns += Children->refill().size();
+  dispatchReady(Out);
 }
 
 void SolverPool::shutdown(double GraceSec) {
-  if (!Started || ShutDown)
+  if (!Children || ShutDown)
     return;
   ShutDown = true;
-  for (Worker &W : Workers) {
-    if (W.Fd < 0)
-      continue;
-    W.Writer.payload();
-    W.Writer.send(W.Fd, dist::MsgType::Shutdown);
-  }
-  Deadline Grace = Deadline::after(GraceSec);
-  for (Worker &W : Workers) {
-    if (W.Pid <= 0)
-      continue;
-    for (;;) {
-      int St = 0;
-      pid_t R = ::waitpid(W.Pid, &St, WNOHANG);
-      if (R == W.Pid || (R < 0 && errno == ECHILD))
-        break;
-      if (Grace.expired()) {
-        ::kill(W.Pid, SIGKILL);
-        ::waitpid(W.Pid, &St, 0);
-        break;
-      }
-      ::usleep(2000);
-    }
-    if (W.Fd >= 0)
-      ::close(W.Fd);
-    W.Fd = -1;
-    W.Pid = -1;
-    W.Busy = false;
-  }
+  Children->shutdown(GraceSec, [](int Fd) {
+    dist::writeFrame(Fd, dist::MsgType::Shutdown, {});
+  });
+  Workers.assign(Workers.size(), Worker());
   Pending.clear();
 }
 

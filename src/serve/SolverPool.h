@@ -5,10 +5,10 @@
 // prewarmed worker child forked before any solver state existed, so a
 // segfaulting, hanging, or OOM-killed solve takes down exactly one
 // disposable process. The server observes the death through the fd
-// (EOF/POLLHUP — no idle heartbeats needed on a reliable socketpair)
-// and through waitpid, decodes WIFSIGNALED/WIFEXITED for the failure
-// report, and retries the job on a fresh worker with decorrelated
-// backoff.
+// (EOF/POLLHUP — no idle heartbeats needed on a reliable socketpair),
+// reaps and decodes it through the support/ChildProc pool (PoolSize
+// slots, refilled every pump() within MaxRespawns), and retries the job
+// on a fresh worker with decorrelated backoff.
 //
 // Failure policy, in order:
 //
@@ -37,12 +37,14 @@
 
 #include "serve/Protocol.h"
 #include "support/Cancel.h"
+#include "support/ChildProc.h"
 #include "support/FaultInject.h"
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,7 +72,8 @@ struct SolverPoolOptions {
   unsigned BreakerFailures = 3;
   /// How long a tripped key stays quarantined.
   double QuarantineSec = 5.0;
-  /// Lifetime cap on worker respawns (fork-bomb backstop).
+  /// Lifetime cap on worker respawns (fork-bomb backstop); a failed
+  /// respawn counts too.
   unsigned MaxRespawns = 256;
   /// Seed for the backoff draws.
   uint64_t Seed = 0;
@@ -137,7 +140,7 @@ public:
   void shutdown(double GraceSec = 2.0);
 
   size_t idleWorkers() const;
-  size_t liveWorkers() const;
+  size_t liveWorkers() const { return Children ? Children->liveCount() : 0; }
   size_t pendingJobs() const { return Pending.size(); }
   size_t inFlightJobs() const;
 
@@ -149,7 +152,7 @@ public:
     uint64_t Retries = 0;
     uint64_t Exhausted = 0;
     uint64_t BreakerTrips = 0;
-    uint64_t Respawns = 0;
+    uint64_t Respawns = 0; ///< Successful respawns.
   };
   const Stats &stats() const { return Counters; }
 
@@ -163,9 +166,8 @@ private:
     Deadline ReadyAt;      ///< not dispatched before this passes.
   };
 
+  /// Per-slot job state, indexed like the ChildPool's slots.
   struct Worker {
-    pid_t Pid = -1;
-    int Fd = -1;
     dist::FrameReader Reader;
     dist::FrameWriter Writer;
     bool Busy = false;
@@ -173,13 +175,15 @@ private:
     Deadline JobDeadline; ///< valid when Busy.
   };
 
-  bool spawnWorker(std::string *Err);
-  void dispatchReady();
-  void handleWorkerDown(size_t Idx, std::vector<SolveOutcome> *Out);
+  void dispatchReady(std::vector<SolveOutcome> *Out);
+  /// SIGKILLs and reaps the worker in \p Slot, failing its job (if any).
+  void handleWorkerDown(unsigned Slot, std::vector<SolveOutcome> *Out);
   void failAttempt(Job J, const std::string &Reason,
                    std::vector<SolveOutcome> *Out);
 
   SolverPoolOptions Opts;
+  /// Null until start() succeeds.
+  std::unique_ptr<ChildPool> Children;
   std::vector<Worker> Workers;
   std::deque<Job> Pending;
   uint64_t NextJobId = 1;
@@ -188,7 +192,6 @@ private:
   /// Quarantine expiry per tripped key.
   std::map<uint64_t, Deadline> Quarantine;
   Stats Counters;
-  bool Started = false;
   bool ShutDown = false;
 };
 

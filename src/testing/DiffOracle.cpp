@@ -9,6 +9,7 @@
 #include "runtime/Runner.h"
 #include "runtime/SegmentSource.h"
 #include "runtime/Workload.h"
+#include "support/ChildProc.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -84,14 +85,14 @@ DiffOracle::DiffOracle(const lang::SerialProgram &P,
                           " " + jit::shellQuote(SrcPath) + " -lpthread > " +
                           jit::shellQuote(TmpDir + "/cc.log") + " 2>&1";
     int Rc = std::system(Compile.c_str());
-    EmittedReady = jit::waitStatusOk(Rc);
+    EmittedReady = waitStatusOk(Rc);
     if (!EmittedReady) {
       // The probe said a compiler exists, so a failing compile here is a
       // real defect (a bad translation, a crashed compiler) that check()
       // must surface as a divergence, not quietly run one path short.
       EmittedBroken = true;
       EmittedError = "emitted compile failed (" +
-                     jit::describeWaitStatus(Rc) + ")";
+                     describeWaitStatus(Rc) + ")";
       std::ifstream Log(TmpDir + "/cc.log");
       std::string Line, Last;
       while (std::getline(Log, Line))
@@ -148,12 +149,12 @@ bool DiffOracle::runEmitted(const std::vector<int64_t> &Flat,
   if (Rc == -1 || (!WIFEXITED(Rc) && !WIFSIGNALED(Rc))) {
     if (Error)
       *Error = "emitted binary did not run (" +
-               jit::describeWaitStatus(Rc) + ")";
+               describeWaitStatus(Rc) + ")";
     return false;
   }
   if (WIFSIGNALED(Rc)) {
     if (Error)
-      *Error = "emitted binary " + jit::describeWaitStatus(Rc);
+      *Error = "emitted binary " + describeWaitStatus(Rc);
     return false;
   }
   std::ifstream Out(OutPath);
@@ -163,7 +164,7 @@ bool DiffOracle::runEmitted(const std::vector<int64_t> &Flat,
   if (std::sscanf(Line.c_str(), "serial=%lld parallel=%lld", &S, &Par) !=
       2) {
     if (Error)
-      *Error = "unparsable output (" + jit::describeWaitStatus(Rc) +
+      *Error = "unparsable output (" + describeWaitStatus(Rc) +
                "): \"" + Line + "\"";
     return false;
   }

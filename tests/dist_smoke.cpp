@@ -580,10 +580,9 @@ TEST(DistCoordinator, PrewarmForksTheFullPoolBeforeAnyRun) {
 
 TEST(DistCoordinator, SimultaneousHangsSurviveMidSweepRespawns) {
   // Every attempt of every shard hangs, so one hang sweep routinely
-  // reaps SEVERAL workers back to back, and each handleDeath respawns
-  // into Procs — dead entries accumulate and the vector reallocates
-  // mid-run. Pins the indexed sweep: a range-for here is a
-  // use-after-free the moment a respawn's push_back reallocates.
+  // reaps SEVERAL workers back to back and the next tick refills all of
+  // their slots at once. Pins that per-slot state survives mass
+  // reap-and-refill and every shard still lands on the last resort.
   DistRun R("sum", 2000, 6);
   FaultInjector FI(5);
   FaultSpec Hang;

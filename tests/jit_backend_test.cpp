@@ -20,6 +20,7 @@
 #include "lang/Interp.h"
 #include "runtime/Kernels.h"
 #include "runtime/Workload.h"
+#include "support/ChildProc.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -256,13 +257,13 @@ TEST(JitBackend, ShellQuoteAndWaitStatusHelpers) {
   EXPECT_EQ(jit::shellQuote("plain"), "'plain'");
   EXPECT_EQ(jit::shellQuote("a b"), "'a b'");
   EXPECT_EQ(jit::shellQuote("a'b"), "'a'\\''b'");
-  EXPECT_FALSE(jit::waitStatusOk(-1));
-  EXPECT_EQ(jit::describeWaitStatus(-1), "could not run (system() failed)");
+  EXPECT_FALSE(waitStatusOk(-1));
+  EXPECT_EQ(describeWaitStatus(-1), "could not run (system() failed)");
   // A real shell round-trip: quoting must survive metacharacters.
   std::string Path = ::testing::TempDir() + "grassp jit $weird'name";
   std::string Cmd = "touch " + jit::shellQuote(Path);
   int Rc = std::system(Cmd.c_str());
-  EXPECT_TRUE(jit::waitStatusOk(Rc)) << jit::describeWaitStatus(Rc);
+  EXPECT_TRUE(waitStatusOk(Rc)) << describeWaitStatus(Rc);
   EXPECT_EQ(std::remove(Path.c_str()), 0);
 }
 

@@ -14,6 +14,8 @@
 //   * SIGTERM -> drain: exit 0 and a compacted cache.snap on disk
 //   * kill -9 then warm restart: a committed entry is re-served as a
 //     hit, identical to the answer the first incarnation gave
+//   * a solver job larger than a socket buffer reaches its worker
+//   * each solver worker holds only its own end of the pool's sockets
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,14 +26,20 @@
 #include "serve/ProgramText.h"
 #include "serve/Server.h"
 #include "support/Cancel.h"
+#include "support/ChildProc.h"
 
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <vector>
 
+#include <dirent.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -66,12 +74,7 @@ struct SmokeServer {
     CacheDir = Dir + "/cache";
   }
 
-  ~SmokeServer() {
-    if (Pid > 0) {
-      ::kill(Pid, SIGKILL);
-      ::waitpid(Pid, nullptr, 0);
-    }
-  }
+  ~SmokeServer() { stop(SIGKILL); }
 
   void start(size_t HighWaterJobs = 8, uint64_t SnapshotEvery = 2) {
     ::unlink(Socket.c_str());
@@ -99,22 +102,12 @@ struct SmokeServer {
 
   bool alive() const { return Pid > 0 && ::kill(Pid, 0) == 0; }
 
-  /// Signals and reaps; returns the wait status (or -1 on timeout).
+  /// Signals and reaps (SIGKILL past \p TimeoutSec); returns the wait
+  /// status.
   int stop(int Sig, double TimeoutSec = 20.0) {
-    if (Pid <= 0)
-      return -1;
-    ::kill(Pid, Sig);
-    Deadline Until = Deadline::after(TimeoutSec);
-    int St = 0;
-    while (!Until.expired()) {
-      pid_t R = ::waitpid(Pid, &St, WNOHANG);
-      if (R == Pid) {
-        Pid = -1;
-        return St;
-      }
-      ::usleep(5000);
-    }
-    return -1;
+    int St = stopChild(Pid, Sig, TimeoutSec);
+    Pid = -1;
+    return St;
   }
 
   bool connect(serve::ServeClient &C) {
@@ -372,4 +365,98 @@ TEST(ServeSmoke, Kill9ThenWarmRestartReservesCommittedEntry) {
   EXPECT_EQ(Again.Ok.Synth.PlanText, First.Ok.Synth.PlanText);
   EXPECT_EQ(Again.Ok.Synth.Group, First.Ok.Synth.Group);
   EXPECT_EQ(Again.Ok.Synth.Cert, First.Ok.Synth.Cert);
+}
+
+TEST(SolverPool, LargeJobReachesTheWorkerInsteadOfKillingThePool) {
+  // A 4 MiB job is far past any socket buffer: the send must wait for
+  // the worker to read it, not fail with EAGAIN and be taken for a dead
+  // worker (which used to burn the whole respawn budget in one pump).
+  serve::SolverPool Pool;
+  serve::SolverPoolOptions O;
+  O.PoolSize = 1;
+  O.MaxRespawns = 16;
+  std::string Err;
+  ASSERT_TRUE(Pool.start(O, &Err)) << Err;
+  Pool.submit(1, std::string(4u << 20, 'x'));
+
+  std::vector<serve::SolveOutcome> Out;
+  Deadline Until = Deadline::after(10.0);
+  while (Out.empty() && !Until.expired()) {
+    std::vector<struct pollfd> Fds;
+    Pool.pollFds(&Fds);
+    ::poll(Fds.data(), Fds.size(), 10);
+    Pool.pump(&Out);
+  }
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_EQ(Out[0].Outcome, serve::SolveOutcome::Kind::Done);
+  EXPECT_EQ(Out[0].Done.Solved, 0); // unparsable, answered by the worker.
+  EXPECT_EQ(Pool.stats().WorkerDeaths, 0u);
+  EXPECT_EQ(Pool.stats().Respawns, 0u);
+  EXPECT_EQ(Pool.liveWorkers(), 1u);
+}
+
+/// Socket fds process \p Pid holds open.
+int socketFds(pid_t Pid) {
+  std::string Dir = "/proc/" + std::to_string(Pid) + "/fd";
+  DIR *D = ::opendir(Dir.c_str());
+  if (!D)
+    return -1;
+  int N = 0;
+  while (struct dirent *E = ::readdir(D)) {
+    char Buf[64];
+    ssize_t L = ::readlink((Dir + "/" + E->d_name).c_str(), Buf, sizeof(Buf));
+    if (L > 0 &&
+        std::string(Buf, static_cast<size_t>(L)).rfind("socket:", 0) == 0)
+      ++N;
+  }
+  ::closedir(D);
+  return N;
+}
+
+/// This process's live children, from /proc/<pid>/stat.
+std::vector<pid_t> childPids() {
+  std::vector<pid_t> Kids;
+  DIR *D = ::opendir("/proc");
+  while (struct dirent *E = D ? ::readdir(D) : nullptr) {
+    std::ifstream In(std::string("/proc/") + E->d_name + "/stat");
+    std::string Stat;
+    if (!std::getline(In, Stat))
+      continue;
+    // "pid (comm) state ppid ...": comm may hold spaces and parens.
+    size_t Close = Stat.rfind(')');
+    int PPid = 0;
+    char State = 0;
+    if (Close != std::string::npos &&
+        std::sscanf(Stat.c_str() + Close + 1, " %c %d", &State, &PPid) == 2 &&
+        PPid == ::getpid() && State != 'Z')
+      Kids.push_back(static_cast<pid_t>(std::atol(E->d_name)));
+  }
+  if (D)
+    ::closedir(D);
+  return Kids;
+}
+
+TEST(SolverPool, EachWorkerHoldsOnlyItsOwnSocket) {
+  // A worker that inherits a sibling's parent end keeps that sibling's
+  // channel open: closing it would no longer EOF the sibling.
+  // Sockets this process held before the pool existed (say, from the
+  // harness that launched it) are inherited by every child too.
+  const int Own = socketFds(::getpid());
+  serve::SolverPool Pool;
+  serve::SolverPoolOptions O;
+  O.PoolSize = 3;
+  std::string Err;
+  ASSERT_TRUE(Pool.start(O, &Err)) << Err;
+  std::vector<pid_t> Kids = childPids();
+  ASSERT_EQ(Kids.size(), 3u);
+  // Each child drops the fds it does not own right after fork.
+  const std::vector<int> Want(3, Own + 1);
+  Deadline Until = Deadline::after(5.0);
+  std::vector<int> Held;
+  do {
+    Held.clear();
+    for (pid_t K : Kids)
+      Held.push_back(socketFds(K));
+  } while (Held != Want && !Until.expired() && ::usleep(1000) == 0);
+  EXPECT_EQ(Held, Want);
 }
