@@ -10,12 +10,9 @@
 // ratio is the true cost of fork+socket shipping, heartbeats, and the
 // coordinator event loop that the simulator does not model.
 //
-// Since the zero-copy transport landed, every job is measured on BOTH
-// transports: warm shm (descriptors into the sealed mapping) and warm
-// inline (elements serialized into every Task frame, the PR 8
-// behavior). The shm/inline ratio is the measured payoff of the
-// shared-memory transport, and the bytes-per-element columns show the
-// socket traffic collapsing from ~8 B/elem to O(1) bytes per shard.
+// Shards reach the workers as descriptors into one sealed memfd copy of
+// the input (dist/Shm.h), so the bytes-per-element column shows the
+// socket carrying O(1) bytes per shard, not the elements.
 //
 // Usage: bench_dist [elements] [--workers W] [--shards S]
 //                   [--kill-permille K] [--exit-permille K]
@@ -66,10 +63,8 @@ struct JobRow {
   double SerialSec = 0;
   double PredictSec = 0;
   double ColdSec = 0;
-  double WarmShmSec = 0;
-  double WarmInlineSec = 0;
-  double BytesPerElemShm = 0;
-  double BytesPerElemInline = 0;
+  double WarmSec = 0;
+  double BytesPerElem = 0;
   uint64_t BytesMapped = 0;
   unsigned Killed = 0;
   unsigned Reassigned = 0;
@@ -88,24 +83,11 @@ int main(int argc, char **argv) {
   uint64_t FaultSeed = 0x5eed;
   const char *JsonPath = nullptr;
   for (int I = 1; I != argc; ++I) {
-    auto numericOpt = [&](const char *Flag, unsigned *Out) {
-      if (std::strcmp(argv[I], Flag) != 0 || I + 1 >= argc)
-        return false;
-      if (!parseUnsigned(argv[++I], Out))
-        std::exit(usage(argv[0], argv[I]));
-      return true;
-    };
-    if (numericOpt("--workers", &Workers) ||
-        numericOpt("--shards", &Shards) ||
-        numericOpt("--kill-permille", &KillPm) ||
-        numericOpt("--exit-permille", &ExitPm) ||
-        numericOpt("--reps", &Reps))
+    NumericFlag Num(argc, argv, I);
+    if (Num("--workers", &Workers) || Num("--shards", &Shards) ||
+        Num("--kill-permille", &KillPm) || Num("--exit-permille", &ExitPm) ||
+        Num("--reps", &Reps) || Num("--fault-seed", &FaultSeed))
       continue;
-    if (std::strcmp(argv[I], "--fault-seed") == 0 && I + 1 < argc) {
-      if (!parseSeed(argv[++I], &FaultSeed))
-        return usage(argv[0], argv[I]);
-      continue;
-    }
     if (std::strcmp(argv[I], "--json") == 0 && I + 1 < argc) {
       JsonPath = argv[++I];
       continue;
@@ -156,11 +138,10 @@ int main(int argc, char **argv) {
     std::printf("faults: seed %llu, kill %u/1000, exit %u/1000 per "
                 "attempt (REAL process deaths)\n",
                 (unsigned long long)FaultSeed, KillPm, ExitPm);
-  std::printf("%-16s %-10s %-10s %-10s %-10s %-10s %-8s %-8s %-8s%s\n",
-              "job", "serial(s)", "predict(s)", "cold(s)", "shm(s)",
-              "inline(s)", "shm-spd", "B/e shm", "B/e inl",
-              Chaos ? "  killed reassign recovery(s)" : "");
-  std::printf("%s\n", std::string(Chaos ? 124 : 96, '-').c_str());
+  std::printf("%-16s %-10s %-10s %-10s %-10s %s\n", "job", "serial(s)",
+              "predict(s)", "cold(s)", "warm(s)",
+              Chaos ? "B/elem    killed reassign recovery(s)" : "B/elem");
+  std::printf("%s\n", std::string(Chaos ? 98 : 70, '-').c_str());
 
   std::vector<JobRow> Rows;
   bool Ok = true;
@@ -199,61 +180,37 @@ int main(int argc, char **argv) {
     }
     Row.PredictSec = mapreduce::scheduleTasks(TaskSec, Home, Pred);
 
-    auto makeConfig = [&](bool UseShm) {
-      dist::DistConfig DC;
-      DC.Workers = Workers;
-      DC.UseShm = UseShm;
-      DC.BackoffJitterSeed = FaultSeed;
-      if (Chaos) {
-        DC.Faults = &Injector;
-        DC.TaskDeadlineSeconds = 0.05;
-        DC.MaxWorkerRestarts = 100000;
-      }
-      return DC;
-    };
-
-    // Shm transport: cold run (forks the pool, publishes the mapping),
-    // then best-of-Reps warm runs on the persistent pool — the
-    // steady-state cost the prediction should be compared against.
-    {
-      dist::DistCoordinator Coord(Plan, makeConfig(true));
-      Stopwatch WCold;
-      dist::DistRunReport Rep = Coord.run(Segs);
-      Row.ColdSec = WCold.seconds();
-      Row.Match = Row.Match && Rep.Output == SerialOut;
-      Row.Killed += Rep.WorkersKilled + Rep.WorkersExited;
-      Row.Reassigned += Rep.ShardsReassigned;
-      Row.RecoverySec += Rep.RecoverySeconds;
-      Row.WarmShmSec = 1e30;
-      for (unsigned Rp = 0; Rp != Reps; ++Rp) {
-        Stopwatch WWarm;
-        dist::DistRunReport RW = Coord.run(Segs);
-        Row.WarmShmSec = std::min(Row.WarmShmSec, WWarm.seconds());
-        Row.Match = Row.Match && RW.Output == SerialOut;
-        Row.BytesPerElemShm = N ? (double)RW.BytesShipped / (double)N : 0;
-        Row.BytesMapped = RW.BytesMapped;
-        Row.Killed += RW.WorkersKilled + RW.WorkersExited;
-        Row.Reassigned += RW.ShardsReassigned;
-        Row.RecoverySec += RW.RecoverySeconds;
-      }
+    dist::DistConfig DC;
+    DC.Workers = Workers;
+    DC.BackoffJitterSeed = FaultSeed;
+    if (Chaos) {
+      DC.Faults = &Injector;
+      DC.TaskDeadlineSeconds = 0.05;
+      DC.MaxWorkerRestarts = 100000;
     }
-    // Inline transport (the PR 8 wire behavior): warm best-of-Reps on
-    // its own pool, same workload, same faults.
-    {
-      dist::DistCoordinator Coord(Plan, makeConfig(false));
-      (void)Coord.run(Segs); // warm the pool; cold cost reported above.
-      Row.WarmInlineSec = 1e30;
-      for (unsigned Rp = 0; Rp != Reps; ++Rp) {
-        Stopwatch WWarm;
-        dist::DistRunReport RW = Coord.run(Segs);
-        Row.WarmInlineSec = std::min(Row.WarmInlineSec, WWarm.seconds());
-        Row.Match = Row.Match && RW.Output == SerialOut;
-        Row.BytesPerElemInline =
-            N ? (double)RW.BytesShipped / (double)N : 0;
-        Row.Killed += RW.WorkersKilled + RW.WorkersExited;
-        Row.Reassigned += RW.ShardsReassigned;
-        Row.RecoverySec += RW.RecoverySeconds;
-      }
+
+    // Cold run (forks the pool, publishes the mapping), then best-of-Reps
+    // warm runs on the persistent pool — the steady-state cost the
+    // prediction should be compared against.
+    dist::DistCoordinator Coord(Plan, DC);
+    Stopwatch WCold;
+    dist::DistRunReport Rep = Coord.run(Segs);
+    Row.ColdSec = WCold.seconds();
+    Row.Match = Row.Match && Rep.Output == SerialOut;
+    Row.Killed += Rep.WorkersKilled + Rep.WorkersExited;
+    Row.Reassigned += Rep.ShardsReassigned;
+    Row.RecoverySec += Rep.RecoverySeconds;
+    Row.WarmSec = 1e30;
+    for (unsigned Rp = 0; Rp != Reps; ++Rp) {
+      Stopwatch WWarm;
+      dist::DistRunReport RW = Coord.run(Segs);
+      Row.WarmSec = std::min(Row.WarmSec, WWarm.seconds());
+      Row.Match = Row.Match && RW.Output == SerialOut;
+      Row.BytesPerElem = N ? (double)RW.BytesShipped / (double)N : 0;
+      Row.BytesMapped = RW.BytesMapped;
+      Row.Killed += RW.WorkersKilled + RW.WorkersExited;
+      Row.Reassigned += RW.ShardsReassigned;
+      Row.RecoverySec += RW.RecoverySeconds;
     }
 
     if (!Row.Match) {
@@ -262,29 +219,23 @@ int main(int argc, char **argv) {
       Ok = false;
       continue;
     }
-    double ShmSpd =
-        Row.WarmShmSec > 0 ? Row.WarmInlineSec / Row.WarmShmSec : 0;
     if (Chaos)
-      std::printf("%-16s %-10.4f %-10.4f %-10.4f %-10.4f %-10.4f %-8.2f "
-                  "%-8.3f %-8.3f  %-6u %-8u %.4f\n",
+      std::printf("%-16s %-10.4f %-10.4f %-10.4f %-10.4f %-8.4f  %-6u %-8u "
+                  "%.4f\n",
                   Name, Row.SerialSec, Row.PredictSec, Row.ColdSec,
-                  Row.WarmShmSec, Row.WarmInlineSec, ShmSpd,
-                  Row.BytesPerElemShm, Row.BytesPerElemInline, Row.Killed,
-                  Row.Reassigned, Row.RecoverySec);
+                  Row.WarmSec, Row.BytesPerElem, Row.Killed, Row.Reassigned,
+                  Row.RecoverySec);
     else
-      std::printf("%-16s %-10.4f %-10.4f %-10.4f %-10.4f %-10.4f %-8.2f "
-                  "%-8.3f %-8.3f\n",
-                  Name, Row.SerialSec, Row.PredictSec, Row.ColdSec,
-                  Row.WarmShmSec, Row.WarmInlineSec, ShmSpd,
-                  Row.BytesPerElemShm, Row.BytesPerElemInline);
+      std::printf("%-16s %-10.4f %-10.4f %-10.4f %-10.4f %.4f\n", Name,
+                  Row.SerialSec, Row.PredictSec, Row.ColdSec, Row.WarmSec,
+                  Row.BytesPerElem);
     Rows.push_back(Row);
   }
-  std::printf("%s\n", std::string(Chaos ? 124 : 96, '-').c_str());
+  std::printf("%s\n", std::string(Chaos ? 98 : 70, '-').c_str());
   std::printf("(predict = LPT makespan of measured per-shard kernel times "
               "on %u zero-overhead nodes;\n cold = real coordinator run "
-              "incl. forking the pool; shm/inline = best-of-%u warm runs "
-              "on the persistent pool;\n shm-spd = inline/shm; B/e = "
-              "socket bytes per element)\n",
+              "incl. forking the pool; warm = best-of-%u runs on the "
+              "persistent pool;\n B/elem = socket bytes per element)\n",
               Workers, Reps);
 
   if (JsonPath) {
@@ -299,26 +250,19 @@ int main(int argc, char **argv) {
                  N, Workers, Shards, Reps, Chaos ? "true" : "false");
     for (size_t I = 0; I != Rows.size(); ++I) {
       const JobRow &Row = Rows[I];
-      double ShmSpd =
-          Row.WarmShmSec > 0 ? Row.WarmInlineSec / Row.WarmShmSec : 0;
       std::fprintf(
           F,
           "    {\"name\": \"%s\", \"serial_s\": %.6f, \"predict_s\": "
-          "%.6f,\n     \"cold_s\": %.6f, \"warm_shm_s\": %.6f, "
-          "\"warm_inline_s\": %.6f,\n     \"shm_speedup_vs_inline\": "
-          "%.3f, \"serial_speedup_shm\": %.3f,\n     \"ns_per_elem_shm\": "
-          "%.3f, \"ns_per_elem_inline\": %.3f,\n     "
-          "\"bytes_per_elem_shm\": %.4f, \"bytes_per_elem_inline\": "
-          "%.4f,\n     \"bytes_mapped\": %llu, \"workers_killed\": %u, "
-          "\"shards_reassigned\": %u,\n     \"recovery_s\": %.6f, "
-          "\"match\": %s}%s\n",
+          "%.6f,\n     \"cold_s\": %.6f, \"warm_s\": %.6f, "
+          "\"serial_speedup\": %.3f,\n     \"ns_per_elem\": %.3f, "
+          "\"bytes_per_elem\": %.4f,\n     \"bytes_mapped\": %llu, "
+          "\"workers_killed\": %u, \"shards_reassigned\": %u,\n     "
+          "\"recovery_s\": %.6f, \"match\": %s}%s\n",
           Row.Name.c_str(), Row.SerialSec, Row.PredictSec, Row.ColdSec,
-          Row.WarmShmSec, Row.WarmInlineSec, ShmSpd,
-          Row.WarmShmSec > 0 ? Row.SerialSec / Row.WarmShmSec : 0,
-          N ? Row.WarmShmSec * 1e9 / (double)N : 0,
-          N ? Row.WarmInlineSec * 1e9 / (double)N : 0, Row.BytesPerElemShm,
-          Row.BytesPerElemInline, (unsigned long long)Row.BytesMapped,
-          Row.Killed, Row.Reassigned, Row.RecoverySec,
+          Row.WarmSec, Row.WarmSec > 0 ? Row.SerialSec / Row.WarmSec : 0,
+          N ? Row.WarmSec * 1e9 / (double)N : 0, Row.BytesPerElem,
+          (unsigned long long)Row.BytesMapped, Row.Killed, Row.Reassigned,
+          Row.RecoverySec,
           Row.Match ? "true" : "false",
           I + 1 == Rows.size() ? "" : ",");
     }

@@ -132,17 +132,9 @@ int main(int argc, char **argv) {
   unsigned HighWater = 2;
   const char *JsonPath = nullptr;
   for (int I = 1; I != argc; ++I) {
-    auto numericOpt = [&](const char *Flag, unsigned *Out) {
-      if (std::strcmp(argv[I], Flag) != 0 || I + 1 >= argc)
-        return false;
-      if (!parseUnsigned(argv[++I], Out)) {
-        std::fprintf(stderr, "error: %s expects a number\n", Flag);
-        std::exit(2);
-      }
-      return true;
-    };
-    if (numericOpt("--hits", &Hits) || numericOpt("--pool", &Pool) ||
-        numericOpt("--high-water", &HighWater))
+    NumericFlag Num(argc, argv, I);
+    if (Num("--hits", &Hits) || Num("--pool", &Pool) ||
+        Num("--high-water", &HighWater))
       continue;
     if (std::strcmp(argv[I], "--json") == 0 && I + 1 < argc) {
       JsonPath = argv[++I];

@@ -13,10 +13,9 @@
 #  3. bench_parallel_cpp    ->  printed to stdout (the Table-2 style
 #     serial-vs-parallel comparison on emitted C++);
 #  4. bench_dist --json     ->  BENCH_dist.json at the repo root
-#     (the multi-process runtime on both transports: cold/warm wall
-#     time, the shm-vs-inline warm speedup, and socket bytes per
-#     element — ~8 B/elem inline vs O(1) bytes per shard on the
-#     zero-copy shared-memory transport);
+#     (the multi-process runtime against the cluster model: cold and
+#     warm wall time, and socket bytes per element — O(1) bytes per
+#     shard, since shards travel as descriptors into one sealed memfd);
 #  5. bench_serve --json    ->  BENCH_serve.json at the repo root
 #     (the synthesis service: cache-hit latency vs cold synth per hot
 #     benchmark, and the shed/served split plus hit p50/p99 while a
@@ -63,7 +62,7 @@ echo "== emitted parallel C++ (bench_parallel_cpp) =="
 "$BUILD"/bench/bench_parallel_cpp
 
 echo
-echo "== dist runtime, shm vs inline transport (N=2M, 8 workers) =="
+echo "== dist runtime vs cluster model, cold + warm (N=2M, 8 workers) =="
 echo "==   -> BENCH_dist.json =="
 "$BUILD"/bench/bench_dist 2000000 --workers 8 --shards 32 \
     --json BENCH_dist.json

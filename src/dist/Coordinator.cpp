@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 
 #include <fcntl.h>
@@ -30,7 +29,7 @@ int64_t nowNs() {
 std::string DistRunReport::describe() const {
   std::ostringstream OS;
   OS << "shards " << ShardsCompleted << "/" << Shards << " ["
-     << (UsedShm ? "shm" : "inline") << "]; workers " << WorkersSpawned
+     << (UsedShm ? "shm" : "serial") << "]; workers " << WorkersSpawned
      << " spawned, " << WorkersKilled << " killed(signal), " << WorkersExited
      << " exited, " << WorkersRestarted << " restarted"
      << "; reassigned " << ShardsReassigned << ", retries " << Retries
@@ -65,7 +64,6 @@ DistCoordinator::DistCoordinator(const runtime::CompiledPlan &Plan,
   ignoreSigpipe();
   if (this->Cfg.BatchShards == 0)
     this->Cfg.BatchShards = 1;
-  ShmEnabled = this->Cfg.UseShm && std::getenv("GRASSP_DIST_NO_SHM") == nullptr;
 }
 
 DistCoordinator::~DistCoordinator() {
@@ -73,48 +71,50 @@ DistCoordinator::~DistCoordinator() {
   Map.reset();
 }
 
-bool DistCoordinator::publishSegments(
-    const std::vector<runtime::SegmentView> &Segs, uint64_t TotalElems) {
+bool DistCoordinator::publish(size_t N, const ChunkFn &Chunk,
+                              const runtime::SegmentSource *Src) {
   Map.reset();
-  if (!ShmEnabled || TotalElems == 0 || !shmTransportAvailable())
-    return false;
-  int Fd = shmCreateBuffer();
-  if (Fd < 0)
-    return false;
-  for (const runtime::SegmentView &S : Segs)
-    if (S.Size != 0 && !shmAppend(Fd, S.Data, S.Size * sizeof(int64_t))) {
+  Desc.assign(N, ShardDesc());
+  int RegionFd = -1;
+  uint64_t ByteOffset = 0;
+  uint64_t Elems = 0;
+  int Fd = -1;
+  if (Src && Src->contiguousByteRegion(&RegionFd, &ByteOffset)) {
+    // The workload file IS the region: workers mmap it by chunk offset
+    // and nothing is copied. Own a dup — the source (and its fd) may be
+    // destroyed before the next publication.
+    Fd = ::fcntl(RegionFd, F_DUPFD_CLOEXEC, 0);
+    if (Fd < 0)
+      return false;
+    for (size_t I = 0; I != N; ++I)
+      Desc[I] = {Src->chunkBegin(I), Src->chunkElems(I)};
+    Elems = Src->elements();
+  } else {
+    // Every other input is written once into a sealed memfd, shards end
+    // to end; descriptors are the prefix sums.
+    Fd = shmCreateBuffer();
+    if (Fd < 0)
+      return false;
+    for (size_t I = 0; I != N; ++I) {
+      runtime::SegmentView V = Chunk(I);
+      Desc[I] = {Elems, V.Size};
+      Elems += V.Size;
+      if (V.Size != 0 && !shmAppend(Fd, V.Data, V.Size * sizeof(int64_t))) {
+        ::close(Fd);
+        return false;
+      }
+    }
+    if (!shmSeal(Fd)) {
       ::close(Fd);
       return false;
     }
-  if (!shmSeal(Fd)) {
-    ::close(Fd);
-    return false;
   }
   Map.Fd = Fd;
   Map.OwnsFd = true;
   Map.Generation = NextGeneration++;
-  Map.ByteOffset = 0;
-  Map.Elems = TotalElems;
-  Map.Token = shmToken(Map.Generation, TotalElems, PlanHash);
-  return true;
-}
-
-bool DistCoordinator::publishFileRegion(int Fd, uint64_t ByteOffset,
-                                        uint64_t TotalElems) {
-  Map.reset();
-  if (!ShmEnabled || TotalElems == 0 || Fd < 0)
-    return false;
-  // Own a dup: the source object (and its fd) may be destroyed between
-  // this run and the next publication.
-  int D = ::fcntl(Fd, F_DUPFD_CLOEXEC, 0);
-  if (D < 0)
-    return false;
-  Map.Fd = D;
-  Map.OwnsFd = true;
-  Map.Generation = NextGeneration++;
   Map.ByteOffset = ByteOffset;
-  Map.Elems = TotalElems;
-  Map.Token = shmToken(Map.Generation, TotalElems, PlanHash);
+  Map.Elems = Elems;
+  Map.Token = shmToken(Map.Generation, Elems, PlanHash);
   return true;
 }
 
@@ -181,15 +181,13 @@ void DistCoordinator::handleDeath(unsigned Slot, DeathReason Reason,
 
 bool DistCoordinator::dispatchBatch(
     unsigned Slot, const std::vector<size_t> &Batch, bool IsBackup,
-    DistRunReport &R, std::vector<ShardState> &Shards,
-    const std::function<runtime::SegmentView(size_t)> &Chunk,
-    const DescTable *Desc) {
+    DistRunReport &R, std::vector<ShardState> &Shards) {
   Proc &P = Procs[Slot];
   // A worker whose mapping generation is stale gets the current region
   // re-published first — fd via SCM_RIGHTS on the Publish frame, and
   // SOCK_STREAM ordering guarantees it adopts the mapping before the
   // Task frame below arrives.
-  if (Desc && P.MapGeneration != Map.Generation) {
+  if (P.MapGeneration != Map.Generation) {
     PublishMsg Pub;
     Pub.Generation = Map.Generation;
     Pub.Token = Map.Token;
@@ -211,16 +209,10 @@ bool DistCoordinator::dispatchBatch(
     It.TaskId = NextTaskId++;
     It.ShardIndex = Shard;
     It.AttemptKey = distAttemptKey(RunIndex, S.Attempts, Shard);
-    if (Desc) {
-      It.Kind = ShardTransport::Shm;
-      It.Generation = Map.Generation;
-      It.Offset = (*Desc)[Shard].first;
-      It.Count = (*Desc)[Shard].second;
-    } else {
-      runtime::SegmentView V = Chunk(Shard);
-      It.Data.assign(V.Data, V.Data + V.Size);
-    }
-    T.Items.push_back(std::move(It));
+    It.Generation = Map.Generation;
+    It.Offset = Desc[Shard].Offset;
+    It.Count = Desc[Shard].Count;
+    T.Items.push_back(It);
   }
   encodeTask(T, P.Writer.payload());
   if (!P.Writer.send(Pool.fd(Slot), MsgType::Task))
@@ -241,14 +233,13 @@ bool DistCoordinator::dispatchBatch(
       S.BackupActive = true;
       ++R.SpeculativeLaunches;
     }
-    if (Desc)
-      R.BytesMapped += It.Count * sizeof(int64_t);
+    R.BytesMapped += It.Count * sizeof(int64_t);
     Assign A;
     A.TaskId = It.TaskId;
     A.Shard = static_cast<int>(Shard);
     A.IsBackup = IsBackup;
     A.DispatchNs = Now;
-    A.Elems = It.elems();
+    A.Elems = It.Count;
     P.Queue.push_back(A);
   }
   if (WasIdle)
@@ -333,12 +324,11 @@ void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
 }
 
 DistRunReport DistCoordinator::runImpl(
-    size_t N, const std::function<runtime::SegmentView(size_t)> &Chunk,
+    size_t N, const ChunkFn &Chunk,
     const std::vector<runtime::SegmentView> &MergeSegs,
-    const DescTable *Desc) {
+    const runtime::SegmentSource *Src) {
   DistRunReport R;
   R.Shards = static_cast<unsigned>(N);
-  R.UsedShm = Desc != nullptr;
   Stopwatch Total;
 
   // A cancelled previous run may have left workers mid-batch; their
@@ -346,7 +336,12 @@ DistRunReport DistCoordinator::runImpl(
   for (unsigned Slot = 0; Slot != Procs.size(); ++Slot)
     if (Pool.live(Slot) && !Procs[Slot].Queue.empty())
       Pool.reap(Slot, /*Kill=*/true);
-  R.WorkersSpawned += adopt(Pool.fill());
+  // Publish before forking: workers forked from here on inherit the
+  // mapping. An unpublished run forks nothing and deals nothing — the
+  // refold sweep below folds every shard in-process.
+  R.UsedShm = publish(N, Chunk, Src);
+  if (R.UsedShm)
+    R.WorkersSpawned += adopt(Pool.fill());
 
   std::vector<ShardState> Shards(N);
   size_t Done = 0;
@@ -362,7 +357,7 @@ DistRunReport DistCoordinator::runImpl(
     // Dead slots are refilled every tick while the restart budget
     // lasts. Failed forks burn budget too, so a pool that cannot be
     // refilled runs dry and the serial-refold last resort below fires.
-    if (Pool.liveCount() != Pool.slots()) {
+    if (R.UsedShm && Pool.liveCount() != Pool.slots()) {
       Stopwatch Rec;
       unsigned Respawned = adopt(Pool.refill());
       R.WorkersRestarted += Respawned;
@@ -370,10 +365,11 @@ DistRunReport DistCoordinator::runImpl(
       R.RecoverySeconds += Rec.seconds();
     }
 
-    // Guaranteed last resort: a shard that exhausted its attempts (or
-    // outlived the worker pool) refolds serially right here, with no
-    // injection — mirroring runParallel's refold path.
-    bool NoWorkers = Pool.liveCount() == 0;
+    // Guaranteed last resort: a shard that exhausted its attempts,
+    // outlived the worker pool, or has no published mapping to be dealt
+    // from refolds serially right here, with no injection — mirroring
+    // runParallel's refold path.
+    bool NoWorkers = !R.UsedShm || Pool.liveCount() == 0;
     for (size_t I = 0; I != N; ++I) {
       ShardState &S = Shards[I];
       if (S.Done || S.Outstanding != 0)
@@ -419,8 +415,7 @@ DistRunReport DistCoordinator::runImpl(
               Pending.begin() +
                   std::min(Pending.size(), Next + Per));
           Next += Batch.size();
-          if (!dispatchBatch(Slot, Batch, /*IsBackup=*/false, R, Shards,
-                             Chunk, Desc))
+          if (!dispatchBatch(Slot, Batch, /*IsBackup=*/false, R, Shards))
             handleDeath(Slot, DeathReason::Eof, R, Shards);
         }
       }
@@ -446,7 +441,7 @@ DistRunReport DistCoordinator::runImpl(
         if (Idle == Procs.size())
           break;
         if (!dispatchBatch(Idle, {static_cast<size_t>(A.Shard)},
-                           /*IsBackup=*/true, R, Shards, Chunk, Desc))
+                           /*IsBackup=*/true, R, Shards))
           handleDeath(Idle, DeathReason::Eof, R, Shards);
       }
     }
@@ -501,64 +496,19 @@ DistRunReport DistCoordinator::runImpl(
 
 DistRunReport
 DistCoordinator::run(const std::vector<runtime::SegmentView> &Segs) {
-  uint64_t Total = 0;
-  for (const runtime::SegmentView &S : Segs)
-    Total += S.Size;
-  DescTable Desc;
-  const DescTable *DescPtr = nullptr;
-  if (publishSegments(Segs, Total)) {
-    // The memfd lays segments end to end; descriptors are prefix sums.
-    Desc.resize(Segs.size());
-    uint64_t Off = 0;
-    for (size_t I = 0; I != Segs.size(); ++I) {
-      Desc[I] = {Off, Segs[I].Size};
-      Off += Segs[I].Size;
-    }
-    DescPtr = &Desc;
-  }
   return runImpl(
-      Segs.size(), [&](size_t I) { return Segs[I]; }, Segs, DescPtr);
+      Segs.size(), [&](size_t I) { return Segs[I]; }, Segs, nullptr);
 }
 
 DistRunReport DistCoordinator::run(const runtime::SegmentSource &Src) {
-  const size_t N = Src.chunkCount();
-  // Prefetch constant-prefix repair heads exactly like runParallel's
-  // out-of-core overload: merge() reads min(PrefixLen, Size) elements
-  // per segment, so head-only views with the TRUE chunk size suffice.
-  size_t PrefixLen = Plan.plan().Kind == synth::Scenario::ConstPrefix
-                         ? Plan.plan().PrefixLen
-                         : 0;
-  std::vector<std::vector<int64_t>> Heads(N);
-  std::vector<runtime::SegmentView> HeadViews(N);
+  const runtime::MergeHeads Heads = runtime::prefetchMergeHeads(Plan, Src);
+  // One cursor serves every read: the event loop is single-threaded and
+  // each chunk view is consumed (written into the memfd, or refolded)
+  // before the next is requested.
   std::unique_ptr<runtime::SegmentCursor> C = Src.cursor();
-  for (size_t I = 0; I != N; ++I) {
-    if (PrefixLen != 0) {
-      runtime::SegmentView H = C->head(I, PrefixLen);
-      Heads[I].assign(H.Data, H.Data + H.Size);
-    }
-    HeadViews[I] = {Heads[I].data(), Src.chunkElems(I)};
-  }
-  // Zero-copy fast path: a source backed by one contiguous byte region
-  // (binary workload files) is published AS the mapping — workers mmap
-  // the workload file itself by chunk offset, and nothing is copied
-  // anywhere. Other sources (in-memory vectors, text files) fall back
-  // to inline chunk payloads.
-  DescTable Desc;
-  const DescTable *DescPtr = nullptr;
-  int RegFd = -1;
-  uint64_t RegOff = 0;
-  if (ShmEnabled && Src.contiguousByteRegion(&RegFd, &RegOff) &&
-      publishFileRegion(RegFd, RegOff, Src.elements())) {
-    Desc.resize(N);
-    for (size_t I = 0; I != N; ++I)
-      Desc[I] = {Src.chunkBegin(I), Src.chunkElems(I)};
-    DescPtr = &Desc;
-  }
-  // One cursor serves every dispatch: the event loop is single-threaded
-  // and each chunk view is consumed (copied into its task frame or
-  // refolded) before the next is requested.
   return runImpl(
-      N, [&](size_t I) { return C->chunk(I); }, HeadViews, DescPtr);
+      Src.chunkCount(), [&](size_t I) { return C->chunk(I); }, Heads.Views,
+      &Src);
 }
 
 } // namespace dist

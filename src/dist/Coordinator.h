@@ -14,19 +14,19 @@
 // runtime fork-safe and TSan-clean, and makes every recovery decision
 // sequential and replayable.
 //
-// Transport: by default the input is published once per run as a
-// read-only shared mapping (dist/Shm.h — a sealed memfd for in-memory
-// inputs, the workload file's own fd for binary file sources) and Task
+// Transport: every run publishes its input once as a read-only shared
+// mapping (dist/Shm.h) — the workload file's own fd for binary file
+// sources, one sealed memfd copy for every other input — and Task
 // frames carry only (generation, offset, count) descriptors, so bytes
-// over the socket are O(1) per shard instead of O(n). Workers forked
-// after publication inherit the mapping; pool workers that predate it
-// receive the fd via an SCM_RIGHTS Publish frame. Descriptors are
-// validated against the mapping generation on the worker (and the
-// inherited generation's token in the Hello handshake), so a stale
-// mapping is a loud worker death, never a silent wrong fold. The PR 8
-// inline-payload transport remains as the always-tested fallback:
-// UseShm=false, GRASSP_DIST_NO_SHM in the environment, memfd/sealing
-// unavailable, or a source that exposes no contiguous byte region.
+// over the socket are O(1) per shard. Workers forked after publication
+// inherit the mapping; pool workers that predate it receive the fd via
+// an SCM_RIGHTS Publish frame. Descriptors are validated against the
+// mapping generation on the worker (and the inherited generation's
+// token in the Hello handshake), so a stale mapping is a loud worker
+// death, never a silent wrong fold. There is no second transport: when
+// publication fails (no sealable memfd, no free descriptor) the run
+// refolds every shard serially in the coordinator and reports
+// UsedShm=false.
 //
 // Shards are dealt in BATCHES: one Task frame carries up to BatchShards
 // assignments (split evenly across idle workers), the worker folds them
@@ -120,12 +120,6 @@ struct DistConfig {
   double HeartbeatTimeoutSeconds = 0.5;
   /// Launch speculative backups for stragglers.
   bool Speculate = true;
-  /// Publish the input as a shared read-only mapping and deal
-  /// descriptors instead of inline bytes. Auto-falls back to inline
-  /// when memfd/sealing is unavailable, when GRASSP_DIST_NO_SHM is set
-  /// in the environment, or per-run when the input exposes no
-  /// contiguous byte region (text-backed sources).
-  bool UseShm = true;
   /// Max shard assignments per batched Task frame. Dealing splits
   /// pending shards evenly across idle workers first, so small runs
   /// still use the whole pool.
@@ -165,8 +159,9 @@ struct DistRunReport {
   unsigned SerialRefolds = 0;    // shards recovered in the coordinator.
   unsigned Retries = 0;          // redispatches after a lost attempt.
 
-  /// True when this run dealt shared-memory descriptors (false = the
-  /// inline fallback carried the bytes).
+  /// True when this run published its input and dealt descriptors;
+  /// false = publication failed and every shard refolded serially in
+  /// the coordinator.
   bool UsedShm = false;
   uint64_t BytesShipped = 0;     // frame bytes in both directions.
   /// Bytes workers folded via the shared mapping — referenced by
@@ -196,17 +191,16 @@ public:
   DistCoordinator &operator=(const DistCoordinator &) = delete;
 
   /// Distributed run over in-memory segments: one shard per segment.
-  /// On the shm transport the segments are copied once into a sealed
-  /// memfd; the inline fallback ships each shard in its Task frame.
+  /// The segments are copied once into a sealed memfd.
   DistRunReport run(const std::vector<runtime::SegmentView> &Segs);
 
   /// Distributed run over a SegmentSource: one shard per chunk. Binary
   /// file sources expose their GRSPWB01 region directly
   /// (SegmentSource::contiguousByteRegion) and workers mmap windows of
   /// the workload file itself — nothing is copied anywhere. Other
-  /// sources materialize each chunk only while its task frame is being
-  /// written (constant-prefix repair heads are prefetched exactly like
-  /// runParallel's out-of-core overload).
+  /// sources (vectors, text files) are copied chunk by chunk into a
+  /// sealed memfd. Merge reads only the prefetched constant-prefix
+  /// repair heads (runtime::prefetchMergeHeads).
   DistRunReport run(const runtime::SegmentSource &Src);
 
   /// Forks the initial worker pool immediately (idempotent; run() tops
@@ -220,9 +214,6 @@ public:
   unsigned liveWorkers() const { return Pool.liveCount(); }
   /// The run index the next run() will stamp into attempt keys.
   uint64_t runIndex() const { return RunIndex; }
-  /// True when this coordinator can publish shared mappings at all
-  /// (config + environment + host support).
-  bool shmEnabled() const { return ShmEnabled; }
 
   /// Graceful teardown: Shutdown frames, bounded wait, SIGKILL
   /// stragglers. Idempotent; the destructor calls it.
@@ -274,23 +265,30 @@ private:
     runtime::WorkerOutput Out;
   };
 
-  /// Per-shard descriptor table for the shm transport: element offset +
-  /// count into the published mapping. Null = inline transport.
-  using DescTable = std::vector<std::pair<uint64_t, uint64_t>>;
+  /// Element window of one shard within the published mapping.
+  struct ShardDesc {
+    uint64_t Offset = 0;
+    uint64_t Count = 0;
+  };
 
-  DistRunReport
-  runImpl(size_t N, const std::function<runtime::SegmentView(size_t)> &Chunk,
-          const std::vector<runtime::SegmentView> &MergeSegs,
-          const DescTable *Desc);
+  /// Shard \p I's elements, read on the coordinator (for publication
+  /// and the serial refold).
+  using ChunkFn = std::function<runtime::SegmentView(size_t)>;
 
-  /// Copies \p Segs into a sealed memfd and installs it as the current
-  /// mapping. Returns false (mapping reset) on any failure — the run
-  /// then uses the inline transport.
-  bool publishSegments(const std::vector<runtime::SegmentView> &Segs,
-                       uint64_t TotalElems);
-  /// Installs a borrowed file region (dup()ed fd) as the current
-  /// mapping.
-  bool publishFileRegion(int Fd, uint64_t ByteOffset, uint64_t TotalElems);
+  /// \p Src is the run's source, if any; only its contiguous file
+  /// region is consulted, by publish().
+  DistRunReport runImpl(size_t N, const ChunkFn &Chunk,
+                        const std::vector<runtime::SegmentView> &MergeSegs,
+                        const runtime::SegmentSource *Src);
+
+  /// The one publication step: installs the run's input as the current
+  /// mapping and fills Desc. A source with a contiguous file region is
+  /// published as its own (dup()ed) fd; every other input is written
+  /// once into a sealed memfd, shard by shard through \p Chunk. Returns
+  /// false (mapping reset) when publishing fails; the run then refolds
+  /// every shard serially.
+  bool publish(size_t N, const ChunkFn &Chunk,
+               const runtime::SegmentSource *Src);
 
   /// Resets the protocol state of freshly forked slots; returns how
   /// many there were.
@@ -309,19 +307,17 @@ private:
   /// the caller reaps the dead worker.
   bool dispatchBatch(unsigned Slot, const std::vector<size_t> &Batch,
                      bool IsBackup, DistRunReport &R,
-                     std::vector<ShardState> &Shards,
-                     const std::function<runtime::SegmentView(size_t)> &Chunk,
-                     const DescTable *Desc);
+                     std::vector<ShardState> &Shards);
   void drainFrames(unsigned Slot, DistRunReport &R,
                    std::vector<ShardState> &Shards, size_t *DonePtr);
 
   const runtime::CompiledPlan &Plan;
   DistConfig Cfg;
   uint64_t PlanHash;
-  /// The currently published input region (invalid when the last run
-  /// used the inline transport).
+  /// The currently published input region (invalid when the last
+  /// publication failed) and each shard's window within it.
   ShmRegion Map;
-  bool ShmEnabled = false;
+  std::vector<ShardDesc> Desc;
   uint64_t NextGeneration = 1;
   /// Workers: Cfg.Workers slots, Cfg.MaxWorkerRestarts respawns.
   ChildPool Pool;

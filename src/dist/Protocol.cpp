@@ -373,14 +373,9 @@ void encodeTask(const TaskMsg &M, WireWriter &W) {
     W.u64(It.TaskId);
     W.u64(It.ShardIndex);
     W.u64(It.AttemptKey);
-    W.u8(static_cast<uint8_t>(It.Kind));
-    if (It.Kind == ShardTransport::Shm) {
-      W.u64(It.Generation);
-      W.u64(It.Offset);
-      W.u64(It.Count);
-    } else {
-      W.vecI64(It.Data);
-    }
+    W.u64(It.Generation);
+    W.u64(It.Offset);
+    W.u64(It.Count);
   }
 }
 
@@ -398,23 +393,14 @@ bool decodeTask(const std::vector<uint8_t> &P, TaskMsg *M) {
   M->Items.clear();
   M->Items.resize(static_cast<size_t>(N));
   for (TaskItem &It : M->Items) {
-    uint8_t Kind;
     if (!R.u64(&It.TaskId) || !R.u64(&It.ShardIndex) ||
-        !R.u64(&It.AttemptKey) || !R.u8(&Kind))
+        !R.u64(&It.AttemptKey) || !R.u64(&It.Generation) ||
+        !R.u64(&It.Offset) || !R.u64(&It.Count))
       return false;
-    if (Kind > static_cast<uint8_t>(ShardTransport::Shm))
+    // A count no mapping could satisfy is a corrupt word, not a
+    // descriptor; the per-mapping bound is checked by the worker.
+    if (It.Count > MaxFramePayloadBytes / sizeof(int64_t))
       return false;
-    It.Kind = static_cast<ShardTransport>(Kind);
-    if (It.Kind == ShardTransport::Shm) {
-      if (!R.u64(&It.Generation) || !R.u64(&It.Offset) || !R.u64(&It.Count))
-        return false;
-      // A count no mapping could satisfy is a corrupt word, not a
-      // descriptor; the per-mapping bound is checked by the worker.
-      if (It.Count > MaxFramePayloadBytes / sizeof(int64_t))
-        return false;
-    } else if (!R.vecI64(&It.Data)) {
-      return false;
-    }
   }
   return R.atEnd();
 }

@@ -26,11 +26,11 @@
 //                                the worker inherited across fork()
 //   Task       coord -> worker   a BATCH of shard assignments; each
 //                                item is (task id, shard index, attempt
-//                                key) plus either inline shard data or
-//                                a shared-memory descriptor
-//                                (generation, offset, count). The
-//                                worker folds items in order and sends
-//                                one Result per item as it completes.
+//                                key) plus a descriptor into the
+//                                published mapping (generation, offset,
+//                                count). The worker folds items in
+//                                order and sends one Result per item as
+//                                it completes.
 //   Result     worker -> coord   task id, shard index, serialized
 //                                runtime::WorkerOutput
 //   Heartbeat  worker -> coord   liveness counter (sent while idle)
@@ -249,30 +249,18 @@ void encodeHello(const HelloMsg &M, WireWriter &W);
 std::vector<uint8_t> encodeHello(const HelloMsg &M);
 bool decodeHello(const std::vector<uint8_t> &P, HelloMsg *M);
 
-/// Transport selector for one task item.
-enum class ShardTransport : uint8_t {
-  Inline = 0, ///< Elements serialized in the frame (the PR 8 path).
-  Shm = 1,    ///< Descriptor into the published mapping.
-};
-
-/// One shard assignment inside a batched Task frame.
+/// One shard assignment inside a batched Task frame: a descriptor into
+/// the published mapping, never the elements themselves.
 struct TaskItem {
   uint64_t TaskId = 0;
   uint64_t ShardIndex = 0;
   /// Fault-injection key for this attempt: pure in (run, attempt,
   /// shard), so chaos runs replay their fault pattern exactly.
   uint64_t AttemptKey = 0;
-  ShardTransport Kind = ShardTransport::Inline;
-  /// Inline transport: the shard's elements.
-  std::vector<int64_t> Data;
-  /// Shm transport: which mapping, and the element window within it.
+  /// Which mapping, and the element window within it.
   uint64_t Generation = 0;
   uint64_t Offset = 0;
   uint64_t Count = 0;
-
-  uint64_t elems() const {
-    return Kind == ShardTransport::Shm ? Count : Data.size();
-  }
 };
 
 struct TaskMsg {

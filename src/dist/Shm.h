@@ -1,22 +1,21 @@
 //===- dist/Shm.h - Shared-memory shard transport for the dist runtime ---===//
 //
-// The zero-copy half of the distributed transport. Instead of
-// serializing every shard into its Task frame (~8 B/elem through the
-// socket, which dominates cheap kernels), the coordinator publishes the
-// whole input ONCE as a read-only mapping and Task frames carry only
-// descriptors — (generation, element offset, element count). Workers
-// mmap the referenced window, fold it in place, and unmap.
+// The dist runtime's only shard transport. The coordinator publishes
+// the whole input ONCE as a read-only mapping and Task frames carry
+// only descriptors — (generation, element offset, element count).
+// Workers mmap the referenced window, fold it in place, and unmap.
 //
 // Two ways a region comes to exist:
 //
-//   * in-memory inputs: the coordinator streams the elements into a
-//     memfd (memfd_create + F_SEAL_WRITE|F_SEAL_SHRINK|F_SEAL_GROW), so
-//     the bytes workers map are immutable by construction — a sealed
-//     memfd cannot be rewritten by anyone, including the publisher;
 //   * file-backed binary SegmentSources: the workload file already IS
 //     the region (GRSPWB01: 16-byte header, then LE int64 words), so
 //     the coordinator just ships the source's O_RDONLY fd and the byte
-//     offset of element 0. Nothing is copied at all.
+//     offset of element 0. Nothing is copied at all;
+//   * every other input (in-memory segments, vector and text sources):
+//     the coordinator writes the elements once into a memfd
+//     (memfd_create + F_SEAL_WRITE|F_SEAL_SHRINK|F_SEAL_GROW), so the
+//     bytes workers map are immutable by construction — a sealed memfd
+//     cannot be rewritten by anyone, including the publisher.
 //
 // A region's fd reaches workers two ways: inherited across fork() for
 // workers spawned after publication, and re-published over the socket
@@ -25,10 +24,9 @@
 // the mapping it holds and dies loudly (StaleMapExitStatus) on a
 // mismatch — a stale mapping must never be silently folded.
 //
-// Everything here degrades to the inline-payload transport: if
-// memfd_create or sealing is unavailable (or GRASSP_DIST_NO_SHM is
-// set), publish() fails closed and the coordinator ships bytes inline
-// exactly as PR 8 did.
+// Publication can fail (no sealable memfd on this kernel, or no free
+// descriptor). There is no second transport: the coordinator then
+// refolds every shard serially in-process and reports UsedShm=false.
 //
 //===----------------------------------------------------------------------===//
 
@@ -77,7 +75,8 @@ struct ShmRegion {
 };
 
 /// True when this host can create sealed memfds (probed once, cached).
-/// False routes every in-memory publish to the inline fallback.
+/// False means a run without a file region refolds serially in the
+/// coordinator.
 bool shmTransportAvailable();
 
 /// Creates an anonymous sealable memfd. Returns -1 when unavailable.

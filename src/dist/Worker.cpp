@@ -128,17 +128,15 @@ void workerMain(int Fd, const runtime::CompiledPlan &Plan,
         }
       }
 
-      runtime::SegmentView Seg{It.Data.data(), It.Data.size()};
+      // Descriptor validation: the generation must be the mapping we
+      // hold and the window must fit it. Any mismatch means we would
+      // fold the wrong bytes — die loudly instead; the coordinator
+      // requeues the shard and respawns us with the current mapping.
+      runtime::SegmentView Seg;
       ShmWindow Window;
-      if (It.Kind == ShardTransport::Shm) {
-        // Descriptor validation: the generation must be the mapping we
-        // hold and the window must fit it. Any mismatch means we would
-        // fold the wrong bytes — die loudly instead; the coordinator
-        // requeues the shard and respawns us with the current mapping.
-        if (It.Generation != Map.Generation ||
-            !Window.map(Map, It.Offset, It.Count, &Seg))
-          ::_exit(StaleMapExitStatus);
-      }
+      if (It.Generation != Map.Generation ||
+          !Window.map(Map, It.Offset, It.Count, &Seg))
+        ::_exit(StaleMapExitStatus);
 
       ResultMsg Res;
       Res.TaskId = It.TaskId;

@@ -9,20 +9,19 @@
 // potentially multi-threaded parent may only rely on async-signal-safe
 // state plus what glibc guarantees (malloc works after fork). A single
 // poll()-driven loop sends idle heartbeats, receives batched Task
-// frames, executes each item through the plan's tier ladder — mapping
-// shared-memory descriptor windows in place of inline payloads — and
-// ships one Result frame per item as it completes. Hang detection is
-// therefore the COORDINATOR's job (per-task deadlines) — a busy worker
-// sends nothing until its next result is ready.
+// frames, executes each item through the plan's tier ladder over a
+// window of the shared mapping, and ships one Result frame per item as
+// it completes. Hang detection is therefore the COORDINATOR's job
+// (per-task deadlines) — a busy worker sends nothing until its next
+// result is ready.
 //
-// Shard bytes arrive two ways. Inline items carry the elements in the
-// frame (the PR 8 transport, kept as the always-tested fallback).
-// Descriptor items reference the published read-only mapping (see
-// dist/Shm.h): the worker validates the descriptor's generation against
-// the mapping it holds — inherited across fork() or adopted from a
-// Publish frame — and _exit(StaleMapExitStatus)s on any mismatch, so a
-// stale mapping is a loud worker death the coordinator recovers from,
-// never a silent fold over the wrong bytes.
+// Shard bytes never cross the socket: every item is a descriptor into
+// the published read-only mapping (see dist/Shm.h). The worker
+// validates the descriptor's generation against the mapping it holds —
+// inherited across fork() or adopted from a Publish frame — and
+// _exit(StaleMapExitStatus)s on any mismatch, so a stale mapping is a
+// loud worker death the coordinator recovers from, never a silent fold
+// over the wrong bytes.
 //
 // Real fault injection: on receipt of a task item the worker consults
 // the dist.* fault sites keyed by the item's attempt key, and then

@@ -5,15 +5,6 @@
 #include <cassert>
 #include <unordered_map>
 
-// Threaded (computed-goto) dispatch for the loop-resident VM. Both GCC
-// and Clang support the labels-as-values extension regardless of the
-// -std= dialect; any other compiler falls back to switch dispatch.
-#if defined(__GNUC__) || defined(__clang__)
-#define GRASSP_BC_THREADED 1
-#else
-#define GRASSP_BC_THREADED 0
-#endif
-
 namespace grassp {
 namespace ir {
 
@@ -285,10 +276,11 @@ void BytecodeFunction::foldLoop(const int64_t *Data, size_t N,
   const BcInstr *const EndI = Base + Instrs.size();
   const uint16_t *const ORegs = OutputRegs.data();
 
-#if GRASSP_BC_THREADED
-  // One label per opcode; table order must match the BcOp enum. Dispatch
-  // jumps directly from the end of one handler to the start of the next,
-  // so the element loop never leaves this frame.
+  // Threaded (computed-goto) dispatch via the labels-as-values extension,
+  // which GCC and Clang support regardless of the -std= dialect. One label
+  // per opcode; table order must match the BcOp enum. Dispatch jumps
+  // directly from the end of one handler to the start of the next, so the
+  // element loop never leaves this frame.
   static const void *const Tbl[] = {
       &&L_Const, &&L_Copy, &&L_Add, &&L_Sub, &&L_Mul, &&L_Div, &&L_Mod,
       &&L_Neg,   &&L_Min,  &&L_Max, &&L_Eq,  &&L_Ne,  &&L_Lt,  &&L_Le,
@@ -394,34 +386,6 @@ L_IterDone:
 
 L_AllDone:;
 #undef GRASSP_BC_NEXT
-#else
-  for (size_t I = 0; I != N; ++I) {
-    R[NF] = Data[I];
-    for (const BcInstr *IP = Base; IP != EndI; ++IP) {
-      switch (IP->Opcode) {
-      case BcOp::Const:
-        R[IP->Dst] = IP->Imm;
-        break;
-      case BcOp::Copy:
-        R[IP->Dst] = R[IP->A];
-        break;
-      case BcOp::Select: {
-        // Branch-free blend; see the threaded handler above.
-        const int64_t M = -static_cast<int64_t>(R[IP->A] != 0);
-        R[IP->Dst] = ((R[IP->B] ^ R[IP->C]) & M) ^ R[IP->C];
-        break;
-      }
-      default:
-        R[IP->Dst] = evalBcOp(IP->Opcode, R[IP->A], R[IP->B], R[IP->C]);
-        break;
-      }
-    }
-    for (unsigned K = 0; K != NF; ++K)
-      Stage[K] = R[ORegs[K]];
-    for (unsigned K = 0; K != NF; ++K)
-      R[K] = Stage[K];
-  }
-#endif
   for (unsigned K = 0; K != NF; ++K)
     State[K] = R[K];
 }

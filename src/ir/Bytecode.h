@@ -10,8 +10,7 @@
 //  * foldLoop() - the loop-resident fold: the *entire* segment loop runs
 //                 inside the VM, state stays in the register file across
 //                 iterations, the register file is caller-provided
-//                 scratch, and dispatch uses computed-goto threading
-//                 where the compiler supports it.
+//                 scratch, and dispatch uses computed-goto threading.
 //
 // Bytecode is post-processed by optimized(): a peephole pass doing
 // constant folding, copy propagation, dead-instruction elimination, and

@@ -318,33 +318,32 @@ ParallelRunResult runParallel(const CompiledPlan &Plan,
       Pool, Policy);
 }
 
-ParallelRunResult runParallel(const CompiledPlan &Plan,
-                              const SegmentSource &Src, ThreadPool *Pool,
-                              const RunPolicy &Policy) {
+MergeHeads prefetchMergeHeads(const CompiledPlan &Plan,
+                              const SegmentSource &Src) {
   const size_t N = Src.chunkCount();
-
-  // Constant-prefix merge repair reads min(PrefixLen, Size) elements
-  // from each segment; prefetch exactly those heads (tiny) so merge()
-  // never needs whole chunks resident. The views carry the TRUE chunk
-  // size with head-only data — the documented merge() contract.
   size_t PrefixLen = Plan.plan().Kind == synth::Scenario::ConstPrefix
                          ? Plan.plan().PrefixLen
                          : 0;
-  std::vector<std::vector<int64_t>> Heads(N);
-  std::vector<SegmentView> HeadViews(N);
-  {
-    std::unique_ptr<SegmentCursor> C = Src.cursor();
-    for (size_t I = 0; I != N; ++I) {
-      if (PrefixLen != 0) {
-        SegmentView H = C->head(I, PrefixLen);
-        Heads[I].assign(H.Data, H.Data + H.Size);
-      }
-      HeadViews[I] = {Heads[I].data(), Src.chunkElems(I)};
+  MergeHeads M;
+  M.Heads.resize(N);
+  M.Views.resize(N);
+  std::unique_ptr<SegmentCursor> C = Src.cursor();
+  for (size_t I = 0; I != N; ++I) {
+    if (PrefixLen != 0) {
+      SegmentView H = C->head(I, PrefixLen);
+      M.Heads[I].assign(H.Data, H.Data + H.Size);
     }
+    M.Views[I] = {M.Heads[I].data(), Src.chunkElems(I)};
   }
+  return M;
+}
 
+ParallelRunResult runParallel(const CompiledPlan &Plan,
+                              const SegmentSource &Src, ThreadPool *Pool,
+                              const RunPolicy &Policy) {
+  const MergeHeads Heads = prefetchMergeHeads(Plan, Src);
   return runParallelCore(
-      N,
+      Src.chunkCount(),
       [&](size_t I) {
         // A fresh cursor per attempt: cursors are not thread-safe, and
         // retries/backups may run the same chunk concurrently. The
@@ -353,7 +352,7 @@ ParallelRunResult runParallel(const CompiledPlan &Plan,
         return Plan.runWorker(C->chunk(I));
       },
       [&](std::vector<WorkerOutput> &Outputs) {
-        return Plan.merge(Outputs, HeadViews);
+        return Plan.merge(Outputs, Heads.Views);
       },
       Pool, Policy);
 }

@@ -99,7 +99,7 @@ public:
   /// — that remote workers can mmap directly. Binary workload files
   /// (GRSPWB01) qualify with ByteOffset = BinaryWorkloadHeaderBytes;
   /// the default (in-memory vectors, text files) reports false and the
-  /// caller falls back to copying transports.
+  /// dist coordinator copies the chunks once into a sealed memfd.
   virtual bool contiguousByteRegion(int *Fd, uint64_t *ByteOffset) const {
     (void)Fd;
     (void)ByteOffset;

@@ -4,7 +4,8 @@
 // std::atoi/atoll (which silently turn garbage into 0 — a zero-worker
 // run or a zero-millisecond solver budget), these reject empty strings,
 // trailing junk, and out-of-range values, so malformed arguments become
-// hard usage errors at the call site.
+// hard usage errors at the call site. NumericFlag wraps them for the
+// common "--flag N" option loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +16,9 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace grassp {
@@ -57,6 +60,47 @@ inline bool parseSeed(const char *Arg, uint64_t *Out) {
   *Out = static_cast<uint64_t>(V);
   return true;
 }
+
+/// Strict "--flag N" reader for one argv position of an option loop:
+///
+///   for (int I = 2; I != argc; ++I) {
+///     NumericFlag Num(argc, argv, I);
+///     if (Num("--jobs", &Jobs) || Num("--seed", &Seed))
+///       continue;
+///     ...
+///
+/// Num(Flag, Out) is false when argv[I] is not \p Flag or no value
+/// follows it. Otherwise it parses argv[I+1] into \p Out, advances I
+/// past the value and returns true. A malformed value is a hard usage
+/// error: "error: FLAG expects a number, got 'VALUE'" and exit status 2.
+class NumericFlag {
+public:
+  NumericFlag(int Argc, char **Argv, int &I) : Argc(Argc), Argv(Argv), I(I) {}
+
+  bool operator()(const char *Flag, unsigned *Out) const {
+    return read(Flag, Out, parseUnsigned);
+  }
+  bool operator()(const char *Flag, uint64_t *Out) const {
+    return read(Flag, Out, parseSeed);
+  }
+
+private:
+  template <typename T>
+  bool read(const char *Flag, T *Out, bool (*Parse)(const char *, T *)) const {
+    if (std::strcmp(Argv[I], Flag) != 0 || I + 1 >= Argc)
+      return false;
+    if (!Parse(Argv[++I], Out)) {
+      std::fprintf(stderr, "error: %s expects a number, got '%s'\n", Flag,
+                   Argv[I]);
+      std::exit(2);
+    }
+    return true;
+  }
+
+  int Argc;
+  char **Argv;
+  int &I;
+};
 
 } // namespace grassp
 

@@ -71,14 +71,6 @@ FuzzReport fuzzBenchmark(const lang::SerialProgram &Prog,
     // not degrade the whole sweep to serial refolds.
     OC.Dist.MaxWorkerRestarts = 100000;
     OC.Dist.Token = Opts.Token;
-    // Rotate the shard transport across benchmarks (seeded, so sweeps
-    // replay): most checks take the zero-copy shared-memory path, every
-    // fourth forces the inline fallback — both must stay bit-identical
-    // under the same injected faults.
-    uint64_t TransportMix = Opts.ChaosSeed;
-    for (char C : Prog.Name)
-      TransportMix = (TransportMix ^ (uint64_t)(unsigned char)C) * kSeedStride;
-    OC.Dist.UseShm = (TransportMix >> 17) % 4 != 0;
     if (Opts.Chaos) {
       OC.Dist.Faults = &Injector;
       FaultSpec Kill;

@@ -31,6 +31,7 @@
 #include "dist/Shm.h"
 #include "dist/Worker.h"
 #include "lang/Benchmarks.h"
+#include "lang/Interp.h"
 #include "runtime/Runner.h"
 #include "runtime/SegmentSource.h"
 #include "runtime/Workload.h"
@@ -46,9 +47,11 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
@@ -153,36 +156,37 @@ TEST(DistProtocol, MessageCodecsRoundTrip) {
   EXPECT_EQ(H2.ShmGeneration, H.ShmGeneration);
   EXPECT_EQ(H2.ShmToken, H.ShmToken);
 
-  // A batched Task mixing both transports: one inline shard, one
-  // shared-memory descriptor.
+  // A batched Task of two descriptors into the published mapping, one
+  // of them an empty shard.
   dist::TaskMsg T;
   dist::TaskItem A;
   A.TaskId = 7;
   A.ShardIndex = 3;
   A.AttemptKey = dist::distAttemptKey(2, 1, 3);
-  A.Kind = dist::ShardTransport::Inline;
-  A.Data = {5, -6, 7};
+  A.Generation = 5;
+  A.Offset = 1024;
+  A.Count = 4096;
   dist::TaskItem B;
   B.TaskId = 8;
   B.ShardIndex = 4;
   B.AttemptKey = dist::distAttemptKey(2, 0, 4);
-  B.Kind = dist::ShardTransport::Shm;
   B.Generation = 5;
-  B.Offset = 1024;
-  B.Count = 4096;
+  B.Offset = 5120;
+  B.Count = 0;
   T.Items = {A, B};
   dist::TaskMsg T2;
   ASSERT_TRUE(dist::decodeTask(dist::encodeTask(T), &T2));
   ASSERT_EQ(T2.Items.size(), 2u);
-  EXPECT_EQ(T2.Items[0].TaskId, A.TaskId);
-  EXPECT_EQ(T2.Items[0].ShardIndex, A.ShardIndex);
-  EXPECT_EQ(T2.Items[0].AttemptKey, A.AttemptKey);
-  EXPECT_EQ(T2.Items[0].Kind, dist::ShardTransport::Inline);
-  EXPECT_EQ(T2.Items[0].Data, A.Data);
-  EXPECT_EQ(T2.Items[1].Kind, dist::ShardTransport::Shm);
-  EXPECT_EQ(T2.Items[1].Generation, B.Generation);
-  EXPECT_EQ(T2.Items[1].Offset, B.Offset);
-  EXPECT_EQ(T2.Items[1].Count, B.Count);
+  for (size_t I = 0; I != 2; ++I) {
+    const dist::TaskItem &Want = T.Items[I];
+    const dist::TaskItem &Got = T2.Items[I];
+    EXPECT_EQ(Got.TaskId, Want.TaskId) << I;
+    EXPECT_EQ(Got.ShardIndex, Want.ShardIndex) << I;
+    EXPECT_EQ(Got.AttemptKey, Want.AttemptKey) << I;
+    EXPECT_EQ(Got.Generation, Want.Generation) << I;
+    EXPECT_EQ(Got.Offset, Want.Offset) << I;
+    EXPECT_EQ(Got.Count, Want.Count) << I;
+  }
 
   dist::PublishMsg Pub;
   Pub.Generation = 9;
@@ -619,13 +623,13 @@ TEST(DistProtocol, TaskCodecRejectsMalformedPayloads) {
   A.TaskId = 1;
   A.ShardIndex = 0;
   A.AttemptKey = 7;
-  A.Kind = dist::ShardTransport::Inline;
-  A.Data = {1, 2, 3};
+  A.Generation = 4;
+  A.Offset = 0;
+  A.Count = 100;
   dist::TaskItem B;
   B.TaskId = 2;
   B.ShardIndex = 1;
   B.AttemptKey = 8;
-  B.Kind = dist::ShardTransport::Shm;
   B.Generation = 4;
   B.Offset = 100;
   B.Count = 50;
@@ -658,15 +662,6 @@ TEST(DistProtocol, TaskCodecRejectsMalformedPayloads) {
     W.u64(dist::MaxTaskItems + 1);
     dist::TaskMsg Out;
     EXPECT_FALSE(dist::decodeTask(W.take(), &Out));
-  }
-  // Unknown transport kinds are refused.
-  {
-    std::vector<uint8_t> Bad = dist::encodeTask(T);
-    // Item A's layout: TaskId, ShardIndex, AttemptKey (3x u64 after the
-    // u64 count), then the transport kind byte.
-    Bad[8 + 24] = 9;
-    dist::TaskMsg Out;
-    EXPECT_FALSE(dist::decodeTask(Bad, &Out));
   }
   // A descriptor whose Count could never fit a frame is refused even
   // though no payload bytes back it.
@@ -872,7 +867,7 @@ TEST(DistProtocol, UnsolicitedFdsAreClosedNotLeaked) {
 }
 
 //===----------------------------------------------------------------------===//
-// Shm transport end-to-end: identity with inline, staleness, deadlines
+// Shm transport end-to-end: every input kind, staleness, deadlines
 //===----------------------------------------------------------------------===//
 
 TEST(DistCoordinator, ShmTransportIsUsedAndAccountsMappedBytes) {
@@ -882,7 +877,6 @@ TEST(DistCoordinator, ShmTransportIsUsedAndAccountsMappedBytes) {
   dist::DistConfig Cfg;
   Cfg.Workers = 3;
   dist::DistCoordinator Coord(R.Plan, Cfg);
-  ASSERT_TRUE(Coord.shmEnabled());
   dist::DistRunReport Rep = Coord.run(R.Segs);
   EXPECT_EQ(Rep.Output, R.Serial);
   EXPECT_TRUE(Rep.UsedShm);
@@ -899,53 +893,6 @@ TEST(DistCoordinator, ShmTransportIsUsedAndAccountsMappedBytes) {
   EXPECT_EQ(Rep2.Output, R.Serial);
   EXPECT_TRUE(Rep2.UsedShm);
   EXPECT_GT(Rep2.PublishFrames, 0u);
-}
-
-TEST(DistCoordinator, InlineFallbackConfigMatchesShmUnderPlantedKills) {
-  // The always-tested fallback: same workload, same planted SIGKILL,
-  // once over shm and once inline — bit-identical answers and identical
-  // recovery counters.
-  DistRun R;
-  int64_t Outputs[2];
-  for (int UseShm = 0; UseShm != 2; ++UseShm) {
-    FaultInjector FI(5);
-    FaultSpec Kill;
-    Kill.Keys = {dist::distAttemptKey(0, 0, 2)};
-    FI.arm(dist::SiteWorkerKill, Kill);
-    dist::DistConfig Cfg;
-    Cfg.Workers = 3;
-    Cfg.UseShm = UseShm != 0;
-    Cfg.Faults = &FI;
-    dist::DistCoordinator Coord(R.Plan, Cfg);
-    EXPECT_EQ(Coord.shmEnabled(),
-              UseShm != 0 && dist::shmTransportAvailable());
-    dist::DistRunReport Rep = Coord.run(R.Segs);
-    Outputs[UseShm] = Rep.Output;
-    EXPECT_EQ(Rep.Output, R.Serial);
-    EXPECT_EQ(Rep.WorkersKilled, 1u);
-    EXPECT_EQ(Rep.ShardsCompleted, 8u);
-    if (!Cfg.UseShm) {
-      EXPECT_FALSE(Rep.UsedShm);
-      EXPECT_EQ(Rep.BytesMapped, 0u);
-    }
-  }
-  EXPECT_EQ(Outputs[0], Outputs[1]);
-}
-
-TEST(DistCoordinator, NoShmEnvVarForcesTheInlineTransport) {
-  ASSERT_EQ(::setenv("GRASSP_DIST_NO_SHM", "1", 1), 0);
-  DistRun R;
-  dist::DistConfig Cfg;
-  Cfg.Workers = 2;
-  dist::DistCoordinator Coord(R.Plan, Cfg);
-  EXPECT_FALSE(Coord.shmEnabled());
-  dist::DistRunReport Rep = Coord.run(R.Segs);
-  ASSERT_EQ(::unsetenv("GRASSP_DIST_NO_SHM"), 0);
-  EXPECT_EQ(Rep.Output, R.Serial);
-  EXPECT_FALSE(Rep.UsedShm);
-  EXPECT_EQ(Rep.BytesMapped, 0u);
-  // Inline transport ships the elements themselves.
-  EXPECT_GE(Rep.BytesShipped, R.Data.size() * 8);
 }
 
 TEST(DistWorker, StaleGenerationDescriptorExitsLoudly) {
@@ -991,7 +938,6 @@ TEST(DistWorker, StaleGenerationDescriptorExitsLoudly) {
   It.TaskId = 1;
   It.ShardIndex = 0;
   It.AttemptKey = dist::distAttemptKey(0, 0, 0);
-  It.Kind = dist::ShardTransport::Shm;
   It.Generation = 4; // Not the mapping the worker holds.
   It.Offset = 0;
   It.Count = 10;
@@ -1066,16 +1012,93 @@ TEST(DistCoordinator, FileBackedSourceMapsTheWorkloadFileDirectly) {
   EXPECT_TRUE(Rep.UsedShm);
   EXPECT_EQ(Rep.BytesMapped, R.Data.size() * 8);
   EXPECT_LT(Rep.BytesShipped, R.Data.size() * 8);
-
-  // And the identical run with shm disabled streams chunks inline —
-  // same answer, different transport.
-  dist::DistConfig CfgInline = Cfg;
-  CfgInline.UseShm = false;
-  dist::DistCoordinator CoordInline(R.Plan, CfgInline);
-  dist::DistRunReport RepInline = CoordInline.run(Src);
-  EXPECT_EQ(RepInline.Output, R.Serial);
-  EXPECT_FALSE(RepInline.UsedShm);
   ::remove(Path.c_str());
+}
+
+TEST(DistCoordinator, CopiedSourcesAreFoldedFromTheSealedMapping) {
+  if (!dist::shmTransportAvailable())
+    GTEST_SKIP() << "no sealable memfd on this kernel";
+  // Sources without a contiguous file region — an in-memory
+  // VectorSource and a text workload file — are written once into the
+  // sealed memfd, so every shard is still a descriptor and the socket
+  // bytes stay flat while the input grows 100x. is_sorted runs the
+  // constant-prefix merge over the prefetched chunk heads.
+  for (const char *Name : {"sum", "is_sorted"}) {
+    const lang::SerialProgram *P = lang::findBenchmark(Name);
+    runtime::CompiledPlan Plan(*P, synthFor(Name).Plan);
+    dist::DistConfig Cfg;
+    Cfg.Workers = 3;
+    dist::DistCoordinator Coord(Plan, Cfg);
+    for (size_t N : {size_t{4000}, size_t{400000}}) {
+      std::vector<int64_t> Data = runtime::generateWorkload(*P, N, 5);
+      int64_t Want = lang::runSerial(*P, Data);
+      runtime::SourceOptions Opts;
+      Opts.ChunkElems = N / 8; // 8 shards at every size.
+      runtime::VectorSource Vec(Data, Opts);
+      std::string Path = ::testing::TempDir() + "dist_smoke_text.txt";
+      {
+        std::ofstream Out(Path);
+        Out << runtime::workloadFileHeader(N) << '\n';
+        for (int64_t V : Data)
+          Out << V << '\n';
+      }
+      runtime::ChunkedFileSource Text(Path, Opts);
+      ASSERT_TRUE(Text.isText());
+      for (const runtime::SegmentSource *Src :
+           {static_cast<const runtime::SegmentSource *>(&Vec),
+            static_cast<const runtime::SegmentSource *>(&Text)}) {
+        dist::DistRunReport Rep = Coord.run(*Src);
+        std::string Where = std::string(Name) + "/" + Src->kind() + "/" +
+                            std::to_string(N);
+        EXPECT_EQ(Rep.Output, Want) << Where;
+        EXPECT_TRUE(Rep.UsedShm) << Where;
+        EXPECT_EQ(Rep.Shards, 8u) << Where;
+        EXPECT_EQ(Rep.SerialRefolds, 0u) << Where;
+        EXPECT_EQ(Rep.BytesMapped, N * 8) << Where;
+        // Frames only: well under one byte per element even at N=4000.
+        EXPECT_LT(Rep.BytesShipped, 4000u) << Where;
+      }
+      ::remove(Path.c_str());
+    }
+  }
+}
+
+TEST(DistCoordinator, FailedPublicationRefoldsEveryShardSerially) {
+  // With no free descriptor, publishing fails: memfd_create (and the
+  // dup of a file region) needs one. There is no second transport, so
+  // every shard refolds in the coordinator — exactly — while the
+  // prewarmed workers stay idle, and the report says no mapping was
+  // used.
+  DistRun R;
+  dist::DistConfig Cfg;
+  Cfg.Workers = 2;
+  dist::DistCoordinator Coord(R.Plan, Cfg);
+  Coord.prewarm();
+  ASSERT_EQ(Coord.liveWorkers(), 2u);
+
+  struct rlimit Old;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &Old), 0);
+  struct rlimit Starved = Old;
+  Starved.rlim_cur = 0;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &Starved), 0);
+  dist::DistRunReport Rep = Coord.run(R.Segs);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &Old), 0);
+  EXPECT_EQ(Rep.Output, R.Serial);
+  EXPECT_FALSE(Rep.UsedShm);
+  EXPECT_EQ(Rep.ShardsCompleted, 8u);
+  EXPECT_EQ(Rep.SerialRefolds, 8u);
+  EXPECT_EQ(Rep.TaskFrames, 0u);
+  EXPECT_EQ(Rep.BytesShipped, 0u);
+  EXPECT_EQ(Rep.BytesMapped, 0u);
+  EXPECT_EQ(Coord.liveWorkers(), 2u);
+
+  // The next run publishes again and deals descriptors to the same pool.
+  if (!dist::shmTransportAvailable())
+    return;
+  dist::DistRunReport Rep2 = Coord.run(R.Segs);
+  EXPECT_EQ(Rep2.Output, R.Serial);
+  EXPECT_TRUE(Rep2.UsedShm);
+  EXPECT_EQ(Rep2.SerialRefolds, 0u);
 }
 
 TEST(DistCoordinator, BatchedFramesCoverAllShardsWithFewerTasks) {

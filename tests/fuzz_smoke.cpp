@@ -8,7 +8,7 @@
 // path is exercised on one benchmark (skipped without a host compiler),
 // and a deliberately broken merge rule is planted to prove the oracle
 // actually catches and minimizes divergences. The open-ended soak lives
-// in `grassp fuzz --seconds N` / bench/fuzz_driver.
+// in `grassp fuzz --seconds N`.
 //
 //===----------------------------------------------------------------------===//
 

@@ -116,7 +116,7 @@ int usage(const char *Prog) {
                "       chaos [same options as fuzz; --faults implied; "
                "--dist kills real worker processes] |\n"
                "       dist-run <name> [N] [--workers W] [--shards S] "
-               "[--batch-shards B] [--input FILE] [--json] [--no-shm]\n"
+               "[--batch-shards B] [--input FILE] [--json]\n"
                "                [--fault-seed S] [--kill-permille K] "
                "[--exit-permille K] [--hang-permille K]\n"
                "                [--corrupt-permille K] [--no-specialize] "
@@ -171,22 +171,13 @@ int main(int argc, char **argv) {
     unsigned DeadlineSec = 0;
     unsigned QueueCap = 0;
     for (int I = 2; I != argc; ++I) {
-      auto numericOpt = [&](const char *Flag, unsigned *Out) {
-        if (std::strcmp(argv[I], Flag) != 0 || I + 1 >= argc)
-          return false;
-        if (!parseUnsigned(argv[++I], Out)) {
-          std::fprintf(stderr, "error: %s expects a number, got '%s'\n",
-                       Flag, argv[I]);
-          std::exit(2);
-        }
-        return true;
-      };
-      if (numericOpt("--jobs", &Opts.Jobs) ||
-          numericOpt("--timeout-ms", &Opts.SmtTimeoutMs) ||
-          numericOpt("--retries", &Opts.MaxRetries) ||
-          numericOpt("--max-budget-ms", &Opts.MaxBudgetMs) ||
-          numericOpt("--deadline-sec", &DeadlineSec) ||
-          numericOpt("--queue-cap", &QueueCap))
+      NumericFlag Num(argc, argv, I);
+      if (Num("--jobs", &Opts.Jobs) ||
+          Num("--timeout-ms", &Opts.SmtTimeoutMs) ||
+          Num("--retries", &Opts.MaxRetries) ||
+          Num("--max-budget-ms", &Opts.MaxBudgetMs) ||
+          Num("--deadline-sec", &DeadlineSec) ||
+          Num("--queue-cap", &QueueCap))
         continue;
       if (std::strcmp(argv[I], "--journal") == 0 && I + 1 < argc) {
         Opts.JournalPath = argv[++I];
@@ -248,36 +239,17 @@ int main(int argc, char **argv) {
         return usage(argv[0]);
       serve::ServeChaosOptions SC;
       for (int J = 2; J != argc; ++J) {
-        auto numOpt = [&](const char *Flag, unsigned *Out) {
-          if (std::strcmp(argv[J], Flag) != 0 || J + 1 >= argc)
-            return false;
-          if (!parseUnsigned(argv[++J], Out)) {
-            std::fprintf(stderr, "error: %s expects a number, got '%s'\n",
-                         Flag, argv[J]);
-            std::exit(2);
-          }
-          return true;
-        };
-        auto seed64Opt = [&](const char *Flag, uint64_t *Out) {
-          if (std::strcmp(argv[J], Flag) != 0 || J + 1 >= argc)
-            return false;
-          if (!parseSeed(argv[++J], Out)) {
-            std::fprintf(stderr, "error: %s expects a number, got '%s'\n",
-                         Flag, argv[J]);
-            std::exit(2);
-          }
-          return true;
-        };
+        NumericFlag Num(argc, argv, J);
         unsigned Pool = 0;
-        if (numOpt("--seconds", &SC.Seconds) ||
-            numOpt("--kill-permille", &SC.KillPermille) ||
-            numOpt("--hang-permille", &SC.HangPermille) ||
-            numOpt("--kill-cycles", &SC.KillCycles) ||
-            seed64Opt("--seed", &SC.Seed) ||
-            seed64Opt("--torn-every", &SC.TornEveryNth) ||
-            seed64Opt("--disconnect-every", &SC.DisconnectEveryNth))
+        if (Num("--seconds", &SC.Seconds) ||
+            Num("--kill-permille", &SC.KillPermille) ||
+            Num("--hang-permille", &SC.HangPermille) ||
+            Num("--kill-cycles", &SC.KillCycles) ||
+            Num("--seed", &SC.Seed) ||
+            Num("--torn-every", &SC.TornEveryNth) ||
+            Num("--disconnect-every", &SC.DisconnectEveryNth))
           continue;
-        if (numOpt("--pool", &Pool)) {
+        if (Num("--pool", &Pool)) {
           SC.PoolSize = Pool;
         } else if (std::strcmp(argv[J], "--dir") == 0 && J + 1 < argc) {
           SC.WorkDir = argv[++J];
@@ -301,37 +273,18 @@ int main(int argc, char **argv) {
     FOpts.Chaos = std::strcmp(Cmd, "chaos") == 0;
     std::vector<std::string> Names;
     for (int I = 2; I != argc; ++I) {
-      auto numericOpt = [&](const char *Flag, unsigned *Out) {
-        if (std::strcmp(argv[I], Flag) != 0 || I + 1 >= argc)
-          return false;
-        if (!parseUnsigned(argv[++I], Out)) {
-          std::fprintf(stderr, "error: %s expects a number, got '%s'\n",
-                       Flag, argv[I]);
-          std::exit(2);
-        }
-        return true;
-      };
-      auto seedOpt = [&](const char *Flag, uint64_t *Out) {
-        if (std::strcmp(argv[I], Flag) != 0 || I + 1 >= argc)
-          return false;
-        if (!parseSeed(argv[++I], Out)) {
-          std::fprintf(stderr, "error: %s expects a number, got '%s'\n",
-                       Flag, argv[I]);
-          std::exit(2);
-        }
-        return true;
-      };
-      if (numericOpt("--seconds", &FOpts.Seconds) ||
-          numericOpt("--segments", &FOpts.Segments) ||
-          numericOpt("--jobs", &DOpts.Jobs) ||
-          numericOpt("--fail-permille", &FOpts.ChaosFailPermille) ||
-          numericOpt("--dist-workers", &FOpts.DistWorkers) ||
-          numericOpt("--kill-permille", &FOpts.DistKillPermille) ||
-          numericOpt("--exit-permille", &FOpts.DistExitPermille) ||
-          numericOpt("--hang-permille", &FOpts.DistHangPermille) ||
-          numericOpt("--corrupt-permille", &FOpts.DistCorruptPermille) ||
-          seedOpt("--seed", &FOpts.Seed) ||
-          seedOpt("--fault-seed", &FOpts.ChaosSeed))
+      NumericFlag Num(argc, argv, I);
+      if (Num("--seconds", &FOpts.Seconds) ||
+          Num("--segments", &FOpts.Segments) ||
+          Num("--jobs", &DOpts.Jobs) ||
+          Num("--fail-permille", &FOpts.ChaosFailPermille) ||
+          Num("--dist-workers", &FOpts.DistWorkers) ||
+          Num("--kill-permille", &FOpts.DistKillPermille) ||
+          Num("--exit-permille", &FOpts.DistExitPermille) ||
+          Num("--hang-permille", &FOpts.DistHangPermille) ||
+          Num("--corrupt-permille", &FOpts.DistCorruptPermille) ||
+          Num("--seed", &FOpts.Seed) ||
+          Num("--fault-seed", &FOpts.ChaosSeed))
         continue;
       if (std::strcmp(argv[I], "--faults") == 0) {
         FOpts.Chaos = true;
@@ -418,22 +371,13 @@ int main(int argc, char **argv) {
     SO.CacheDir = "grassp-serve-cache";
     unsigned Pool = 0, HighWater = 0, DeadlineSec = 0;
     for (int I = 2; I != argc; ++I) {
-      auto numOpt = [&](const char *Flag, unsigned *Out) {
-        if (std::strcmp(argv[I], Flag) != 0 || I + 1 >= argc)
-          return false;
-        if (!parseUnsigned(argv[++I], Out)) {
-          std::fprintf(stderr, "error: %s expects a number, got '%s'\n",
-                       Flag, argv[I]);
-          std::exit(2);
-        }
-        return true;
-      };
+      NumericFlag Num(argc, argv, I);
       unsigned SnapEvery = 0;
-      if (numOpt("--pool", &Pool) || numOpt("--high-water", &HighWater) ||
-          numOpt("--smt-timeout-ms", &SO.SmtTimeoutMs) ||
-          numOpt("--deadline-sec", &DeadlineSec))
+      if (Num("--pool", &Pool) || Num("--high-water", &HighWater) ||
+          Num("--smt-timeout-ms", &SO.SmtTimeoutMs) ||
+          Num("--deadline-sec", &DeadlineSec))
         continue;
-      if (numOpt("--snapshot-every", &SnapEvery)) {
+      if (Num("--snapshot-every", &SnapEvery)) {
         SO.SnapshotEvery = SnapEvery;
       } else if (std::strcmp(argv[I], "--socket") == 0 && I + 1 < argc) {
         SO.SocketPath = argv[++I];
@@ -672,27 +616,17 @@ int main(int argc, char **argv) {
     bool Specialize = true;
     bool Native = true;
     bool Json = false;
-    bool NoShm = false;
     const char *InputFile = nullptr;
     unsigned Positional = 0;
     for (int I = 3; I < argc; ++I) {
-      auto numericOpt = [&](const char *Flag, unsigned *Out) {
-        if (std::strcmp(argv[I], Flag) != 0 || I + 1 >= argc)
-          return false;
-        if (!parseUnsigned(argv[++I], Out)) {
-          std::fprintf(stderr, "error: %s expects a number, got '%s'\n",
-                       Flag, argv[I]);
-          std::exit(2);
-        }
-        return true;
-      };
-      if (numericOpt("--workers", &Workers) ||
-          numericOpt("--shards", &Shards) ||
-          numericOpt("--batch-shards", &BatchShards) ||
-          numericOpt("--kill-permille", &KillPm) ||
-          numericOpt("--exit-permille", &ExitPm) ||
-          numericOpt("--hang-permille", &HangPm) ||
-          numericOpt("--corrupt-permille", &CorruptPm))
+      NumericFlag Num(argc, argv, I);
+      if (Num("--workers", &Workers) ||
+          Num("--shards", &Shards) ||
+          Num("--batch-shards", &BatchShards) ||
+          Num("--kill-permille", &KillPm) ||
+          Num("--exit-permille", &ExitPm) ||
+          Num("--hang-permille", &HangPm) ||
+          Num("--corrupt-permille", &CorruptPm))
         continue;
       if (std::strcmp(argv[I], "--fault-seed") == 0 && I + 1 < argc &&
           parseSeed(argv[I + 1], &FaultSeed)) {
@@ -713,10 +647,6 @@ int main(int argc, char **argv) {
       }
       if (std::strcmp(argv[I], "--json") == 0) {
         Json = true;
-        continue;
-      }
-      if (std::strcmp(argv[I], "--no-shm") == 0) {
-        NoShm = true;
         continue;
       }
       if (Positional == 0 && parseSize(argv[I], &N)) {
@@ -774,7 +704,6 @@ int main(int argc, char **argv) {
     FaultInjector Injector(FaultSeed);
     dist::DistConfig DC;
     DC.Workers = Workers;
-    DC.UseShm = !NoShm;
     if (BatchShards)
       DC.BatchShards = BatchShards;
     DC.BackoffJitterSeed = FaultSeed;
@@ -847,7 +776,7 @@ int main(int argc, char **argv) {
           "  \"retries\": %u\n"
           "}\n",
           argv[2], (unsigned long long)N, Workers, Rep.Shards,
-          Rep.UsedShm ? "shm" : "inline", (long long)Rep.Output,
+          Rep.UsedShm ? "shm" : "serial", (long long)Rep.Output,
           (long long)SerialOut, Match ? "true" : "false", SerialSec,
           Rep.WallSeconds, Rep.MergeSeconds, Rep.RecoverySeconds,
           (unsigned long long)Rep.BytesShipped,
