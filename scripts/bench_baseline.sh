@@ -19,7 +19,10 @@
 #  5. bench_serve --json    ->  BENCH_serve.json at the repo root
 #     (the synthesis service: cache-hit latency vs cold synth per hot
 #     benchmark, and the shed/served split plus hit p50/p99 while a
-#     synth flood saturates the solver pool).
+#     synth flood saturates the solver pool);
+#  6. bench_synthesis --json -> BENCH_synth.json at the repo root
+#     (cold synthesis of all 27 Table-1 programs, one at a time: time,
+#     SMT checks, Unknown verdicts and SMT fallbacks per program).
 #
 # Deterministic inputs (fixed N and seed) keep runs comparable across
 # commits; see EXPERIMENTS.md for how to read the numbers.
@@ -36,7 +39,7 @@ SEED=99
 cmake -B "$BUILD" -S . >/dev/null
 cmake --build "$BUILD" -j "$JOBS" \
     --target bench_kernels bench_stream bench_parallel_cpp bench_dist \
-             bench_serve
+             bench_serve bench_synthesis
 
 echo "== kernel tier throughput (N=$N seed=$SEED) -> BENCH_kernels.json =="
 "$BUILD"/bench/bench_kernels --json --n "$N" --seed "$SEED" \
@@ -72,5 +75,9 @@ echo "== serve hot-path latency + overload shedding -> BENCH_serve.json =="
 "$BUILD"/bench/bench_serve --json BENCH_serve.json
 
 echo
+echo "== cold synthesis of the 27 programs, --jobs 1 -> BENCH_synth.json =="
+"$BUILD"/bench/bench_synthesis --json > BENCH_synth.json
+
+echo
 echo "baseline written to BENCH_kernels.json, BENCH_stream.json," \
-     "BENCH_dist.json, and BENCH_serve.json"
+     "BENCH_dist.json, BENCH_serve.json, and BENCH_synth.json"

@@ -19,21 +19,27 @@ struct SmtSolver::Impl {
   z3::solver Solver;
   std::optional<z3::model> Model;
   std::unordered_map<const ir::Expr *, z3::expr> Cache;
-  /// Keeps every asserted root (and thus its whole DAG) alive for the
-  /// solver's lifetime: the cache keys are raw node addresses, so a
-  /// freed-and-reallocated node must never alias a cached one.
+  /// Keeps every asserted root (and thus its whole DAG) alive for as
+  /// long as Cache holds entries: the cache keys are raw node addresses,
+  /// so a freed-and-reallocated node must never alias a cached one.
+  /// releaseTerms() drops both together.
   std::vector<ir::ExprRef> Retained;
 
-  Impl() : Solver(Ctx) {
-    // Z3 installs its own SIGINT handler around every check by default,
-    // which would swallow Ctrl-C mid-solve (interrupting just that one
-    // query and resuming the run). Signal policy belongs to
-    // installSignalSource(); cancellation reaches in-flight checks via
-    // the interrupt watcher instead.
+  Impl() : Solver(Ctx) { disableCtrlC(Solver); }
+
+  /// Z3 installs its own SIGINT handler around every check by default,
+  /// which would swallow Ctrl-C mid-solve (interrupting just that one
+  /// query and resuming the run). Signal policy belongs to
+  /// installSignalSource(); cancellation reaches in-flight checks via
+  /// the interrupt watcher instead.
+  void disableCtrlC(z3::solver &S) {
     z3::params P(Ctx);
     P.set("ctrl_c", false);
-    Solver.set(P);
+    S.set(P);
   }
+
+  SatResult check(z3::solver &S, unsigned TimeoutMs,
+                  const CancelToken &Token);
 
   z3::expr lower(const ir::ExprRef &E) {
     auto It = Cache.find(E.get());
@@ -118,6 +124,11 @@ void SmtSolver::add(const ir::ExprRef &E) {
 void SmtSolver::push() { I->Solver.push(); }
 void SmtSolver::pop() { I->Solver.pop(); }
 
+void SmtSolver::releaseTerms() {
+  I->Cache.clear();
+  I->Retained.clear();
+}
+
 namespace {
 
 /// Maps a CancelToken firing — and, when armed with a budget, the SMT
@@ -141,6 +152,11 @@ namespace {
 /// reason "interrupted", the context and all asserted formulas stay
 /// valid, and the caller discards the verdict as Cancelled (token
 /// fired) or Unknown (budget expired).
+///
+/// The watcher sleeps on Wake, a private child of the token: the token
+/// firing wakes it, and so does the destructor, which cancels Wake
+/// alone. A check that finishes early therefore joins at once instead
+/// of waiting out the watcher's poll.
 class ScopedInterruptWatcher {
 public:
   ScopedInterruptWatcher(z3::context &Ctx, const CancelToken &Token,
@@ -149,12 +165,15 @@ public:
     if (BudgetMs != 0)
       BudgetEnd = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(BudgetMs);
-    if (Token.valid())
+    if (Token.valid()) {
+      Wake = Token.child();
       Watcher = std::thread([this] { run(); });
+    }
   }
 
   ~ScopedInterruptWatcher() {
     Done.store(true, std::memory_order_release);
+    Wake.cancel();
     if (Watcher.joinable())
       Watcher.join();
   }
@@ -170,16 +189,17 @@ private:
         Ctx.interrupt();
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       } else {
-        // Wakes early when the token fires; the 50ms cap bounds how
-        // long a deadline/budget expiry (which fires no callbacks) or
-        // the done flag goes unnoticed.
-        Token.waitCancelledFor(0.05);
+        // Wakes early when the token fires or the check is done; the
+        // 50ms cap bounds how long a deadline/budget expiry (which
+        // fires no callbacks) goes unnoticed.
+        Wake.waitCancelledFor(0.05);
       }
     }
   }
 
   z3::context &Ctx;
   CancelToken Token;
+  CancelToken Wake;
   std::optional<std::chrono::steady_clock::time_point> BudgetEnd;
   std::thread Watcher;
   std::atomic<bool> Done{false};
@@ -189,6 +209,23 @@ private:
 
 SatResult SmtSolver::check(unsigned TimeoutMs, CancelToken Token) {
   ++Checks;
+  return I->check(I->Solver, TimeoutMs, Token);
+}
+
+SatResult SmtSolver::recheckFresh(unsigned TimeoutMs, CancelToken Token) {
+  ++Checks;
+  // A solver that never saw push() or a second check() runs Z3's
+  // default (tactic) pipeline; it shares the context, so the asserted
+  // terms carry over without lowering again.
+  z3::solver Fresh(I->Ctx);
+  I->disableCtrlC(Fresh);
+  for (const z3::expr &A : I->Solver.assertions())
+    Fresh.add(A);
+  return I->check(Fresh, TimeoutMs, Token);
+}
+
+SatResult SmtSolver::Impl::check(z3::solver &S, unsigned TimeoutMs,
+                                 const CancelToken &Token) {
   if (Token.cancelled())
     return SatResult::Cancelled;
   // A token deadline clamps the SMT budget: a query admitted 800ms
@@ -202,22 +239,22 @@ SatResult SmtSolver::check(unsigned TimeoutMs, CancelToken Token) {
   // timeout param is used as usual and no interrupt is ever issued.
   {
     constexpr unsigned NoTimeout = 4294967295u; // Z3's "unbounded".
-    z3::params P(I->Ctx);
+    z3::params P(Ctx);
     P.set("timeout", (Token.valid() || EffectiveMs == 0) ? NoTimeout
                                                          : EffectiveMs);
-    I->Solver.set(P);
+    S.set(P);
   }
-  I->Model.reset();
+  Model.reset();
   z3::check_result R;
   {
-    ScopedInterruptWatcher Watch(I->Ctx, Token, EffectiveMs);
-    R = I->Solver.check();
+    ScopedInterruptWatcher Watch(Ctx, Token, EffectiveMs);
+    R = S.check();
   }
   if (Token.cancelled())
     return SatResult::Cancelled; // interrupted (or raced the verdict).
   switch (R) {
   case z3::sat:
-    I->Model = I->Solver.get_model();
+    Model = S.get_model();
     return SatResult::Sat;
   case z3::unsat:
     return SatResult::Unsat;

@@ -28,9 +28,14 @@ enum class SatResult {
              ///< interrupted (Z3_solver_interrupt) or never started.
 };
 
-/// An incremental SMT solver session. Variables are identified by the IR
-/// variable names; Int lowers to SMT Int, Bool to SMT Bool. Bag-typed
-/// terms never reach the solver (the symbolic evaluator eliminates them).
+/// An incremental SMT solver session over one Z3 context. Variables are
+/// identified by the IR variable names; Int lowers to SMT Int, Bool to
+/// SMT Bool. Bag-typed terms never reach the solver (the symbolic
+/// evaluator eliminates them).
+///
+/// A long-lived session (one per EquivChecker) checks a stream of
+/// independent queries as push(); add(); check(); pop(); and then calls
+/// releaseTerms() so the popped queries' terms can be freed.
 class SmtSolver {
 public:
   SmtSolver();
@@ -56,6 +61,20 @@ public:
   /// interrupt — the context stays valid and later checks are unharmed
   /// (the interrupted query's verdict is simply discarded).
   SatResult check(unsigned TimeoutMs = 0, CancelToken Token = CancelToken());
+
+  /// Re-checks the current assertions on a fresh, non-incremental Z3
+  /// solver over the same context, under the same budget rules as
+  /// check(). Z3's incremental core skips the preprocessing tactics, so
+  /// it can give up (Unknown) on a query the default pipeline settles;
+  /// callers use this as the one retry of such a query. Counts as a
+  /// check and, on Sat, provides the model.
+  SatResult recheckFresh(unsigned TimeoutMs = 0,
+                         CancelToken Token = CancelToken());
+
+  /// Drops the lowering cache together with the IR roots it keeps
+  /// alive, so Z3 may free the terms of popped queries. Asserted
+  /// formulas stay asserted; later add() calls just lower afresh.
+  void releaseTerms();
 
   /// After a Sat result: the model value of Int variable \p Name
   /// (0 when the model leaves it unconstrained).

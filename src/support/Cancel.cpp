@@ -2,6 +2,7 @@
 
 #include "support/Cancel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <csignal>
@@ -126,8 +127,21 @@ CancelToken CancelToken::child(Deadline D) const {
     // firing concurrently either sees the child in Children or we see
     // Fired here; either way the child ends up fired.
     ParentFired = State->Fired.load(std::memory_order_acquire);
-    if (!ParentFired)
-      State->Children.push_back(Kid);
+    if (!ParentFired) {
+      // Short-lived children (one per interruptible SMT check) would
+      // otherwise pile up under a long-lived parent. Sweeping the dead
+      // ones when the vector is full, and growing it when the sweep
+      // frees less than half, keeps registration amortized O(1).
+      std::vector<std::weak_ptr<detail::CancelState>> &Kids = State->Children;
+      if (Kids.size() == Kids.capacity()) {
+        Kids.erase(std::remove_if(Kids.begin(), Kids.end(),
+                                  [](const auto &W) { return W.expired(); }),
+                   Kids.end());
+        if (Kids.size() * 2 > Kids.capacity())
+          Kids.reserve(Kids.capacity() * 2);
+      }
+      Kids.push_back(Kid);
+    }
   }
   if (ParentFired)
     Kid->Fired.store(true, std::memory_order_release);

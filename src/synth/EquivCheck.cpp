@@ -15,6 +15,7 @@ namespace grassp {
 namespace synth {
 
 EquivChecker::EquivChecker(const lang::SerialProgram &Prog) : Prog(Prog) {}
+EquivChecker::~EquivChecker() = default;
 
 void EquivChecker::addEntry(Segments Segs) {
   CorpusEntry E;
@@ -150,30 +151,43 @@ Verdict EquivChecker::verify(const ParallelPlan &Plan,
         continue; // syntactically identical: trivially equivalent shape.
     }
 
-    smt::SmtSolver Solver;
-    Solver.add(Diff);
+    if (!Solver)
+      Solver = std::make_unique<smt::SmtSolver>();
+    Solver->push();
+    Solver->add(Diff);
     ++SmtChecks;
-    switch (Solver.check(Opts.SmtTimeoutMs, Opts.Token)) {
+    smt::SatResult R = Solver->check(Opts.SmtTimeoutMs, Opts.Token);
+    if (R == smt::SatResult::Unknown) {
+      // The incremental core gave up within its budget; the default
+      // pipeline on a fresh solver settles some of those queries.
+      ++SmtFallbacks;
+      R = Solver->recheckFresh(Opts.SmtTimeoutMs, Opts.Token);
+    }
+    Segments Cex;
+    if (R == smt::SatResult::Sat) {
+      size_t NameIdx = 0;
+      for (size_t I = 0; I != Shape.size(); ++I) {
+        std::vector<int64_t> Seg;
+        for (unsigned J = 0; J != Shape[I]; ++J)
+          Seg.push_back(Solver->modelInt(Names[NameIdx++]));
+        Cex.push_back(std::move(Seg));
+      }
+    }
+    Solver->pop();
+    Solver->releaseTerms();
+
+    switch (R) {
     case smt::SatResult::Unsat:
       continue;
     case smt::SatResult::Unknown:
       return Verdict::Unknown;
     case smt::SatResult::Cancelled:
       return Verdict::Cancelled;
-    case smt::SatResult::Sat: {
-      Segments Cex;
-      size_t NameIdx = 0;
-      for (size_t I = 0; I != Shape.size(); ++I) {
-        std::vector<int64_t> Seg;
-        for (unsigned J = 0; J != Shape[I]; ++J)
-          Seg.push_back(Solver.modelInt(Names[NameIdx++]));
-        Cex.push_back(std::move(Seg));
-      }
+    case smt::SatResult::Sat:
       addCounterexample(Cex);
       if (CexOut)
         *CexOut = std::move(Cex);
       return Verdict::Refuted;
-    }
     }
   }
   return Verdict::Equivalent;

@@ -8,6 +8,12 @@
 // establishes equivalence for the bound. Satisfying models become new
 // corpus entries, pruning the remaining search space.
 //
+// One checker owns one SMT solver, and so one Z3 context, created on
+// the first symbolic query and kept for the checker's lifetime. Each
+// segment shape is checked in its own push/pop scope; the shape's terms
+// are released afterwards, so memory does not grow with the number of
+// shapes or candidates.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef GRASSP_SYNTH_EQUIVCHECK_H
@@ -18,9 +24,14 @@
 #include "synth/ParallelPlan.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace grassp {
+namespace smt {
+class SmtSolver;
+} // namespace smt
+
 namespace synth {
 
 using Segments = std::vector<std::vector<int64_t>>;
@@ -46,6 +57,7 @@ enum class Verdict { Equivalent, Refuted, Unknown, Cancelled };
 class EquivChecker {
 public:
   explicit EquivChecker(const lang::SerialProgram &Prog);
+  ~EquivChecker();
 
   /// Seeds the corpus with random and crafted segmented inputs.
   void seedCorpus(unsigned NumRandom, uint64_t Seed);
@@ -64,6 +76,9 @@ public:
 
   size_t corpusSize() const { return Corpus.size(); }
   unsigned numSmtChecks() const { return SmtChecks; }
+  /// Shapes whose incremental check came back Unknown and were checked
+  /// again on a fresh solver (see verify()).
+  unsigned numSmtFallbacks() const { return SmtFallbacks; }
 
 private:
   struct CorpusEntry {
@@ -75,7 +90,9 @@ private:
 
   const lang::SerialProgram &Prog;
   std::vector<CorpusEntry> Corpus;
+  std::unique_ptr<smt::SmtSolver> Solver; ///< Created by the first query.
   unsigned SmtChecks = 0;
+  unsigned SmtFallbacks = 0;
 };
 
 } // namespace synth

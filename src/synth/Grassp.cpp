@@ -76,6 +76,7 @@ SynthesisResult synthesize(const lang::SerialProgram &Prog,
   auto Finish = [&](bool Ok) {
     Res.SynthSeconds = Timer.seconds();
     Res.SmtChecks = Checker.numSmtChecks();
+    Res.SmtFallbacks = Checker.numSmtFallbacks();
     if (Ok)
       Res.Group = Res.Plan.group();
     return Res;
@@ -201,6 +202,7 @@ SynthesisResult synthesizeWithLazyBounds(const lang::SerialProgram &Prog,
     EquivChecker Checker(Prog);
     Segments Cex;
     Verdict V = Checker.verify(Res.Plan, Wide, &Cex);
+    Res.SmtFallbacks += Checker.numSmtFallbacks();
     if (V == Verdict::Equivalent) {
       Res.StageLog.push_back(
           "lazy-bounds: plan re-verified at m<=" +
@@ -218,10 +220,12 @@ SynthesisResult synthesizeWithLazyBounds(const lang::SerialProgram &Prog,
     Cur.Bounds = Wide;
     Cur.SeedInputs.push_back(Cex);
     double Spent = Res.SynthSeconds;
+    unsigned Fallbacks = Res.SmtFallbacks;
     std::vector<std::string> Log = std::move(Res.StageLog);
     Log.push_back("lazy-bounds: refuted at wider bounds, re-synthesizing");
     Res = synthesize(Prog, Cur);
     Res.SynthSeconds += Spent;
+    Res.SmtFallbacks += Fallbacks;
     Log.insert(Log.end(), Res.StageLog.begin(), Res.StageLog.end());
     Res.StageLog = std::move(Log);
   }

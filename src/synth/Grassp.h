@@ -57,6 +57,10 @@ struct SynthesisResult {
   /// A failed run with UnknownVerdicts != 0 may succeed under a larger
   /// SMT budget; the parallel driver keys its retry policy on this.
   unsigned UnknownVerdicts = 0;
+  /// Segment shapes whose incremental SMT check came back Unknown and
+  /// were checked again on a fresh solver (EquivChecker::verify). Zero
+  /// at the default budget; a tight --timeout-ms makes it climb.
+  unsigned SmtFallbacks = 0;
   /// One line per stage attempted, e.g. "stage1: refuted after 3
   /// candidates"; reproduces the gradual escalation of Fig. 10.
   std::vector<std::string> StageLog;

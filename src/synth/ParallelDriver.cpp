@@ -150,6 +150,7 @@ TaskResult ParallelDriver::synthesizeOne(const lang::SerialProgram &Prog,
       R.CandidatesTried += T.Result.CandidatesTried;
       R.SmtChecks += T.Result.SmtChecks;
       R.UnknownVerdicts += T.Result.UnknownVerdicts;
+      R.SmtFallbacks += T.Result.SmtFallbacks;
       std::vector<std::string> Log = std::move(T.Result.StageLog);
       Log.push_back(Marker);
       Log.insert(Log.end(), R.StageLog.begin(), R.StageLog.end());

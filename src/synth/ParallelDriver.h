@@ -7,8 +7,9 @@
 //
 // Isolation and determinism:
 //  * Every in-flight task owns its whole pipeline — corpus, symbolic
-//    evaluation, and one SmtSolver (one Z3 context) per bounded check —
-//    so tasks never share solver state.
+//    evaluation, and one SmtSolver (one Z3 context) per attempt, which
+//    checks every segment shape of every candidate with push/pop — so
+//    tasks never share solver state.
 //  * Results are stored by task index and returned in input order; with
 //    ample SMT budgets the table a harness prints is byte-identical
 //    (plan, stage, candidate/SMT counts) for any --jobs value.

@@ -148,4 +148,84 @@ TEST(SmtSolver, TokenDeadlineClampsTheTimeout) {
   EXPECT_LT(Elapsed, 10.0);
 }
 
+// -- One solver, many queries ---------------------------------------------
+
+TEST(SmtSolver, CancellableChecksReturnAsSoonAsZ3Does) {
+  // A valid token arms the interrupt watcher; a check that Z3 settles
+  // at once must not then wait for the watcher's poll interval.
+  SmtSolver S;
+  grassp::CancelToken T = grassp::CancelToken::root();
+  auto T0 = std::chrono::steady_clock::now();
+  for (int K = 0; K != 20; ++K) {
+    S.push();
+    S.add(gt(iv("x"), constInt(K)));
+    EXPECT_EQ(S.check(30000, T), SatResult::Sat);
+    S.pop();
+  }
+  double Elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+          .count();
+  EXPECT_LT(Elapsed, 0.5);
+}
+
+TEST(SmtSolver, BudgetInterruptLeavesNoStaleInterrupt) {
+  // The watcher interrupts the slow query when its 100ms budget runs
+  // out; the next queries on the same solver must be unaffected.
+  SmtSolver S;
+  grassp::CancelToken T = grassp::CancelToken::root();
+  int64_t N = int64_t(1000003) * int64_t(999999937);
+  S.push();
+  S.add(eq(mul(iv("x"), iv("y")), constInt(N)));
+  S.add(gt(iv("x"), constInt(1)));
+  S.add(lt(iv("x"), iv("y")));
+  EXPECT_EQ(S.check(100, T), SatResult::Unknown);
+  S.pop();
+  S.releaseTerms();
+
+  S.push();
+  S.add(gt(iv("x"), constInt(5)));
+  S.add(lt(iv("x"), constInt(7)));
+  ASSERT_EQ(S.check(30000, T), SatResult::Sat);
+  EXPECT_EQ(S.modelInt("x"), 6);
+  S.pop();
+  S.releaseTerms();
+
+  S.push();
+  S.add(gt(iv("x"), constInt(5)));
+  S.add(lt(iv("x"), constInt(6)));
+  EXPECT_EQ(S.check(30000, T), SatResult::Unsat);
+  S.pop();
+  EXPECT_EQ(S.numChecks(), 3u);
+}
+
+TEST(SmtSolver, RecheckFreshSeesTheOpenScope) {
+  SmtSolver S;
+  S.add(gt(iv("x"), constInt(0)));
+  S.push();
+  S.add(lt(iv("x"), constInt(2)));
+  ASSERT_EQ(S.recheckFresh(), SatResult::Sat);
+  EXPECT_EQ(S.modelInt("x"), 1);
+  S.add(gt(iv("x"), constInt(1)));
+  EXPECT_EQ(S.recheckFresh(), SatResult::Unsat);
+  S.pop();
+  // The scope's assertions are gone for both kinds of check.
+  EXPECT_EQ(S.recheckFresh(), SatResult::Sat);
+  EXPECT_EQ(S.check(), SatResult::Sat);
+  EXPECT_EQ(S.numChecks(), 4u);
+}
+
+TEST(SmtSolver, ReleasedTermsLowerAfresh) {
+  // Dropping the cache frees the IR roots; new nodes that may reuse
+  // their addresses must be lowered again, not served from the cache.
+  SmtSolver S;
+  for (int K = 0; K != 50; ++K) {
+    S.push();
+    S.add(eq(iv("x"), constInt(K)));
+    ASSERT_EQ(S.check(), SatResult::Sat);
+    EXPECT_EQ(S.modelInt("x"), K);
+    S.pop();
+    S.releaseTerms();
+  }
+}
+
 } // namespace

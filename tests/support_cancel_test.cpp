@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 using namespace grassp;
 
@@ -66,6 +67,21 @@ TEST(CancelToken, ChildOfFiredParentIsBornCancelled) {
   CancelToken Root = CancelToken::root();
   Root.cancel();
   EXPECT_TRUE(Root.child().cancelled());
+}
+
+TEST(CancelToken, ShortLivedChildrenDoNotHideLiveOnes) {
+  // Many children die young (one per interruptible SMT check); sweeping
+  // them out of the parent must keep every live child reachable.
+  CancelToken Root = CancelToken::root();
+  std::vector<CancelToken> Kept;
+  for (int K = 0; K != 1000; ++K) {
+    CancelToken Kid = Root.child();
+    if (K % 10 == 0)
+      Kept.push_back(Kid);
+  }
+  Root.cancel();
+  for (const CancelToken &Kid : Kept)
+    EXPECT_TRUE(Kid.cancelled());
 }
 
 TEST(CancelToken, ChildOfEmptyTokenCarriesDeadline) {

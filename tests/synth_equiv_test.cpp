@@ -96,4 +96,47 @@ TEST(EquivCheck, SmtQueriesAreCounted) {
   EXPECT_GT(C.numSmtChecks(), 0u);
 }
 
+TEST(EquivCheck, OneCheckerAnswersLikeFreshCheckers) {
+  // The checker keeps one solver across verify() calls; a sequence of
+  // refute, accept, refute must give what a fresh checker per call
+  // gives: the verdict, the SMT query count, and a counterexample of
+  // the same segment shape (the first shape whose query is
+  // satisfiable). Z3 keeps search state across push/pop, so the model
+  // values may differ; both must refute the plan.
+  const lang::SerialProgram *P = lang::findBenchmark("sum");
+  std::vector<ParallelPlan> Plans;
+  for (Op O : {Op::Max, Op::Add, Op::Min}) {
+    ParallelPlan Plan;
+    Plan.Kind = Scenario::NoPrefix;
+    Plan.Merge = singleFieldMerge(*P, O);
+    Plans.push_back(std::move(Plan));
+  }
+  const Verdict Expected[] = {Verdict::Refuted, Verdict::Equivalent,
+                              Verdict::Refuted};
+
+  EquivChecker Reused(*P);
+  unsigned FreshChecks = 0;
+  for (size_t K = 0; K != Plans.size(); ++K) {
+    EquivChecker Fresh(*P);
+    Segments FreshCex, ReusedCex;
+    Verdict FV = Fresh.verify(Plans[K], VerifyOptions(), &FreshCex);
+    unsigned Before = Reused.numSmtChecks();
+    Verdict RV = Reused.verify(Plans[K], VerifyOptions(), &ReusedCex);
+    EXPECT_EQ(FV, Expected[K]) << "plan " << K;
+    EXPECT_EQ(RV, FV) << "plan " << K;
+    ASSERT_EQ(ReusedCex.size(), FreshCex.size()) << "plan " << K;
+    for (size_t I = 0; I != FreshCex.size(); ++I)
+      EXPECT_EQ(ReusedCex[I].size(), FreshCex[I].size()) << "plan " << K;
+    if (RV == Verdict::Refuted)
+      EXPECT_NE(lang::runSerialSegmented(*P, ReusedCex),
+                runPlanConcrete(*P, Plans[K], ReusedCex))
+          << "plan " << K;
+    EXPECT_EQ(Reused.numSmtChecks() - Before, Fresh.numSmtChecks())
+        << "plan " << K;
+    FreshChecks += Fresh.numSmtChecks();
+  }
+  EXPECT_EQ(Reused.numSmtChecks(), FreshChecks);
+  EXPECT_EQ(Reused.numSmtFallbacks(), 0u);
+}
+
 } // namespace

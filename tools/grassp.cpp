@@ -199,21 +199,29 @@ int main(int argc, char **argv) {
     Opts.Token = installSignalSource();
     synth::ParallelDriver Driver(Opts);
     std::vector<synth::TaskResult> Results = Driver.runAll();
-    unsigned Solved = 0, Restored = 0, Cancelled = 0;
+    unsigned Solved = 0, Restored = 0, Cancelled = 0, Fallbacks = 0;
     for (const synth::TaskResult &T : Results) {
-      std::printf("%-22s %-8s %-4s %s  (%u attempt%s%s)\n", T.Name.c_str(),
+      std::string Fb;
+      if (T.Result.SmtFallbacks)
+        Fb = ", " + std::to_string(T.Result.SmtFallbacks) + " smt fallback" +
+             (T.Result.SmtFallbacks == 1 ? "" : "s");
+      std::printf("%-22s %-8s %-4s %s  (%u attempt%s%s%s)\n", T.Name.c_str(),
                   taskStatusName(T.Status),
                   T.Status == synth::TaskStatus::Solved
                       ? T.Result.Group.c_str()
                       : "-",
                   formatSeconds(T.Result.SynthSeconds).c_str(), T.Attempts,
-                  T.Attempts == 1 ? "" : "s",
+                  T.Attempts == 1 ? "" : "s", Fb.c_str(),
                   T.FromJournal ? ", from journal" : "");
       Solved += T.Status == synth::TaskStatus::Solved ? 1 : 0;
       Restored += T.FromJournal ? 1 : 0;
       Cancelled += T.Status == synth::TaskStatus::Cancelled ? 1 : 0;
+      Fallbacks += T.Result.SmtFallbacks;
     }
-    std::printf("solved %u/%zu", Solved, Results.size());
+    // A fallback is a segment shape whose incremental SMT check came
+    // back Unknown and was re-checked on a fresh solver.
+    std::printf("solved %u/%zu, %u smt fallback%s", Solved, Results.size(),
+                Fallbacks, Fallbacks == 1 ? "" : "s");
     if (Restored)
       std::printf(" (%u restored from journal, not re-run)", Restored);
     if (Cancelled)
