@@ -2,6 +2,8 @@
 
 #include "ir/Bytecode.h"
 
+#include "ir/Arith.h"
+
 #include <cassert>
 #include <unordered_map>
 
@@ -26,29 +28,17 @@ unsigned bcNumOperands(BcOp O) {
 int64_t evalBcOp(BcOp O, int64_t A, int64_t B, int64_t C) {
   switch (O) {
   case BcOp::Add:
-    return A + B;
+    return wrapAdd(A, B);
   case BcOp::Sub:
-    return A - B;
+    return wrapSub(A, B);
   case BcOp::Mul:
-    return A * B;
-  case BcOp::Div: {
-    if (B == 0)
-      return 0;
-    int64_t Q = A / B;
-    if (A % B != 0 && ((A < 0) != (B < 0)))
-      --Q;
-    return Q;
-  }
-  case BcOp::Mod: {
-    if (B == 0)
-      return 0;
-    int64_t M = A % B;
-    if (M < 0)
-      M += (B < 0 ? -B : B);
-    return M;
-  }
+    return wrapMul(A, B);
+  case BcOp::Div:
+    return floorDiv(A, B);
+  case BcOp::Mod:
+    return euclidMod(A, B);
   case BcOp::Neg:
-    return -A;
+    return wrapNeg(A);
   case BcOp::Min:
     return A < B ? A : B;
   case BcOp::Max:
@@ -314,22 +304,22 @@ L_Copy:
   R[IP->Dst] = R[IP->A];
   GRASSP_BC_NEXT;
 L_Add:
-  R[IP->Dst] = R[IP->A] + R[IP->B];
+  R[IP->Dst] = wrapAdd(R[IP->A], R[IP->B]);
   GRASSP_BC_NEXT;
 L_Sub:
-  R[IP->Dst] = R[IP->A] - R[IP->B];
+  R[IP->Dst] = wrapSub(R[IP->A], R[IP->B]);
   GRASSP_BC_NEXT;
 L_Mul:
-  R[IP->Dst] = R[IP->A] * R[IP->B];
+  R[IP->Dst] = wrapMul(R[IP->A], R[IP->B]);
   GRASSP_BC_NEXT;
 L_Div:
-  R[IP->Dst] = evalBcOp(BcOp::Div, R[IP->A], R[IP->B], 0);
+  R[IP->Dst] = floorDiv(R[IP->A], R[IP->B]);
   GRASSP_BC_NEXT;
 L_Mod:
-  R[IP->Dst] = evalBcOp(BcOp::Mod, R[IP->A], R[IP->B], 0);
+  R[IP->Dst] = euclidMod(R[IP->A], R[IP->B]);
   GRASSP_BC_NEXT;
 L_Neg:
-  R[IP->Dst] = -R[IP->A];
+  R[IP->Dst] = wrapNeg(R[IP->A]);
   GRASSP_BC_NEXT;
 L_Min:
   R[IP->Dst] = R[IP->A] < R[IP->B] ? R[IP->A] : R[IP->B];

@@ -18,6 +18,7 @@
 #ifndef GRASSP_IR_DOMAINEVAL_H
 #define GRASSP_IR_DOMAINEVAL_H
 
+#include "ir/Arith.h"
 #include "ir/Expr.h"
 
 #include <cassert>
@@ -51,34 +52,19 @@ template <class S> struct DomainValue {
   }
 };
 
-/// Concrete scalar policy: int64 arithmetic, bools as 0/1.
+/// Concrete scalar policy: wrapping, total int64 arithmetic (ir/Arith.h),
+/// bools as 0/1.
 struct ConcretePolicy {
   using Scalar = int64_t;
 
   Scalar constInt(int64_t V) { return V; }
   Scalar constBool(bool V) { return V ? 1 : 0; }
-  Scalar add(Scalar A, Scalar B) { return A + B; }
-  Scalar sub(Scalar A, Scalar B) { return A - B; }
-  Scalar mul(Scalar A, Scalar B) { return A * B; }
-  Scalar intDiv(Scalar A, Scalar B) {
-    // Euclidean division; matches SMT-LIB `div`. Division by zero is
-    // defined (arbitrarily) as zero to keep the interpreter total.
-    if (B == 0)
-      return 0;
-    Scalar Q = A / B;
-    if (A % B != 0 && ((A < 0) != (B < 0)))
-      --Q;
-    return Q;
-  }
-  Scalar intMod(Scalar A, Scalar B) {
-    if (B == 0)
-      return 0;
-    Scalar R = A % B;
-    if (R < 0)
-      R += (B < 0 ? -B : B);
-    return R;
-  }
-  Scalar negate(Scalar A) { return -A; }
+  Scalar add(Scalar A, Scalar B) { return wrapAdd(A, B); }
+  Scalar sub(Scalar A, Scalar B) { return wrapSub(A, B); }
+  Scalar mul(Scalar A, Scalar B) { return wrapMul(A, B); }
+  Scalar intDiv(Scalar A, Scalar B) { return floorDiv(A, B); }
+  Scalar intMod(Scalar A, Scalar B) { return euclidMod(A, B); }
+  Scalar negate(Scalar A) { return wrapNeg(A); }
   Scalar smin(Scalar A, Scalar B) { return A < B ? A : B; }
   Scalar smax(Scalar A, Scalar B) { return A > B ? A : B; }
   Scalar eq(Scalar A, Scalar B) { return A == B; }

@@ -2,6 +2,8 @@
 
 #include "ir/Expr.h"
 
+#include "ir/Arith.h"
+
 #include <cassert>
 #include <functional>
 #include <sstream>
@@ -155,7 +157,7 @@ bool structurallyEqual(const ExprRef &A, const ExprRef &B) {
 ExprRef add(ExprRef A, ExprRef B) {
   assert(A->getType() == TypeKind::Int && B->getType() == TypeKind::Int);
   if (A->isConstInt() && B->isConstInt())
-    return constInt(A->intValue() + B->intValue());
+    return constInt(wrapAdd(A->intValue(), B->intValue()));
   if (A->isConstInt() && A->intValue() == 0)
     return B;
   if (B->isConstInt() && B->intValue() == 0)
@@ -166,7 +168,7 @@ ExprRef add(ExprRef A, ExprRef B) {
 ExprRef sub(ExprRef A, ExprRef B) {
   assert(A->getType() == TypeKind::Int && B->getType() == TypeKind::Int);
   if (A->isConstInt() && B->isConstInt())
-    return constInt(A->intValue() - B->intValue());
+    return constInt(wrapSub(A->intValue(), B->intValue()));
   if (B->isConstInt() && B->intValue() == 0)
     return A;
   if (structurallyEqual(A, B))
@@ -177,7 +179,7 @@ ExprRef sub(ExprRef A, ExprRef B) {
 ExprRef mul(ExprRef A, ExprRef B) {
   assert(A->getType() == TypeKind::Int && B->getType() == TypeKind::Int);
   if (A->isConstInt() && B->isConstInt())
-    return constInt(A->intValue() * B->intValue());
+    return constInt(wrapMul(A->intValue(), B->intValue()));
   if (A->isConstInt() && A->intValue() == 1)
     return B;
   if (B->isConstInt() && B->intValue() == 1)
@@ -188,31 +190,15 @@ ExprRef mul(ExprRef A, ExprRef B) {
   return makeNode(Op::Mul, TypeKind::Int, 0, false, "", {A, B});
 }
 
-/// Euclidean division matching SMT-LIB `div` semantics for positive
-/// divisors (the only use in this codebase is "average" with count > 0);
-/// we fold only when the divisor is a positive constant.
-static int64_t euclidDiv(int64_t A, int64_t B) {
-  int64_t Q = A / B;
-  if (A % B != 0 && ((A < 0) != (B < 0)))
-    --Q;
-  return Q;
-}
-
 ExprRef intDiv(ExprRef A, ExprRef B) {
   assert(A->getType() == TypeKind::Int && B->getType() == TypeKind::Int);
+  // Floor and Euclidean division (SMT-LIB `div`) agree for positive
+  // divisors, the only ones folded.
   if (A->isConstInt() && B->isConstInt() && B->intValue() > 0)
-    return constInt(euclidDiv(A->intValue(), B->intValue()));
+    return constInt(floorDiv(A->intValue(), B->intValue()));
   if (B->isConstInt() && B->intValue() == 1)
     return A;
   return makeNode(Op::Div, TypeKind::Int, 0, false, "", {A, B});
-}
-
-/// Euclidean remainder matching SMT-LIB `mod`: result is in [0, |B|).
-static int64_t euclidMod(int64_t A, int64_t B) {
-  int64_t R = A % B;
-  if (R < 0)
-    R += (B < 0 ? -B : B);
-  return R;
 }
 
 ExprRef intMod(ExprRef A, ExprRef B) {
@@ -225,7 +211,7 @@ ExprRef intMod(ExprRef A, ExprRef B) {
 ExprRef neg(ExprRef A) {
   assert(A->getType() == TypeKind::Int);
   if (A->isConstInt())
-    return constInt(-A->intValue());
+    return constInt(wrapNeg(A->intValue()));
   if (A->getOp() == Op::Neg)
     return A->operand(0);
   return makeNode(Op::Neg, TypeKind::Int, 0, false, "", {A});

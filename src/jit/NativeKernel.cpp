@@ -24,10 +24,6 @@ namespace jit {
 
 namespace {
 
-/// Bumped whenever the emitted code or compile flags change meaning;
-/// folded into the hash so stale disk objects are never reloaded.
-constexpr uint64_t EmitterVersion = 1;
-
 void hashBytes(uint64_t &H, const void *P, size_t N) {
   const unsigned char *B = static_cast<const unsigned char *>(P);
   for (size_t I = 0; I != N; ++I) {
@@ -71,9 +67,9 @@ std::string fileTail(const std::string &Path, size_t MaxLines = 4) {
 
 } // namespace
 
-uint64_t bytecodeHash(const ir::BytecodeFunction &F) {
+uint64_t bytecodeHash(const ir::BytecodeFunction &F, uint64_t Version) {
   uint64_t H = 1469598103934665603ull; // FNV-1a 64 offset basis.
-  hashU64(H, EmitterVersion);
+  hashU64(H, Version);
   hashU64(H, F.numInputs());
   hashU64(H, F.numRegs());
   hashU64(H, F.numOutputs());
@@ -104,18 +100,26 @@ std::string emitFoldKernelCpp(const ir::BytecodeFunction &F, uint64_t Hash) {
         "\n"
         "namespace {\n"
         "// Total floor-division / Euclidean-remainder semantics of the\n"
-        "// bytecode VM (x/0 = x%0 = 0).\n"
+        "// bytecode VM (x/0 = x%0 = 0; -fwrapv makes INT64_MIN/-1 wrap).\n"
         "inline int64_t g_fdiv(int64_t A, int64_t B) {\n"
         "  if (B == 0) return 0;\n"
+        "  if (B == -1) return -A;\n"
         "  int64_t Q = A / B;\n"
         "  if (A % B != 0 && ((A < 0) != (B < 0))) --Q;\n"
         "  return Q;\n"
         "}\n"
         "inline int64_t g_emod(int64_t A, int64_t B) {\n"
-        "  if (B == 0) return 0;\n"
+        "  if (B == 0 || B == -1) return 0;\n"
         "  int64_t M = A % B;\n"
         "  if (M < 0) M += (B < 0 ? -B : B);\n"
         "  return M;\n"
+        "}\n"
+        "// Mask blend C ? T : F. The empty asm hides the mask's origin, so\n"
+        "// the compiler cannot turn the blend back into a branch on C.\n"
+        "inline int64_t g_sel(int64_t C, int64_t T, int64_t F) {\n"
+        "  int64_t M = -static_cast<int64_t>(C != 0);\n"
+        "  __asm__(\"\" : \"+r\"(M));\n"
+        "  return ((T ^ F) & M) ^ F;\n"
         "}\n"
         "} // namespace\n"
         "\n"
@@ -198,10 +202,7 @@ std::string emitFoldKernelCpp(const ir::BytecodeFunction &F, uint64_t Hash) {
       OS << "static_cast<int64_t>(" << A << " == 0)";
       break;
     case ir::BcOp::Select:
-      // Mask blend, not a ternary: the condition becomes all-ones or
-      // all-zeros, so guarded lanes stay branch-free and blendable.
-      OS << "((" << B << " ^ " << C << ") & -static_cast<int64_t>(" << A
-         << " != 0)) ^ " << C;
+      OS << "g_sel(" << A << ", " << B << ", " << C << ")";
       break;
     }
     OS << ";\n";

@@ -9,9 +9,10 @@
 //
 // Lowering is deliberately branch-free: Select becomes a two's-complement
 // mask blend and And/Or/Not/comparisons are materialized as 0/1 integer
-// arithmetic, so guarded accumulator lanes (add/min/max/or under
-// cmp/Euclidean-mod guards) present the host compiler with straight-line
-// loop bodies it can if-convert and vectorize.
+// arithmetic. The blend's mask passes through an empty-asm optimization
+// barrier; without it GCC -O3 recovers the condition from the mask and
+// if-converts the blend back into a data-dependent branch, which
+// mispredicts about once per element on unpredictable guards.
 //
 // Kernels are cached at two levels, keyed by a canonical FNV-1a hash of
 // the optimized bytecode (instructions, register geometry, output
@@ -46,10 +47,14 @@
 namespace grassp {
 namespace jit {
 
+/// Bumped whenever the emitted code or compile flags change meaning.
+constexpr uint64_t EmitterVersion = 2;
+
 /// Canonical content hash of a bytecode function (instructions, register
-/// geometry, outputs) plus the emitter version, so stale on-disk objects
-/// from an older lowering are never reused.
-uint64_t bytecodeHash(const ir::BytecodeFunction &F);
+/// geometry, outputs) plus \p Version, so stale on-disk objects from an
+/// older lowering are never reused.
+uint64_t bytecodeHash(const ir::BytecodeFunction &F,
+                      uint64_t Version = EmitterVersion);
 
 /// The C++ translation unit for \p F's fold loop. \p F must be
 /// fold-shaped (numOutputs() + 1 == numInputs()); the exported symbol is

@@ -2,9 +2,11 @@
 
 #include "runtime/Specialize.h"
 
+#include "ir/Arith.h"
 #include "ir/Expr.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <sstream>
 
@@ -51,7 +53,7 @@ bool isVarOpIn(const ExprRef &E, Op O, const std::string &Name,
 struct Guard {
   GuardKind K = GuardKind::True;
   int64_t C = 0;
-  int64_t M = 0;
+  uint64_t M = 0;
 };
 
 GuardKind flipCmp(GuardKind K) {
@@ -88,15 +90,16 @@ std::optional<GuardKind> cmpKind(Op O) {
   }
 }
 
-/// intMod(in, c) with a nonzero constant modulus; returns |c|.
-std::optional<int64_t> matchModOfIn(const ExprRef &E) {
+/// intMod(in, c) with a nonzero constant modulus; returns |c| (2^63 for
+/// INT64_MIN).
+std::optional<uint64_t> matchModOfIn(const ExprRef &E) {
   if (E->getOp() != Op::Mod || !isInVar(E->operand(0)) ||
       !E->operand(1)->isConstInt())
     return std::nullopt;
   int64_t M = E->operand(1)->intValue();
   if (M == 0)
     return std::nullopt; // mod 0 is the VM's total-function edge case.
-  return M < 0 ? -M : M;
+  return M < 0 ? 0 - static_cast<uint64_t>(M) : static_cast<uint64_t>(M);
 }
 
 /// A guard over the input element only: true, in <cmp> c, or
@@ -324,13 +327,18 @@ matchSecond(const std::string &M1, const std::string &M2,
 // Fused native loops
 //===----------------------------------------------------------------------===//
 
+/// Folds one lane without a data-dependent branch: every element
+/// contributes, a failed guard contributing the operator's identity
+/// \p Id. \p M is all-ones or all-zeros, so the blend selects Term(X)
+/// or Id, and the loop body stays straight-line for the vectorizer (a
+/// guarded `if` compiles to a branch that mispredicts on random data).
 template <class G, class T, class O>
 int64_t accLoop(int64_t Acc, const int64_t *Data, size_t N, G Guard, T Term,
-                O Op) {
+                O Op, int64_t Id) {
   for (size_t I = 0; I != N; ++I) {
     int64_t X = Data[I];
-    if (Guard(X))
-      Acc = Op(Acc, Term(X));
+    int64_t M = -static_cast<int64_t>(Guard(X));
+    Acc = Op(Acc, (Term(X) & M) | (Id & ~M));
   }
   return Acc;
 }
@@ -339,18 +347,23 @@ int64_t runLane(const Lane &L, int64_t Acc, const int64_t *Data, size_t N) {
   auto withOp = [&](auto Guard, auto Term) -> int64_t {
     switch (L.O) {
     case AccOpKind::Add:
-      return accLoop(Acc, Data, N, Guard, Term,
-                     [](int64_t A, int64_t B) { return A + B; });
+      return accLoop(
+          Acc, Data, N, Guard, Term,
+          [](int64_t A, int64_t B) { return ir::wrapAdd(A, B); }, 0);
     case AccOpKind::Min:
-      return accLoop(Acc, Data, N, Guard, Term,
-                     [](int64_t A, int64_t B) { return A < B ? A : B; });
+      return accLoop(
+          Acc, Data, N, Guard, Term,
+          [](int64_t A, int64_t B) { return A < B ? A : B; }, INT64_MAX);
     case AccOpKind::Max:
-      return accLoop(Acc, Data, N, Guard, Term,
-                     [](int64_t A, int64_t B) { return A > B ? A : B; });
+      return accLoop(
+          Acc, Data, N, Guard, Term,
+          [](int64_t A, int64_t B) { return A > B ? A : B; }, INT64_MIN);
     case AccOpKind::Or:
-      return accLoop(Acc, Data, N, Guard, Term, [](int64_t A, int64_t B) {
-        return static_cast<int64_t>((A != 0) | (B != 0));
-      });
+      // Or lanes accumulate a Bool field (0 or 1) and the constant 1, so
+      // bitwise or is the logical or.
+      return accLoop(
+          Acc, Data, N, Guard, Term, [](int64_t A, int64_t B) { return A | B; },
+          0);
     }
     return Acc;
   };
@@ -363,7 +376,9 @@ int64_t runLane(const Lane &L, int64_t Acc, const int64_t *Data, size_t N) {
       return withOp(Guard, [C](int64_t) { return C; });
     }
     case TermKind::AbsIn:
-      return withOp(Guard, [](int64_t X) { return X < 0 ? -X : X; });
+      // max(in, -in) in wrapping arithmetic: |INT64_MIN| is INT64_MIN.
+      return withOp(Guard,
+                    [](int64_t X) { return X < 0 ? ir::wrapNeg(X) : X; });
     }
     return Acc;
   };
@@ -395,12 +410,22 @@ int64_t runLane(const Lane &L, int64_t Acc, const int64_t *Data, size_t N) {
     return withTerm([C](int64_t X) { return X >= C; });
   }
   case GuardKind::ModEq: {
-    // Euclidean residue: emod(x, m) == emod(x, |m|), in [0, |m|).
-    int64_t M = L.GM, K = L.GC;
-    return withTerm([M, K](int64_t X) {
-      int64_t R = X % M;
+    // Euclidean residue: emod(x, m) == emod(x, |m|), in [0, |m|). For a
+    // power-of-two |m| that is the low bits of x in two's complement,
+    // which saves the idiv; |m| = 2^63 (m = INT64_MIN) lands here too.
+    uint64_t M = L.GM;
+    int64_t K = L.GC;
+    if ((M & (M - 1)) == 0) {
+      uint64_t Low = M - 1;
+      return withTerm([Low, K](int64_t X) {
+        return static_cast<int64_t>(static_cast<uint64_t>(X) & Low) == K;
+      });
+    }
+    int64_t SM = static_cast<int64_t>(M); // < 2^63: not a power of two.
+    return withTerm([SM, K](int64_t X) {
+      int64_t R = X % SM;
       if (R < 0)
-        R += M;
+        R += SM;
       return R == K;
     });
   }
@@ -575,6 +600,9 @@ specializeStep(const lang::SerialProgram &Prog) {
     std::optional<Lane> L = matchLane(Name, Prog.Step[I]);
     if (!L)
       return std::nullopt;
+    assert((L->O != AccOpKind::Or ||
+            Prog.State.field(I).Ty == ir::TypeKind::Bool) &&
+           "an or lane folds a Bool field");
     L->Field = static_cast<uint16_t>(I);
     S.Lanes.push_back(*L);
     Parts.push_back(laneString(*L, Name));

@@ -17,7 +17,8 @@
 //
 // Lanes read only their own field(s) and the input element, so each runs
 // as its own tight pass over the segment; the per-lane loops carry no
-// dispatch and fold to SIMD on -O2.
+// dispatch and no guard branch (a failed guard folds the operator's
+// identity), so random guards cost no mispredicts.
 //
 // Specialized kernels are never trusted: they register as an extra path
 // in testing/DiffOracle and must stay bit-identical to the bytecode VM
@@ -52,7 +53,7 @@ public:
     uint16_t Field = 0;
     GuardKind G = GuardKind::True;
     int64_t GC = 0; // comparison constant / ModEq residue k.
-    int64_t GM = 0; // ModEq modulus (|m|; 0 never occurs post-match).
+    uint64_t GM = 0; // ModEq modulus |m| (0 never occurs post-match).
     TermKind T = TermKind::In;
     int64_t TC = 0; // Term constant.
     AccOpKind O = AccOpKind::Add;

@@ -6,7 +6,8 @@
 // the full opcode set) and on the real benchmark suite's guarded and
 // modulo lanes. Also pins the cache discipline — one dlopen handle per
 // bytecode hash in memory, objects reused from disk across
-// clearMemoryCache — and the graceful-fallback paths (bogus compiler,
+// clearMemoryCache, objects from an older emitter version never reused —
+// and the graceful-fallback paths (bogus compiler,
 // non-fold shapes, the --no-native ablation, GRASSP_JIT_DISABLE).
 //
 // Every test that needs the host compiler skips cleanly without one;
@@ -25,9 +26,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <fstream>
 #include <string>
 #include <vector>
+
+#include <sys/stat.h>
 
 using namespace grassp;
 using ir::BcInstr;
@@ -134,6 +141,49 @@ TEST(JitBackend, NativeAgreesWithReferenceOnRandomOptimizedPrograms) {
   }
 }
 
+TEST(JitBackend, NativeWrapsLikeTheVMOnExtremeValues) {
+  if (!jit::hostCompilerAvailable())
+    GTEST_SKIP() << "no host compiler";
+  // Every arithmetic opcode chained on INT64_MIN/INT64_MAX/-1 data: add,
+  // sub, mul and neg wrap, and INT64_MIN / -1 wraps instead of trapping
+  // (mod -1 is 0), identically in the VM loop, run() and the kernel.
+  std::vector<BcInstr> Is = {{BcOp::Mul, 2, 0, 1, 0, 0},
+                             {BcOp::Div, 3, 2, 1, 0, 0},
+                             {BcOp::Mod, 4, 0, 1, 0, 0},
+                             {BcOp::Neg, 5, 3, 0, 0, 0},
+                             {BcOp::Add, 6, 5, 4, 0, 0},
+                             {BcOp::Sub, 7, 6, 1, 0, 0}};
+  BytecodeFunction F = BytecodeFunction::fromInstrs(Is, 2, 8, {7});
+  std::string Err;
+  std::shared_ptr<const jit::NativeKernel> K =
+      jit::compileFoldKernel(F, testOptions(), &Err);
+  ASSERT_NE(K, nullptr) << Err;
+  const int64_t Edge[] = {INT64_MIN, INT64_MIN + 1, -1, 0, 1, 3,
+                          INT64_MAX - 1, INT64_MAX};
+  Rng R(0xed9e);
+  for (int64_t Init : Edge) {
+    std::vector<int64_t> Data;
+    for (unsigned I = 0; I != 40; ++I)
+      Data.push_back(R.chance(1, 2) ? Edge[R.bounded(std::size(Edge))]
+                                    : static_cast<int64_t>(R.next()));
+    std::vector<int64_t> Ref = refFold(F, {Init}, Data);
+    std::vector<int64_t> Native = {Init};
+    K->fold(Native.data(), Data.data(), Data.size());
+    std::vector<int64_t> Loop = {Init};
+    std::vector<int64_t> Scratch(F.scratchSize());
+    F.foldLoop(Data.data(), Data.size(), Loop.data(), Scratch.data());
+    EXPECT_EQ(Native, Ref) << "init " << Init;
+    EXPECT_EQ(Loop, Ref) << "init " << Init;
+  }
+  // The trapping case itself, element by element.
+  std::vector<int64_t> Regs = {INT64_MIN, -1, 0, 0, 0, 0, 0, 0};
+  int64_t Out = 0;
+  F.run(Regs.data(), &Out);
+  EXPECT_EQ(Regs[2], INT64_MIN); // INT64_MIN * -1
+  EXPECT_EQ(Regs[3], INT64_MIN); // INT64_MIN / -1
+  EXPECT_EQ(Regs[4], 0);         // INT64_MIN mod -1
+}
+
 TEST(JitBackend, NativeTierMatchesInterpreterOnGuardedAndModuloLanes) {
   if (!jit::hostCompilerAvailable())
     GTEST_SKIP() << "no host compiler";
@@ -203,6 +253,77 @@ TEST(JitBackend, KernelCacheSharesOneHandlePerHash) {
   std::vector<int64_t> Data = {1, 2, 3};
   K1->fold(State.data(), Data.data(), Data.size());
   EXPECT_EQ(State[0], 11);
+}
+
+/// Where the disk cache keeps \p Hash's object: <Dir>/k<hash>.so.
+std::string objectPath(const std::string &Dir, uint64_t Hash) {
+  char Hex[17];
+  std::snprintf(Hex, sizeof(Hex), "%016llx", (unsigned long long)Hash);
+  return Dir + "/k" + Hex + ".so";
+}
+
+/// Compiles a stand-in object for \p Hash into \p Dir under the disk
+/// cache's naming scheme whose fold writes a poison value, so a reload
+/// shows in the results.
+void plantPoisonedObject(const std::string &Dir, uint64_t Hash) {
+  char Hex[17];
+  std::snprintf(Hex, sizeof(Hex), "%016llx", (unsigned long long)Hash);
+  const std::string SrcPath = Dir + "/poison.cpp";
+  {
+    std::ofstream Src(SrcPath);
+    Src << "#include <cstddef>\n#include <cstdint>\n"
+        << "extern \"C\" void grassp_fold_k" << Hex
+        << "(const int64_t *, size_t, int64_t *State) { State[0] = 424242; }\n";
+  }
+  std::string Cmd = jit::shellQuote(jit::hostCxx()) + " -shared -fPIC -o " +
+                    jit::shellQuote(objectPath(Dir, Hash)) + " " +
+                    jit::shellQuote(SrcPath);
+  int Rc = std::system(Cmd.c_str());
+  ASSERT_TRUE(waitStatusOk(Rc)) << describeWaitStatus(Rc);
+}
+
+TEST(JitBackend, ObjectsFromAnOlderEmitterVersionAreNotReused) {
+  if (!jit::hostCompilerAvailable())
+    GTEST_SKIP() << "no host compiler";
+  static_assert(jit::EmitterVersion == 2);
+  std::vector<BcInstr> Is = {{BcOp::Const, 2, 0, 0, 0, 7},
+                             {BcOp::Select, 3, 1, 2, 0, 0}};
+  BytecodeFunction F = BytecodeFunction::fromInstrs(Is, 2, 4, {3});
+  const uint64_t Old = jit::bytecodeHash(F, 1);
+  const uint64_t Cur = jit::bytecodeHash(F);
+  ASSERT_NE(Old, Cur);
+  std::vector<int64_t> Data = {0, 3, 0, 5};
+
+  // Control: an object planted under the current hash is reloaded, so
+  // the planted file really sits where the disk cache looks.
+  jit::JitOptions Same = testOptions();
+  Same.CacheDir = ::testing::TempDir() + "grassp-jit-same-version";
+  ::mkdir(Same.CacheDir.c_str(), 0700);
+  plantPoisonedObject(Same.CacheDir, Cur);
+  bool Reused = false;
+  std::string Err;
+  std::shared_ptr<const jit::NativeKernel> K =
+      jit::compileFoldKernel(F, Same, &Err, &Reused);
+  ASSERT_NE(K, nullptr) << Err;
+  EXPECT_TRUE(Reused);
+  std::vector<int64_t> State = {1};
+  K->fold(State.data(), Data.data(), Data.size());
+  EXPECT_EQ(State[0], 424242);
+
+  // A version-1 object for the same bytecode is ignored: the kernel is
+  // compiled afresh under the version-2 hash and computes the real fold.
+  jit::JitOptions Stale = testOptions();
+  Stale.CacheDir = ::testing::TempDir() + "grassp-jit-stale-version";
+  ::mkdir(Stale.CacheDir.c_str(), 0700);
+  plantPoisonedObject(Stale.CacheDir, Old);
+  std::remove(objectPath(Stale.CacheDir, Cur).c_str()); // an earlier run's.
+  K = jit::compileFoldKernel(F, Stale, &Err, &Reused);
+  ASSERT_NE(K, nullptr) << Err;
+  EXPECT_FALSE(Reused);
+  EXPECT_EQ(K->hash(), Cur);
+  State = {1};
+  K->fold(State.data(), Data.data(), Data.size());
+  EXPECT_EQ(State[0], 7); // sel(in, 7, s): the last nonzero element wins.
 }
 
 TEST(JitBackend, BogusCompilerFailsWithDecodedError) {
