@@ -13,9 +13,11 @@
 #  3. bench_parallel_cpp    ->  printed to stdout (the Table-2 style
 #     serial-vs-parallel comparison on emitted C++);
 #  4. bench_dist --json     ->  BENCH_dist.json at the repo root
-#     (the multi-process runtime against the cluster model: cold and
-#     warm wall time, and socket bytes per element — O(1) bytes per
-#     shard, since shards travel as descriptors into one sealed memfd);
+#     (the multi-process runtime against the cluster model at 2^24
+#     elements on 4 workers, one per core: cold and warm wall time, the
+#     publication share of the warm run, and socket bytes per element —
+#     O(1) bytes per shard, since shards travel as descriptors into
+#     sealed memfd stripes);
 #  5. bench_serve --json    ->  BENCH_serve.json at the repo root
 #     (the synthesis service: cache-hit latency vs cold synth per hot
 #     benchmark, and the shed/served split plus hit p50/p99 while a
@@ -65,9 +67,9 @@ echo "== emitted parallel C++ (bench_parallel_cpp) =="
 "$BUILD"/bench/bench_parallel_cpp
 
 echo
-echo "== dist runtime vs cluster model, cold + warm (N=2M, 8 workers) =="
+echo "== dist runtime vs cluster model, cold + warm (N=2^24, 4 workers) =="
 echo "==   -> BENCH_dist.json =="
-"$BUILD"/bench/bench_dist 2000000 --workers 8 --shards 32 \
+"$BUILD"/bench/bench_dist 16777216 --workers 4 --shards 16 \
     --json BENCH_dist.json
 
 echo

@@ -8,7 +8,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <memory>
 #include <sstream>
+#include <system_error>
+#include <thread>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -37,7 +41,9 @@ std::string DistRunReport::describe() const {
      << ", corrupt " << CorruptFrames << ", hangs " << HangsDetected
      << ", refolds " << SerialRefolds << "; shipped " << BytesShipped
      << " B, mapped " << BytesMapped << " B in " << TaskFrames
-     << " task + " << PublishFrames << " publish frames, merge "
+     << " task + " << PublishFrames << " publish frames; published "
+     << Stripes << " stripe(s) in "
+     << static_cast<int64_t>(PublishSeconds * 1e6) << " us, merge "
      << static_cast<int64_t>(MergeSeconds * 1e6) << " us, recovery "
      << static_cast<int64_t>(RecoverySeconds * 1e6) << " us";
   if (Cancelled)
@@ -71,50 +77,122 @@ DistCoordinator::~DistCoordinator() {
   Map.reset();
 }
 
-bool DistCoordinator::publish(size_t N, const ChunkFn &Chunk,
+unsigned DistCoordinator::stripeCount(unsigned Workers, size_t Shards,
+                                      uint64_t Bytes) {
+  uint64_t S = std::min<uint64_t>({std::max(1u, Workers), Shards, MaxFrameFds,
+                                   Bytes / MinStripeBytes});
+  return static_cast<unsigned>(std::max<uint64_t>(S, 1));
+}
+
+bool DistCoordinator::publish(const std::vector<uint64_t> &ShardElems,
+                              const OpenFn &Open, const ChunkFn &Chunk,
                               const runtime::SegmentSource *Src) {
   Map.reset();
+  const size_t N = ShardElems.size();
   Desc.assign(N, ShardDesc());
   int RegionFd = -1;
   uint64_t ByteOffset = 0;
-  uint64_t Elems = 0;
-  int Fd = -1;
   if (Src && Src->contiguousByteRegion(&RegionFd, &ByteOffset)) {
-    // The workload file IS the region: workers mmap it by chunk offset
-    // and nothing is copied. Own a dup — the source (and its fd) may be
-    // destroyed before the next publication.
-    Fd = ::fcntl(RegionFd, F_DUPFD_CLOEXEC, 0);
+    // The workload file IS the region: one stripe that workers mmap by
+    // chunk offset, and nothing is copied. Own a dup — the source (and
+    // its fd) may be destroyed before the next publication.
+    int Fd = ::fcntl(RegionFd, F_DUPFD_CLOEXEC, 0);
     if (Fd < 0)
       return false;
+    Map.OwnsFds = true;
+    Map.Stripes.push_back({Fd, ByteOffset, Src->elements()});
     for (size_t I = 0; I != N; ++I)
-      Desc[I] = {Src->chunkBegin(I), Src->chunkElems(I)};
-    Elems = Src->elements();
-  } else {
-    // Every other input is written once into a sealed memfd, shards end
-    // to end; descriptors are the prefix sums.
-    Fd = shmCreateBuffer();
+      Desc[I] = {0, Src->chunkBegin(I), ShardElems[I]};
+  } else if (!writeStripes(ShardElems, Open, Chunk)) {
+    Map.reset();
+    return false;
+  }
+  uint64_t Elems = 0;
+  for (const ShmStripe &S : Map.Stripes)
+    Elems += S.Elems;
+  Map.Generation = NextGeneration++;
+  Map.Token = shmToken(Map.Generation, Elems, PlanHash);
+  return true;
+}
+
+bool DistCoordinator::writeStripes(const std::vector<uint64_t> &ShardElems,
+                                   const OpenFn &Open, const ChunkFn &Chunk) {
+  const size_t N = ShardElems.size();
+  std::vector<uint64_t> Prefix(N + 1, 0);
+  for (size_t I = 0; I != N; ++I)
+    Prefix[I + 1] = Prefix[I] + ShardElems[I];
+  const uint64_t Total = Prefix[N];
+  const unsigned S = stripeCount(Cfg.Workers, N, Total * sizeof(int64_t));
+
+  // Stripe K starts at the first shard whose prefix reaches K/S of the
+  // elements, moved as needed so every stripe holds at least one shard.
+  std::vector<size_t> First(S + 1, N);
+  First[0] = 0;
+  for (unsigned K = 1; K != S; ++K) {
+    uint64_t Target = Total / S * K + Total % S * K / S;
+    size_t I = static_cast<size_t>(
+        std::lower_bound(Prefix.begin(), Prefix.end(), Target) -
+        Prefix.begin());
+    First[K] = std::clamp(I, First[K - 1] + 1, N - (S - K));
+  }
+
+  Map.OwnsFds = true;
+  for (unsigned K = 0; K != S; ++K) {
+    int Fd = shmCreateBuffer();
     if (Fd < 0)
       return false;
-    for (size_t I = 0; I != N; ++I) {
-      runtime::SegmentView V = Chunk(I);
-      Desc[I] = {Elems, V.Size};
-      Elems += V.Size;
-      if (V.Size != 0 && !shmAppend(Fd, V.Data, V.Size * sizeof(int64_t))) {
-        ::close(Fd);
+    Map.Stripes.push_back({Fd, 0, Prefix[First[K + 1]] - Prefix[First[K]]});
+    for (size_t I = First[K]; I != First[K + 1]; ++I)
+      Desc[I] = {K, Prefix[I] - Prefix[First[K]], ShardElems[I]};
+  }
+
+  // Stripe K's shards, end to end, through one reader. A view whose
+  // size disagrees with the geometry the descriptors were cut from
+  // fails the publication.
+  auto Write = [&](unsigned K, const ChunkFn &Read) {
+    for (size_t I = First[K]; I != First[K + 1]; ++I) {
+      runtime::SegmentView V = Read(I);
+      if (V.Size != ShardElems[I] ||
+          (V.Size != 0 &&
+           !shmAppend(Map.Stripes[K].Fd, V.Data, V.Size * sizeof(int64_t))))
         return false;
+    }
+    return true;
+  };
+  // Stripe K through this thread's reader, or through a new one; an
+  // exception waits for the coordinator thread to rethrow it.
+  std::vector<char> Ok(S, 0);
+  std::vector<std::exception_ptr> Err(S);
+  auto Guarded = [&](unsigned K, bool NewReader) {
+    try {
+      Ok[K] = Write(K, NewReader ? Open() : Chunk);
+    } catch (...) {
+      Err[K] = std::current_exception();
+    }
+  };
+  std::vector<unsigned> Here = {0};
+  Here.reserve(S);
+  {
+    std::vector<std::jthread> Helpers; // joined on every way out.
+    Helpers.reserve(S - 1);
+    for (unsigned K = 1; K != S; ++K) {
+      try {
+        Helpers.emplace_back(Guarded, K, true);
+      } catch (const std::system_error &) {
+        Here.push_back(K); // no thread to be had: write it here instead.
       }
     }
-    if (!shmSeal(Fd)) {
-      ::close(Fd);
-      return false;
-    }
+    for (unsigned K : Here)
+      Guarded(K, false);
   }
-  Map.Fd = Fd;
-  Map.OwnsFd = true;
-  Map.Generation = NextGeneration++;
-  Map.ByteOffset = ByteOffset;
-  Map.Elems = Elems;
-  Map.Token = shmToken(Map.Generation, Elems, PlanHash);
+  for (const std::exception_ptr &E : Err)
+    if (E) {
+      Map.reset();
+      std::rethrow_exception(E);
+    }
+  for (unsigned K = 0; K != S; ++K)
+    if (!Ok[K] || !shmSeal(Map.Stripes[K].Fd))
+      return false;
   return true;
 }
 
@@ -191,10 +269,13 @@ bool DistCoordinator::dispatchBatch(
     PublishMsg Pub;
     Pub.Generation = Map.Generation;
     Pub.Token = Map.Token;
-    Pub.ByteOffset = Map.ByteOffset;
-    Pub.Elems = Map.Elems;
+    std::vector<int> Fds;
+    for (const ShmStripe &S : Map.Stripes) {
+      Pub.Stripes.push_back({S.ByteOffset, S.Elems});
+      Fds.push_back(S.Fd);
+    }
     encodePublish(Pub, P.Writer.payload());
-    if (!P.Writer.sendWithFd(Pool.fd(Slot), MsgType::Publish, Map.Fd))
+    if (!P.Writer.sendWithFds(Pool.fd(Slot), MsgType::Publish, Fds))
       return false; // caller reaps the dead worker.
     P.MapGeneration = Map.Generation;
     ++R.PublishFrames;
@@ -210,6 +291,10 @@ bool DistCoordinator::dispatchBatch(
     It.ShardIndex = Shard;
     It.AttemptKey = distAttemptKey(RunIndex, S.Attempts, Shard);
     It.Generation = Map.Generation;
+    It.Stripe = Desc[Shard].Stripe;
+    if (Cfg.Faults &&
+        Cfg.Faults->shouldFailKeyed(SiteStaleStripe, It.AttemptKey))
+      It.Stripe = Map.Stripes.size();
     It.Offset = Desc[Shard].Offset;
     It.Count = Desc[Shard].Count;
     T.Items.push_back(It);
@@ -324,12 +409,15 @@ void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
 }
 
 DistRunReport DistCoordinator::runImpl(
-    size_t N, const ChunkFn &Chunk,
+    const std::vector<uint64_t> &ShardElems, const OpenFn &Open,
     const std::vector<runtime::SegmentView> &MergeSegs,
     const runtime::SegmentSource *Src) {
+  const size_t N = ShardElems.size();
   DistRunReport R;
   R.Shards = static_cast<unsigned>(N);
   Stopwatch Total;
+  // This thread's reader: stripe 0 of the publication, then refolds.
+  const ChunkFn Chunk = Open();
 
   // A cancelled previous run may have left workers mid-batch; their
   // eventual results would be stale, so restart them clean.
@@ -339,7 +427,10 @@ DistRunReport DistCoordinator::runImpl(
   // Publish before forking: workers forked from here on inherit the
   // mapping. An unpublished run forks nothing and deals nothing — the
   // refold sweep below folds every shard in-process.
-  R.UsedShm = publish(N, Chunk, Src);
+  Stopwatch PublishTimer;
+  R.UsedShm = publish(ShardElems, Open, Chunk, Src);
+  R.PublishSeconds = PublishTimer.seconds();
+  R.Stripes = static_cast<unsigned>(Map.Stripes.size());
   if (R.UsedShm)
     R.WorkersSpawned += adopt(Pool.fill());
 
@@ -496,19 +587,29 @@ DistRunReport DistCoordinator::runImpl(
 
 DistRunReport
 DistCoordinator::run(const std::vector<runtime::SegmentView> &Segs) {
+  std::vector<uint64_t> Elems(Segs.size());
+  for (size_t I = 0; I != Segs.size(); ++I)
+    Elems[I] = Segs[I].Size;
   return runImpl(
-      Segs.size(), [&](size_t I) { return Segs[I]; }, Segs, nullptr);
+      Elems, [&] { return ChunkFn([&](size_t I) { return Segs[I]; }); }, Segs,
+      nullptr);
 }
 
 DistRunReport DistCoordinator::run(const runtime::SegmentSource &Src) {
   const runtime::MergeHeads Heads = runtime::prefetchMergeHeads(Plan, Src);
-  // One cursor serves every read: the event loop is single-threaded and
-  // each chunk view is consumed (written into the memfd, or refolded)
-  // before the next is requested.
-  std::unique_ptr<runtime::SegmentCursor> C = Src.cursor();
+  std::vector<uint64_t> Elems(Src.chunkCount());
+  for (size_t I = 0; I != Elems.size(); ++I)
+    Elems[I] = Src.chunkElems(I);
+  // One cursor per reader: a cursor serves one thread, and each chunk
+  // view is consumed (written into a stripe, or refolded) before that
+  // reader's next chunk is requested.
   return runImpl(
-      Src.chunkCount(), [&](size_t I) { return C->chunk(I); }, Heads.Views,
-      &Src);
+      Elems,
+      [&] {
+        std::shared_ptr<runtime::SegmentCursor> C = Src.cursor();
+        return ChunkFn([C](size_t I) { return C->chunk(I); });
+      },
+      Heads.Views, &Src);
 }
 
 } // namespace dist

@@ -12,21 +12,29 @@
 // threadless fork children (dist/Worker.h), forked, reaped and respawned
 // by the fixed-slot support/ChildProc pool. That keeps the whole
 // runtime fork-safe and TSan-clean, and makes every recovery decision
-// sequential and replayable.
+// sequential and replayable. The one exception is publication, which
+// fans out to short-lived helper threads that are all joined before
+// publish() returns — before the pool forks anything.
 //
 // Transport: every run publishes its input once as a read-only shared
-// mapping (dist/Shm.h) — the workload file's own fd for binary file
-// sources, one sealed memfd copy for every other input — and Task
-// frames carry only (generation, offset, count) descriptors, so bytes
-// over the socket are O(1) per shard. Workers forked after publication
-// inherit the mapping; pool workers that predate it receive the fd via
-// an SCM_RIGHTS Publish frame. Descriptors are validated against the
-// mapping generation on the worker (and the inherited generation's
-// token in the Hello handshake), so a stale mapping is a loud worker
-// death, never a silent wrong fold. There is no second transport: when
-// publication fails (no sealable memfd, no free descriptor) the run
-// refolds every shard serially in the coordinator and reports
-// UsedShm=false.
+// region (dist/Shm.h) and Task frames carry only (generation, stripe,
+// offset, count) descriptors, so bytes over the socket are O(1) per
+// shard. A binary file source is published as one stripe: the workload
+// file's own fd. Every other input is split into S stripes — S =
+// min(Workers, shards, MaxFrameFds, bytes / MinStripeBytes), at least 1
+// — each a run of whole shards of about equal bytes in its own memfd.
+// The coordinator thread writes one stripe and S-1 helper threads write
+// the rest, each through its own reader (a SegmentCursor for sources),
+// since one memfd serializes its writers; every stripe is sealed before
+// any descriptor into it is dealt. Workers forked after publication
+// inherit the stripe fds; pool workers that predate it receive all of
+// them on one SCM_RIGHTS Publish frame. Descriptors are validated
+// against the generation and stripe table on the worker (and the
+// inherited generation's token in the Hello handshake), so a stale
+// mapping is a loud worker death, never a silent wrong fold. There is
+// no second transport: when publication fails (no sealable memfd, no
+// free descriptor) the run refolds every shard serially in the
+// coordinator and reports UsedShm=false.
 //
 // Shards are dealt in BATCHES: one Task frame carries up to BatchShards
 // assignments (split evenly across idle workers), the worker folds them
@@ -86,6 +94,17 @@ class SegmentSource;
 }
 
 namespace dist {
+
+/// Smallest stripe publish() hands to a helper thread: below it, a
+/// thread costs about as much as the copy it takes over.
+inline constexpr uint64_t MinStripeBytes = uint64_t{1} << 20;
+
+/// Fault site the coordinator consults per dealt descriptor, keyed by
+/// its attempt key like the worker's dist.* sites. When it fires, the
+/// descriptor names a stripe one past the published table — a mapping
+/// the worker does not hold — so the worker must die with
+/// StaleMapExitStatus and the shard must be requeued.
+inline constexpr const char *SiteStaleStripe = "dist.descriptor.stripe";
 
 /// The fault-injection key for one dispatch: pure in (run, attempt,
 /// shard), so a chaos seed replays its exact kill pattern, tests can
@@ -169,7 +188,12 @@ struct DistRunReport {
   uint64_t BytesMapped = 0;
   unsigned TaskFrames = 0;       // batched Task frames sent.
   unsigned PublishFrames = 0;    // mapping re-publications to live workers.
+  /// Stripes the input was published as (0 = publication failed).
+  unsigned Stripes = 0;
   double WallSeconds = 0;
+  /// Time publish() took: writing and sealing every stripe, or dup()ing
+  /// the workload file's fd.
+  double PublishSeconds = 0;
   double MergeSeconds = 0;
   /// Time spent on recovery: reap, requeue, respawn.
   double RecoverySeconds = 0;
@@ -191,16 +215,17 @@ public:
   DistCoordinator &operator=(const DistCoordinator &) = delete;
 
   /// Distributed run over in-memory segments: one shard per segment.
-  /// The segments are copied once into a sealed memfd.
+  /// The segments are copied once into sealed memfd stripes.
   DistRunReport run(const std::vector<runtime::SegmentView> &Segs);
 
   /// Distributed run over a SegmentSource: one shard per chunk. Binary
   /// file sources expose their GRSPWB01 region directly
   /// (SegmentSource::contiguousByteRegion) and workers mmap windows of
   /// the workload file itself — nothing is copied anywhere. Other
-  /// sources (vectors, text files) are copied chunk by chunk into a
-  /// sealed memfd. Merge reads only the prefetched constant-prefix
-  /// repair heads (runtime::prefetchMergeHeads).
+  /// sources (vectors, text files) are copied chunk by chunk into
+  /// sealed memfd stripes, one cursor per writing thread. Merge reads
+  /// only the prefetched constant-prefix repair heads
+  /// (runtime::prefetchMergeHeads).
   DistRunReport run(const runtime::SegmentSource &Src);
 
   /// Forks the initial worker pool immediately (idempotent; run() tops
@@ -212,12 +237,21 @@ public:
 
   /// Workers currently alive (for tests).
   unsigned liveWorkers() const { return Pool.liveCount(); }
+  /// The process in pool slot \p Slot, -1 when empty (for tests).
+  pid_t workerPid(unsigned Slot) const { return Pool.pid(Slot); }
   /// The run index the next run() will stamp into attempt keys.
   uint64_t runIndex() const { return RunIndex; }
 
   /// Graceful teardown: Shutdown frames, bounded wait, SIGKILL
   /// stragglers. Idempotent; the destructor calls it.
   void shutdown();
+
+  /// How many stripes publish() splits a copied input of \p Bytes bytes
+  /// in \p Shards shards into, for a pool of \p Workers: one per
+  /// worker, but no more than the shards, than one Publish frame can
+  /// carry (MaxFrameFds), or than MinStripeBytes pieces of the input.
+  static unsigned stripeCount(unsigned Workers, size_t Shards,
+                              uint64_t Bytes);
 
   /// The effective deadline for one task over \p Elems elements.
   static int64_t taskDeadlineNs(const DistConfig &Cfg, uint64_t Elems) {
@@ -267,28 +301,38 @@ private:
 
   /// Element window of one shard within the published mapping.
   struct ShardDesc {
-    uint64_t Offset = 0;
+    uint64_t Stripe = 0;
+    uint64_t Offset = 0; // within the stripe.
     uint64_t Count = 0;
   };
 
-  /// Shard \p I's elements, read on the coordinator (for publication
-  /// and the serial refold).
+  /// Shard \p I's elements.
   using ChunkFn = std::function<runtime::SegmentView(size_t)>;
+  /// Opens a new reader of shard views. Each reader is used by one
+  /// thread at a time; readers may run concurrently.
+  using OpenFn = std::function<ChunkFn()>;
 
-  /// \p Src is the run's source, if any; only its contiguous file
-  /// region is consulted, by publish().
-  DistRunReport runImpl(size_t N, const ChunkFn &Chunk,
+  /// \p ShardElems holds each shard's element count. \p Src is the
+  /// run's source, if any; only its contiguous file region is
+  /// consulted, by publish().
+  DistRunReport runImpl(const std::vector<uint64_t> &ShardElems,
+                        const OpenFn &Open,
                         const std::vector<runtime::SegmentView> &MergeSegs,
                         const runtime::SegmentSource *Src);
 
   /// The one publication step: installs the run's input as the current
   /// mapping and fills Desc. A source with a contiguous file region is
-  /// published as its own (dup()ed) fd; every other input is written
-  /// once into a sealed memfd, shard by shard through \p Chunk. Returns
-  /// false (mapping reset) when publishing fails; the run then refolds
-  /// every shard serially.
-  bool publish(size_t N, const ChunkFn &Chunk,
-               const runtime::SegmentSource *Src);
+  /// published as one stripe over its own (dup()ed) fd; every other
+  /// input goes to writeStripes(). Returns false (mapping reset) when
+  /// publishing fails; the run then refolds every shard serially.
+  bool publish(const std::vector<uint64_t> &ShardElems, const OpenFn &Open,
+               const ChunkFn &Chunk, const runtime::SegmentSource *Src);
+  /// Splits the shards into stripeCount() stripes of about equal bytes,
+  /// writes stripe 0 through \p Chunk on this thread and every other
+  /// stripe on a helper thread with a reader from \p Open, joins the
+  /// helpers, and seals every stripe.
+  bool writeStripes(const std::vector<uint64_t> &ShardElems,
+                    const OpenFn &Open, const ChunkFn &Chunk);
 
   /// Resets the protocol state of freshly forked slots; returns how
   /// many there were.
@@ -315,7 +359,7 @@ private:
   DistConfig Cfg;
   uint64_t PlanHash;
   /// The currently published input region (invalid when the last
-  /// publication failed) and each shard's window within it.
+  /// publication failed) and each shard's stripe and window within it.
   ShmRegion Map;
   std::vector<ShardDesc> Desc;
   uint64_t NextGeneration = 1;

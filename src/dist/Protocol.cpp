@@ -163,7 +163,10 @@ bool WireReader::str(std::string *S) {
 }
 
 bool FrameWriter::sendPrepared(int Fd, MsgType Type, int64_t CorruptByteAt,
-                               int AttachFd) {
+                               const std::vector<int> *AttachFds) {
+  size_t NFds = AttachFds ? AttachFds->size() : 0;
+  if (NFds > MaxFrameFds)
+    return false; // the receiver has no room for them.
   std::vector<uint8_t> &P = Payload.buffer();
   Head.clear();
   putLe32(Head, FrameMagic);
@@ -181,28 +184,28 @@ bool FrameWriter::sendPrepared(int Fd, MsgType Type, int64_t CorruptByteAt,
     P[FlipAt] ^= 0x5a;
   }
   bool Ok;
-  if (AttachFd >= 0) {
-    // The fd is attached to the frame's first byte: receivers see it no
-    // later than they see the frame, and SOCK_STREAM ordering does the
-    // rest.
+  if (NFds != 0) {
+    // The fds are attached to the frame's first byte: receivers see
+    // them no later than they see the frame, and SOCK_STREAM ordering
+    // does the rest.
     struct iovec Iov[2];
     Iov[0].iov_base = Head.data();
     Iov[0].iov_len = Head.size();
     Iov[1].iov_base = P.data();
     Iov[1].iov_len = P.size();
-    alignas(struct cmsghdr) char Ctrl[CMSG_SPACE(sizeof(int))];
+    alignas(struct cmsghdr) char Ctrl[CMSG_SPACE(MaxFrameFds * sizeof(int))];
     std::memset(Ctrl, 0, sizeof(Ctrl));
     struct msghdr Msg;
     std::memset(&Msg, 0, sizeof(Msg));
     Msg.msg_iov = Iov;
     Msg.msg_iovlen = P.empty() ? 1 : 2;
     Msg.msg_control = Ctrl;
-    Msg.msg_controllen = CMSG_SPACE(sizeof(int));
+    Msg.msg_controllen = CMSG_SPACE(NFds * sizeof(int));
     struct cmsghdr *Cm = CMSG_FIRSTHDR(&Msg);
     Cm->cmsg_level = SOL_SOCKET;
     Cm->cmsg_type = SCM_RIGHTS;
-    Cm->cmsg_len = CMSG_LEN(sizeof(int));
-    std::memcpy(CMSG_DATA(Cm), &AttachFd, sizeof(int));
+    Cm->cmsg_len = CMSG_LEN(NFds * sizeof(int));
+    std::memcpy(CMSG_DATA(Cm), AttachFds->data(), NFds * sizeof(int));
     ssize_t W;
     do {
       W = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
@@ -210,7 +213,7 @@ bool FrameWriter::sendPrepared(int Fd, MsgType Type, int64_t CorruptByteAt,
     if (W < 0) {
       Ok = false;
     } else {
-      // The fd went with the first byte; push any remainder plainly.
+      // The fds went with the first byte; push any remainder plainly.
       size_t Sent = static_cast<size_t>(W);
       Ok = true;
       if (Sent < Head.size()) {
@@ -231,7 +234,7 @@ bool FrameWriter::sendPrepared(int Fd, MsgType Type, int64_t CorruptByteAt,
 }
 
 bool FrameWriter::send(int Fd, MsgType Type, int64_t CorruptByteAt) {
-  return sendPrepared(Fd, Type, CorruptByteAt, -1);
+  return sendPrepared(Fd, Type, CorruptByteAt, nullptr);
 }
 
 void FrameWriter::frameInto(MsgType Type, std::vector<uint8_t> *Out) {
@@ -246,8 +249,9 @@ void FrameWriter::frameInto(MsgType Type, std::vector<uint8_t> *Out) {
   Out->insert(Out->end(), P.begin(), P.end());
 }
 
-bool FrameWriter::sendWithFd(int Fd, MsgType Type, int AttachFd) {
-  return sendPrepared(Fd, Type, -1, AttachFd);
+bool FrameWriter::sendWithFds(int Fd, MsgType Type,
+                              const std::vector<int> &AttachFds) {
+  return sendPrepared(Fd, Type, -1, &AttachFds);
 }
 
 bool writeFrame(int Fd, MsgType Type, const std::vector<uint8_t> &Payload,
@@ -264,9 +268,9 @@ RecvStatus FrameReader::fill(int Fd, std::vector<int> *Fds) {
   struct iovec Iov;
   Iov.iov_base = Tmp;
   Iov.iov_len = sizeof(Tmp);
-  // Room for a handful of SCM_RIGHTS fds per read; Publish attaches one
-  // per frame, so this never truncates in practice.
-  alignas(struct cmsghdr) char Ctrl[CMSG_SPACE(8 * sizeof(int))];
+  // Room for one frame's SCM_RIGHTS fds: a Publish attaches at most
+  // MaxFrameFds, and one read never returns the fds of two sends.
+  alignas(struct cmsghdr) char Ctrl[CMSG_SPACE(MaxFrameFds * sizeof(int))];
   struct msghdr Msg;
   std::memset(&Msg, 0, sizeof(Msg));
   Msg.msg_iov = &Iov;
@@ -374,6 +378,7 @@ void encodeTask(const TaskMsg &M, WireWriter &W) {
     W.u64(It.ShardIndex);
     W.u64(It.AttemptKey);
     W.u64(It.Generation);
+    W.u64(It.Stripe);
     W.u64(It.Offset);
     W.u64(It.Count);
   }
@@ -395,11 +400,12 @@ bool decodeTask(const std::vector<uint8_t> &P, TaskMsg *M) {
   for (TaskItem &It : M->Items) {
     if (!R.u64(&It.TaskId) || !R.u64(&It.ShardIndex) ||
         !R.u64(&It.AttemptKey) || !R.u64(&It.Generation) ||
-        !R.u64(&It.Offset) || !R.u64(&It.Count))
+        !R.u64(&It.Stripe) || !R.u64(&It.Offset) || !R.u64(&It.Count))
       return false;
-    // A count no mapping could satisfy is a corrupt word, not a
-    // descriptor; the per-mapping bound is checked by the worker.
-    if (It.Count > MaxFramePayloadBytes / sizeof(int64_t))
+    // A stripe or count no mapping could satisfy is a corrupt word, not
+    // a descriptor; the per-mapping bounds are checked by the worker.
+    if (It.Stripe >= MaxFrameFds ||
+        It.Count > MaxFramePayloadBytes / sizeof(int64_t))
       return false;
   }
   return R.atEnd();
@@ -458,8 +464,11 @@ bool decodeResult(const std::vector<uint8_t> &P, ResultMsg *M) {
 void encodePublish(const PublishMsg &M, WireWriter &W) {
   W.u64(M.Generation);
   W.u64(M.Token);
-  W.u64(M.ByteOffset);
-  W.u64(M.Elems);
+  W.u64(M.Stripes.size());
+  for (const PublishStripe &S : M.Stripes) {
+    W.u64(S.ByteOffset);
+    W.u64(S.Elems);
+  }
 }
 
 std::vector<uint8_t> encodePublish(const PublishMsg &M) {
@@ -470,8 +479,15 @@ std::vector<uint8_t> encodePublish(const PublishMsg &M) {
 
 bool decodePublish(const std::vector<uint8_t> &P, PublishMsg *M) {
   WireReader R(P);
-  return R.u64(&M->Generation) && R.u64(&M->Token) && R.u64(&M->ByteOffset) &&
-         R.u64(&M->Elems) && R.atEnd();
+  uint64_t N;
+  if (!R.u64(&M->Generation) || !R.u64(&M->Token) || !R.u64(&N) || N == 0 ||
+      N > MaxFrameFds)
+    return false;
+  M->Stripes.assign(static_cast<size_t>(N), PublishStripe());
+  for (PublishStripe &S : M->Stripes)
+    if (!R.u64(&S.ByteOffset) || !R.u64(&S.Elems))
+      return false;
+  return R.atEnd();
 }
 
 } // namespace dist

@@ -27,20 +27,22 @@
 //   Task       coord -> worker   a BATCH of shard assignments; each
 //                                item is (task id, shard index, attempt
 //                                key) plus a descriptor into the
-//                                published mapping (generation, offset,
-//                                count). The worker folds items in
-//                                order and sends one Result per item as
-//                                it completes.
+//                                published mapping (generation, stripe,
+//                                offset within the stripe, count). The
+//                                worker folds items in order and sends
+//                                one Result per item as it completes.
 //   Result     worker -> coord   task id, shard index, serialized
 //                                runtime::WorkerOutput
 //   Heartbeat  worker -> coord   liveness counter (sent while idle)
 //   Shutdown   coord -> worker   clean exit request
-//   Publish    coord -> worker   a new mapping's (generation, token,
-//                                byte offset, elems); the region's fd
-//                                rides the same frame via SCM_RIGHTS.
-//                                SOCK_STREAM ordering guarantees the
-//                                worker adopts it before any Task frame
-//                                sent afterwards arrives.
+//   Publish    coord -> worker   a new mapping's (generation, token)
+//                                and its stripe table, one (byte
+//                                offset, elems) per stripe; the stripe
+//                                fds ride the same frame, all in one
+//                                SCM_RIGHTS message. SOCK_STREAM
+//                                ordering guarantees the worker adopts
+//                                it before any Task frame sent
+//                                afterwards arrives.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,6 +66,10 @@ inline constexpr uint64_t MaxFramePayloadBytes = uint64_t{1} << 31;
 /// Upper bound on shard assignments in one batched Task frame; a count
 /// above it decodes as Corrupt.
 inline constexpr uint64_t MaxTaskItems = uint64_t{1} << 12;
+/// Most descriptors one frame may carry via SCM_RIGHTS. FrameReader
+/// reserves control room for exactly this many, so it also bounds a
+/// Publish frame's stripe count.
+inline constexpr unsigned MaxFrameFds = 8;
 
 enum class MsgType : uint32_t {
   Hello = 1,
@@ -171,9 +177,10 @@ public:
   /// receiver's checksum must catch it. Returns false on send failure.
   bool send(int Fd, MsgType Type, int64_t CorruptByteAt = -1);
 
-  /// Same, but attaches \p AttachFd to the frame's first byte via
-  /// SCM_RIGHTS (the Publish frame's mapping fd).
-  bool sendWithFd(int Fd, MsgType Type, int AttachFd);
+  /// Same, but attaches \p AttachFds (at most MaxFrameFds) to the
+  /// frame's first byte in one SCM_RIGHTS message (the Publish frame's
+  /// stripe fds).
+  bool sendWithFds(int Fd, MsgType Type, const std::vector<int> &AttachFds);
 
   /// Frames the buffered payload and appends the wire bytes (header +
   /// payload) to \p Out instead of writing a socket. The path for
@@ -186,7 +193,8 @@ public:
   uint64_t lastFrameBytes() const { return LastBytes; }
 
 private:
-  bool sendPrepared(int Fd, MsgType Type, int64_t CorruptByteAt, int AttachFd);
+  bool sendPrepared(int Fd, MsgType Type, int64_t CorruptByteAt,
+                    const std::vector<int> *AttachFds);
 
   WireWriter Payload;
   std::vector<uint8_t> Head;
@@ -257,8 +265,10 @@ struct TaskItem {
   /// Fault-injection key for this attempt: pure in (run, attempt,
   /// shard), so chaos runs replay their fault pattern exactly.
   uint64_t AttemptKey = 0;
-  /// Which mapping, and the element window within it.
+  /// Which mapping, which of its stripes, and the element window
+  /// within that stripe.
   uint64_t Generation = 0;
+  uint64_t Stripe = 0;
   uint64_t Offset = 0;
   uint64_t Count = 0;
 };
@@ -279,13 +289,20 @@ void encodeResult(const ResultMsg &M, WireWriter &W);
 std::vector<uint8_t> encodeResult(const ResultMsg &M);
 bool decodeResult(const std::vector<uint8_t> &P, ResultMsg *M);
 
-/// Announces a new shared mapping; the fd itself rides SCM_RIGHTS on
-/// the same frame (FrameWriter::sendWithFd).
+/// Geometry of one stripe of a published mapping: where element 0
+/// sits in the stripe's fd, and how many elements follow.
+struct PublishStripe {
+  uint64_t ByteOffset = 0;
+  uint64_t Elems = 0;
+};
+
+/// Announces a new shared mapping as a table of 1..MaxFrameFds stripes;
+/// the stripe fds ride SCM_RIGHTS on the same frame, in table order
+/// (FrameWriter::sendWithFds).
 struct PublishMsg {
   uint64_t Generation = 0;
   uint64_t Token = 0;
-  uint64_t ByteOffset = 0;
-  uint64_t Elems = 0;
+  std::vector<PublishStripe> Stripes;
 };
 void encodePublish(const PublishMsg &M, WireWriter &W);
 std::vector<uint8_t> encodePublish(const PublishMsg &M);

@@ -13,11 +13,13 @@ namespace grassp {
 namespace dist {
 
 void ShmRegion::reset() {
-  if (OwnsFd && Fd >= 0)
-    ::close(Fd);
-  Fd = -1;
-  OwnsFd = false;
-  Generation = Token = ByteOffset = Elems = 0;
+  if (OwnsFds)
+    for (const ShmStripe &S : Stripes)
+      if (S.Fd >= 0)
+        ::close(S.Fd);
+  Stripes.clear();
+  OwnsFds = false;
+  Generation = Token = 0;
 }
 
 int shmCreateBuffer() {
@@ -81,16 +83,19 @@ uint64_t shmToken(uint64_t Generation, uint64_t Elems, uint64_t PlanHash) {
   return Z;
 }
 
-bool ShmWindow::map(const ShmRegion &R, uint64_t Offset, uint64_t Count,
-                    runtime::SegmentView *Out) {
+bool ShmWindow::map(const ShmRegion &R, uint64_t Stripe, uint64_t Offset,
+                    uint64_t Count, runtime::SegmentView *Out) {
   unmap();
-  if (!R.valid() || Offset > R.Elems || Count > R.Elems - Offset)
+  if (Stripe >= R.Stripes.size())
+    return false;
+  const ShmStripe &S = R.Stripes[Stripe];
+  if (S.Fd < 0 || Offset > S.Elems || Count > S.Elems - Offset)
     return false;
   if (Count == 0) {
     *Out = runtime::SegmentView{nullptr, 0};
     return true;
   }
-  uint64_t ByteOff = R.ByteOffset + Offset * sizeof(int64_t);
+  uint64_t ByteOff = S.ByteOffset + Offset * sizeof(int64_t);
   uint64_t ByteLen = Count * sizeof(int64_t);
   // mmap offsets must be page-aligned; descriptors are element-granular,
   // so map from the enclosing page and point into it.
@@ -98,7 +103,7 @@ bool ShmWindow::map(const ShmRegion &R, uint64_t Offset, uint64_t Count,
   uint64_t Aligned = ByteOff & ~(Page - 1);
   uint64_t Delta = ByteOff - Aligned;
   void *M = ::mmap(nullptr, static_cast<size_t>(Delta + ByteLen), PROT_READ,
-                   MAP_PRIVATE, R.Fd, static_cast<off_t>(Aligned));
+                   MAP_PRIVATE, S.Fd, static_cast<off_t>(Aligned));
   if (M == MAP_FAILED)
     return false;
   Base = M;

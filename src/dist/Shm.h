@@ -1,28 +1,33 @@
 //===- dist/Shm.h - Shared-memory shard transport for the dist runtime ---===//
 //
 // The dist runtime's only shard transport. The coordinator publishes
-// the whole input ONCE as a read-only mapping and Task frames carry
-// only descriptors — (generation, element offset, element count).
+// the whole input ONCE as a read-only region and Task frames carry
+// only descriptors — (generation, stripe, element offset, count).
 // Workers mmap the referenced window, fold it in place, and unmap.
 //
-// Two ways a region comes to exist:
+// A region is a table of STRIPES, each a contiguous run of whole shards
+// behind its own fd. Two ways a region comes to exist:
 //
 //   * file-backed binary SegmentSources: the workload file already IS
 //     the region (GRSPWB01: 16-byte header, then LE int64 words), so
-//     the coordinator just ships the source's O_RDONLY fd and the byte
-//     offset of element 0. Nothing is copied at all;
+//     the coordinator publishes one stripe — the source's O_RDONLY fd
+//     and the byte offset of element 0. Nothing is copied at all;
 //   * every other input (in-memory segments, vector and text sources):
-//     the coordinator writes the elements once into a memfd
-//     (memfd_create + F_SEAL_WRITE|F_SEAL_SHRINK|F_SEAL_GROW), so the
-//     bytes workers map are immutable by construction — a sealed memfd
-//     cannot be rewritten by anyone, including the publisher.
+//     the coordinator splits the shards into S stripes of about equal
+//     bytes and writes each into its own memfd, one thread per stripe
+//     (a single shmem file serializes concurrent writers on its inode
+//     lock; separate files do not). Each stripe is then sealed
+//     (F_SEAL_WRITE|F_SEAL_SHRINK|F_SEAL_GROW), so the bytes workers
+//     map are immutable by construction — a sealed memfd cannot be
+//     rewritten by anyone, including the publisher.
 //
-// A region's fd reaches workers two ways: inherited across fork() for
+// A region's fds reach workers two ways: inherited across fork() for
 // workers spawned after publication, and re-published over the socket
-// via SCM_RIGHTS (a Publish frame) for pool workers that predate it.
-// Either way the worker validates every descriptor's generation against
-// the mapping it holds and dies loudly (StaleMapExitStatus) on a
-// mismatch — a stale mapping must never be silently folded.
+// via SCM_RIGHTS (one Publish frame carrying every stripe fd) for pool
+// workers that predate it. Either way the worker validates every
+// descriptor's generation and stripe against the table it holds and
+// dies loudly (StaleMapExitStatus) on a mismatch — a stale mapping must
+// never be silently folded.
 //
 // Publication can fail (no sealable memfd on this kernel, or no free
 // descriptor). There is no second transport: the coordinator then
@@ -37,23 +42,38 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace grassp {
 namespace dist {
 
 /// Exit status a worker dies with when a Task descriptor references a
-/// mapping generation (or window) it does not hold. Stale mappings fail
-/// loudly: the coordinator decodes this as a worker fault, requeues the
-/// shard, and the respawned worker inherits the current mapping.
+/// mapping generation, stripe or window it does not hold, or when a
+/// Publish frame's fds do not match its stripe table. Stale mappings
+/// fail loudly: the coordinator decodes this as a worker fault,
+/// requeues the shard, and the respawned worker inherits the current
+/// mapping.
 inline constexpr int StaleMapExitStatus = 113;
+
+/// One stripe of a published region: a run of whole shards behind one
+/// fd.
+struct ShmStripe {
+  int Fd = -1;
+  /// Byte offset of the stripe's element 0 within Fd (0 for memfds,
+  /// BinaryWorkloadHeaderBytes for GRSPWB01 files).
+  uint64_t ByteOffset = 0;
+  /// Elements the stripe holds; every descriptor into it must satisfy
+  /// Offset + Count <= Elems.
+  uint64_t Elems = 0;
+};
 
 /// One published read-only input region, as seen by either side.
 struct ShmRegion {
-  int Fd = -1;
-  /// True when this side must close Fd (memfds we created, dup()ed
-  /// workload-file fds, fds received over SCM_RIGHTS). False only for
-  /// transient borrows.
-  bool OwnsFd = false;
+  /// The stripe table; a descriptor's stripe index points into it.
+  std::vector<ShmStripe> Stripes;
+  /// True when this side must close the stripe fds (memfds we created,
+  /// dup()ed workload-file fds, fds received over SCM_RIGHTS).
+  bool OwnsFds = false;
   /// Monotonic per-coordinator publication counter; descriptor
   /// validation is generation equality, so a worker holding last run's
   /// mapping can never fold this run's descriptors.
@@ -62,15 +82,9 @@ struct ShmRegion {
   /// Hello handshake echoes it so an aliased or stale inherited mapping
   /// is refused at handshake time, before any task is dealt.
   uint64_t Token = 0;
-  /// Byte offset of element 0 within Fd (0 for memfds,
-  /// BinaryWorkloadHeaderBytes for GRSPWB01 files).
-  uint64_t ByteOffset = 0;
-  /// Total elements the region holds; every descriptor must satisfy
-  /// Offset + Count <= Elems.
-  uint64_t Elems = 0;
 
-  bool valid() const { return Fd >= 0; }
-  /// Closes the fd when owned; resets to the invalid state.
+  bool valid() const { return !Stripes.empty(); }
+  /// Closes the fds when owned; resets to the invalid state.
   void reset();
 };
 
@@ -104,12 +118,12 @@ public:
   ShmWindow(const ShmWindow &) = delete;
   ShmWindow &operator=(const ShmWindow &) = delete;
 
-  /// Maps elements [Offset, Offset+Count) of \p R and points \p Out at
-  /// them. Count == 0 yields an empty view without touching mmap.
-  /// Returns false (Out untouched) when the descriptor overruns the
-  /// region or mmap fails.
-  bool map(const ShmRegion &R, uint64_t Offset, uint64_t Count,
-           runtime::SegmentView *Out);
+  /// Maps elements [Offset, Offset+Count) of stripe \p Stripe of \p R
+  /// and points \p Out at them. Count == 0 yields an empty view without
+  /// touching mmap. Returns false (Out untouched) when the stripe does
+  /// not exist, the descriptor overruns it, or mmap fails.
+  bool map(const ShmRegion &R, uint64_t Stripe, uint64_t Offset,
+           uint64_t Count, runtime::SegmentView *Out);
   void unmap();
 
 private:

@@ -7,6 +7,7 @@
 
 #include <csignal>
 #include <cstdint>
+#include <utility>
 
 #include <poll.h>
 #include <unistd.h>
@@ -56,10 +57,15 @@ bool readFrame(FrameReader &Reader, int Fd, Frame *F, double HeartbeatSeconds,
 void workerMain(int Fd, const runtime::CompiledPlan &Plan,
                 FaultInjector *Faults, double HeartbeatSeconds,
                 const ShmRegion &Inherited) {
-  // The worker's copy of the published mapping. The inherited fd is the
-  // child's own descriptor (fork dup'd it), so this side owns it.
+  // The worker's copy of the published mapping. The inherited fds are
+  // the child's own descriptors (fork dup'd them), so this side owns
+  // them.
   ShmRegion Map = Inherited;
-  Map.OwnsFd = Map.valid();
+  Map.OwnsFds = Map.valid();
+  // The mapping a Publish replaced. Closing the last reference to a big
+  // memfd frees its pages and takes milliseconds, so it waits until the
+  // Results of the next batch are on the wire.
+  ShmRegion Retired;
 
   FrameWriter Writer;
 
@@ -88,16 +94,23 @@ void workerMain(int Fd, const runtime::CompiledPlan &Plan,
 
     if (F.Type == MsgType::Publish) {
       PublishMsg Pub;
-      if (!decodePublish(F.Payload, &Pub) || PendingFds.empty())
-        ::_exit(0); // checksummed but undecodable, or the fd went astray.
-      Map.reset();
-      Map.Fd = PendingFds.front();
-      PendingFds.erase(PendingFds.begin());
-      Map.OwnsFd = true;
+      if (!decodePublish(F.Payload, &Pub))
+        ::_exit(0); // checksummed but undecodable: give up.
+      // One fd per stripe, all riding this frame's single SCM_RIGHTS
+      // message. Any other count means the table and its fds disagree;
+      // never fold from that.
+      if (PendingFds.size() != Pub.Stripes.size())
+        ::_exit(StaleMapExitStatus);
+      Retired.reset();
+      Retired = std::move(Map);
+      Map = ShmRegion();
+      Map.OwnsFds = true;
       Map.Generation = Pub.Generation;
       Map.Token = Pub.Token;
-      Map.ByteOffset = Pub.ByteOffset;
-      Map.Elems = Pub.Elems;
+      for (size_t K = 0; K != Pub.Stripes.size(); ++K)
+        Map.Stripes.push_back(
+            {PendingFds[K], Pub.Stripes[K].ByteOffset, Pub.Stripes[K].Elems});
+      PendingFds.clear();
       continue;
     }
     if (F.Type != MsgType::Task)
@@ -129,13 +142,14 @@ void workerMain(int Fd, const runtime::CompiledPlan &Plan,
       }
 
       // Descriptor validation: the generation must be the mapping we
-      // hold and the window must fit it. Any mismatch means we would
-      // fold the wrong bytes — die loudly instead; the coordinator
-      // requeues the shard and respawns us with the current mapping.
+      // hold, the stripe must be in its table and the window must fit
+      // that stripe. Any mismatch means we would fold the wrong bytes —
+      // die loudly instead; the coordinator requeues the shard and
+      // respawns us with the current mapping.
       runtime::SegmentView Seg;
       ShmWindow Window;
       if (It.Generation != Map.Generation ||
-          !Window.map(Map, It.Offset, It.Count, &Seg))
+          !Window.map(Map, It.Stripe, It.Offset, It.Count, &Seg))
         ::_exit(StaleMapExitStatus);
 
       ResultMsg Res;
@@ -151,6 +165,7 @@ void workerMain(int Fd, const runtime::CompiledPlan &Plan,
       if (!Writer.send(Fd, MsgType::Result, CorruptAt))
         ::_exit(0);
     }
+    Retired.reset();
   }
 }
 

@@ -16,12 +16,14 @@
 // result is ready.
 //
 // Shard bytes never cross the socket: every item is a descriptor into
-// the published read-only mapping (see dist/Shm.h). The worker
-// validates the descriptor's generation against the mapping it holds —
-// inherited across fork() or adopted from a Publish frame — and
-// _exit(StaleMapExitStatus)s on any mismatch, so a stale mapping is a
-// loud worker death the coordinator recovers from, never a silent fold
-// over the wrong bytes.
+// one stripe of the published read-only mapping (see dist/Shm.h). The
+// worker validates the descriptor's generation and stripe against the
+// stripe table it holds — inherited across fork() or adopted from a
+// Publish frame — and _exit(StaleMapExitStatus)s on any mismatch, so a
+// stale mapping is a loud worker death the coordinator recovers from,
+// never a silent fold over the wrong bytes. The table a Publish
+// replaces is closed only after the next batch's Results are sent:
+// freeing a large memfd's pages is slow, and no fold should wait on it.
 //
 // Real fault injection: on receipt of a task item the worker consults
 // the dist.* fault sites keyed by the item's attempt key, and then

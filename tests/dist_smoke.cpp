@@ -51,6 +51,8 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <dirent.h>
+#include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -164,6 +166,7 @@ TEST(DistProtocol, MessageCodecsRoundTrip) {
   A.ShardIndex = 3;
   A.AttemptKey = dist::distAttemptKey(2, 1, 3);
   A.Generation = 5;
+  A.Stripe = 2;
   A.Offset = 1024;
   A.Count = 4096;
   dist::TaskItem B;
@@ -171,6 +174,7 @@ TEST(DistProtocol, MessageCodecsRoundTrip) {
   B.ShardIndex = 4;
   B.AttemptKey = dist::distAttemptKey(2, 0, 4);
   B.Generation = 5;
+  B.Stripe = 0;
   B.Offset = 5120;
   B.Count = 0;
   T.Items = {A, B};
@@ -184,21 +188,25 @@ TEST(DistProtocol, MessageCodecsRoundTrip) {
     EXPECT_EQ(Got.ShardIndex, Want.ShardIndex) << I;
     EXPECT_EQ(Got.AttemptKey, Want.AttemptKey) << I;
     EXPECT_EQ(Got.Generation, Want.Generation) << I;
+    EXPECT_EQ(Got.Stripe, Want.Stripe) << I;
     EXPECT_EQ(Got.Offset, Want.Offset) << I;
     EXPECT_EQ(Got.Count, Want.Count) << I;
   }
 
+  // A three-stripe table, one of them empty.
   dist::PublishMsg Pub;
   Pub.Generation = 9;
   Pub.Token = 0xfeedf00ddeadbeefULL;
-  Pub.ByteOffset = 16;
-  Pub.Elems = 1 << 20;
+  Pub.Stripes = {{16, 1 << 20}, {0, 0}, {0, 777}};
   dist::PublishMsg Pub2;
   ASSERT_TRUE(dist::decodePublish(dist::encodePublish(Pub), &Pub2));
   EXPECT_EQ(Pub2.Generation, Pub.Generation);
   EXPECT_EQ(Pub2.Token, Pub.Token);
-  EXPECT_EQ(Pub2.ByteOffset, Pub.ByteOffset);
-  EXPECT_EQ(Pub2.Elems, Pub.Elems);
+  ASSERT_EQ(Pub2.Stripes.size(), 3u);
+  for (size_t K = 0; K != 3; ++K) {
+    EXPECT_EQ(Pub2.Stripes[K].ByteOffset, Pub.Stripes[K].ByteOffset) << K;
+    EXPECT_EQ(Pub2.Stripes[K].Elems, Pub.Stripes[K].Elems) << K;
+  }
 
   // A Result carrying every WorkerOutput field, including the nested
   // mode-argument table.
@@ -360,6 +368,83 @@ struct DistRun {
         Segs(runtime::partition(Data, Shards)), CP(*P),
         Plan(*P, synthFor(Name).Plan), Serial(CP.runSerial(Segs)) {}
 };
+
+/// A sealed one-stripe region over \p Data, stamped as generation \p Gen
+/// of \p Plan: what a worker forked after that publication inherits.
+/// Invalid when no sealable memfd could be made.
+dist::ShmRegion sealedRegion(const std::vector<int64_t> &Data, uint64_t Gen,
+                             const runtime::CompiledPlan &Plan) {
+  dist::ShmRegion R;
+  int Fd = dist::shmCreateBuffer();
+  if (Fd < 0)
+    return R;
+  R.Stripes.push_back({Fd, 0, Data.size()});
+  R.OwnsFds = true;
+  if (!dist::shmAppend(Fd, Data.data(), Data.size() * 8) ||
+      !dist::shmSeal(Fd)) {
+    R.reset();
+    return R;
+  }
+  R.Generation = Gen;
+  R.Token = dist::shmToken(Gen, Data.size(), Plan.compiled().bytecodeHash());
+  return R;
+}
+
+/// A workerMain child on one end of a socketpair, forked as the
+/// coordinator's pool would fork it; the test plays the coordinator on
+/// the other end.
+struct ForkedWorker {
+  SocketPair S;
+  pid_t Pid = -1;
+
+  ForkedWorker(const runtime::CompiledPlan &Plan,
+               const dist::ShmRegion &Inherited) {
+    Pid = ::fork();
+    if (Pid == 0) {
+      ::close(S.Fd[0]);
+      dist::workerMain(S.Fd[1], Plan, nullptr, 0.02, Inherited);
+    }
+    ::close(S.Fd[1]);
+    S.Fd[1] = -1;
+  }
+  int fd() const { return S.Fd[0]; }
+  /// Reads frames until one that is not a Heartbeat (or the stream
+  /// ends).
+  dist::RecvStatus next(dist::Frame *F) {
+    for (;;) {
+      dist::RecvStatus St = Reader.next(F);
+      if (St == dist::RecvStatus::Ok && F->Type == dist::MsgType::Heartbeat)
+        continue;
+      if (St != dist::RecvStatus::NeedMore)
+        return St;
+      St = Reader.fill(fd());
+      if (St != dist::RecvStatus::Ok)
+        return St;
+    }
+  }
+  /// Reaps the child: its exit status, or -1 when a signal ended it.
+  int wait() {
+    int Status = 0;
+    if (::waitpid(Pid, &Status, 0) != Pid || !WIFEXITED(Status))
+      return -1;
+    return WEXITSTATUS(Status);
+  }
+
+private:
+  dist::FrameReader Reader;
+};
+
+dist::TaskMsg oneItem(uint64_t Generation, uint64_t Stripe, uint64_t Count) {
+  dist::TaskItem It;
+  It.TaskId = 1;
+  It.AttemptKey = dist::distAttemptKey(0, 0, 0);
+  It.Generation = Generation;
+  It.Stripe = Stripe;
+  It.Count = Count;
+  dist::TaskMsg T;
+  T.Items = {It};
+  return T;
+}
 
 TEST(DistCoordinator, CleanRunsMatchSerialAcrossPlanShapes) {
   // One benchmark per plan family: scalar fold, multi-state fold, bag
@@ -624,6 +709,7 @@ TEST(DistProtocol, TaskCodecRejectsMalformedPayloads) {
   A.ShardIndex = 0;
   A.AttemptKey = 7;
   A.Generation = 4;
+  A.Stripe = 0;
   A.Offset = 0;
   A.Count = 100;
   dist::TaskItem B;
@@ -631,6 +717,7 @@ TEST(DistProtocol, TaskCodecRejectsMalformedPayloads) {
   B.ShardIndex = 1;
   B.AttemptKey = 8;
   B.Generation = 4;
+  B.Stripe = 1;
   B.Offset = 100;
   B.Count = 50;
   T.Items = {A, B};
@@ -671,15 +758,27 @@ TEST(DistProtocol, TaskCodecRejectsMalformedPayloads) {
     dist::TaskMsg Out;
     EXPECT_FALSE(dist::decodeTask(dist::encodeTask(Huge), &Out));
   }
+  // So is a stripe no Publish frame could have announced; the last
+  // legal stripe index still decodes.
+  {
+    dist::TaskMsg Far = T;
+    Far.Items[1].Stripe = dist::MaxFrameFds;
+    dist::TaskMsg Out;
+    EXPECT_FALSE(dist::decodeTask(dist::encodeTask(Far), &Out));
+    Far.Items[1].Stripe = dist::MaxFrameFds - 1;
+    ASSERT_TRUE(dist::decodeTask(dist::encodeTask(Far), &Out));
+    EXPECT_EQ(Out.Items[1].Stripe, dist::MaxFrameFds - 1);
+  }
 }
 
 TEST(DistProtocol, PublishCodecRejectsTruncationAndJunk) {
   dist::PublishMsg M;
   M.Generation = 2;
   M.Token = 0x0123456789abcdefULL;
-  M.ByteOffset = 16;
-  M.Elems = 777;
+  M.Stripes = {{16, 777}, {0, 300}};
   std::vector<uint8_t> P = dist::encodePublish(M);
+  // Truncation anywhere — inside the header words, the stripe count or
+  // any stripe's geometry — decodes false.
   for (size_t N = 0; N != P.size(); ++N) {
     std::vector<uint8_t> Cut(P.begin(), P.begin() + N);
     dist::PublishMsg Out;
@@ -689,6 +788,17 @@ TEST(DistProtocol, PublishCodecRejectsTruncationAndJunk) {
   Junk.push_back(0);
   dist::PublishMsg Out;
   EXPECT_FALSE(dist::decodePublish(Junk, &Out));
+  // A table of no stripes announces nothing to map, and one of more
+  // than MaxFrameFds stripes could never have its fds delivered.
+  dist::PublishMsg Empty = M;
+  Empty.Stripes.clear();
+  EXPECT_FALSE(dist::decodePublish(dist::encodePublish(Empty), &Out));
+  dist::PublishMsg Wide = M;
+  Wide.Stripes.assign(dist::MaxFrameFds + 1, {0, 1});
+  EXPECT_FALSE(dist::decodePublish(dist::encodePublish(Wide), &Out));
+  Wide.Stripes.resize(dist::MaxFrameFds);
+  ASSERT_TRUE(dist::decodePublish(dist::encodePublish(Wide), &Out));
+  EXPECT_EQ(Out.Stripes.size(), size_t{dist::MaxFrameFds});
 }
 
 TEST(DistProtocol, FrameWriterReusesBuffersAndRestoresCorruption) {
@@ -757,58 +867,78 @@ TEST(DistShm, WindowMapsSealedBufferAndBoundsChecks) {
   for (size_t I = 0; I != Vals.size(); ++I)
     Vals[I] = static_cast<int64_t>(I) * 7 - 100;
 
+  // Two stripes: the first 1000 values, then the other 2000.
   dist::ShmRegion R;
-  R.Fd = dist::shmCreateBuffer();
-  ASSERT_GE(R.Fd, 0);
-  R.OwnsFd = true;
-  ASSERT_TRUE(dist::shmAppend(R.Fd, Vals.data(), Vals.size() * 8));
-  ASSERT_TRUE(dist::shmSeal(R.Fd));
+  R.OwnsFds = true;
+  for (size_t Begin : {size_t{0}, size_t{1000}}) {
+    size_t End = Begin == 0 ? 1000 : Vals.size();
+    int Fd = dist::shmCreateBuffer();
+    ASSERT_GE(Fd, 0);
+    R.Stripes.push_back({Fd, 0, End - Begin});
+    ASSERT_TRUE(dist::shmAppend(Fd, Vals.data() + Begin, (End - Begin) * 8));
+    ASSERT_TRUE(dist::shmSeal(Fd));
+  }
   R.Generation = 1;
-  R.Elems = Vals.size();
-  R.ByteOffset = 0;
 
   dist::ShmWindow Win;
   runtime::SegmentView V;
-  // Whole region.
-  ASSERT_TRUE(Win.map(R, 0, Vals.size(), &V));
-  ASSERT_EQ(V.Size, Vals.size());
-  EXPECT_TRUE(std::equal(Vals.begin(), Vals.end(), V.Data));
-  // An interior window whose byte offset is not page-aligned.
-  ASSERT_TRUE(Win.map(R, 513, 1000, &V));
+  // Whole stripes.
+  ASSERT_TRUE(Win.map(R, 0, 0, 1000, &V));
   ASSERT_EQ(V.Size, 1000u);
-  EXPECT_EQ(V.Data[0], Vals[513]);
-  EXPECT_EQ(V.Data[999], Vals[1512]);
+  EXPECT_TRUE(std::equal(Vals.begin(), Vals.begin() + 1000, V.Data));
+  ASSERT_TRUE(Win.map(R, 1, 0, 2000, &V));
+  ASSERT_EQ(V.Size, 2000u);
+  EXPECT_TRUE(std::equal(Vals.begin() + 1000, Vals.end(), V.Data));
+  // An interior window whose byte offset is not page-aligned; offsets
+  // are within the stripe.
+  ASSERT_TRUE(Win.map(R, 1, 513, 1000, &V));
+  ASSERT_EQ(V.Size, 1000u);
+  EXPECT_EQ(V.Data[0], Vals[1513]);
+  EXPECT_EQ(V.Data[999], Vals[2512]);
   // Empty windows are legal and need no mapping.
-  ASSERT_TRUE(Win.map(R, 100, 0, &V));
+  ASSERT_TRUE(Win.map(R, 0, 100, 0, &V));
   EXPECT_EQ(V.Size, 0u);
-  // Out-of-range descriptors are refused, including overflow-bait.
-  EXPECT_FALSE(Win.map(R, Vals.size() + 1, 0, &V));
-  EXPECT_FALSE(Win.map(R, 0, Vals.size() + 1, &V));
-  EXPECT_FALSE(Win.map(R, 2999, 2, &V));
-  EXPECT_FALSE(Win.map(R, UINT64_MAX - 1, 4, &V));
+  // Out-of-range descriptors are refused, including overflow-bait and
+  // windows that would run from one stripe into the next.
+  EXPECT_FALSE(Win.map(R, 0, 1001, 0, &V));
+  EXPECT_FALSE(Win.map(R, 0, 0, 1001, &V));
+  EXPECT_FALSE(Win.map(R, 0, 999, 2, &V));
+  EXPECT_FALSE(Win.map(R, 1, 1999, 2, &V));
+  EXPECT_FALSE(Win.map(R, 1, UINT64_MAX - 1, 4, &V));
+  // So are stripes the table does not hold.
+  EXPECT_FALSE(Win.map(R, 2, 0, 1, &V));
+  EXPECT_FALSE(Win.map(R, UINT64_MAX, 0, 0, &V));
+  R.reset();
+  EXPECT_FALSE(R.valid());
 }
 
-TEST(DistProtocol, PublishFrameCarriesTheMappingFdViaScmRights) {
+TEST(DistProtocol, PublishFrameCarriesEveryStripeFdViaScmRights) {
   if (!dist::shmTransportAvailable())
     GTEST_SKIP() << "no sealable memfd on this kernel";
-  // The coordinator side: build a sealed region and Publish it with the
-  // fd attached. The worker side: receive frame + fd together, then map
-  // a window through the RECEIVED fd and read the actual values back.
-  std::vector<int64_t> Vals = {4, 8, 15, 16, 23, 42};
-  int Fd = dist::shmCreateBuffer();
-  ASSERT_GE(Fd, 0);
-  ASSERT_TRUE(dist::shmAppend(Fd, Vals.data(), Vals.size() * 8));
-  ASSERT_TRUE(dist::shmSeal(Fd));
+  // The coordinator side: build a sealed two-stripe region and Publish
+  // it with both fds attached. The worker side: receive frame + fds
+  // together, then map a window of each stripe through the RECEIVED fds
+  // and read the actual values back.
+  std::vector<std::vector<int64_t>> Vals = {{4, 8, 15}, {16, 23, 42, 99}};
+  std::vector<int> Fds;
+  dist::PublishMsg M;
+  M.Generation = 5;
+  M.Token = dist::shmToken(5, 7, 99);
+  for (const std::vector<int64_t> &V : Vals) {
+    int Fd = dist::shmCreateBuffer();
+    ASSERT_GE(Fd, 0);
+    ASSERT_TRUE(dist::shmAppend(Fd, V.data(), V.size() * 8));
+    ASSERT_TRUE(dist::shmSeal(Fd));
+    Fds.push_back(Fd);
+    M.Stripes.push_back({0, V.size()});
+  }
 
   SocketPair S;
   dist::FrameWriter W;
-  dist::PublishMsg M;
-  M.Generation = 5;
-  M.Token = dist::shmToken(5, Vals.size(), 99);
-  M.Elems = Vals.size();
   dist::encodePublish(M, W.payload());
-  ASSERT_TRUE(W.sendWithFd(S.Fd[0], dist::MsgType::Publish, Fd));
-  ::close(Fd); // Sender's copy; the in-flight duplicate survives.
+  ASSERT_TRUE(W.sendWithFds(S.Fd[0], dist::MsgType::Publish, Fds));
+  for (int Fd : Fds)
+    ::close(Fd); // Sender's copies; the in-flight duplicates survive.
 
   dist::FrameReader Reader;
   std::vector<int> GotFds;
@@ -820,20 +950,38 @@ TEST(DistProtocol, PublishFrameCarriesTheMappingFdViaScmRights) {
   ASSERT_TRUE(dist::decodePublish(F.Payload, &Got));
   EXPECT_EQ(Got.Generation, M.Generation);
   EXPECT_EQ(Got.Token, M.Token);
-  ASSERT_EQ(GotFds.size(), 1u);
+  ASSERT_EQ(Got.Stripes.size(), 2u);
+  ASSERT_EQ(GotFds.size(), 2u);
 
   dist::ShmRegion R;
-  R.Fd = GotFds[0];
-  R.OwnsFd = true;
+  R.OwnsFds = true;
   R.Generation = Got.Generation;
-  R.ByteOffset = Got.ByteOffset;
-  R.Elems = Got.Elems;
+  for (size_t K = 0; K != 2; ++K)
+    R.Stripes.push_back(
+        {GotFds[K], Got.Stripes[K].ByteOffset, Got.Stripes[K].Elems});
   dist::ShmWindow Win;
   runtime::SegmentView V;
-  ASSERT_TRUE(Win.map(R, 2, 3, &V));
-  ASSERT_EQ(V.Size, 3u);
-  EXPECT_EQ(V.Data[0], 15);
-  EXPECT_EQ(V.Data[2], 23);
+  ASSERT_TRUE(Win.map(R, 0, 1, 2, &V));
+  ASSERT_EQ(V.Size, 2u);
+  EXPECT_EQ(V.Data[0], 8);
+  EXPECT_EQ(V.Data[1], 15);
+  ASSERT_TRUE(Win.map(R, 1, 2, 2, &V));
+  ASSERT_EQ(V.Size, 2u);
+  EXPECT_EQ(V.Data[0], 42);
+  EXPECT_EQ(V.Data[1], 99);
+  Win.unmap();
+  R.reset();
+}
+
+TEST(DistProtocol, MoreFdsThanAFrameCarriesAreRefusedBeforeSending) {
+  // The receiver reserves control room for MaxFrameFds descriptors; the
+  // sender refuses a larger set instead of letting the kernel truncate
+  // it silently.
+  SocketPair S;
+  dist::FrameWriter W;
+  W.payload().u64(0);
+  std::vector<int> Fds(dist::MaxFrameFds + 1, S.Fd[0]);
+  EXPECT_FALSE(W.sendWithFds(S.Fd[0], dist::MsgType::Heartbeat, Fds));
 }
 
 TEST(DistProtocol, UnsolicitedFdsAreClosedNotLeaked) {
@@ -849,7 +997,7 @@ TEST(DistProtocol, UnsolicitedFdsAreClosedNotLeaked) {
   SocketPair S;
   dist::FrameWriter W;
   W.payload().u64(0);
-  ASSERT_TRUE(W.sendWithFd(S.Fd[0], dist::MsgType::Heartbeat, Fd));
+  ASSERT_TRUE(W.sendWithFds(S.Fd[0], dist::MsgType::Heartbeat, {Fd}));
   ::close(Fd);
 
   dist::FrameReader Reader;
@@ -903,51 +1051,103 @@ TEST(DistWorker, StaleGenerationDescriptorExitsLoudly) {
   // coordinator's input) and exit with the dedicated status the
   // coordinator's waitpid decoder recognizes.
   DistRun R("sum", 100, 2);
-
-  dist::ShmRegion Inherited;
-  Inherited.Fd = dist::shmCreateBuffer();
-  ASSERT_GE(Inherited.Fd, 0);
-  ASSERT_TRUE(dist::shmAppend(Inherited.Fd, R.Data.data(), R.Data.size() * 8));
-  ASSERT_TRUE(dist::shmSeal(Inherited.Fd));
-  Inherited.OwnsFd = true;
-  Inherited.Generation = 3;
-  Inherited.Token = dist::shmToken(3, R.Data.size(), R.Plan.compiled().bytecodeHash());
-  Inherited.Elems = R.Data.size();
-
-  SocketPair S;
-  pid_t Pid = ::fork();
-  ASSERT_GE(Pid, 0);
-  if (Pid == 0) {
-    ::close(S.Fd[0]);
-    dist::workerMain(S.Fd[1], R.Plan, nullptr, 0.02, Inherited);
-  }
-  ::close(S.Fd[1]);
-  S.Fd[1] = -1;
+  dist::ShmRegion Inherited = sealedRegion(R.Data, 3, R.Plan);
+  ASSERT_TRUE(Inherited.valid());
+  ForkedWorker W(R.Plan, Inherited);
+  Inherited.reset();
 
   // The Hello handshake reports the inherited mapping.
   dist::Frame F;
-  ASSERT_EQ(dist::readFrameBlocking(S.Fd[0], &F), dist::RecvStatus::Ok);
+  ASSERT_EQ(W.next(&F), dist::RecvStatus::Ok);
   ASSERT_EQ(F.Type, dist::MsgType::Hello);
   dist::HelloMsg H;
   ASSERT_TRUE(dist::decodeHello(F.Payload, &H));
   EXPECT_EQ(H.ShmGeneration, 3u);
-  EXPECT_EQ(H.ShmToken, Inherited.Token);
+  EXPECT_EQ(H.ShmToken, dist::shmToken(3, R.Data.size(),
+                                       R.Plan.compiled().bytecodeHash()));
 
-  dist::TaskMsg T;
-  dist::TaskItem It;
-  It.TaskId = 1;
-  It.ShardIndex = 0;
-  It.AttemptKey = dist::distAttemptKey(0, 0, 0);
-  It.Generation = 4; // Not the mapping the worker holds.
-  It.Offset = 0;
-  It.Count = 10;
-  T.Items = {It};
-  ASSERT_TRUE(dist::writeFrame(S.Fd[0], dist::MsgType::Task,
-                               dist::encodeTask(T)));
-  int Status = 0;
-  ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
-  ASSERT_TRUE(WIFEXITED(Status));
-  EXPECT_EQ(WEXITSTATUS(Status), dist::StaleMapExitStatus);
+  // Generation 4 is not the mapping the worker holds.
+  ASSERT_TRUE(dist::writeFrame(W.fd(), dist::MsgType::Task,
+                               dist::encodeTask(oneItem(4, 0, 10))));
+  EXPECT_EQ(W.wait(), dist::StaleMapExitStatus);
+}
+
+TEST(DistWorker, DescriptorNamingAnAbsentStripeExitsLoudly) {
+  if (!dist::shmTransportAvailable())
+    GTEST_SKIP() << "no sealable memfd on this kernel";
+  // The right generation but a stripe past the worker's table: folding
+  // would read bytes the descriptor does not name, so the worker dies
+  // with the stale-mapping status instead. Stripe 0 of the same
+  // generation folds normally first, so the refusal is about the
+  // stripe and nothing else.
+  DistRun R("sum", 100, 2);
+  dist::ShmRegion Inherited = sealedRegion(R.Data, 3, R.Plan);
+  ASSERT_TRUE(Inherited.valid());
+  ForkedWorker W(R.Plan, Inherited);
+  Inherited.reset();
+  dist::Frame F;
+  ASSERT_EQ(W.next(&F), dist::RecvStatus::Ok);
+  ASSERT_EQ(F.Type, dist::MsgType::Hello);
+
+  ASSERT_TRUE(dist::writeFrame(W.fd(), dist::MsgType::Task,
+                               dist::encodeTask(oneItem(3, 0, 100))));
+  ASSERT_EQ(W.next(&F), dist::RecvStatus::Ok);
+  ASSERT_EQ(F.Type, dist::MsgType::Result);
+  dist::ResultMsg Res;
+  ASSERT_TRUE(dist::decodeResult(F.Payload, &Res));
+  EXPECT_EQ(R.Plan.merge({Res.Out}, {runtime::SegmentView{R.Data.data(),
+                                                          R.Data.size()}}),
+            R.Serial);
+
+  ASSERT_TRUE(dist::writeFrame(W.fd(), dist::MsgType::Task,
+                               dist::encodeTask(oneItem(3, 1, 10))));
+  dist::RecvStatus St = W.next(&F); // no Result for stripe 1.
+  EXPECT_TRUE(St == dist::RecvStatus::Eof || St == dist::RecvStatus::Error);
+  EXPECT_EQ(W.wait(), dist::StaleMapExitStatus);
+}
+
+TEST(DistWorker, PublishWhoseFdCountDiffersIsNeverFoldedFrom) {
+  if (!dist::shmTransportAvailable())
+    GTEST_SKIP() << "no sealable memfd on this kernel";
+  // A Publish announcing two stripes must arrive with exactly two fds.
+  // With one or three, the table and its fds disagree about which file
+  // holds which stripe; the worker must die before any descriptor is
+  // folded from it. Two fds is the control: the same Task then folds.
+  DistRun R("sum", 100, 2);
+  dist::ShmRegion Region = sealedRegion(R.Data, 7, R.Plan);
+  ASSERT_TRUE(Region.valid());
+  dist::PublishMsg Pub;
+  Pub.Generation = 7;
+  Pub.Token = Region.Token;
+  Pub.Stripes = {{0, 100}, {0, 100}};
+  for (size_t Attached : {size_t{1}, size_t{3}, size_t{2}}) {
+    ForkedWorker W(R.Plan, dist::ShmRegion());
+    dist::Frame F;
+    ASSERT_EQ(W.next(&F), dist::RecvStatus::Ok);
+    ASSERT_EQ(F.Type, dist::MsgType::Hello);
+    dist::FrameWriter Out;
+    dist::encodePublish(Pub, Out.payload());
+    std::vector<int> Fds(Attached, Region.Stripes[0].Fd);
+    ASSERT_TRUE(Out.sendWithFds(W.fd(), dist::MsgType::Publish, Fds));
+    // A worker that refused the Publish may be gone before this write.
+    bool Sent = dist::writeFrame(W.fd(), dist::MsgType::Task,
+                                 dist::encodeTask(oneItem(7, 1, 100)));
+    if (Attached == 2) {
+      ASSERT_TRUE(Sent);
+      ASSERT_EQ(W.next(&F), dist::RecvStatus::Ok);
+      EXPECT_EQ(F.Type, dist::MsgType::Result);
+      ASSERT_TRUE(dist::writeFrame(W.fd(), dist::MsgType::Shutdown, {}));
+      EXPECT_EQ(W.wait(), 0);
+      continue;
+    }
+    // The stream ends (EOF, or a reset over the unread Task) with no
+    // Result on it.
+    dist::RecvStatus St = W.next(&F);
+    EXPECT_TRUE(St == dist::RecvStatus::Eof || St == dist::RecvStatus::Error)
+        << Attached << " fds";
+    EXPECT_EQ(W.wait(), dist::StaleMapExitStatus) << Attached << " fds";
+  }
+  Region.reset();
 }
 
 TEST(DistCoordinator, TaskDeadlineScalesWithShardElementCount) {
@@ -1010,6 +1210,7 @@ TEST(DistCoordinator, FileBackedSourceMapsTheWorkloadFileDirectly) {
   dist::DistRunReport Rep = Coord.run(Src);
   EXPECT_EQ(Rep.Output, R.Serial);
   EXPECT_TRUE(Rep.UsedShm);
+  EXPECT_EQ(Rep.Stripes, 1u); // the file's own fd, never copied.
   EXPECT_EQ(Rep.BytesMapped, R.Data.size() * 8);
   EXPECT_LT(Rep.BytesShipped, R.Data.size() * 8);
   ::remove(Path.c_str());
@@ -1055,6 +1256,11 @@ TEST(DistCoordinator, CopiedSourcesAreFoldedFromTheSealedMapping) {
         EXPECT_EQ(Rep.Shards, 8u) << Where;
         EXPECT_EQ(Rep.SerialRefolds, 0u) << Where;
         EXPECT_EQ(Rep.BytesMapped, N * 8) << Where;
+        // At N=400000 the chunks are striped: every helper thread reads
+        // through a cursor of its own.
+        EXPECT_EQ(Rep.Stripes,
+                  dist::DistCoordinator::stripeCount(3, 8, N * 8))
+            << Where;
         // Frames only: well under one byte per element even at N=4000.
         EXPECT_LT(Rep.BytesShipped, 4000u) << Where;
       }
@@ -1085,6 +1291,7 @@ TEST(DistCoordinator, FailedPublicationRefoldsEveryShardSerially) {
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &Old), 0);
   EXPECT_EQ(Rep.Output, R.Serial);
   EXPECT_FALSE(Rep.UsedShm);
+  EXPECT_EQ(Rep.Stripes, 0u);
   EXPECT_EQ(Rep.ShardsCompleted, 8u);
   EXPECT_EQ(Rep.SerialRefolds, 8u);
   EXPECT_EQ(Rep.TaskFrames, 0u);
@@ -1117,6 +1324,156 @@ TEST(DistCoordinator, BatchedFramesCoverAllShardsWithFewerTasks) {
   EXPECT_EQ(Rep.Output, R.Serial);
   EXPECT_EQ(Rep.ShardsCompleted, 16u);
   EXPECT_LE(Rep.TaskFrames, 8u);
+}
+
+//===----------------------------------------------------------------------===//
+// Striped publication
+//===----------------------------------------------------------------------===//
+
+TEST(DistCoordinator, StripeCountFollowsWorkersShardsAndBytes) {
+  const uint64_t MiB = uint64_t{1} << 20;
+  using dist::DistCoordinator;
+  EXPECT_EQ(DistCoordinator::stripeCount(4, 16, 128 * MiB), 4u);
+  EXPECT_EQ(DistCoordinator::stripeCount(4, 2, 128 * MiB), 2u);
+  EXPECT_EQ(DistCoordinator::stripeCount(16, 64, 128 * MiB),
+            dist::MaxFrameFds);
+  EXPECT_EQ(DistCoordinator::stripeCount(4, 16, 3 * MiB), 3u);
+  EXPECT_EQ(DistCoordinator::stripeCount(4, 16, MiB - 8), 1u);
+  EXPECT_EQ(DistCoordinator::stripeCount(0, 16, 128 * MiB), 1u);
+  EXPECT_EQ(DistCoordinator::stripeCount(4, 0, 0), 1u);
+}
+
+/// Views over \p Data with the given element counts, end to end.
+std::vector<runtime::SegmentView> carve(const std::vector<int64_t> &Data,
+                                        const std::vector<size_t> &Sizes) {
+  std::vector<runtime::SegmentView> Segs;
+  size_t At = 0;
+  for (size_t N : Sizes) {
+    Segs.push_back({Data.data() + At, N});
+    At += N;
+  }
+  EXPECT_EQ(At, Data.size());
+  return Segs;
+}
+
+TEST(DistCoordinator, StripedRunsMatchSerialAcrossShardShapes) {
+  if (!dist::shmTransportAvailable())
+    GTEST_SKIP() << "no sealable memfd on this kernel";
+  // 4.8 MB over 4 workers: large enough for helper threads. Fewer
+  // shards than workers, as many, more, uneven shards with empty ones
+  // between them, and empty shards at both ends — every shape must fold
+  // to the serial answer, with the stripe count stripeCount() promises.
+  // One coordinator per program serves every shape, so the same
+  // workers adopt stripe tables of different sizes in turn and retire
+  // the old ones.
+  const size_t N = 600000;
+  const std::vector<std::vector<size_t>> Shapes = {
+      {300000, 300000},
+      {150000, 150000, 150000, 150000},
+      {54546, 54546, 54546, 54546, 54546, 54545, 54545, 54545, 54545,
+       54545, 54545},
+      {0, 350000, 0, 0, 20000, 1, 229999, 0},
+      {0, 0, 300000, 300000, 0},
+  };
+  for (const char *Name : {"sum", "is_sorted"}) {
+    const lang::SerialProgram *P = lang::findBenchmark(Name);
+    std::vector<int64_t> Data = runtime::generateWorkload(*P, N, 17);
+    const int64_t Want = lang::runSerial(*P, Data);
+    runtime::CompiledPlan Plan(*P, synthFor(Name).Plan);
+    dist::DistConfig Cfg;
+    Cfg.Workers = 4;
+    dist::DistCoordinator Coord(Plan, Cfg);
+    for (const std::vector<size_t> &Shape : Shapes) {
+      std::vector<runtime::SegmentView> Segs = carve(Data, Shape);
+      dist::DistRunReport Rep = Coord.run(Segs);
+      std::string Where =
+          std::string(Name) + "/" + std::to_string(Shape.size()) + " shards";
+      EXPECT_EQ(Rep.Output, Want) << Where;
+      EXPECT_TRUE(Rep.UsedShm) << Where;
+      EXPECT_EQ(Rep.SerialRefolds, 0u) << Where;
+      EXPECT_EQ(Rep.Stripes, dist::DistCoordinator::stripeCount(
+                                 4, Shape.size(), N * 8))
+          << Where;
+      EXPECT_GT(Rep.Stripes, 1u) << Where;
+      EXPECT_GT(Rep.PublishSeconds, 0.0) << Where;
+      EXPECT_EQ(Rep.BytesMapped, N * 8) << Where;
+    }
+  }
+  // A small input stays one stripe, written on the coordinator thread.
+  DistRun R;
+  dist::DistCoordinator Coord(R.Plan, dist::DistConfig());
+  dist::DistRunReport Rep = Coord.run(R.Segs);
+  EXPECT_EQ(Rep.Output, R.Serial);
+  EXPECT_EQ(Rep.Stripes, 1u);
+}
+
+TEST(DistCoordinator, DescriptorNamingAnAbsentStripeIsRequeuedAndMatches) {
+  if (!dist::shmTransportAvailable())
+    GTEST_SKIP() << "no sealable memfd on this kernel";
+  // Shard 3's first descriptor names a stripe past the published table.
+  // The worker exits with the stale-mapping status, the coordinator
+  // decodes that as an exit, requeues the shard, and its retry (a fresh
+  // attempt key) folds from the real stripe.
+  for (size_t N : {size_t{6000}, size_t{400000}}) {
+    DistRun R("sum", N, 8);
+    FaultInjector FI(5);
+    FaultSpec Stale;
+    Stale.Keys = {dist::distAttemptKey(0, 0, 3)};
+    FI.arm(dist::SiteStaleStripe, Stale);
+    dist::DistConfig Cfg;
+    Cfg.Workers = 3;
+    Cfg.Faults = &FI;
+    dist::DistCoordinator Coord(R.Plan, Cfg);
+    dist::DistRunReport Rep = Coord.run(R.Segs);
+    EXPECT_EQ(Rep.Output, R.Serial) << N;
+    EXPECT_EQ(Rep.WorkersExited, 1u) << N;
+    EXPECT_EQ(Rep.WorkersKilled, 0u) << N;
+    EXPECT_GE(Rep.ShardsReassigned, 1u) << N;
+    EXPECT_GE(Rep.Retries, 1u) << N;
+    EXPECT_EQ(Rep.SerialRefolds, 0u) << N;
+  }
+}
+
+TEST(DistCoordinator, EveryStripeAWorkerReceivesIsSealed) {
+  if (!dist::shmTransportAvailable())
+    GTEST_SKIP() << "no sealable memfd on this kernel";
+  // Prewarmed workers predate the publication, so they receive the
+  // stripe fds on a Publish frame. Look at what each worker process
+  // actually holds: one memfd per stripe, each carrying all three seals.
+  DistRun R("sum", 400000, 8);
+  dist::DistConfig Cfg;
+  Cfg.Workers = 2;
+  dist::DistCoordinator Coord(R.Plan, Cfg);
+  Coord.prewarm();
+  dist::DistRunReport Rep = Coord.run(R.Segs);
+  ASSERT_EQ(Rep.Output, R.Serial);
+  ASSERT_EQ(Rep.Stripes, 2u);
+  ASSERT_EQ(Rep.PublishFrames, 2u);
+  const int AllSeals = F_SEAL_WRITE | F_SEAL_SHRINK | F_SEAL_GROW;
+  for (unsigned Slot = 0; Slot != 2; ++Slot) {
+    std::string Dir = "/proc/" + std::to_string(Coord.workerPid(Slot)) + "/fd";
+    DIR *D = ::opendir(Dir.c_str());
+    if (!D)
+      GTEST_SKIP() << "cannot list " << Dir;
+    unsigned Stripes = 0;
+    while (struct dirent *E = ::readdir(D)) {
+      std::string Path = Dir + "/" + E->d_name;
+      char Link[256] = {0};
+      if (::readlink(Path.c_str(), Link, sizeof(Link) - 1) < 0 ||
+          std::string(Link).find("memfd:grassp-dist-shm") == std::string::npos)
+        continue;
+      int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+      if (Fd < 0) {
+        ::closedir(D);
+        GTEST_SKIP() << "cannot open " << Path;
+      }
+      EXPECT_EQ(::fcntl(Fd, F_GET_SEALS) & AllSeals, AllSeals) << Path;
+      ::close(Fd);
+      ++Stripes;
+    }
+    ::closedir(D);
+    EXPECT_EQ(Stripes, Rep.Stripes) << "worker in slot " << Slot;
+  }
 }
 
 } // namespace

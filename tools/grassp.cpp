@@ -763,6 +763,8 @@ int main(int argc, char **argv) {
           "  \"match\": %s,\n"
           "  \"serial_seconds\": %.6f,\n"
           "  \"wall_seconds\": %.6f,\n"
+          "  \"publish_seconds\": %.6f,\n"
+          "  \"stripes\": %u,\n"
           "  \"merge_seconds\": %.6f,\n"
           "  \"recovery_seconds\": %.6f,\n"
           "  \"bytes_shipped\": %llu,\n"
@@ -786,7 +788,8 @@ int main(int argc, char **argv) {
           argv[2], (unsigned long long)N, Workers, Rep.Shards,
           Rep.UsedShm ? "shm" : "serial", (long long)Rep.Output,
           (long long)SerialOut, Match ? "true" : "false", SerialSec,
-          Rep.WallSeconds, Rep.MergeSeconds, Rep.RecoverySeconds,
+          Rep.WallSeconds, Rep.PublishSeconds, Rep.Stripes, Rep.MergeSeconds,
+          Rep.RecoverySeconds,
           (unsigned long long)Rep.BytesShipped,
           (unsigned long long)Rep.BytesMapped,
           N ? (double)Rep.BytesShipped / (double)N : 0.0, Rep.TaskFrames,
