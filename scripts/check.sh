@@ -29,15 +29,15 @@ cmake --build "$BUILD" -j "$JOBS" --target bench_kernels >/dev/null
 
 echo "== tier 2: ThreadSanitizer over the concurrent paths ($TSAN) =="
 # dist_smoke rides along: the coordinator is a single-threaded poll
-# loop, but it shares the backoff helper and ThreadPool drain paths with
-# the threaded runner, and its fork children must never inherit a torn
-# lock from an instrumented parent.
+# loop, but it runs the same ShardScheduler as the threaded runner
+# (runtime_scheduler_test drives it alone), and its fork children must
+# never inherit a torn lock from an instrumented parent.
 cmake -B "$TSAN" -S . -DGRASSP_SANITIZE=thread >/dev/null
 cmake --build "$TSAN" -j "$JOBS" --target \
-    runtime_runner_test support_threadpool_test support_cancel_test \
-    support_childproc_test smt_solver_test synth_paralleldriver_test \
-    chaos_smoke dist_smoke
+    runtime_runner_test runtime_scheduler_test support_threadpool_test \
+    support_cancel_test support_childproc_test smt_solver_test \
+    synth_paralleldriver_test chaos_smoke dist_smoke
 ctest --test-dir "$TSAN" --output-on-failure -j "$JOBS" \
-    -R 'runtime_runner|support_threadpool|support_cancel|support_childproc|smt_solver|paralleldriver|chaos_smoke|dist_smoke'
+    -R 'runtime_runner|runtime_scheduler|support_threadpool|support_cancel|support_childproc|smt_solver|paralleldriver|chaos_smoke|dist_smoke'
 
 echo "== all checks passed =="

@@ -7,7 +7,6 @@
 #include "support/Timing.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <memory>
 #include <sstream>
@@ -20,15 +19,8 @@
 namespace grassp {
 namespace dist {
 
-namespace {
-
-int64_t nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-} // namespace
+using runtime::steadyNowNs;
+using Step = runtime::ShardScheduler::Step;
 
 std::string DistRunReport::describe() const {
   std::ostringstream OS;
@@ -59,8 +51,7 @@ DistCoordinator::DistCoordinator(const runtime::CompiledPlan &Plan,
       // workerMain never returns.
       Pool(std::max(1u, Cfg.Workers), Cfg.MaxWorkerRestarts,
            [this](int Fd) {
-             workerMain(Fd, this->Plan, this->Cfg.Faults,
-                        this->Cfg.HeartbeatSeconds, Map);
+             workerMain(Fd, this->Plan, this->Cfg.Faults, Map);
            }),
       Procs(Pool.slots()) {
   // Belt and braces with FrameWriter's MSG_NOSIGNAL: no socket write
@@ -199,7 +190,7 @@ bool DistCoordinator::writeStripes(const std::vector<uint64_t> &ShardElems,
 unsigned DistCoordinator::adopt(const std::vector<unsigned> &Forked) {
   for (unsigned Slot : Forked) {
     Procs[Slot] = Proc();
-    Procs[Slot].LastSeenNs = nowNs();
+    Procs[Slot].LastSeenNs = steadyNowNs();
   }
   return static_cast<unsigned>(Forked.size());
 }
@@ -214,7 +205,7 @@ void DistCoordinator::shutdown() {
 
 void DistCoordinator::handleDeath(unsigned Slot, DeathReason Reason,
                                   DistRunReport &R,
-                                  std::vector<ShardState> &Shards) {
+                                  runtime::ShardScheduler &Sched) {
   Stopwatch Rec;
   // Corrupt/hung workers are still alive; kill before reaping. (The
   // frame checksum already rejected their bytes, and framing past a
@@ -228,39 +219,49 @@ void DistCoordinator::handleDeath(unsigned Slot, DeathReason Reason,
     ++R.CorruptFrames;
   else if (Reason == DeathReason::Hang)
     ++R.HangsDetected;
-
-  // Every assignment the worker held — the one it was folding and
+  // Every attempt the worker held — the one it was folding and
   // everything batched behind it — is lost with it.
-  for (const Assign &A : Procs[Slot].Queue) {
-    if (A.Shard < 0)
-      continue;
-    ShardState &S = Shards[static_cast<size_t>(A.Shard)];
-    if (S.Outstanding > 0)
-      --S.Outstanding;
-    if (A.IsBackup)
-      S.BackupActive = false;
-    if (!S.Done && S.Outstanding == 0) {
-      // The shard lost its last running attempt: requeue it behind a
-      // decorrelated-jitter backoff so correlated deaths do not slam
-      // the survivors in lockstep.
-      ++R.ShardsReassigned;
-      S.PrevSleep = runtime::decorrelatedBackoff(
-          Cfg.BackoffSeconds, Cfg.BackoffCapSeconds,
-          S.PrevSleep > 0 ? S.PrevSleep : Cfg.BackoffSeconds,
-          Cfg.BackoffJitterSeed,
-          distAttemptKey(RunIndex, S.Attempts,
-                         static_cast<uint64_t>(A.Shard)));
-      S.EligibleNs = nowNs() + static_cast<int64_t>(S.PrevSleep * 1e9);
-    }
-  }
+  int64_t Now = steadyNowNs();
+  for (const Assign &A : Procs[Slot].Queue)
+    Sched.lost(A.A, Now);
   Procs[Slot] = Proc();
   R.RecoverySeconds += Rec.seconds();
 }
 
-bool DistCoordinator::dispatchBatch(
-    unsigned Slot, const std::vector<size_t> &Batch, bool IsBackup,
-    DistRunReport &R, std::vector<ShardState> &Shards) {
+void DistCoordinator::startFront(unsigned Slot, int64_t NowNs,
+                                 runtime::ShardScheduler &Sched) {
+  std::deque<Assign> &Q = Procs[Slot].Queue;
+  if (Q.empty() || Q.front().StartNs >= 0)
+    return;
+  Q.front().StartNs = NowNs;
+  Sched.started(Q.front().A, NowNs);
+}
+
+bool DistCoordinator::dispatchBatch(unsigned Slot,
+                                    const std::vector<Attempt> &Batch,
+                                    DistRunReport &R,
+                                    runtime::ShardScheduler &Sched) {
   Proc &P = Procs[Slot];
+  TaskMsg T;
+  T.Items.reserve(Batch.size());
+  for (const Attempt &A : Batch) {
+    TaskItem It;
+    It.TaskId = NextTaskId++;
+    It.ShardIndex = A.Shard;
+    It.AttemptKey = A.Key;
+    It.Generation = Map.Generation;
+    It.Stripe = Desc[A.Shard].Stripe;
+    if (Cfg.Faults && Cfg.Faults->shouldFailKeyed(SiteStaleStripe, A.Key))
+      It.Stripe = Map.Stripes.size();
+    It.Offset = Desc[A.Shard].Offset;
+    It.Count = Desc[A.Shard].Count;
+    T.Items.push_back(It);
+    // Queued before sending: a failed send loses the batch with the
+    // worker.
+    P.Queue.push_back({It.TaskId, A});
+  }
+  startFront(Slot, steadyNowNs(), Sched);
+
   // A worker whose mapping generation is stale gets the current region
   // re-published first — fd via SCM_RIGHTS on the Publish frame, and
   // SOCK_STREAM ordering guarantees it adopts the mapping before the
@@ -276,65 +277,24 @@ bool DistCoordinator::dispatchBatch(
     }
     encodePublish(Pub, P.Writer.payload());
     if (!P.Writer.sendWithFds(Pool.fd(Slot), MsgType::Publish, Fds))
-      return false; // caller reaps the dead worker.
+      return false;
     P.MapGeneration = Map.Generation;
     ++R.PublishFrames;
     R.BytesShipped += P.Writer.lastFrameBytes();
-  }
-
-  TaskMsg T;
-  T.Items.reserve(Batch.size());
-  for (size_t Shard : Batch) {
-    ShardState &S = Shards[Shard];
-    TaskItem It;
-    It.TaskId = NextTaskId++;
-    It.ShardIndex = Shard;
-    It.AttemptKey = distAttemptKey(RunIndex, S.Attempts, Shard);
-    It.Generation = Map.Generation;
-    It.Stripe = Desc[Shard].Stripe;
-    if (Cfg.Faults &&
-        Cfg.Faults->shouldFailKeyed(SiteStaleStripe, It.AttemptKey))
-      It.Stripe = Map.Stripes.size();
-    It.Offset = Desc[Shard].Offset;
-    It.Count = Desc[Shard].Count;
-    T.Items.push_back(It);
   }
   encodeTask(T, P.Writer.payload());
   if (!P.Writer.send(Pool.fd(Slot), MsgType::Task))
     return false;
   ++R.TaskFrames;
   R.BytesShipped += P.Writer.lastFrameBytes();
-
-  int64_t Now = nowNs();
-  bool WasIdle = P.Queue.empty();
-  for (const TaskItem &It : T.Items) {
-    size_t Shard = static_cast<size_t>(It.ShardIndex);
-    ShardState &S = Shards[Shard];
-    if (S.Attempts > 0 && !IsBackup)
-      ++R.Retries;
-    ++S.Attempts;
-    ++S.Outstanding;
-    if (IsBackup) {
-      S.BackupActive = true;
-      ++R.SpeculativeLaunches;
-    }
+  for (const TaskItem &It : T.Items)
     R.BytesMapped += It.Count * sizeof(int64_t);
-    Assign A;
-    A.TaskId = It.TaskId;
-    A.Shard = static_cast<int>(Shard);
-    A.IsBackup = IsBackup;
-    A.DispatchNs = Now;
-    A.Elems = It.Count;
-    P.Queue.push_back(A);
-  }
-  if (WasIdle)
-    P.BusySinceNs = Now;
   return true;
 }
 
 void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
-                                  std::vector<ShardState> &Shards,
-                                  size_t *DonePtr) {
+                                  runtime::ShardScheduler &Sched,
+                                  std::vector<runtime::WorkerOutput> &Outs) {
   Proc &P = Procs[Slot];
   Frame F;
   for (;;) {
@@ -342,16 +302,16 @@ void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
     if (St == RecvStatus::NeedMore)
       return;
     if (St != RecvStatus::Ok) {
-      handleDeath(Slot, DeathReason::Corrupt, R, Shards);
+      handleDeath(Slot, DeathReason::Corrupt, R, Sched);
       return;
     }
-    P.LastSeenNs = nowNs();
+    P.LastSeenNs = steadyNowNs();
     switch (F.Type) {
     case MsgType::Hello: {
       HelloMsg M;
       if (!decodeHello(F.Payload, &M) || M.PlanHash != PlanHash) {
         // A worker not running OUR plan must never fold a shard.
-        handleDeath(Slot, DeathReason::Corrupt, R, Shards);
+        handleDeath(Slot, DeathReason::Corrupt, R, Sched);
         return;
       }
       if (M.ShmGeneration == Map.Generation && Map.valid() &&
@@ -359,7 +319,7 @@ void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
         // Claims the current generation with the wrong identity stamp:
         // an aliased or stale inherited mapping. Fail loudly before any
         // descriptor is dealt to it.
-        handleDeath(Slot, DeathReason::Corrupt, R, Shards);
+        handleDeath(Slot, DeathReason::Corrupt, R, Sched);
         return;
       }
       // Any other generation (older, or none) is fine: the first
@@ -373,7 +333,7 @@ void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
     case MsgType::Result: {
       ResultMsg M;
       if (!decodeResult(F.Payload, &M)) {
-        handleDeath(Slot, DeathReason::Corrupt, R, Shards);
+        handleDeath(Slot, DeathReason::Corrupt, R, Sched);
         return;
       }
       R.BytesShipped += F.Payload.size() + FrameHeaderBytes;
@@ -382,24 +342,12 @@ void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
           [&](const Assign &A) { return A.TaskId == M.TaskId; });
       if (QIt == P.Queue.end())
         break; // stale result (task was reassigned); drop it.
-      Assign A = *QIt;
+      Attempt A = QIt->A;
       P.Queue.erase(QIt);
+      if (Sched.completed(A))
+        Outs[A.Shard] = std::move(M.Out);
       // The worker has moved on to its next queued item (if any).
-      P.BusySinceNs = P.LastSeenNs;
-      ShardState &S = Shards[static_cast<size_t>(A.Shard)];
-      if (S.Outstanding > 0)
-        --S.Outstanding;
-      if (A.IsBackup)
-        S.BackupActive = false;
-      if (!S.Done) {
-        // First commit wins — the same atomic-slot discipline as
-        // runParallel, sequentialized by the event loop.
-        S.Out = std::move(M.Out);
-        S.Done = true;
-        ++*DonePtr;
-        if (A.IsBackup)
-          ++R.SpeculativeWins;
-      }
+      startFront(Slot, P.LastSeenNs, Sched);
       break;
     }
     default:
@@ -426,7 +374,7 @@ DistRunReport DistCoordinator::runImpl(
       Pool.reap(Slot, /*Kill=*/true);
   // Publish before forking: workers forked from here on inherit the
   // mapping. An unpublished run forks nothing and deals nothing — the
-  // refold sweep below folds every shard in-process.
+  // scheduler refolds every shard in-process.
   Stopwatch PublishTimer;
   R.UsedShm = publish(ShardElems, Open, Chunk, Src);
   R.PublishSeconds = PublishTimer.seconds();
@@ -434,20 +382,14 @@ DistRunReport DistCoordinator::runImpl(
   if (R.UsedShm)
     R.WorkersSpawned += adopt(Pool.fill());
 
-  std::vector<ShardState> Shards(N);
-  size_t Done = 0;
+  runtime::ShardScheduler Sched(Cfg, ShardElems, RunIndex);
+  std::vector<runtime::WorkerOutput> Outs(N);
   const int64_t HbTimeoutNs =
-      static_cast<int64_t>(Cfg.HeartbeatTimeoutSeconds * 1e9);
-
-  while (Done != N) {
-    if (Cfg.Token.cancelled()) {
-      R.Cancelled = true;
-      break;
-    }
-
+      static_cast<int64_t>(HeartbeatTimeoutSeconds * 1e9);
+  for (;;) {
     // Dead slots are refilled every tick while the restart budget
     // lasts. Failed forks burn budget too, so a pool that cannot be
-    // refilled runs dry and the serial-refold last resort below fires.
+    // refilled runs dry and the scheduler refolds what is left.
     if (R.UsedShm && Pool.liveCount() != Pool.slots()) {
       Stopwatch Rec;
       unsigned Respawned = adopt(Pool.refill());
@@ -455,86 +397,49 @@ DistRunReport DistCoordinator::runImpl(
       R.WorkersSpawned += Respawned;
       R.RecoverySeconds += Rec.seconds();
     }
+    int64_t Now = steadyNowNs();
 
-    // Guaranteed last resort: a shard that exhausted its attempts,
-    // outlived the worker pool, or has no published mapping to be dealt
-    // from refolds serially right here, with no injection — mirroring
-    // runParallel's refold path.
-    bool NoWorkers = !R.UsedShm || Pool.liveCount() == 0;
-    for (size_t I = 0; I != N; ++I) {
-      ShardState &S = Shards[I];
-      if (S.Done || S.Outstanding != 0)
-        continue;
-      if (S.Attempts > Cfg.MaxRetries || NoWorkers) {
-        S.Out = Plan.runWorker(Chunk(I));
-        S.Done = true;
-        ++Done;
-        ++R.SerialRefolds;
-      }
-    }
-    if (Done == N)
-      break;
-
-    int64_t Now = nowNs();
-
-    // Deal pending shards to idle, handshaken workers — batched, but
-    // split evenly across the idle pool first so a small run is never
-    // serialized onto one worker by a large BatchShards.
-    size_t IdleCount = 0;
+    // Deal to idle, handshaken workers — batched, but split evenly
+    // across the idle pool first so a small run is never serialized
+    // onto one worker by a large BatchShards. Refolds run right here.
+    std::vector<unsigned> Idle;
     for (unsigned Slot = 0; Slot != Procs.size(); ++Slot)
       if (idle(Slot))
-        ++IdleCount;
-    if (IdleCount != 0) {
-      std::vector<size_t> Pending;
-      for (size_t I = 0; I != N; ++I) {
-        ShardState &S = Shards[I];
-        if (S.Done || S.Outstanding != 0 || S.Attempts > Cfg.MaxRetries ||
-            Now < S.EligibleNs)
-          continue;
-        Pending.push_back(I);
-      }
-      if (!Pending.empty()) {
-        size_t Per = std::min<size_t>(
-            Cfg.BatchShards, (Pending.size() + IdleCount - 1) / IdleCount);
-        size_t Next = 0;
-        for (unsigned Slot = 0;
-             Slot != Procs.size() && Next != Pending.size(); ++Slot) {
-          if (!idle(Slot))
-            continue;
-          std::vector<size_t> Batch(
-              Pending.begin() + Next,
-              Pending.begin() +
-                  std::min(Pending.size(), Next + Per));
-          Next += Batch.size();
-          if (!dispatchBatch(Slot, Batch, /*IsBackup=*/false, R, Shards))
-            handleDeath(Slot, DeathReason::Eof, R, Shards);
-        }
-      }
+        Idle.push_back(Slot);
+    auto decide = [&](runtime::ShardScheduler::Capacity Room) {
+      runtime::ShardScheduler::Decision D;
+      while ((D = Sched.next(Now, Room)).S == Step::Refold)
+        Outs[D.A.Shard] = Plan.runWorker(Chunk(D.A.Shard));
+      return D;
+    };
+    std::vector<Attempt> Deals;
+    runtime::ShardScheduler::Decision D;
+    while ((D = decide({Deals.size() < Idle.size() * Cfg.BatchShards,
+                        /*Backup=*/false,
+                        !R.UsedShm || Pool.liveCount() == 0}))
+               .S == Step::Deal)
+      Deals.push_back(D.A);
+    R.Cancelled = D.S == Step::Cancel;
+    if (D.S == Step::Merge || R.Cancelled)
+      break;
+    size_t Per = Deals.empty() ? 1
+                               : (Deals.size() + Idle.size() - 1) / Idle.size();
+    for (size_t K = 0; K * Per < Deals.size(); ++K) {
+      std::vector<Attempt> Batch(
+          Deals.begin() + K * Per,
+          Deals.begin() + std::min(Deals.size(), (K + 1) * Per));
+      if (!dispatchBatch(Idle[K], Batch, R, Sched))
+        handleDeath(Idle[K], DeathReason::Eof, R, Sched);
     }
-
-    // Stragglers: one speculative backup per overdue assignment, first
-    // commit wins. A backup only goes to an idle worker, whose queue is
-    // empty, so dispatching never touches the queue being walked.
-    for (unsigned Slot = 0; Cfg.Speculate && Slot != Procs.size(); ++Slot) {
-      if (!Pool.live(Slot))
+    // Stragglers: each backup goes to a worker still idle.
+    for (unsigned Slot : Idle) {
+      if (!idle(Slot))
         continue;
-      for (const Assign &A : Procs[Slot].Queue) {
-        if (A.IsBackup || A.Shard < 0)
-          continue;
-        ShardState &S = Shards[static_cast<size_t>(A.Shard)];
-        if (S.Done || S.BackupActive || S.Attempts > Cfg.MaxRetries)
-          continue;
-        if (Now - A.DispatchNs <= taskDeadlineNs(Cfg, A.Elems))
-          continue;
-        unsigned Idle = 0;
-        while (Idle != Procs.size() && !idle(Idle))
-          ++Idle;
-        if (Idle == Procs.size())
-          break;
-        if (!dispatchBatch(Idle, {static_cast<size_t>(A.Shard)},
-                           /*IsBackup=*/true, R, Shards))
-          handleDeath(Idle, DeathReason::Eof, R, Shards);
-      }
+      D = decide({/*Deal=*/false, /*Backup=*/true});
+      if (D.S != Step::Backup)
+        break;
+      if (!dispatchBatch(Slot, {D.A}, R, Sched))
+        handleDeath(Slot, DeathReason::Eof, R, Sched);
     }
 
     // Hang detection: a busy worker whose CURRENT item has run past
@@ -546,36 +451,35 @@ DistRunReport DistCoordinator::runImpl(
       if (!Pool.live(Slot))
         continue;
       if (!P.Queue.empty()) {
+        const Assign &Front = P.Queue.front();
         int64_t HangNs = static_cast<int64_t>(
             static_cast<double>(
-                taskDeadlineNs(Cfg, P.Queue.front().Elems)) *
-            Cfg.HangKillFactor);
-        if (Now - P.BusySinceNs > HangNs)
-          handleDeath(Slot, DeathReason::Hang, R, Shards);
+                runtime::taskDeadlineNs(Cfg, Desc[Front.A.Shard].Count)) *
+            HangKillFactor);
+        if (Now - Front.StartNs > HangNs)
+          handleDeath(Slot, DeathReason::Hang, R, Sched);
       } else if (Now - P.LastSeenNs > HbTimeoutNs) {
-        handleDeath(Slot, DeathReason::Hang, R, Shards);
+        handleDeath(Slot, DeathReason::Hang, R, Sched);
       }
     }
 
     // Wait for bytes (results, heartbeats, hellos) or the next timer.
-    // With every worker dead this returns at once and the refold sweep
-    // above finishes the run.
+    // With every worker dead this returns at once and the scheduler
+    // refolds what is left on the next tick.
     for (unsigned Slot : Pool.readable(/*TimeoutMs=*/2)) {
       RecvStatus St = Procs[Slot].Reader.fill(Pool.fd(Slot));
       if (St == RecvStatus::Eof || St == RecvStatus::Error)
-        handleDeath(Slot, DeathReason::Eof, R, Shards);
+        handleDeath(Slot, DeathReason::Eof, R, Sched);
       else if (St == RecvStatus::Corrupt)
-        handleDeath(Slot, DeathReason::Corrupt, R, Shards);
+        handleDeath(Slot, DeathReason::Corrupt, R, Sched);
       else
-        drainFrames(Slot, R, Shards, &Done);
+        drainFrames(Slot, R, Sched, Outs);
     }
   }
 
-  R.ShardsCompleted = static_cast<unsigned>(Done);
+  R += Sched.counters();
+  R.ShardsCompleted = static_cast<unsigned>(Sched.done());
   if (!R.Cancelled) {
-    std::vector<runtime::WorkerOutput> Outs(N);
-    for (size_t I = 0; I != N; ++I)
-      Outs[I] = std::move(Shards[I].Out);
     Stopwatch MergeTimer;
     R.Output = Plan.merge(Outs, MergeSegs);
     R.MergeSeconds = MergeTimer.seconds();

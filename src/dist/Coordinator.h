@@ -1,73 +1,43 @@
 //===- dist/Coordinator.h - Multi-process distributed execution ----------===//
 //
-// The real runtime behind `grassp dist-run` (ROADMAP item 4): a
-// coordinator forks N worker processes connected over Unix-domain
-// socket pairs and drives the synthesized plan's shards through them —
-// real processes, real sockets, real kills. It promotes the
-// mapreduce::Cluster cost model to an actual execution path while the
-// simulator stays on as the predicted-vs-measured cross-check
-// (bench/bench_dist).
+// The real runtime behind `grassp dist-run`: a coordinator drives the
+// plan's shards through N forked worker processes over Unix-domain
+// socket pairs — real processes, real sockets, real kills — while the
+// mapreduce::Cluster model stays on as the predicted-vs-measured
+// cross-check (bench/bench_dist).
 //
 // The coordinator is a SINGLE-THREADED poll() event loop; workers are
-// threadless fork children (dist/Worker.h), forked, reaped and respawned
-// by the fixed-slot support/ChildProc pool. That keeps the whole
-// runtime fork-safe and TSan-clean, and makes every recovery decision
-// sequential and replayable. The one exception is publication, which
-// fans out to short-lived helper threads that are all joined before
-// publish() returns — before the pool forks anything.
+// threadless fork children (dist/Worker.h) kept by the fixed-slot
+// support/ChildProc pool. That keeps the runtime fork-safe, TSan-clean
+// and replayable. The one exception is publication, whose helper
+// threads are all joined before publish() returns and the pool forks.
 //
 // Transport: every run publishes its input once as a read-only shared
 // region (dist/Shm.h) and Task frames carry only (generation, stripe,
 // offset, count) descriptors, so bytes over the socket are O(1) per
-// shard. A binary file source is published as one stripe: the workload
-// file's own fd. Every other input is split into S stripes — S =
-// min(Workers, shards, MaxFrameFds, bytes / MinStripeBytes), at least 1
-// — each a run of whole shards of about equal bytes in its own memfd.
-// The coordinator thread writes one stripe and S-1 helper threads write
-// the rest, each through its own reader (a SegmentCursor for sources),
-// since one memfd serializes its writers; every stripe is sealed before
-// any descriptor into it is dealt. Workers forked after publication
-// inherit the stripe fds; pool workers that predate it receive all of
-// them on one SCM_RIGHTS Publish frame. Descriptors are validated
-// against the generation and stripe table on the worker (and the
-// inherited generation's token in the Hello handshake), so a stale
-// mapping is a loud worker death, never a silent wrong fold. There is
-// no second transport: when publication fails (no sealable memfd, no
-// free descriptor) the run refolds every shard serially in the
-// coordinator and reports UsedShm=false.
+// shard. A binary file source is published as one stripe, its own fd;
+// every other input as S sealed memfd stripes written by S threads (S =
+// stripeCount()). Workers forked after publication inherit the stripe
+// fds; older workers receive them on one SCM_RIGHTS Publish frame. A
+// stale descriptor is a loud worker death, never a silent wrong fold.
+// When publication fails, every shard refolds in the coordinator and
+// the report says UsedShm=false. DESIGN.md, "Distributed runtime", has
+// the details and the failure-detection matrix.
 //
-// Shards are dealt in BATCHES: one Task frame carries up to BatchShards
-// assignments (split evenly across idle workers), the worker folds them
-// in order and replies one Result per item — halving round-trips
-// without giving up per-shard speculation or first-commit-wins.
+// Fork-safety: an embedder with other threads (DiffOracle's ThreadPool
+// during chaos --dist) should prewarm() before starting them, so only
+// crash respawns fork from a multi-threaded parent, which glibc/Linux
+// makes safe via its atfork handlers.
 //
-// Fork-safety in multi-threaded embedders: when the EMBEDDING process
-// has other threads (DiffOracle's ThreadPool during chaos --dist),
-// fork() + non-async-signal-safe work in the child is POSIX-undefined
-// but safe on the glibc/Linux target this runtime assumes — glibc
-// re-arms its allocator locks via atfork handlers, and the child
-// touches no other shared state before exec-free workerMain. Embedders
-// should still prewarm() the pool before starting threads so the bulk
-// of forks happens from a single-threaded parent; only chaos respawns
-// then depend on the glibc guarantee.
-//
-// Failure handling (the robustness core; the full detection matrix is
-// in DESIGN.md, "Distributed runtime"): a worker that hung up, exited
-// (the stale-mapping exit 113 included), sent a corrupt frame, or
-// overran HangKillFactor x its size-scaled task deadline or the idle
-// heartbeat timeout is reaped — SIGKILLed first unless it hung up
-// itself — and its whole batch requeued; its slot is refilled on the
-// next tick, inheriting the current mapping. A task past its plain
-// deadline gets a speculative backup on a peer; first commit wins.
-//
-// Requeued shards wait out a decorrelated-jitter backoff
-// (runtime::decorrelatedBackoff — shared with RunPolicy) before
-// redispatch; a shard that exhausts its attempt budget, or outlives the
-// last live worker, is refolded serially in the coordinator — the
-// guaranteed last resort, exactly runParallel's discipline. Workers'
-// partial fold states merge through CompiledPlan::merge, the certified
-// merge, so every recovery path is bit-identical to the serial fold by
-// construction (and the chaos harness checks it is).
+// Recovery: the coordinator is the process executor of
+// runtime/ShardScheduler, the state machine under runParallel, which
+// decides what is dealt, backed up, dealt again, or refolded here. The
+// coordinator keeps the process concerns: batching (up to BatchShards
+// descriptors per Task frame), Publish frames, heartbeats, hang kills
+// and respawns. A worker that dies, hangs or sends a corrupt frame is
+// reaped, and every attempt it held is reported lost. Partial states
+// merge through the certified CompiledPlan::merge, so every recovery
+// path is bit-identical to the serial fold.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,9 +48,7 @@
 #include "dist/Shm.h"
 #include "runtime/Kernels.h"
 #include "runtime/Runner.h"
-#include "support/Cancel.h"
 #include "support/ChildProc.h"
-#include "support/FaultInject.h"
 
 #include <cstdint>
 #include <deque>
@@ -106,77 +74,39 @@ inline constexpr uint64_t MinStripeBytes = uint64_t{1} << 20;
 /// StaleMapExitStatus and the shard must be requeued.
 inline constexpr const char *SiteStaleStripe = "dist.descriptor.stripe";
 
-/// The fault-injection key for one dispatch: pure in (run, attempt,
-/// shard), so a chaos seed replays its exact kill pattern, tests can
-/// plant "shard 3's first attempt dies" precisely, and retries of the
-/// same shard draw fresh verdicts.
-inline uint64_t distAttemptKey(uint64_t Run, unsigned Attempt,
-                               uint64_t Shard) {
-  return (Run << 32) + Attempt * runtime::WorkerAttemptKeyStride + Shard;
-}
+/// Workers consult their dist.* fault sites with each descriptor's key.
+using runtime::distAttemptKey;
 
-struct DistConfig {
+/// A task running longer than HangKillFactor * its deadline
+/// (runtime::taskDeadlineNs) is hung: the worker is SIGKILLed.
+inline constexpr double HangKillFactor = 2.0;
+/// An idle worker silent for longer than this is presumed hung. Idle
+/// workers heartbeat every HeartbeatSeconds (dist/Worker.h).
+inline constexpr double HeartbeatTimeoutSeconds = 0.5;
+
+/// The process executor's configuration: the shared recovery policy
+/// (whose Faults are consulted by WORKERS at the dist.* sites, inherited
+/// across fork; decisions are keyed, so the copies agree) plus the pool.
+struct DistConfig : runtime::RunPolicy {
   /// Worker processes to fork.
   unsigned Workers = 4;
-  /// Extra dispatches granted per shard before the serial-refold
-  /// fallback (first dispatch + MaxRetries retries).
-  unsigned MaxRetries = 3;
-  /// Base of the per-task deadline: a task running longer than
-  /// taskDeadlineNs(elems) is a straggler and a speculative backup is
-  /// dispatched to an idle peer (first commit wins).
-  double TaskDeadlineSeconds = 0.25;
-  /// Per-element addition to the deadline. A legitimately long fold
-  /// over a big mapped shard must not be reaped as hung, so the
-  /// deadline (and with it the hang-kill bound) scales with the
-  /// shard's element count. 0 restores the fixed PR 8 deadline.
-  double DeadlineNsPerElem = 100.0;
-  /// A task running longer than HangKillFactor * taskDeadlineNs(elems)
-  /// is hung: the worker is SIGKILLed and its batch requeued.
-  double HangKillFactor = 2.0;
-  /// Idle workers heartbeat at this period...
-  double HeartbeatSeconds = 0.02;
-  /// ...and an idle worker silent for longer than this is presumed hung.
-  double HeartbeatTimeoutSeconds = 0.5;
-  /// Launch speculative backups for stragglers.
-  bool Speculate = true;
   /// Max shard assignments per batched Task frame. Dealing splits
   /// pending shards evenly across idle workers first, so small runs
   /// still use the whole pool.
   unsigned BatchShards = 4;
-  /// Decorrelated-jitter backoff before redispatching a failed shard
-  /// (runtime::decorrelatedBackoff; 0 = immediate).
-  double BackoffSeconds = 0.0002;
-  double BackoffCapSeconds = 0.02;
-  uint64_t BackoffJitterSeed = 0;
   /// Total respawn budget across the coordinator's lifetime; exhausted
   /// = remaining shards refold serially.
   unsigned MaxWorkerRestarts = 64;
-  /// Injector consulted by WORKERS at the dist.* sites (inherited
-  /// across fork; decisions are keyed, so the copies agree).
-  FaultInjector *Faults = nullptr;
-  /// Cooperative cancellation: no new dispatches, no merge commit.
-  CancelToken Token;
 };
 
 /// What one distributed run did — including everything that went wrong
 /// and how it was recovered. Surfaced by `grassp dist-run`.
-struct DistRunReport {
+struct DistRunReport : runtime::RecoveryCounters {
   int64_t Output = 0;
   bool Cancelled = false;
   unsigned Shards = 0;
   unsigned ShardsCompleted = 0;
-
-  unsigned WorkersSpawned = 0;   // forks serving this run (incl. respawns).
-  unsigned WorkersKilled = 0;    // deaths with WIFSIGNALED (real kills).
-  unsigned WorkersExited = 0;    // deaths with WIFEXITED + nonzero status.
-  unsigned WorkersRestarted = 0; // replacements forked after a death.
-  unsigned ShardsReassigned = 0; // lost assignments requeued to peers.
-  unsigned SpeculativeLaunches = 0;
-  unsigned SpeculativeWins = 0;  // backups that beat their primary.
-  unsigned CorruptFrames = 0;    // checksum rejects (never a wrong answer).
-  unsigned HangsDetected = 0;    // deadline/heartbeat kills.
-  unsigned SerialRefolds = 0;    // shards recovered in the coordinator.
-  unsigned Retries = 0;          // redispatches after a lost attempt.
+  unsigned WorkersSpawned = 0; // forks serving this run (incl. respawns).
 
   /// True when this run published its input and dealt descriptors;
   /// false = publication failed and every shard refolded serially in
@@ -253,24 +183,16 @@ public:
   static unsigned stripeCount(unsigned Workers, size_t Shards,
                               uint64_t Bytes);
 
-  /// The effective deadline for one task over \p Elems elements.
-  static int64_t taskDeadlineNs(const DistConfig &Cfg, uint64_t Elems) {
-    return static_cast<int64_t>(Cfg.TaskDeadlineSeconds * 1e9 +
-                                static_cast<double>(Elems) *
-                                    Cfg.DeadlineNsPerElem);
-  }
-
 private:
-  /// One shard assignment a worker currently holds. A worker's queue
-  /// front is the item it is folding NOW (workers execute batches in
-  /// order); everything behind it is requeued wholesale if the worker
-  /// dies.
+  using Attempt = runtime::ShardScheduler::Attempt;
+
+  /// One attempt a worker currently holds. A worker's queue front is the
+  /// item it is folding NOW (workers execute batches in order);
+  /// everything behind it is lost with it if the worker dies.
   struct Assign {
     uint64_t TaskId = 0;
-    int Shard = -1;
-    bool IsBackup = false;
-    int64_t DispatchNs = 0;
-    uint64_t Elems = 0;
+    Attempt A;
+    int64_t StartNs = -1; // when it reached the queue front.
   };
 
   /// Per-worker protocol state, indexed by pool slot; reset whenever
@@ -280,23 +202,10 @@ private:
     FrameWriter Writer; // per-connection reusable encode buffers.
     bool HelloOk = false;
     std::deque<Assign> Queue;
-    /// When the queue-front item started running on the worker (its
-    /// dispatch, or the previous item's Result).
-    int64_t BusySinceNs = 0;
     int64_t LastSeenNs = 0; // last frame of any kind.
     /// Mapping generation the worker holds (0 = none), learned from its
     /// Hello and advanced by Publish frames we send it.
     uint64_t MapGeneration = 0;
-  };
-
-  struct ShardState {
-    bool Done = false;
-    unsigned Attempts = 0;    // dispatches so far (incl. backups).
-    unsigned Outstanding = 0; // attempts currently on workers.
-    bool BackupActive = false;
-    int64_t EligibleNs = 0;   // backoff gate for redispatch.
-    double PrevSleep = 0;
-    runtime::WorkerOutput Out;
   };
 
   /// Element window of one shard within the published mapping.
@@ -341,19 +250,23 @@ private:
   bool idle(unsigned Slot) const {
     return Pool.live(Slot) && Procs[Slot].HelloOk && Procs[Slot].Queue.empty();
   }
-  /// Reap + status decode + requeue; Reason feeds counters. The pool
-  /// refills the slot on the next tick.
+  /// Reap + status decode; every attempt the worker held is lost. The
+  /// pool refills the slot on the next tick.
   enum class DeathReason { Eof, Corrupt, Hang };
   void handleDeath(unsigned Slot, DeathReason Reason, DistRunReport &R,
-                   std::vector<ShardState> &Shards);
-  /// Sends one batched Task frame (re-publishing the mapping first when
-  /// the worker's generation is stale). Returns false on send failure —
-  /// the caller reaps the dead worker.
-  bool dispatchBatch(unsigned Slot, const std::vector<size_t> &Batch,
-                     bool IsBackup, DistRunReport &R,
-                     std::vector<ShardState> &Shards);
+                   runtime::ShardScheduler &Sched);
+  /// Queues \p Batch on the worker and sends it as one Task frame
+  /// (re-publishing the mapping first when the worker's generation is
+  /// stale). Returns false on send failure: the caller reaps the dead
+  /// worker, losing the batch with it.
+  bool dispatchBatch(unsigned Slot, const std::vector<Attempt> &Batch,
+                     DistRunReport &R, runtime::ShardScheduler &Sched);
+  /// Reports the worker's queue front as started, once.
+  void startFront(unsigned Slot, int64_t NowNs,
+                  runtime::ShardScheduler &Sched);
   void drainFrames(unsigned Slot, DistRunReport &R,
-                   std::vector<ShardState> &Shards, size_t *DonePtr);
+                   runtime::ShardScheduler &Sched,
+                   std::vector<runtime::WorkerOutput> &Outs);
 
   const runtime::CompiledPlan &Plan;
   DistConfig Cfg;

@@ -21,7 +21,7 @@ namespace {
 /// SCM_RIGHTS fds that ride in with Publish frames land on \p PendingFds
 /// in arrival order. Returns false on EOF/error/corrupt — the worker
 /// treats any of those as "coordinator gone" and exits.
-bool readFrame(FrameReader &Reader, int Fd, Frame *F, double HeartbeatSeconds,
+bool readFrame(FrameReader &Reader, int Fd, Frame *F,
                uint64_t *HeartbeatCounter, FrameWriter &Writer,
                std::vector<int> *PendingFds) {
   for (;;) {
@@ -33,10 +33,7 @@ bool readFrame(FrameReader &Reader, int Fd, Frame *F, double HeartbeatSeconds,
     // Idle: wait for bytes, heartbeating on every timeout so the
     // coordinator can tell an idle worker from a dead one.
     struct pollfd P = {Fd, POLLIN, 0};
-    int Ms = HeartbeatSeconds > 0
-                 ? static_cast<int>(HeartbeatSeconds * 1000.0) + 1
-                 : -1;
-    int Rc = ::poll(&P, 1, Ms);
+    int Rc = ::poll(&P, 1, static_cast<int>(HeartbeatSeconds * 1000.0) + 1);
     if (Rc < 0)
       continue; // EINTR
     if (Rc == 0) {
@@ -55,8 +52,7 @@ bool readFrame(FrameReader &Reader, int Fd, Frame *F, double HeartbeatSeconds,
 } // namespace
 
 void workerMain(int Fd, const runtime::CompiledPlan &Plan,
-                FaultInjector *Faults, double HeartbeatSeconds,
-                const ShmRegion &Inherited) {
+                FaultInjector *Faults, const ShmRegion &Inherited) {
   // The worker's copy of the published mapping. The inherited fds are
   // the child's own descriptors (fork dup'd them), so this side owns
   // them.
@@ -86,8 +82,7 @@ void workerMain(int Fd, const runtime::CompiledPlan &Plan,
   uint64_t Heartbeats = 0;
   for (;;) {
     Frame F;
-    if (!readFrame(Reader, Fd, &F, HeartbeatSeconds, &Heartbeats, Writer,
-                   &PendingFds))
+    if (!readFrame(Reader, Fd, &F, &Heartbeats, Writer, &PendingFds))
       ::_exit(0); // coordinator gone (or untrusted channel): clean end.
     if (F.Type == MsgType::Shutdown)
       ::_exit(0);

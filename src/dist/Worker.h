@@ -58,17 +58,21 @@ inline constexpr const char *SiteFrameCorrupt = "dist.frame.corrupt";
 /// status, distinguishable from both clean exits and signals).
 inline constexpr int WorkerFaultExitStatus = 137;
 
+/// Idle workers heartbeat at this period, so the coordinator can tell an
+/// idle worker from a hung one.
+inline constexpr double HeartbeatSeconds = 0.02;
+
 /// The worker protocol loop. Runs in the forked child on \p Fd; sends
 /// Hello (pid + the plan's canonical bytecode hash + the inherited
 /// mapping's generation/token), then serves Task frames until Shutdown
-/// or coordinator EOF. Sends a Heartbeat every \p HeartbeatSeconds
-/// while idle. \p Inherited is the shared mapping published before this
+/// or coordinator EOF. Sends a Heartbeat every HeartbeatSeconds while
+/// idle. \p Inherited is the shared mapping published before this
 /// worker was forked (invalid when none); Publish frames replace it.
 /// Never returns — always _exit()s (clean protocol end: 0; stale
 /// descriptor: StaleMapExitStatus) so the child cannot fall back into
 /// the parent's stack, atexit handlers, or gtest machinery.
 [[noreturn]] void workerMain(int Fd, const runtime::CompiledPlan &Plan,
-                             FaultInjector *Faults, double HeartbeatSeconds,
+                             FaultInjector *Faults,
                              const ShmRegion &Inherited = ShmRegion());
 
 } // namespace dist

@@ -9,64 +9,15 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 
 namespace grassp {
 namespace runtime {
-
-namespace {
-
-int64_t nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Per-segment commit cell. State 0 = pending, 1 = claimed by a winner
-/// that is still copying its output out, 2 = committed and readable.
-/// Primary and speculative backup race on the claim; exactly one wins.
-struct Slot {
-  std::atomic<int> State{0};
-  std::atomic<int64_t> StartNs{-1}; // primary's start; -1 = still queued.
-  std::atomic<int64_t> DurNs{0};
-  std::atomic<bool> BackupLaunched{false};
-};
-
-double medianOf(std::vector<double> V) {
-  if (V.empty())
-    return 0.0;
-  size_t Mid = V.size() / 2;
-  std::nth_element(V.begin(), V.begin() + Mid, V.end());
-  return V[Mid];
-}
-
-/// SplitMix64 finalizer — the same stateless mixer FaultInject uses, so
-/// backoff jitter is pure in (seed, key) with no shared RNG state.
-uint64_t mixBits(uint64_t Z) {
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-  return Z ^ (Z >> 31);
-}
-
-} // namespace
-
-double decorrelatedBackoff(double Base, double Cap, double Prev,
-                           uint64_t Seed, uint64_t Key) {
-  if (Base <= 0.0)
-    return 0.0;
-  if (Cap < Base)
-    Cap = Base;
-  if (Prev < Base)
-    Prev = Base;
-  // Uniform in [Base, 3*Prev]: 2^64 as a double is exact, the quotient
-  // lies in [0, 1).
-  double U = static_cast<double>(
-                 mixBits(Seed + 0x9e3779b97f4a7c15ULL * (Key + 1))) /
-             18446744073709551616.0;
-  double Sleep = Base + U * (3.0 * Prev - Base);
-  return std::min(Sleep, Cap);
-}
 
 int64_t runSerialTimed(const CompiledProgram &Prog,
                        const std::vector<SegmentView> &Segs,
@@ -80,229 +31,183 @@ int64_t runSerialTimed(const CompiledProgram &Prog,
 
 namespace {
 
-/// The shared fault-tolerance core of runParallel: retries with backoff,
-/// speculative backups, guaranteed serial refolds, and cooperative
-/// cancellation, parameterized over how a segment's worker output is
-/// computed (\p Work — must be a pure function of the segment index,
-/// callable concurrently) and how committed outputs merge (\p Merge).
-/// Both the in-memory and the SegmentSource entry points are thin
-/// wrappers, so out-of-core runs get the exact same guarantees.
+using Attempt = ShardScheduler::Attempt;
+using Step = ShardScheduler::Step;
+
+/// One attempt's report to the thread that owns the scheduler.
+struct AttemptEvent {
+  enum Kind { Started, Completed, Failed, Lost } K;
+  Attempt A;
+  WorkerOutput Out;
+  double Seconds = 0;
+};
+
+/// The owning thread's inbox. Posters notify while holding the lock:
+/// the inbox lives on the owner's stack and may be gone the moment the
+/// last event is taken.
+struct Inbox {
+  std::mutex M;
+  std::condition_variable Cv;
+  std::vector<AttemptEvent> Events;
+
+  void post(AttemptEvent::Kind K, const Attempt &A, WorkerOutput Out = {},
+            double Seconds = 0) {
+    std::lock_guard<std::mutex> L(M);
+    Events.push_back({K, A, std::move(Out), Seconds});
+    Cv.notify_one();
+  }
+  /// Every pending event, once one arrives or \p UntilNs passes (an
+  /// hour at most, so INT64_MAX means "until an event").
+  std::vector<AttemptEvent> take(int64_t UntilNs) {
+    std::unique_lock<std::mutex> L(M);
+    Cv.wait_for(L,
+                std::chrono::nanoseconds(std::min<int64_t>(
+                    UntilNs - steadyNowNs(), int64_t{3600} * 1000000000)),
+                [&] { return !Events.empty(); });
+    return std::exchange(Events, {});
+  }
+};
+
+/// runParallel over \p Elems.size() segments: \p Work folds one segment
+/// (a pure function of its index, callable concurrently) and \p Merge
+/// combines the committed outputs; both entry points are thin wrappers.
+///
+/// With \p Pool, attempts run on pool threads that only fold and post
+/// events: the scheduler, outputs and timings are touched by this thread
+/// alone, and it returns only after every submitted attempt has
+/// reported, losers included, because attempts reference this frame.
+/// Without a pool, each attempt runs to the end inside its deal, and an
+/// injected stall is added to its recorded time instead of slept
+/// (critical-path mode), so no backup is ever due. Serial refolds run
+/// last, once nothing is in flight, so a real kernel error they raise
+/// propagates with no attempt left referencing this frame.
 ParallelRunResult
-runParallelCore(size_t N, const std::function<WorkerOutput(size_t)> &Work,
+runParallelCore(std::vector<uint64_t> Elems,
+                const std::function<WorkerOutput(size_t)> &Work,
                 const std::function<int64_t(std::vector<WorkerOutput> &)> &Merge,
                 ThreadPool *Pool, const RunPolicy &Policy) {
   ParallelRunResult R;
   Stopwatch Total;
-  std::vector<WorkerOutput> Outputs(N);
-  R.WorkerSeconds.assign(N, 0.0);
+  std::vector<WorkerOutput> Outputs(Elems.size());
+  R.WorkerSeconds.assign(Elems.size(), 0.0);
   FaultInjector *FI = Policy.Faults;
-
-  // One fault-injected worker attempt; throws on an injected (or real)
-  // failure.
-  auto attemptOnce = [&](size_t I, unsigned Attempt) {
-    if (FI)
-      FI->maybeThrow(FaultSiteWorker, Attempt * WorkerAttemptKeyStride + I);
-    return Work(I);
+  ShardScheduler Sched(Policy, std::move(Elems), FI ? FI->nextRun() : 0);
+  Inbox Box;
+  // Set once a shard commits, so its straggling copy stops stalling.
+  std::vector<std::atomic<bool>> Committed(Outputs.size());
+  auto settled = [&](const Attempt &A) {
+    return Committed[A.Shard].load(std::memory_order_acquire) ||
+           Policy.Token.cancelled();
+  };
+  auto body = [&](const Attempt &A) {
+    Box.post(AttemptEvent::Started, A);
+    // Injection hits primaries only; the stall ends early once the other
+    // copy commits or the token fires.
+    double Stall = FI && !A.Backup ? FI->delayFor(FaultSiteStraggler, A.Key)
+                                   : 0.0;
+    const int64_t End = steadyNowNs() + static_cast<int64_t>(Stall * 1e9);
+    while (Pool && steadyNowNs() < End && !settled(A))
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (settled(A))
+      return Box.post(AttemptEvent::Lost, A);
+    Stopwatch W;
+    try {
+      if (FI && !A.Backup)
+        FI->maybeThrow(FaultSiteWorker, A.Key);
+      WorkerOutput Out = Work(A.Shard);
+      Box.post(AttemptEvent::Completed, A, std::move(Out),
+               W.seconds() + Stall);
+    } catch (...) {
+      Box.post(AttemptEvent::Failed, A);
+    }
+  };
+  // A task the pool discards unrun (its token fired) reports Lost; the
+  // lost attempts count, so a shedding pool ends in serial refolds.
+  struct Guard {
+    Inbox &Box;
+    Attempt A;
+    bool Ran = false;
+    ~Guard() {
+      if (!Ran)
+        Box.post(AttemptEvent::Lost, A);
+    }
   };
 
-  if (!Pool) {
-    // Measured critical-path mode: sequential, per-segment retry loop;
-    // injected straggler stalls are *modeled* (added to the recorded
-    // worker time) rather than slept.
-    for (size_t I = 0; I != N && !R.Cancelled; ++I) {
-      if (Policy.Token.cancelled()) {
-        R.Cancelled = true;
+  size_t InFlight = 0;
+  std::vector<size_t> Refolds;
+  for (;;) {
+    ShardScheduler::Decision D =
+        Sched.next(steadyNowNs(), {/*Deal=*/true, /*Backup=*/Pool != nullptr});
+    switch (D.S) {
+    case Step::Deal:
+    case Step::Backup:
+      ++InFlight;
+      if (!Pool) {
+        body(D.A);
+      } else {
+        std::shared_ptr<Guard> G(new Guard{Box, D.A});
+        Pool->submit([G = std::move(G), &body] {
+          G->Ran = true;
+          body(G->A);
+        });
+      }
+      continue;
+    case Step::Refold:
+      Refolds.push_back(D.A.Shard);
+      continue;
+    case Step::Wait:
+      break;
+    case Step::Merge:
+    case Step::Cancel:
+      if (InFlight == 0) {
+        static_cast<RecoveryCounters &>(R) = Sched.counters();
+        R.CompletedSegments = static_cast<unsigned>(Sched.done());
+        // A merge over a mix of computed and default worker outputs
+        // would be a wrong answer; a cut run skips its refolds too.
+        R.Cancelled = D.S == Step::Cancel;
+        if (R.Cancelled) {
+          R.CompletedSegments -= static_cast<unsigned>(Refolds.size());
+          R.SerialRefolds -= static_cast<unsigned>(Refolds.size());
+        } else {
+          for (size_t I : Refolds) {
+            Stopwatch W;
+            Outputs[I] = Work(I);
+            R.WorkerSeconds[I] = W.seconds();
+          }
+          Stopwatch MergeTimer;
+          R.Output = Merge(Outputs);
+          R.MergeSeconds = MergeTimer.seconds();
+        }
+        R.WallSeconds = Total.seconds();
+        return R;
+      }
+      break;
+    }
+    std::vector<AttemptEvent> Events =
+        Box.take(D.S == Step::Wait ? D.UntilNs : INT64_MAX);
+    const int64_t Now = steadyNowNs();
+    for (AttemptEvent &E : Events) {
+      switch (E.K) {
+      case AttemptEvent::Started:
+        Sched.started(E.A, Now);
+        continue;
+      case AttemptEvent::Completed:
+        if (Sched.completed(E.A)) {
+          Outputs[E.A.Shard] = std::move(E.Out);
+          R.WorkerSeconds[E.A.Shard] = E.Seconds;
+          Committed[E.A.Shard].store(true, std::memory_order_release);
+        }
+        break;
+      case AttemptEvent::Failed:
+        Sched.failed(E.A, Now);
+        break;
+      case AttemptEvent::Lost:
+        Sched.lost(E.A, Now);
         break;
       }
-      double InjectedStall = FI ? FI->delayFor(FaultSiteStraggler, I) : 0.0;
-      double PrevSleep = Policy.BackoffSeconds;
-      for (unsigned Attempt = 0;; ++Attempt) {
-        Stopwatch W;
-        try {
-          Outputs[I] = attemptOnce(I, Attempt);
-          R.WorkerSeconds[I] = W.seconds() + InjectedStall;
-          ++R.CompletedSegments;
-          break;
-        } catch (...) {
-          ++R.FailedAttempts;
-          if (Policy.Token.cancelled()) {
-            R.Cancelled = true;
-            break;
-          }
-          if (Attempt >= Policy.MaxRetries) {
-            // Last resort: refold the segment with no injection.
-            ++R.SerialRefolds;
-            Stopwatch W2;
-            Outputs[I] = Work(I);
-            R.WorkerSeconds[I] = W2.seconds();
-            ++R.CompletedSegments;
-            break;
-          }
-          ++R.Retries;
-          // Interruptible: a fired token cuts the backoff short and the
-          // next iteration notices it.
-          PrevSleep = decorrelatedBackoff(
-              Policy.BackoffSeconds, Policy.BackoffCapSeconds, PrevSleep,
-              Policy.BackoffJitterSeed,
-              Attempt * WorkerAttemptKeyStride + I);
-          Policy.Token.sleepFor(PrevSleep);
-        }
-      }
+      --InFlight;
     }
-  } else {
-    std::vector<Slot> Slots(N);
-    std::atomic<unsigned> Alive{0};
-    std::atomic<unsigned> FailedAttempts{0}, Retries{0};
-    std::atomic<unsigned> SpecLaunches{0}, SpecWins{0};
-
-    auto tryCommit = [&](size_t I, WorkerOutput &&Out, double Sec) {
-      int Expected = 0;
-      if (!Slots[I].State.compare_exchange_strong(
-              Expected, 1, std::memory_order_acq_rel))
-        return false;
-      Outputs[I] = std::move(Out);
-      R.WorkerSeconds[I] = Sec;
-      Slots[I].DurNs.store(static_cast<int64_t>(Sec * 1e9),
-                           std::memory_order_relaxed);
-      Slots[I].State.store(2, std::memory_order_release);
-      return true;
-    };
-
-    // Primary and backup bodies share the retry loop; backups skip
-    // injection (they model re-execution on a healthy node) and bail as
-    // soon as the other copy has committed.
-    auto runBody = [&](size_t I, bool IsBackup) {
-      double Stall =
-          (!IsBackup && FI) ? FI->delayFor(FaultSiteStraggler, I) : 0.0;
-      if (!IsBackup)
-        Slots[I].StartNs.store(nowNs(), std::memory_order_relaxed);
-      if (Stall > 0) {
-        // Cancellable stall: wake early once a backup commits or the
-        // run token fires — an injected straggler must not outlive a
-        // cancelled run.
-        int64_t End = nowNs() + static_cast<int64_t>(Stall * 1e9);
-        while (nowNs() < End &&
-               Slots[I].State.load(std::memory_order_acquire) == 0 &&
-               !Policy.Token.cancelled())
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      double PrevSleep = Policy.BackoffSeconds;
-      for (unsigned Attempt = 0;; ++Attempt) {
-        if (Slots[I].State.load(std::memory_order_acquire) != 0)
-          return; // the other copy already won.
-        if (Policy.Token.cancelled())
-          return; // cut: the slot stays uncommitted, nothing merges.
-        Stopwatch W;
-        try {
-          WorkerOutput Out = IsBackup ? Work(I) : attemptOnce(I, Attempt);
-          if (tryCommit(I, std::move(Out), W.seconds() + Stall) && IsBackup)
-            SpecWins.fetch_add(1, std::memory_order_relaxed);
-          return;
-        } catch (...) {
-          FailedAttempts.fetch_add(1, std::memory_order_relaxed);
-          if (Attempt >= Policy.MaxRetries)
-            return; // permanent failure; serial refold below.
-          Retries.fetch_add(1, std::memory_order_relaxed);
-          // Interruptible: a fired token wakes the backoff and the next
-          // iteration returns.
-          PrevSleep = decorrelatedBackoff(
-              Policy.BackoffSeconds, Policy.BackoffCapSeconds, PrevSleep,
-              Policy.BackoffJitterSeed,
-              Attempt * WorkerAttemptKeyStride + I);
-          Policy.Token.sleepFor(PrevSleep);
-        }
-      }
-    };
-
-    for (size_t I = 0; I != N; ++I) {
-      Alive.fetch_add(1, std::memory_order_relaxed);
-      Pool->submit([&, I] {
-        runBody(I, /*IsBackup=*/false);
-        Alive.fetch_sub(1, std::memory_order_release);
-      });
-    }
-
-    if (Policy.Speculate) {
-      // Straggler monitor: once enough workers finished, re-execute any
-      // still-running worker that exceeds the median by the configured
-      // factor. First finisher wins the commit; the loser's result is
-      // discarded, so the merged output cannot change.
-      while (Alive.load(std::memory_order_acquire) != 0) {
-        if (Policy.Token.cancelled())
-          break; // stop launching backups; workers are bailing out.
-        std::this_thread::sleep_for(std::chrono::microseconds(300));
-        std::vector<double> DoneSec;
-        for (Slot &S : Slots)
-          if (S.State.load(std::memory_order_acquire) == 2)
-            DoneSec.push_back(
-                S.DurNs.load(std::memory_order_relaxed) / 1e9);
-        size_t NeedDone = std::max<size_t>(
-            1, static_cast<size_t>(Policy.SpeculationMinCompletedFraction *
-                                   static_cast<double>(N)));
-        if (DoneSec.size() < NeedDone)
-          continue;
-        double Threshold =
-            std::max(Policy.SpeculationMinSeconds,
-                     Policy.SpeculationDelayFactor * medianOf(DoneSec));
-        int64_t Now = nowNs();
-        for (size_t I = 0; I != N; ++I) {
-          Slot &S = Slots[I];
-          if (S.State.load(std::memory_order_acquire) != 0)
-            continue;
-          int64_t St = S.StartNs.load(std::memory_order_relaxed);
-          if (St < 0 || (Now - St) / 1e9 < Threshold)
-            continue;
-          bool Expected = false;
-          if (!S.BackupLaunched.compare_exchange_strong(Expected, true))
-            continue;
-          SpecLaunches.fetch_add(1, std::memory_order_relaxed);
-          Alive.fetch_add(1, std::memory_order_relaxed);
-          Pool->submit([&, I] {
-            runBody(I, /*IsBackup=*/true);
-            Alive.fetch_sub(1, std::memory_order_release);
-          });
-        }
-      }
-    }
-    Pool->wait();
-    R.Cancelled = Policy.Token.cancelled();
-
-    // Guaranteed path: segments whose every attempt failed are refolded
-    // serially on this thread, injection-free. Real (non-injected)
-    // kernel errors propagate from here. A cancelled run must NOT take
-    // it — refolding every abandoned segment is exactly the work the
-    // cancel asked us not to do.
-    for (size_t I = 0; I != N && !R.Cancelled; ++I) {
-      if (Slots[I].State.load(std::memory_order_acquire) == 2)
-        continue;
-      ++R.SerialRefolds;
-      Stopwatch W;
-      Outputs[I] = Work(I);
-      R.WorkerSeconds[I] = W.seconds();
-    }
-    for (size_t I = 0; I != N; ++I)
-      if (Slots[I].State.load(std::memory_order_acquire) == 2)
-        ++R.CompletedSegments;
-    R.CompletedSegments += R.SerialRefolds;
-    R.FailedAttempts = FailedAttempts.load(std::memory_order_relaxed);
-    R.Retries = Retries.load(std::memory_order_relaxed);
-    R.SpeculativeLaunches = SpecLaunches.load(std::memory_order_relaxed);
-    R.SpeculativeWins = SpecWins.load(std::memory_order_relaxed);
   }
-
-  if (R.Cancelled || Policy.Token.cancelled()) {
-    // Partial stats only: committing a merge over a mix of computed and
-    // default-constructed worker outputs would be a wrong answer.
-    R.Cancelled = true;
-    R.WallSeconds = Total.seconds();
-    return R;
-  }
-
-  Stopwatch MergeTimer;
-  R.Output = Merge(Outputs);
-  R.MergeSeconds = MergeTimer.seconds();
-  R.WallSeconds = Total.seconds();
-  return R;
 }
 
 } // namespace
@@ -310,8 +215,11 @@ runParallelCore(size_t N, const std::function<WorkerOutput(size_t)> &Work,
 ParallelRunResult runParallel(const CompiledPlan &Plan,
                               const std::vector<SegmentView> &Segs,
                               ThreadPool *Pool, const RunPolicy &Policy) {
+  std::vector<uint64_t> Elems(Segs.size());
+  for (size_t I = 0; I != Segs.size(); ++I)
+    Elems[I] = Segs[I].Size;
   return runParallelCore(
-      Segs.size(), [&](size_t I) { return Plan.runWorker(Segs[I]); },
+      std::move(Elems), [&](size_t I) { return Plan.runWorker(Segs[I]); },
       [&](std::vector<WorkerOutput> &Outputs) {
         return Plan.merge(Outputs, Segs);
       },
@@ -342,8 +250,11 @@ ParallelRunResult runParallel(const CompiledPlan &Plan,
                               const SegmentSource &Src, ThreadPool *Pool,
                               const RunPolicy &Policy) {
   const MergeHeads Heads = prefetchMergeHeads(Plan, Src);
+  std::vector<uint64_t> Elems(Src.chunkCount());
+  for (size_t I = 0; I != Elems.size(); ++I)
+    Elems[I] = Src.chunkElems(I);
   return runParallelCore(
-      Src.chunkCount(),
+      std::move(Elems),
       [&](size_t I) {
         // A fresh cursor per attempt: cursors are not thread-safe, and
         // retries/backups may run the same chunk concurrently. The

@@ -3,22 +3,17 @@
 // Two execution modes:
 //
 //  * ThreadPool mode — workers run concurrently on real std::threads (the
-//    paper's 8-thread POSIX study); used for correctness and on machines
-//    with real parallelism.
+//    paper's 8-thread POSIX study).
 //  * Measured critical-path mode — workers run one-by-one, each timed;
-//    the P-worker makespan is computed by LPT scheduling and the modeled
-//    speedup is serial / (makespan + merge). This reproduces the *shape*
-//    of the paper's Table-1 speedups on hosts without 8 hardware threads
-//    (see DESIGN.md, substitutions).
+//    the modeled speedup is serial / (LPT makespan on P workers + merge),
+//    the *shape* of the paper's Table-1 speedups on hosts without 8
+//    hardware threads (see DESIGN.md, substitutions).
 //
-// Fault tolerance: a RunPolicy arms runParallel against failing and
-// straggling segment workers. Failed attempts (injected via
-// support/FaultInject or real exceptions) are retried with bounded
-// exponential backoff; stragglers get a speculative backup copy whose
-// first finisher wins; a segment whose every attempt failed is refolded
-// serially on the calling thread as a guaranteed last resort. The merged
-// output is bit-identical to the fault-free run in every case — workers
-// are pure functions of their segment.
+// Fault tolerance: both modes execute runtime/ShardScheduler's decisions
+// under a RunPolicy, like the process executor dist::DistCoordinator:
+// retries behind a backoff gate, speculative backups for stragglers, and
+// the serial refold as the last resort. Workers are pure functions of
+// their segment, so the merged output is bit-identical in every case.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,8 +21,7 @@
 #define GRASSP_RUNTIME_RUNNER_H
 
 #include "runtime/Kernels.h"
-#include "support/Cancel.h"
-#include "support/FaultInject.h"
+#include "runtime/ShardScheduler.h"
 #include "support/ThreadPool.h"
 
 #include <vector>
@@ -35,61 +29,11 @@
 namespace grassp {
 namespace runtime {
 
-/// Fault sites runParallel consults. The worker site is keyed by
-/// Attempt * WorkerAttemptKeyStride + SegmentIndex, so a test can plant
-/// "segment 3's first attempt fails" exactly; the straggler site is
-/// keyed by the segment index alone (a slow node stays slow). Backup
-/// copies and serial refolds never consult the injector — they model
-/// re-execution on a healthy node and are the guaranteed path.
-inline constexpr const char *FaultSiteWorker = "runner.worker";
-inline constexpr const char *FaultSiteStraggler = "runner.straggler";
-inline constexpr uint64_t WorkerAttemptKeyStride = 1000003;
-
-/// Fault-tolerance policy for runParallel. The default policy retries
-/// but injects nothing, so existing callers behave exactly as before
-/// (a worker that never throws never retries).
-struct RunPolicy {
-  /// Extra attempts granted to a failed segment worker before the
-  /// serial-refold fallback.
-  unsigned MaxRetries = 2;
-  /// Base retry sleep in seconds (0 = immediate). Kept tiny by default:
-  /// the simulated cluster pays modeled time, the real thread pool
-  /// should not stall tests. The actual sleep before each retry is
-  /// decorrelatedBackoff(Base, Cap, Prev, ...) — exponential growth with
-  /// decorrelated jitter so correlated faults do not produce
-  /// synchronized retry storms.
-  double BackoffSeconds = 0.0;
-  /// Upper bound on any single backoff sleep.
-  double BackoffCapSeconds = 0.25;
-  /// Seed for the jitter draw. The draw is a pure function of
-  /// (seed, attempt key), never of wall clock or shared RNG state, so a
-  /// chaos run replays its exact backoff schedule from its seed.
-  uint64_t BackoffJitterSeed = 0;
-  /// Launch a backup copy of straggling workers (ThreadPool mode only).
-  bool Speculate = false;
-  /// A running worker is a straggler once the batch is
-  /// SpeculationMinCompletedFraction done and the worker has been
-  /// running longer than SpeculationDelayFactor times the median
-  /// completed-worker time (floored at SpeculationMinSeconds).
-  double SpeculationDelayFactor = 4.0;
-  double SpeculationMinCompletedFraction = 0.5;
-  double SpeculationMinSeconds = 0.002;
-  /// Fault injector consulted at the runner.worker / runner.straggler
-  /// sites; null = no injection.
-  FaultInjector *Faults = nullptr;
-  /// Cooperative cancellation. When it fires, retry backoff and
-  /// injected straggler stalls wake immediately, no new attempts or
-  /// backups start, and runParallel returns a result with Cancelled set
-  /// and NO merged output — a partial merge is never committed. Empty =
-  /// never cancels (legacy behavior).
-  CancelToken Token;
-};
-
-struct ParallelRunResult {
+struct ParallelRunResult : RecoveryCounters {
   int64_t Output = 0;
   /// The run was cut short by Policy.Token: Output is NOT valid (the
   /// merge was skipped rather than committed partially); WorkerSeconds
-  /// and the accounting below still describe the work that did finish.
+  /// and the counters still describe the work that did finish.
   bool Cancelled = false;
   /// Segments whose worker output was committed before the cut; equals
   /// Segs.size() on a completed run.
@@ -97,23 +41,7 @@ struct ParallelRunResult {
   double WallSeconds = 0;               // end-to-end wall time.
   std::vector<double> WorkerSeconds;    // per-segment compute time.
   double MergeSeconds = 0;
-  // Fault-tolerance accounting.
-  unsigned FailedAttempts = 0;     // worker attempts that threw.
-  unsigned Retries = 0;            // re-attempts scheduled after failures.
-  unsigned SpeculativeLaunches = 0;// backup copies launched.
-  unsigned SpeculativeWins = 0;    // backups that beat their primary.
-  unsigned SerialRefolds = 0;      // segments recovered on the caller.
 };
-
-/// Decorrelated-jitter backoff (the AWS "decorrelated jitter" scheme):
-/// the next sleep is drawn uniformly from [Base, 3 * Prev] and capped at
-/// \p Cap, where \p Prev is the previous sleep (pass Base before the
-/// first retry). The draw is a pure hash of (Seed, Key) — bit-exact
-/// replay from the seed, and distinct keys (segments, attempts, workers)
-/// decorrelate even when their faults were perfectly correlated.
-/// Returns 0 when Base <= 0 (backoff disabled).
-double decorrelatedBackoff(double Base, double Cap, double Prev,
-                           uint64_t Seed, uint64_t Key);
 
 /// Serial run over \p Segs; wall time in \p Seconds (optional).
 int64_t runSerialTimed(const CompiledProgram &Prog,
@@ -121,18 +49,20 @@ int64_t runSerialTimed(const CompiledProgram &Prog,
                        double *Seconds = nullptr);
 
 /// Parallel run. With \p Pool the workers execute concurrently; without,
-/// they run sequentially but are timed individually (critical-path mode).
-/// \p Policy governs retries, speculation, and fault injection.
+/// they run sequentially but are timed individually (critical-path mode,
+/// where injected stalls are modeled, not slept). \p Policy governs
+/// retries, speculation, and fault injection; attempt keys carry the
+/// injector's next run index (FaultInjector::nextRun).
 ParallelRunResult runParallel(const CompiledPlan &Plan,
                               const std::vector<SegmentView> &Segs,
                               ThreadPool *Pool = nullptr,
                               const RunPolicy &Policy = RunPolicy());
 
 /// Out-of-core parallel run: one worker per source chunk, each holding
-/// one chunk resident via its own cursor. Shares the exact retry /
-/// speculation / refold / cancellation core with the in-memory overload
-/// and is bit-identical to it on the same element stream (constant-
-/// prefix repair heads are prefetched; whole chunks never are).
+/// one chunk resident via its own cursor. Runs on the same scheduler as
+/// the in-memory overload and is bit-identical to it on the same element
+/// stream (constant-prefix repair heads are prefetched; whole chunks
+/// never are).
 ParallelRunResult runParallel(const CompiledPlan &Plan,
                               const SegmentSource &Src,
                               ThreadPool *Pool = nullptr,

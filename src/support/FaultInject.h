@@ -144,6 +144,10 @@ public:
   /// One-line summary, e.g. "runner.worker: 12/40 fired" per site.
   std::string describe() const;
 
+  /// The next run index, from 0. An executor salts its attempt keys with
+  /// it, so each run under one injector draws fresh verdicts.
+  uint64_t nextRun() { return Runs.fetch_add(1, std::memory_order_relaxed); }
+
 private:
   struct Site {
     FaultSpec Spec;
@@ -155,6 +159,7 @@ private:
   Site *find(const std::string &Name) const;
 
   uint64_t Seed;
+  std::atomic<uint64_t> Runs{0};
   // Pointer-valued map: Site addresses stay stable across arm() calls so
   // worker threads can hold no iterators and no locks on the hot path.
   std::map<std::string, std::unique_ptr<Site>> Sites;

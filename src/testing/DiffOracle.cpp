@@ -213,11 +213,7 @@ OracleVerdict DiffOracle::check(const SegmentedInput &Segs) {
   if (PR.Cancelled)
     return V; // cut mid-run: no parallel output exists, so no verdict.
   int64_t Par = PR.Output;
-  Faults.FailedAttempts += PR.FailedAttempts;
-  Faults.Retries += PR.Retries;
-  Faults.SpeculativeLaunches += PR.SpeculativeLaunches;
-  Faults.SpeculativeWins += PR.SpeculativeWins;
-  Faults.SerialRefolds += PR.SerialRefolds;
+  Faults += PR;
 
   // Out-of-core + streaming paths: the same workload through a chunked
   // SegmentSource (source-backed runParallel) and through the MergeTree
@@ -236,6 +232,7 @@ OracleVerdict DiffOracle::check(const SegmentedInput &Segs) {
     if (SR.Cancelled)
       return V;
     SourceVal = SR.Output;
+    Faults += SR;
     runtime::MergeTree Tree(CompiledPlanImpl);
     std::unique_ptr<runtime::SegmentCursor> C = Src.cursor();
     for (size_t I = 0; I != Src.chunkCount(); ++I)
@@ -254,16 +251,7 @@ OracleVerdict DiffOracle::check(const SegmentedInput &Segs) {
     if (DR.Cancelled)
       return V;
     DistVal = DR.Output;
-    ++DistSt.Runs;
-    DistSt.WorkersKilled += DR.WorkersKilled;
-    DistSt.WorkersExited += DR.WorkersExited;
-    DistSt.WorkersRestarted += DR.WorkersRestarted;
-    DistSt.ShardsReassigned += DR.ShardsReassigned;
-    DistSt.SpeculativeLaunches += DR.SpeculativeLaunches;
-    DistSt.SpeculativeWins += DR.SpeculativeWins;
-    DistSt.CorruptFrames += DR.CorruptFrames;
-    DistSt.HangsDetected += DR.HangsDetected;
-    DistSt.SerialRefolds += DR.SerialRefolds;
+    DistSt += DR;
   }
 
   bool EmittedOk = true;

@@ -139,34 +139,13 @@ public:
   /// Total oracle checks run (fuzzing + minimization).
   unsigned long checksRun() const { return Checks; }
 
-  /// Fault-tolerance activity accumulated over every check (all zero
-  /// unless the config armed a fault injector).
-  struct FaultStats {
-    unsigned long FailedAttempts = 0;
-    unsigned long Retries = 0;
-    unsigned long SpeculativeLaunches = 0;
-    unsigned long SpeculativeWins = 0;
-    unsigned long SerialRefolds = 0;
-  };
-  const FaultStats &faultStats() const { return Faults; }
-
-  /// Distributed-path recovery activity accumulated over every check
-  /// (all zero unless UseDist). Every counter here describes a REAL
-  /// event: WorkersKilled saw WIFSIGNALED, CorruptFrames were checksum
-  /// rejects of actual wire bytes.
-  struct DistStats {
-    unsigned long Runs = 0;
-    unsigned long WorkersKilled = 0;
-    unsigned long WorkersExited = 0;
-    unsigned long WorkersRestarted = 0;
-    unsigned long ShardsReassigned = 0;
-    unsigned long SpeculativeLaunches = 0;
-    unsigned long SpeculativeWins = 0;
-    unsigned long CorruptFrames = 0;
-    unsigned long HangsDetected = 0;
-    unsigned long SerialRefolds = 0;
-  };
-  const DistStats &distStats() const { return DistSt; }
+  /// Recovery activity summed over every check: of the plan+pool and
+  /// source+pool runs (zero unless the config armed a fault injector),
+  /// and of the distributed runs, whose every counter is a REAL event
+  /// (WorkersKilled saw WIFSIGNALED, CorruptFrames were checksum rejects
+  /// of actual wire bytes).
+  const runtime::RecoveryCounters &faultStats() const { return Faults; }
+  const runtime::RecoveryCounters &distStats() const { return DistSt; }
 
   /// "file.cpp:3 segments [1 2 | | 7]" — reproducer pretty-printer.
   static std::string formatInput(const SegmentedInput &Segs);
@@ -196,8 +175,8 @@ private:
   ThreadPool Pool;
   runtime::RunPolicy Policy;
   unsigned long Checks = 0;
-  FaultStats Faults;
-  DistStats DistSt;
+  runtime::RecoveryCounters Faults;
+  runtime::RecoveryCounters DistSt;
 
   // Emitted-path state: a temp dir holding the compiled binary plus the
   // per-check workload/output files. Broken means a compiler exists but

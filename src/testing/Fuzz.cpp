@@ -53,19 +53,17 @@ FuzzReport fuzzBenchmark(const lang::SerialProgram &Prog,
     Straggler.Probability = Opts.ChaosStragglerPermille / 1000.0;
     Straggler.DelaySeconds = Opts.ChaosStragglerSec;
     Injector.arm(runtime::FaultSiteStraggler, Straggler);
-    OC.Policy.MaxRetries = 3;
-    OC.Policy.Speculate = true;
+    // A deadline under the injected stall: stragglers race a backup.
+    OC.Policy.TaskDeadlineSeconds = Opts.ChaosStragglerSec / 2;
     OC.Policy.Faults = &Injector;
   }
   if (Opts.Dist) {
     OC.UseDist = true;
     OC.Dist.Workers = Opts.DistWorkers ? Opts.DistWorkers : 1;
-    OC.Dist.MaxRetries = 3;
     // Tight deadlines keep injected hangs cheap: backup at 40ms, kill
     // at 80ms, so a silent worker costs one beat of wall clock, not a
     // stuck sweep.
     OC.Dist.TaskDeadlineSeconds = 0.04;
-    OC.Dist.HangKillFactor = 2.0;
     OC.Dist.BackoffJitterSeed = Opts.ChaosSeed;
     // Chaos kills churn through many processes; the respawn budget must
     // not degrade the whole sweep to serial refolds.
@@ -230,8 +228,7 @@ int fuzzMain(const std::vector<std::string> &Names, const FuzzOptions &Opts,
   bool Interrupted = false;
   unsigned Fuzzed = 0;
   uint64_t TotalFires = 0;
-  unsigned long TotalRetries = 0, TotalRefolds = 0, TotalSpec = 0;
-  DiffOracle::DistStats Dist;
+  runtime::RecoveryCounters Faults, Dist;
   for (size_t I = 0; I != Progs.size(); ++I) {
     if (Opts.Token.cancelled()) {
       Interrupted = true;
@@ -255,23 +252,12 @@ int fuzzMain(const std::vector<std::string> &Names, const FuzzOptions &Opts,
     else
       ++Fuzzed;
     TotalFires += R.FaultFires;
-    TotalRetries += R.Faults.Retries;
-    TotalRefolds += R.Faults.SerialRefolds;
-    TotalSpec += R.Faults.SpeculativeLaunches;
-    Dist.Runs += R.Dist.Runs;
-    Dist.WorkersKilled += R.Dist.WorkersKilled;
-    Dist.WorkersExited += R.Dist.WorkersExited;
-    Dist.WorkersRestarted += R.Dist.WorkersRestarted;
-    Dist.ShardsReassigned += R.Dist.ShardsReassigned;
-    Dist.SpeculativeLaunches += R.Dist.SpeculativeLaunches;
-    Dist.SpeculativeWins += R.Dist.SpeculativeWins;
-    Dist.CorruptFrames += R.Dist.CorruptFrames;
-    Dist.HangsDetected += R.Dist.HangsDetected;
-    Dist.SerialRefolds += R.Dist.SerialRefolds;
+    Faults += R.Faults;
+    Dist += R.Dist;
     if (!R.Diverged) {
       if (Opts.Chaos)
-        std::printf("%-22s %-6s %-7u %-8lu ok (faults=%llu retries=%lu "
-                    "refolds=%lu spec=%lu)\n",
+        std::printf("%-22s %-6s %-7u %-8lu ok (faults=%llu retries=%u "
+                    "refolds=%u spec=%u)\n",
                     R.Benchmark.c_str(), Results[I].Result.Group.c_str(),
                     R.PathsCompared, R.Checks,
                     (unsigned long long)R.FaultFires, R.Faults.Retries,
@@ -296,16 +282,16 @@ int fuzzMain(const std::vector<std::string> &Names, const FuzzOptions &Opts,
                             "checks only)"
                           : "");
   if (Opts.Chaos)
-    std::printf("chaos: %llu fault(s) injected, %lu retried, %lu refolded "
-                "serially, %lu speculative backup(s); outputs stayed "
+    std::printf("chaos: %llu fault(s) injected, %u retried, %u refolded "
+                "serially, %u speculative backup(s); outputs stayed "
                 "bit-identical\n",
-                (unsigned long long)TotalFires, TotalRetries, TotalRefolds,
-                TotalSpec);
+                (unsigned long long)TotalFires, Faults.Retries,
+                Faults.SerialRefolds, Faults.SpeculativeLaunches);
   if (Opts.Dist)
-    std::printf("dist: %lu run(s); %lu worker(s) killed (WIFSIGNALED), "
-                "%lu crashed/exited, %lu restarted; %lu shard(s) "
-                "reassigned, %lu/%lu speculative win(s), %lu corrupt "
-                "frame(s) caught, %lu hang(s) detected, %lu serial "
+    std::printf("dist: %u run(s); %u worker(s) killed (WIFSIGNALED), "
+                "%u crashed/exited, %u restarted; %u shard(s) "
+                "reassigned, %u/%u speculative win(s), %u corrupt "
+                "frame(s) caught, %u hang(s) detected, %u serial "
                 "refold(s)%s\n",
                 Dist.Runs, Dist.WorkersKilled, Dist.WorkersExited,
                 Dist.WorkersRestarted, Dist.ShardsReassigned,

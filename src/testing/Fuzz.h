@@ -89,9 +89,9 @@ struct FuzzReport {
   /// Chaos mode only: faults actually fired and the recovery activity
   /// the runner reported while every check stayed bit-identical.
   uint64_t FaultFires = 0;
-  DiffOracle::FaultStats Faults;
+  runtime::RecoveryCounters Faults;
   /// Dist mode only: the distributed runtime's real recovery activity.
-  DiffOracle::DistStats Dist;
+  runtime::RecoveryCounters Dist;
 };
 
 /// Fuzzes one benchmark/plan pair; stops at the first divergence.

@@ -257,9 +257,7 @@ TEST(RunnerFaults, StragglerGetsSpeculativeBackup) {
   runtime::RunPolicy Pol;
   Pol.Faults = &FI;
   Pol.Speculate = true;
-  Pol.SpeculationMinCompletedFraction = 0.25;
-  Pol.SpeculationMinSeconds = 0.001;
-  Pol.SpeculationDelayFactor = 2.0;
+  Pol.TaskDeadlineSeconds = 0.01; // well under the 80ms stall.
 
   ThreadPool Pool(4);
   runtime::ParallelRunResult PR =
@@ -268,6 +266,27 @@ TEST(RunnerFaults, StragglerGetsSpeculativeBackup) {
   EXPECT_GE(PR.SpeculativeLaunches, 1u);
   EXPECT_GE(PR.SpeculativeWins, 1u);
   EXPECT_EQ(PR.SerialRefolds, 0u);
+}
+
+// Attempt keys carry the injector's run index: a fault planted on its
+// first run does not repeat on the next one, in either mode.
+TEST(RunnerFaults, PlantedFaultKeysAdvanceAcrossRuns) {
+  SumRun R;
+  FaultInjector FI(9);
+  FaultSpec Spec;
+  Spec.Keys = {runtime::distAttemptKey(0, 0, 2)};
+  FI.arm(runtime::FaultSiteWorker, Spec);
+  runtime::RunPolicy Pol;
+  Pol.Faults = &FI;
+  ThreadPool Pool(4);
+  runtime::ParallelRunResult First =
+      runtime::runParallel(R.Plan, R.Segs, &Pool, Pol);
+  runtime::ParallelRunResult Second =
+      runtime::runParallel(R.Plan, R.Segs, nullptr, Pol);
+  EXPECT_EQ(First.Output, R.Serial);
+  EXPECT_EQ(First.FailedAttempts, 1u);
+  EXPECT_EQ(Second.Output, R.Serial);
+  EXPECT_EQ(Second.FailedAttempts, 0u);
 }
 
 TEST(RunnerFaults, CriticalPathModeModelsStallWithoutSleeping) {

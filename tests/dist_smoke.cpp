@@ -402,7 +402,7 @@ struct ForkedWorker {
     Pid = ::fork();
     if (Pid == 0) {
       ::close(S.Fd[0]);
-      dist::workerMain(S.Fd[1], Plan, nullptr, 0.02, Inherited);
+      dist::workerMain(S.Fd[1], Plan, nullptr, Inherited);
     }
     ::close(S.Fd[1]);
     S.Fd[1] = -1;
@@ -1157,10 +1157,10 @@ TEST(DistCoordinator, TaskDeadlineScalesWithShardElementCount) {
   // The base floor plus 100 ns per element: a million-element shard
   // earns 100 ms on top of the floor instead of tripping the straggler
   // detector at the same threshold as a thousand-element one.
-  EXPECT_EQ(dist::DistCoordinator::taskDeadlineNs(Cfg, 0), 250000000);
-  EXPECT_EQ(dist::DistCoordinator::taskDeadlineNs(Cfg, 1000000), 350000000);
+  EXPECT_EQ(runtime::taskDeadlineNs(Cfg, 0), 250000000);
+  EXPECT_EQ(runtime::taskDeadlineNs(Cfg, 1000000), 350000000);
   Cfg.DeadlineNsPerElem = 0.0;
-  EXPECT_EQ(dist::DistCoordinator::taskDeadlineNs(Cfg, 1000000), 250000000);
+  EXPECT_EQ(runtime::taskDeadlineNs(Cfg, 1000000), 250000000);
 }
 
 TEST(DistCoordinator, ScaledDeadlineSuppressesFalseHangKills) {
