@@ -7,8 +7,8 @@
 // pure compute-makespan prediction for W single-slot nodes), then the
 // SAME shards run for real on the DistCoordinator's forked workers.
 // The table prints both next to each other; the measured/predicted
-// ratio is the true cost of fork+socket shipping, heartbeats, and the
-// coordinator event loop that the simulator does not model.
+// ratio is the true cost of fork+socket shipping, the Hello handshake,
+// and the coordinator event loop that the simulator does not model.
 //
 // Shards reach the workers as descriptors into sealed memfd stripes
 // holding one copy of the input (dist/Shm.h), so the bytes-per-element

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <unistd.h>
 
 namespace grassp {
@@ -46,12 +47,13 @@ std::string DistRunReport::describe() const {
 DistCoordinator::DistCoordinator(const runtime::CompiledPlan &Plan,
                                  const DistConfig &Cfg)
     : Plan(Plan), Cfg(Cfg), PlanHash(Plan.compiled().bytecodeHash()),
-      // The current mapping's fd (if any) is inherited at fork: workers
-      // forked after a publication never need a Publish frame.
-      // workerMain never returns.
+      // A child forked while a mapping is published closes its copies
+      // of the stripe fds: every worker gets its mapping by Publish
+      // frame. workerMain never returns.
       Pool(std::max(1u, Cfg.Workers), Cfg.MaxWorkerRestarts,
            [this](int Fd) {
-             workerMain(Fd, this->Plan, this->Cfg.Faults, Map);
+             Map.reset();
+             workerMain(Fd, this->Plan, this->Cfg.Faults);
            }),
       Procs(Pool.slots()) {
   // Belt and braces with FrameWriter's MSG_NOSIGNAL: no socket write
@@ -90,7 +92,6 @@ bool DistCoordinator::publish(const std::vector<uint64_t> &ShardElems,
     int Fd = ::fcntl(RegionFd, F_DUPFD_CLOEXEC, 0);
     if (Fd < 0)
       return false;
-    Map.OwnsFds = true;
     Map.Stripes.push_back({Fd, ByteOffset, Src->elements()});
     for (size_t I = 0; I != N; ++I)
       Desc[I] = {0, Src->chunkBegin(I), ShardElems[I]};
@@ -98,11 +99,7 @@ bool DistCoordinator::publish(const std::vector<uint64_t> &ShardElems,
     Map.reset();
     return false;
   }
-  uint64_t Elems = 0;
-  for (const ShmStripe &S : Map.Stripes)
-    Elems += S.Elems;
   Map.Generation = NextGeneration++;
-  Map.Token = shmToken(Map.Generation, Elems, PlanHash);
   return true;
 }
 
@@ -127,7 +124,6 @@ bool DistCoordinator::writeStripes(const std::vector<uint64_t> &ShardElems,
     First[K] = std::clamp(I, First[K - 1] + 1, N - (S - K));
   }
 
-  Map.OwnsFds = true;
   for (unsigned K = 0; K != S; ++K) {
     int Fd = shmCreateBuffer();
     if (Fd < 0)
@@ -190,7 +186,7 @@ bool DistCoordinator::writeStripes(const std::vector<uint64_t> &ShardElems,
 unsigned DistCoordinator::adopt(const std::vector<unsigned> &Forked) {
   for (unsigned Slot : Forked) {
     Procs[Slot] = Proc();
-    Procs[Slot].LastSeenNs = steadyNowNs();
+    Procs[Slot].ForkNs = steadyNowNs();
   }
   return static_cast<unsigned>(Forked.size());
 }
@@ -262,14 +258,13 @@ bool DistCoordinator::dispatchBatch(unsigned Slot,
   }
   startFront(Slot, steadyNowNs(), Sched);
 
-  // A worker whose mapping generation is stale gets the current region
-  // re-published first — fd via SCM_RIGHTS on the Publish frame, and
+  // A worker that does not hold the current generation gets it
+  // published first — fds via SCM_RIGHTS on the Publish frame, and
   // SOCK_STREAM ordering guarantees it adopts the mapping before the
   // Task frame below arrives.
   if (P.MapGeneration != Map.Generation) {
     PublishMsg Pub;
     Pub.Generation = Map.Generation;
-    Pub.Token = Map.Token;
     std::vector<int> Fds;
     for (const ShmStripe &S : Map.Stripes) {
       Pub.Stripes.push_back({S.ByteOffset, S.Elems});
@@ -305,7 +300,6 @@ void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
       handleDeath(Slot, DeathReason::Corrupt, R, Sched);
       return;
     }
-    P.LastSeenNs = steadyNowNs();
     switch (F.Type) {
     case MsgType::Hello: {
       HelloMsg M;
@@ -314,22 +308,10 @@ void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
         handleDeath(Slot, DeathReason::Corrupt, R, Sched);
         return;
       }
-      if (M.ShmGeneration == Map.Generation && Map.valid() &&
-          M.ShmToken != Map.Token) {
-        // Claims the current generation with the wrong identity stamp:
-        // an aliased or stale inherited mapping. Fail loudly before any
-        // descriptor is dealt to it.
-        handleDeath(Slot, DeathReason::Corrupt, R, Sched);
-        return;
-      }
-      // Any other generation (older, or none) is fine: the first
-      // descriptor dispatch re-publishes the current mapping.
-      P.MapGeneration = M.ShmGeneration;
+      // It holds no mapping yet: its first dispatch publishes one.
       P.HelloOk = true;
       break;
     }
-    case MsgType::Heartbeat:
-      break; // LastSeenNs updated above; that is the whole message.
     case MsgType::Result: {
       ResultMsg M;
       if (!decodeResult(F.Payload, &M)) {
@@ -347,12 +329,44 @@ void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
       if (Sched.completed(A))
         Outs[A.Shard] = std::move(M.Out);
       // The worker has moved on to its next queued item (if any).
-      startFront(Slot, P.LastSeenNs, Sched);
+      startFront(Slot, steadyNowNs(), Sched);
       break;
     }
     default:
       break; // Task/Shutdown/Publish are coordinator->worker only.
     }
+  }
+}
+
+void DistCoordinator::killOverdue(DistRunReport &R,
+                                  runtime::ShardScheduler &Sched) {
+  const int64_t Now = steadyNowNs();
+  const int64_t HelloNs = static_cast<int64_t>(HelloTimeoutSeconds * 1e9);
+  for (unsigned Slot = 0; Slot != Procs.size(); ++Slot) {
+    const Proc &P = Procs[Slot];
+    if (!Pool.live(Slot))
+      continue;
+    // The frame the worker owes: its Hello, else the Result of the item
+    // it is folding now. An idle worker owes nothing.
+    int64_t Since, LimitNs;
+    if (!P.HelloOk) {
+      Since = P.ForkNs;
+      LimitNs = HelloNs;
+    } else if (!P.Queue.empty()) {
+      const Assign &Front = P.Queue.front();
+      Since = Front.StartNs;
+      LimitNs = static_cast<int64_t>(
+          static_cast<double>(
+              runtime::taskDeadlineNs(Cfg, Desc[Front.A.Shard].Count)) *
+          HangKillFactor);
+    } else {
+      continue;
+    }
+    // Bytes still waiting in the socket may be the frame it owes; they
+    // are read on the next tick before it is judged again.
+    struct pollfd Pending = {Pool.fd(Slot), POLLIN, 0};
+    if (Now - Since > LimitNs && ::poll(&Pending, 1, 0) == 0)
+      handleDeath(Slot, DeathReason::Hang, R, Sched);
   }
 }
 
@@ -372,20 +386,22 @@ DistRunReport DistCoordinator::runImpl(
   for (unsigned Slot = 0; Slot != Procs.size(); ++Slot)
     if (Pool.live(Slot) && !Procs[Slot].Queue.empty())
       Pool.reap(Slot, /*Kill=*/true);
-  // Publish before forking: workers forked from here on inherit the
-  // mapping. An unpublished run forks nothing and deals nothing — the
-  // scheduler refolds every shard in-process.
+  // Top the pool up before publishing, so no fork overlaps the
+  // publication helpers and new workers say Hello while the input is
+  // written. An unpublished run deals nothing — the scheduler refolds
+  // every shard in-process.
+  R.WorkersSpawned += adopt(Pool.fill());
   Stopwatch PublishTimer;
   R.UsedShm = publish(ShardElems, Open, Chunk, Src);
   R.PublishSeconds = PublishTimer.seconds();
   R.Stripes = static_cast<unsigned>(Map.Stripes.size());
-  if (R.UsedShm)
-    R.WorkersSpawned += adopt(Pool.fill());
 
   runtime::ShardScheduler Sched(Cfg, ShardElems, RunIndex);
   std::vector<runtime::WorkerOutput> Outs(N);
-  const int64_t HbTimeoutNs =
-      static_cast<int64_t>(HeartbeatTimeoutSeconds * 1e9);
+  // The first deal waits until every live worker has said Hello (or
+  // been killed at its Hello deadline), so a cold run fans out over the
+  // whole pool like a warm one.
+  bool Greeted = false;
   for (;;) {
     // Dead slots are refilled every tick while the restart budget
     // lasts. Failed forks burn budget too, so a pool that cannot be
@@ -398,6 +414,7 @@ DistRunReport DistCoordinator::runImpl(
       R.RecoverySeconds += Rec.seconds();
     }
     int64_t Now = steadyNowNs();
+    Greeted = Greeted || greeted();
 
     // Deal to idle, handshaken workers — batched, but split evenly
     // across the idle pool first so a small run is never serialized
@@ -414,7 +431,8 @@ DistRunReport DistCoordinator::runImpl(
     };
     std::vector<Attempt> Deals;
     runtime::ShardScheduler::Decision D;
-    while ((D = decide({Deals.size() < Idle.size() * Cfg.BatchShards,
+    while ((D = decide({Greeted &&
+                            Deals.size() < Idle.size() * Cfg.BatchShards,
                         /*Backup=*/false,
                         !R.UsedShm || Pool.liveCount() == 0}))
                .S == Step::Deal)
@@ -442,30 +460,9 @@ DistRunReport DistCoordinator::runImpl(
         handleDeath(Slot, DeathReason::Eof, R, Sched);
     }
 
-    // Hang detection: a busy worker whose CURRENT item has run past
-    // HangKillFactor x its (size-scaled) deadline is SIGKILLed (it
-    // stopped responding; EOF alone would never come), and an idle
-    // worker that stopped heartbeating likewise.
-    for (unsigned Slot = 0; Slot != Procs.size(); ++Slot) {
-      const Proc &P = Procs[Slot];
-      if (!Pool.live(Slot))
-        continue;
-      if (!P.Queue.empty()) {
-        const Assign &Front = P.Queue.front();
-        int64_t HangNs = static_cast<int64_t>(
-            static_cast<double>(
-                runtime::taskDeadlineNs(Cfg, Desc[Front.A.Shard].Count)) *
-            HangKillFactor);
-        if (Now - Front.StartNs > HangNs)
-          handleDeath(Slot, DeathReason::Hang, R, Sched);
-      } else if (Now - P.LastSeenNs > HbTimeoutNs) {
-        handleDeath(Slot, DeathReason::Hang, R, Sched);
-      }
-    }
-
-    // Wait for bytes (results, heartbeats, hellos) or the next timer.
-    // With every worker dead this returns at once and the scheduler
-    // refolds what is left on the next tick.
+    // Wait for bytes (results, hellos) or the next timer. With every
+    // worker dead this returns at once and the scheduler refolds what
+    // is left on the next tick.
     for (unsigned Slot : Pool.readable(/*TimeoutMs=*/2)) {
       RecvStatus St = Procs[Slot].Reader.fill(Pool.fd(Slot));
       if (St == RecvStatus::Eof || St == RecvStatus::Error)
@@ -475,6 +472,7 @@ DistRunReport DistCoordinator::runImpl(
       else
         drainFrames(Slot, R, Sched, Outs);
     }
+    killOverdue(R, Sched);
   }
 
   R += Sched.counters();

@@ -10,34 +10,39 @@
 // threadless fork children (dist/Worker.h) kept by the fixed-slot
 // support/ChildProc pool. That keeps the runtime fork-safe, TSan-clean
 // and replayable. The one exception is publication, whose helper
-// threads are all joined before publish() returns and the pool forks.
+// threads are all joined before publish() returns.
 //
 // Transport: every run publishes its input once as a read-only shared
 // region (dist/Shm.h) and Task frames carry only (generation, stripe,
 // offset, count) descriptors, so bytes over the socket are O(1) per
 // shard. A binary file source is published as one stripe, its own fd;
 // every other input as S sealed memfd stripes written by S threads (S =
-// stripeCount()). Workers forked after publication inherit the stripe
-// fds; older workers receive them on one SCM_RIGHTS Publish frame. A
-// stale descriptor is a loud worker death, never a silent wrong fold.
+// stripeCount()). Every worker receives the stripe fds on one
+// SCM_RIGHTS Publish frame before its first descriptor of a generation;
+// a worker forked while a mapping is published closes the parent's
+// copies. A stale descriptor is a loud worker death, never a silent
+// wrong fold.
 // When publication fails, every shard refolds in the coordinator and
 // the report says UsedShm=false. DESIGN.md, "Distributed runtime", has
 // the details and the failure-detection matrix.
 //
-// Fork-safety: an embedder with other threads (DiffOracle's ThreadPool
-// during chaos --dist) should prewarm() before starting them, so only
-// crash respawns fork from a multi-threaded parent, which glibc/Linux
-// makes safe via its atfork handlers.
+// Fork-safety: run() tops the pool up before it publishes, so no fork
+// overlaps the publication helpers. An embedder with other threads
+// (DiffOracle's ThreadPool during chaos --dist) should prewarm() before
+// starting them, so only crash respawns fork from a multi-threaded
+// parent, which glibc/Linux makes safe via its atfork handlers.
 //
 // Recovery: the coordinator is the process executor of
 // runtime/ShardScheduler, the state machine under runParallel, which
 // decides what is dealt, backed up, dealt again, or refolded here. The
 // coordinator keeps the process concerns: batching (up to BatchShards
-// descriptors per Task frame), Publish frames, heartbeats, hang kills
-// and respawns. A worker that dies, hangs or sends a corrupt frame is
-// reaped, and every attempt it held is reported lost. Partial states
-// merge through the certified CompiledPlan::merge, so every recovery
-// path is bit-identical to the serial fold.
+// descriptors per Task frame), Publish frames, hang kills and respawns.
+// A worker is dead on EOF, a socket error or a corrupt frame; it is hung
+// only when it owes a frame past that frame's deadline (its Hello, or
+// the Result of the item it is folding) with no bytes waiting unread.
+// Either way it is reaped, and every attempt it held is reported lost.
+// Partial states merge through the certified CompiledPlan::merge, so
+// every recovery path is bit-identical to the serial fold.
 //
 //===----------------------------------------------------------------------===//
 
@@ -80,9 +85,9 @@ using runtime::distAttemptKey;
 /// A task running longer than HangKillFactor * its deadline
 /// (runtime::taskDeadlineNs) is hung: the worker is SIGKILLed.
 inline constexpr double HangKillFactor = 2.0;
-/// An idle worker silent for longer than this is presumed hung. Idle
-/// workers heartbeat every HeartbeatSeconds (dist/Worker.h).
-inline constexpr double HeartbeatTimeoutSeconds = 0.5;
+/// A worker that has not sent its Hello this long after its fork is
+/// hung: the worker is SIGKILLed.
+inline constexpr double HelloTimeoutSeconds = 0.5;
 
 /// The process executor's configuration: the shared recovery policy
 /// (whose Faults are consulted by WORKERS at the dist.* sites, inherited
@@ -162,7 +167,8 @@ public:
   /// the pool up regardless). Call it before the embedding process
   /// starts any threads — see the fork-safety note above: prewarmed
   /// pools keep the bulk of forks single-threaded-parent clean, leaving
-  /// only crash-recovery respawns on the glibc fork guarantee.
+  /// only crash-recovery respawns on the glibc fork guarantee. Their
+  /// Hellos may wait unread until the first run, whenever it comes.
   void prewarm();
 
   /// Workers currently alive (for tests).
@@ -202,9 +208,9 @@ private:
     FrameWriter Writer; // per-connection reusable encode buffers.
     bool HelloOk = false;
     std::deque<Assign> Queue;
-    int64_t LastSeenNs = 0; // last frame of any kind.
-    /// Mapping generation the worker holds (0 = none), learned from its
-    /// Hello and advanced by Publish frames we send it.
+    int64_t ForkNs = 0; // the Hello deadline runs from here.
+    /// Mapping generation the worker holds (0 = none), advanced by the
+    /// Publish frames we send it.
     uint64_t MapGeneration = 0;
   };
 
@@ -250,15 +256,22 @@ private:
   bool idle(unsigned Slot) const {
     return Pool.live(Slot) && Procs[Slot].HelloOk && Procs[Slot].Queue.empty();
   }
+  /// Every live worker has said Hello.
+  bool greeted() const {
+    for (unsigned Slot = 0; Slot != Procs.size(); ++Slot)
+      if (Pool.live(Slot) && !Procs[Slot].HelloOk)
+        return false;
+    return true;
+  }
   /// Reap + status decode; every attempt the worker held is lost. The
   /// pool refills the slot on the next tick.
   enum class DeathReason { Eof, Corrupt, Hang };
   void handleDeath(unsigned Slot, DeathReason Reason, DistRunReport &R,
                    runtime::ShardScheduler &Sched);
   /// Queues \p Batch on the worker and sends it as one Task frame
-  /// (re-publishing the mapping first when the worker's generation is
-  /// stale). Returns false on send failure: the caller reaps the dead
-  /// worker, losing the batch with it.
+  /// (publishing the mapping first when the worker does not hold the
+  /// current generation). Returns false on send failure: the caller
+  /// reaps the dead worker, losing the batch with it.
   bool dispatchBatch(unsigned Slot, const std::vector<Attempt> &Batch,
                      DistRunReport &R, runtime::ShardScheduler &Sched);
   /// Reports the worker's queue front as started, once.
@@ -267,6 +280,9 @@ private:
   void drainFrames(unsigned Slot, DistRunReport &R,
                    runtime::ShardScheduler &Sched,
                    std::vector<runtime::WorkerOutput> &Outs);
+  /// Kills every live worker that owes a frame past its deadline and
+  /// has no bytes waiting unread.
+  void killOverdue(DistRunReport &R, runtime::ShardScheduler &Sched);
 
   const runtime::CompiledPlan &Plan;
   DistConfig Cfg;

@@ -339,24 +339,26 @@ RecvStatus FrameReader::next(Frame *Out) {
   return RecvStatus::Ok;
 }
 
-RecvStatus readFrameBlocking(int Fd, Frame *Out) {
-  FrameReader R;
+RecvStatus FrameReader::read(int Fd, Frame *Out, std::vector<int> *Fds) {
   for (;;) {
-    RecvStatus S = R.next(Out);
+    RecvStatus S = next(Out);
     if (S != RecvStatus::NeedMore)
       return S;
-    S = R.fill(Fd);
+    S = fill(Fd, Fds);
     if (S == RecvStatus::Eof || S == RecvStatus::Error ||
         S == RecvStatus::Corrupt)
       return S;
   }
 }
 
+RecvStatus readFrameBlocking(int Fd, Frame *Out) {
+  FrameReader R;
+  return R.read(Fd, Out);
+}
+
 void encodeHello(const HelloMsg &M, WireWriter &W) {
   W.u64(M.Pid);
   W.u64(M.PlanHash);
-  W.u64(M.ShmGeneration);
-  W.u64(M.ShmToken);
 }
 
 std::vector<uint8_t> encodeHello(const HelloMsg &M) {
@@ -367,8 +369,7 @@ std::vector<uint8_t> encodeHello(const HelloMsg &M) {
 
 bool decodeHello(const std::vector<uint8_t> &P, HelloMsg *M) {
   WireReader R(P);
-  return R.u64(&M->Pid) && R.u64(&M->PlanHash) && R.u64(&M->ShmGeneration) &&
-         R.u64(&M->ShmToken) && R.atEnd();
+  return R.u64(&M->Pid) && R.u64(&M->PlanHash) && R.atEnd();
 }
 
 void encodeTask(const TaskMsg &M, WireWriter &W) {
@@ -463,7 +464,6 @@ bool decodeResult(const std::vector<uint8_t> &P, ResultMsg *M) {
 
 void encodePublish(const PublishMsg &M, WireWriter &W) {
   W.u64(M.Generation);
-  W.u64(M.Token);
   W.u64(M.Stripes.size());
   for (const PublishStripe &S : M.Stripes) {
     W.u64(S.ByteOffset);
@@ -480,8 +480,7 @@ std::vector<uint8_t> encodePublish(const PublishMsg &M) {
 bool decodePublish(const std::vector<uint8_t> &P, PublishMsg *M) {
   WireReader R(P);
   uint64_t N;
-  if (!R.u64(&M->Generation) || !R.u64(&M->Token) || !R.u64(&N) || N == 0 ||
-      N > MaxFrameFds)
+  if (!R.u64(&M->Generation) || !R.u64(&N) || N == 0 || N > MaxFrameFds)
     return false;
   M->Stripes.assign(static_cast<size_t>(N), PublishStripe());
   for (PublishStripe &S : M->Stripes)

@@ -21,9 +21,7 @@
 //   Hello      worker -> coord   pid + the plan's canonical bytecode
 //                                hash (the fork handshake: a worker
 //                                whose inherited plan hash differs from
-//                                the coordinator's is refused) + the
-//                                generation/token of any shared mapping
-//                                the worker inherited across fork()
+//                                the coordinator's is refused)
 //   Task       coord -> worker   a BATCH of shard assignments; each
 //                                item is (task id, shard index, attempt
 //                                key) plus a descriptor into the
@@ -33,13 +31,13 @@
 //                                one Result per item as it completes.
 //   Result     worker -> coord   task id, shard index, serialized
 //                                runtime::WorkerOutput
-//   Heartbeat  worker -> coord   liveness counter (sent while idle)
 //   Shutdown   coord -> worker   clean exit request
-//   Publish    coord -> worker   a new mapping's (generation, token)
-//                                and its stripe table, one (byte
-//                                offset, elems) per stripe; the stripe
-//                                fds ride the same frame, all in one
-//                                SCM_RIGHTS message. SOCK_STREAM
+//   Publish    coord -> worker   a new mapping's generation and its
+//                                stripe table, one (byte offset, elems)
+//                                per stripe; the stripe fds ride the
+//                                same frame, all in one SCM_RIGHTS
+//                                message. It is the only way a worker
+//                                gets a mapping, and SOCK_STREAM
 //                                ordering guarantees the worker adopts
 //                                it before any Task frame sent
 //                                afterwards arrives.
@@ -75,13 +73,12 @@ enum class MsgType : uint32_t {
   Hello = 1,
   Task = 2,
   Result = 3,
-  Heartbeat = 4,
   Shutdown = 5,
   Publish = 6,
 
   // The serve service rides the same GDP1 framing (src/serve/Protocol.h
-  // owns the payload codecs). Types 7..15 are reserved for the dist
-  // runtime; a gap value decodes as Corrupt.
+  // owns the payload codecs). Types 4 and 7..15 are reserved for the
+  // dist runtime; a gap value decodes as Corrupt.
   SynthReq = 16,   ///< client -> server  program text to synthesize
   RunReq = 17,     ///< client -> server  program text + workload to fold
   CertifyReq = 18, ///< client -> server  program text to certify
@@ -96,13 +93,13 @@ enum class MsgType : uint32_t {
 /// a corrupt type word.
 inline bool validMsgType(uint32_t T) {
   return (T >= static_cast<uint32_t>(MsgType::Hello) &&
-          T <= static_cast<uint32_t>(MsgType::Publish)) ||
+          T <= static_cast<uint32_t>(MsgType::Publish) && T != 4) ||
          (T >= static_cast<uint32_t>(MsgType::SynthReq) &&
           T <= static_cast<uint32_t>(MsgType::SolveDone));
 }
 
 struct Frame {
-  MsgType Type = MsgType::Heartbeat;
+  MsgType Type = MsgType::Hello;
   std::vector<uint8_t> Payload;
 };
 
@@ -228,6 +225,9 @@ public:
   RecvStatus fill(int Fd) { return fill(Fd, nullptr); }
   /// Extracts the next complete frame, if any.
   RecvStatus next(Frame *Out);
+  /// Blocks until the next frame is complete (Ok) or the stream ends
+  /// (Eof/Corrupt/Error); fds arrive on \p Fds as with fill().
+  RecvStatus read(int Fd, Frame *Out, std::vector<int> *Fds = nullptr);
 
 private:
   std::vector<uint8_t> Buf;
@@ -235,7 +235,7 @@ private:
   bool Broken = false;
 };
 
-/// Blocking single-frame read for the worker side (reads exactly one
+/// Blocking single-frame read on a fresh FrameReader (reads exactly one
 /// frame or reports Eof/Corrupt/Error).
 RecvStatus readFrameBlocking(int Fd, Frame *Out);
 
@@ -246,12 +246,6 @@ RecvStatus readFrameBlocking(int Fd, Frame *Out);
 struct HelloMsg {
   uint64_t Pid = 0;
   uint64_t PlanHash = 0;
-  /// Generation/token of the shared mapping the worker inherited across
-  /// fork(), both 0 when it holds none. A token that contradicts the
-  /// coordinator's record for that generation is refused at handshake —
-  /// the "stale mapping fails loudly" guarantee starts here.
-  uint64_t ShmGeneration = 0;
-  uint64_t ShmToken = 0;
 };
 void encodeHello(const HelloMsg &M, WireWriter &W);
 std::vector<uint8_t> encodeHello(const HelloMsg &M);
@@ -301,7 +295,6 @@ struct PublishStripe {
 /// (FrameWriter::sendWithFds).
 struct PublishMsg {
   uint64_t Generation = 0;
-  uint64_t Token = 0;
   std::vector<PublishStripe> Stripes;
 };
 void encodePublish(const PublishMsg &M, WireWriter &W);

@@ -21,13 +21,14 @@
 //     map are immutable by construction — a sealed memfd cannot be
 //     rewritten by anyone, including the publisher.
 //
-// A region's fds reach workers two ways: inherited across fork() for
-// workers spawned after publication, and re-published over the socket
-// via SCM_RIGHTS (one Publish frame carrying every stripe fd) for pool
-// workers that predate it. Either way the worker validates every
-// descriptor's generation and stripe against the table it holds and
-// dies loudly (StaleMapExitStatus) on a mismatch — a stale mapping must
-// never be silently folded.
+// A region's fds reach a worker one way: a Publish frame that carries
+// every stripe fd over the socket via SCM_RIGHTS, sent before the
+// worker's first descriptor of that generation. A worker forked while
+// a region is published does not keep the parent's copies (the pool
+// body closes them), so the table it folds from is always the one it
+// was sent. The worker validates every descriptor's generation and
+// stripe against that table and dies loudly (StaleMapExitStatus) on a
+// mismatch — a stale mapping must never be silently folded.
 //
 // Publication can fail (no sealable memfd on this kernel, or no free
 // descriptor). There is no second transport: the coordinator then
@@ -38,7 +39,7 @@
 #ifndef GRASSP_DIST_SHM_H
 #define GRASSP_DIST_SHM_H
 
-#include "runtime/Workload.h"
+#include "runtime/SegmentSource.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -51,7 +52,7 @@ namespace dist {
 /// mapping generation, stripe or window it does not hold, or when a
 /// Publish frame's fds do not match its stripe table. Stale mappings
 /// fail loudly: the coordinator decodes this as a worker fault,
-/// requeues the shard, and the respawned worker inherits the current
+/// requeues the shard, and the respawned worker is sent the current
 /// mapping.
 inline constexpr int StaleMapExitStatus = 113;
 
@@ -70,21 +71,17 @@ struct ShmStripe {
 /// One published read-only input region, as seen by either side.
 struct ShmRegion {
   /// The stripe table; a descriptor's stripe index points into it.
+  /// Its fds belong to the region: memfds the coordinator created, the
+  /// dup of a workload file's fd, or fds a worker received over
+  /// SCM_RIGHTS.
   std::vector<ShmStripe> Stripes;
-  /// True when this side must close the stripe fds (memfds we created,
-  /// dup()ed workload-file fds, fds received over SCM_RIGHTS).
-  bool OwnsFds = false;
   /// Monotonic per-coordinator publication counter; descriptor
   /// validation is generation equality, so a worker holding last run's
   /// mapping can never fold this run's descriptors.
   uint64_t Generation = 0;
-  /// Identity stamp mixed from (generation, elems, plan hash); the
-  /// Hello handshake echoes it so an aliased or stale inherited mapping
-  /// is refused at handshake time, before any task is dealt.
-  uint64_t Token = 0;
 
   bool valid() const { return !Stripes.empty(); }
-  /// Closes the fds when owned; resets to the invalid state.
+  /// Closes the fds; resets to the invalid state.
   void reset();
 };
 
@@ -103,32 +100,23 @@ bool shmAppend(int Fd, const void *Data, size_t N);
 /// the bytes workers will map are immutable system-wide.
 bool shmSeal(int Fd);
 
-/// The identity stamp for a publication.
-uint64_t shmToken(uint64_t Generation, uint64_t Elems, uint64_t PlanHash);
-
-/// One mapped descriptor window on the worker side. Maps are
-/// page-aligned (mmap requires it; descriptors are element-granular),
-/// MAP_PRIVATE + PROT_READ, and torn down per task so a worker's
-/// address-space footprint is one in-flight shard, not the whole input
-/// — the same discipline the out-of-core MmapFileSource keeps.
+/// One mapped descriptor window on the worker side: a
+/// runtime::PageWindow behind the descriptor's bounds checks. Windows
+/// are torn down per task so a worker's address-space footprint is one
+/// in-flight shard, not the whole input — the same discipline the
+/// out-of-core MmapFileSource keeps.
 class ShmWindow {
 public:
-  ShmWindow() = default;
-  ~ShmWindow() { unmap(); }
-  ShmWindow(const ShmWindow &) = delete;
-  ShmWindow &operator=(const ShmWindow &) = delete;
-
   /// Maps elements [Offset, Offset+Count) of stripe \p Stripe of \p R
   /// and points \p Out at them. Count == 0 yields an empty view without
   /// touching mmap. Returns false (Out untouched) when the stripe does
   /// not exist, the descriptor overruns it, or mmap fails.
   bool map(const ShmRegion &R, uint64_t Stripe, uint64_t Offset,
            uint64_t Count, runtime::SegmentView *Out);
-  void unmap();
+  void unmap() { Win.unmap(); }
 
 private:
-  void *Base = nullptr;
-  size_t Len = 0;
+  runtime::PageWindow Win;
 };
 
 } // namespace dist

@@ -9,55 +9,15 @@
 #include <cstdint>
 #include <utility>
 
-#include <poll.h>
 #include <unistd.h>
 
 namespace grassp {
 namespace dist {
 
-namespace {
-
-/// One complete frame off the socket, buffering across poll wakeups.
-/// SCM_RIGHTS fds that ride in with Publish frames land on \p PendingFds
-/// in arrival order. Returns false on EOF/error/corrupt — the worker
-/// treats any of those as "coordinator gone" and exits.
-bool readFrame(FrameReader &Reader, int Fd, Frame *F,
-               uint64_t *HeartbeatCounter, FrameWriter &Writer,
-               std::vector<int> *PendingFds) {
-  for (;;) {
-    RecvStatus S = Reader.next(F);
-    if (S == RecvStatus::Ok)
-      return true;
-    if (S != RecvStatus::NeedMore)
-      return false;
-    // Idle: wait for bytes, heartbeating on every timeout so the
-    // coordinator can tell an idle worker from a dead one.
-    struct pollfd P = {Fd, POLLIN, 0};
-    int Rc = ::poll(&P, 1, static_cast<int>(HeartbeatSeconds * 1000.0) + 1);
-    if (Rc < 0)
-      continue; // EINTR
-    if (Rc == 0) {
-      Writer.payload().u64((*HeartbeatCounter)++);
-      if (!Writer.send(Fd, MsgType::Heartbeat))
-        return false;
-      continue;
-    }
-    S = Reader.fill(Fd, PendingFds);
-    if (S == RecvStatus::Eof || S == RecvStatus::Error ||
-        S == RecvStatus::Corrupt)
-      return false;
-  }
-}
-
-} // namespace
-
 void workerMain(int Fd, const runtime::CompiledPlan &Plan,
-                FaultInjector *Faults, const ShmRegion &Inherited) {
-  // The worker's copy of the published mapping. The inherited fds are
-  // the child's own descriptors (fork dup'd them), so this side owns
-  // them.
-  ShmRegion Map = Inherited;
-  Map.OwnsFds = Map.valid();
+                FaultInjector *Faults) {
+  // The mapping the last Publish delivered (none before the first).
+  ShmRegion Map;
   // The mapping a Publish replaced. Closing the last reference to a big
   // memfd frees its pages and takes milliseconds, so it waits until the
   // Results of the next batch are on the wire.
@@ -65,24 +25,27 @@ void workerMain(int Fd, const runtime::CompiledPlan &Plan,
 
   FrameWriter Writer;
 
+  // The injected hang before the handshake: never greet, so the
+  // coordinator's Hello deadline must SIGKILL us.
+  if (Faults && Faults->shouldFailKeyed(SiteWorkerHello, 0))
+    for (;;)
+      ::pause();
   // The fork handshake: the coordinator refuses a worker whose inherited
-  // plan hashes differently from its own, or whose inherited mapping
-  // token contradicts the coordinator's record for that generation.
+  // plan hashes differently from its own.
   HelloMsg Hello;
   Hello.Pid = static_cast<uint64_t>(::getpid());
   Hello.PlanHash = Plan.compiled().bytecodeHash();
-  Hello.ShmGeneration = Map.Generation;
-  Hello.ShmToken = Map.Token;
   encodeHello(Hello, Writer.payload());
   if (!Writer.send(Fd, MsgType::Hello))
     ::_exit(0);
 
   FrameReader Reader;
   std::vector<int> PendingFds;
-  uint64_t Heartbeats = 0;
   for (;;) {
+    // Blocks until the coordinator sends a frame; SCM_RIGHTS fds that
+    // ride in with a Publish land on PendingFds in arrival order.
     Frame F;
-    if (!readFrame(Reader, Fd, &F, &Heartbeats, Writer, &PendingFds))
+    if (Reader.read(Fd, &F, &PendingFds) != RecvStatus::Ok)
       ::_exit(0); // coordinator gone (or untrusted channel): clean end.
     if (F.Type == MsgType::Shutdown)
       ::_exit(0);
@@ -99,9 +62,7 @@ void workerMain(int Fd, const runtime::CompiledPlan &Plan,
       Retired.reset();
       Retired = std::move(Map);
       Map = ShmRegion();
-      Map.OwnsFds = true;
       Map.Generation = Pub.Generation;
-      Map.Token = Pub.Token;
       for (size_t K = 0; K != Pub.Stripes.size(); ++K)
         Map.Stripes.push_back(
             {PendingFds[K], Pub.Stripes[K].ByteOffset, Pub.Stripes[K].Elems});
@@ -129,8 +90,8 @@ void workerMain(int Fd, const runtime::CompiledPlan &Plan,
           ::_exit(WorkerFaultExitStatus); // unreachable; belt and braces.
         }
         if (Faults->shouldFailKeyed(SiteWorkerHang, It.AttemptKey)) {
-          // Go silent: no result, no heartbeat. The coordinator's
-          // per-task deadline must detect this and SIGKILL us.
+          // Go silent: no result. The coordinator's per-task deadline
+          // must detect this and SIGKILL us.
           for (;;)
             ::pause();
         }

@@ -151,9 +151,7 @@ private:
 class MmapCursor : public SegmentCursor {
 public:
   MmapCursor(const SegmentSource &Src, int Fd, std::string Path)
-      : Src(Src), Fd(Fd), Path(std::move(Path)),
-        Page(static_cast<size_t>(::sysconf(_SC_PAGESIZE))) {}
-  ~MmapCursor() override { unmap(); }
+      : Src(Src), Fd(Fd), Path(std::move(Path)) {}
 
   SegmentView chunk(size_t I) override { return window(I, Src.chunkElems(I)); }
   SegmentView head(size_t I, size_t N) override {
@@ -163,40 +161,21 @@ public:
 private:
   SegmentView window(size_t I, size_t Elems) {
     checkChunkIndex(I, Src.chunkCount());
-    unmap();
+    Win.unmap();
     if (Elems == 0)
       return {nullptr, 0};
-    uint64_t Off = chunkByteOffset(Src.chunkBegin(I));
-    uint64_t Aligned = Off - Off % Page;
-    size_t Lead = static_cast<size_t>(Off - Aligned);
-    MapLen = Lead + Elems * sizeof(int64_t);
-    Map = ::mmap(nullptr, MapLen, PROT_READ, MAP_PRIVATE,
-                 Fd, static_cast<off_t>(Aligned));
-    if (Map == MAP_FAILED) {
-      Map = nullptr;
-      MapLen = 0;
+    // Folds walk each window front to back exactly once.
+    const void *P = Win.map(Fd, chunkByteOffset(Src.chunkBegin(I)),
+                            Elems * sizeof(int64_t), /*Sequential=*/true);
+    if (!P)
       throw WorkloadParseError(Path, 0, "mmap failed: " + errnoString());
-    }
-    // Advisory only; folds walk each window front to back exactly once.
-    ::madvise(Map, MapLen, MADV_SEQUENTIAL);
-    return {reinterpret_cast<const int64_t *>(static_cast<char *>(Map) + Lead),
-            Elems};
-  }
-
-  void unmap() {
-    if (Map) {
-      ::munmap(Map, MapLen);
-      Map = nullptr;
-      MapLen = 0;
-    }
+    return {static_cast<const int64_t *>(P), Elems};
   }
 
   const SegmentSource &Src;
   int Fd;
   std::string Path;
-  size_t Page;
-  void *Map = nullptr;
-  size_t MapLen = 0;
+  PageWindow Win;
 };
 
 /// Bounded-buffer binary reader: one chunk-sized pread buffer.
@@ -276,6 +255,35 @@ private:
 };
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// PageWindow
+//===----------------------------------------------------------------------===//
+
+const void *PageWindow::map(int Fd, uint64_t Offset, size_t Bytes,
+                            bool Sequential) {
+  unmap();
+  static const uint64_t Page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  uint64_t Aligned = Offset - Offset % Page;
+  size_t Lead = static_cast<size_t>(Offset - Aligned);
+  void *M = ::mmap(nullptr, Lead + Bytes, PROT_READ, MAP_PRIVATE, Fd,
+                   static_cast<off_t>(Aligned));
+  if (M == MAP_FAILED)
+    return nullptr;
+  Base = M;
+  Len = Lead + Bytes;
+  if (Sequential)
+    ::madvise(Base, Len, MADV_SEQUENTIAL); // advisory only.
+  return static_cast<const char *>(M) + Lead;
+}
+
+void PageWindow::unmap() {
+  if (Base) {
+    ::munmap(Base, Len);
+    Base = nullptr;
+    Len = 0;
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // SegmentCursor / SegmentSource geometry

@@ -146,6 +146,30 @@ private:
   std::vector<int64_t> Data;
 };
 
+/// One read-only window at a time over a file: the page-window mapper
+/// under MmapFileSource's cursors and the dist workers' descriptor
+/// windows. map() unmaps the previous window, maps from the page that
+/// holds the first byte (mmap offsets must be page-aligned; callers ask
+/// for element-granular ones), and returns a pointer to that byte.
+class PageWindow {
+public:
+  PageWindow() = default;
+  ~PageWindow() { unmap(); }
+  PageWindow(const PageWindow &) = delete;
+  PageWindow &operator=(const PageWindow &) = delete;
+
+  /// Maps bytes [Offset, Offset + Bytes) of \p Fd, Bytes > 0, as
+  /// MAP_PRIVATE + PROT_READ; \p Sequential advises the kernel that the
+  /// window is read front to back once. Returns nullptr when mmap fails.
+  const void *map(int Fd, uint64_t Offset, size_t Bytes,
+                  bool Sequential = false);
+  void unmap();
+
+private:
+  void *Base = nullptr;
+  size_t Len = 0;
+};
+
 /// Binary workload file via per-chunk mmap windows.
 class MmapFileSource : public SegmentSource {
 public:

@@ -91,7 +91,7 @@ struct RecoveryCounters {
   unsigned WorkersExited = 0;       // deaths with WIFEXITED + nonzero.
   unsigned WorkersRestarted = 0;    // replacements forked after a death.
   unsigned CorruptFrames = 0;       // checksum rejects.
-  unsigned HangsDetected = 0;       // deadline/heartbeat kills.
+  unsigned HangsDetected = 0;       // kills of workers owing a frame.
 
   RecoveryCounters &operator+=(const RecoveryCounters &O);
 };

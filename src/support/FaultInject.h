@@ -25,8 +25,10 @@
 // genuine article (SIGKILL, waitpid status decoding, checksum rejects):
 //   dist.worker.exit   worker calls _exit(137) before computing
 //   dist.worker.kill   worker raise(SIGKILL)s itself
-//   dist.worker.hang   worker goes silent (no result, no heartbeat)
+//   dist.worker.hang   worker goes silent (no result) holding a task
 //   dist.frame.corrupt worker flips a byte in its reply frame
+//   dist.worker.hello  worker hangs before its Hello (key 0: an armed
+//                      site hits every spawn)
 //
 // The serve.* sites are the service-layer faults (src/serve/), also
 // real: a solver worker process dies or wedges mid-solve, the cache

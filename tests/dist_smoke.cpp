@@ -89,7 +89,7 @@ TEST(DistProtocol, FrameRoundTripsOverARealSocket) {
   EXPECT_EQ(F.Type, dist::MsgType::Task);
   EXPECT_EQ(F.Payload, Payload);
 
-  // Empty payloads are legal frames (Heartbeat, Shutdown).
+  // Empty payloads are legal frames (Shutdown).
   ASSERT_TRUE(dist::writeFrame(S.Fd[0], dist::MsgType::Shutdown, {}));
   ASSERT_EQ(dist::readFrameBlocking(S.Fd[1], &F), dist::RecvStatus::Ok);
   EXPECT_EQ(F.Type, dist::MsgType::Shutdown);
@@ -108,6 +108,19 @@ TEST(DistProtocol, CorruptedByteIsCaughtByTheChecksum) {
     EXPECT_EQ(dist::readFrameBlocking(S.Fd[1], &F),
               dist::RecvStatus::Corrupt)
         << "byte " << At;
+  }
+}
+
+TEST(DistProtocol, GapFrameTypesDecodeAsCorrupt) {
+  // Types 4 and 7..15 belong to no message; a frame carrying one is a
+  // corrupt type word, however sound its checksum.
+  for (uint32_t Type : {0u, 4u, 7u, 15u, 24u}) {
+    SocketPair S;
+    ASSERT_TRUE(
+        dist::writeFrame(S.Fd[0], static_cast<dist::MsgType>(Type), {1}));
+    dist::Frame F;
+    EXPECT_EQ(dist::readFrameBlocking(S.Fd[1], &F), dist::RecvStatus::Corrupt)
+        << "type " << Type;
   }
 }
 
@@ -149,14 +162,10 @@ TEST(DistProtocol, MessageCodecsRoundTrip) {
   dist::HelloMsg H;
   H.Pid = 4242;
   H.PlanHash = 0xdeadbeefcafe1234ULL;
-  H.ShmGeneration = 3;
-  H.ShmToken = 0x1122334455667788ULL;
   dist::HelloMsg H2;
   ASSERT_TRUE(dist::decodeHello(dist::encodeHello(H), &H2));
   EXPECT_EQ(H2.Pid, H.Pid);
   EXPECT_EQ(H2.PlanHash, H.PlanHash);
-  EXPECT_EQ(H2.ShmGeneration, H.ShmGeneration);
-  EXPECT_EQ(H2.ShmToken, H.ShmToken);
 
   // A batched Task of two descriptors into the published mapping, one
   // of them an empty shard.
@@ -196,12 +205,10 @@ TEST(DistProtocol, MessageCodecsRoundTrip) {
   // A three-stripe table, one of them empty.
   dist::PublishMsg Pub;
   Pub.Generation = 9;
-  Pub.Token = 0xfeedf00ddeadbeefULL;
   Pub.Stripes = {{16, 1 << 20}, {0, 0}, {0, 777}};
   dist::PublishMsg Pub2;
   ASSERT_TRUE(dist::decodePublish(dist::encodePublish(Pub), &Pub2));
   EXPECT_EQ(Pub2.Generation, Pub.Generation);
-  EXPECT_EQ(Pub2.Token, Pub.Token);
   ASSERT_EQ(Pub2.Stripes.size(), 3u);
   for (size_t K = 0; K != 3; ++K) {
     EXPECT_EQ(Pub2.Stripes[K].ByteOffset, Pub.Stripes[K].ByteOffset) << K;
@@ -369,24 +376,20 @@ struct DistRun {
         Plan(*P, synthFor(Name).Plan), Serial(CP.runSerial(Segs)) {}
 };
 
-/// A sealed one-stripe region over \p Data, stamped as generation \p Gen
-/// of \p Plan: what a worker forked after that publication inherits.
+/// A sealed one-stripe region over \p Data, stamped as generation \p Gen.
 /// Invalid when no sealable memfd could be made.
-dist::ShmRegion sealedRegion(const std::vector<int64_t> &Data, uint64_t Gen,
-                             const runtime::CompiledPlan &Plan) {
+dist::ShmRegion sealedRegion(const std::vector<int64_t> &Data, uint64_t Gen) {
   dist::ShmRegion R;
   int Fd = dist::shmCreateBuffer();
   if (Fd < 0)
     return R;
   R.Stripes.push_back({Fd, 0, Data.size()});
-  R.OwnsFds = true;
   if (!dist::shmAppend(Fd, Data.data(), Data.size() * 8) ||
       !dist::shmSeal(Fd)) {
     R.reset();
     return R;
   }
   R.Generation = Gen;
-  R.Token = dist::shmToken(Gen, Data.size(), Plan.compiled().bytecodeHash());
   return R;
 }
 
@@ -397,24 +400,33 @@ struct ForkedWorker {
   SocketPair S;
   pid_t Pid = -1;
 
-  ForkedWorker(const runtime::CompiledPlan &Plan,
-               const dist::ShmRegion &Inherited) {
+  explicit ForkedWorker(const runtime::CompiledPlan &Plan) {
     Pid = ::fork();
     if (Pid == 0) {
       ::close(S.Fd[0]);
-      dist::workerMain(S.Fd[1], Plan, nullptr, Inherited);
+      dist::workerMain(S.Fd[1], Plan, nullptr);
     }
     ::close(S.Fd[1]);
     S.Fd[1] = -1;
   }
   int fd() const { return S.Fd[0]; }
-  /// Reads frames until one that is not a Heartbeat (or the stream
-  /// ends).
+  /// Sends \p Region on a Publish frame, every stripe fd attached.
+  bool publish(const dist::ShmRegion &Region) {
+    dist::PublishMsg Pub;
+    Pub.Generation = Region.Generation;
+    std::vector<int> Fds;
+    for (const dist::ShmStripe &St : Region.Stripes) {
+      Pub.Stripes.push_back({St.ByteOffset, St.Elems});
+      Fds.push_back(St.Fd);
+    }
+    dist::FrameWriter Out;
+    dist::encodePublish(Pub, Out.payload());
+    return Out.sendWithFds(fd(), dist::MsgType::Publish, Fds);
+  }
+  /// Reads the next frame (or how the stream ended).
   dist::RecvStatus next(dist::Frame *F) {
     for (;;) {
       dist::RecvStatus St = Reader.next(F);
-      if (St == dist::RecvStatus::Ok && F->Type == dist::MsgType::Heartbeat)
-        continue;
       if (St != dist::RecvStatus::NeedMore)
         return St;
       St = Reader.fill(fd());
@@ -650,9 +662,17 @@ TEST(DistCoordinator, ShutdownIsIdempotentAndReapsEveryWorker) {
   EXPECT_EQ(Coord.liveWorkers(), 0u);
 }
 
+/// Sleeps past the Hello deadline: what an idle pool must survive.
+void idlePastTheHelloDeadline() {
+  std::this_thread::sleep_for(
+      std::chrono::duration<double>(dist::HelloTimeoutSeconds + 0.1));
+}
+
 TEST(DistCoordinator, PrewarmForksTheFullPoolBeforeAnyRun) {
   // Multi-threaded embedders (DiffOracle) prewarm before starting their
   // ThreadPool so the bulk of forks comes from a single-threaded parent.
+  // The first run may come long after: the workers' Hellos wait unread
+  // in their sockets meanwhile, and nobody owes anything else.
   DistRun R;
   dist::DistConfig Cfg;
   Cfg.Workers = 3;
@@ -662,9 +682,62 @@ TEST(DistCoordinator, PrewarmForksTheFullPoolBeforeAnyRun) {
   EXPECT_EQ(Coord.liveWorkers(), 3u);
   Coord.prewarm(); // idempotent: the pool is already full.
   EXPECT_EQ(Coord.liveWorkers(), 3u);
+  idlePastTheHelloDeadline();
   dist::DistRunReport Rep = Coord.run(R.Segs);
   EXPECT_EQ(Rep.Output, R.Serial);
   EXPECT_EQ(Rep.WorkersSpawned, 0u); // run() had nothing left to fork.
+  EXPECT_EQ(Rep.HangsDetected, 0u);
+  EXPECT_EQ(Rep.WorkersRestarted, 0u);
+  EXPECT_EQ(Rep.WorkersKilled, 0u);
+}
+
+TEST(DistCoordinator, IdleWorkersOweNothingAcrossAGap) {
+  // A warm pool, an idle gap past every protocol deadline, then a run
+  // with fewer shards than workers: the two workers that get no shard
+  // stay idle the whole run, and an idle worker owes no frame.
+  DistRun R("sum", 6000, 8);
+  dist::DistConfig Cfg;
+  Cfg.Workers = 4;
+  dist::DistCoordinator Coord(R.Plan, Cfg);
+  ASSERT_EQ(Coord.run(R.Segs).Output, R.Serial);
+  idlePastTheHelloDeadline();
+  std::vector<runtime::SegmentView> Two = runtime::partition(R.Data, 2);
+  dist::DistRunReport Rep = Coord.run(Two);
+  EXPECT_EQ(Rep.Output, R.Serial);
+  EXPECT_EQ(Rep.WorkersSpawned, 0u);
+  EXPECT_EQ(Rep.HangsDetected, 0u);
+  EXPECT_EQ(Rep.WorkersRestarted, 0u);
+  EXPECT_EQ(Rep.WorkersKilled, 0u);
+  EXPECT_EQ(Coord.liveWorkers(), 4u);
+}
+
+TEST(DistCoordinator, WorkerThatNeverSaysHelloIsKilledAtItsDeadline) {
+  // Every spawn hangs before its Hello. Each is SIGKILLed once it owes
+  // the Hello past HelloTimeoutSeconds; the two respawns hang the same
+  // way, the pool runs dry, and every shard refolds serially — exactly.
+  DistRun R("sum", 6000, 8);
+  FaultInjector FI(5);
+  FaultSpec Mute;
+  Mute.KeyModulo = 1;
+  FI.arm(dist::SiteWorkerHello, Mute);
+  dist::DistConfig Cfg;
+  Cfg.Workers = 2;
+  Cfg.MaxWorkerRestarts = 2;
+  Cfg.Faults = &FI;
+  dist::DistCoordinator Coord(R.Plan, Cfg);
+  dist::DistRunReport Rep = Coord.run(R.Segs);
+  EXPECT_EQ(Rep.Output, R.Serial);
+  EXPECT_EQ(Rep.WorkersSpawned, 4u);
+  EXPECT_EQ(Rep.WorkersRestarted, 2u);
+  EXPECT_EQ(Rep.HangsDetected, 4u);
+  EXPECT_EQ(Rep.WorkersKilled, 4u);
+  EXPECT_EQ(Rep.TaskFrames, 0u);
+  EXPECT_EQ(Rep.SerialRefolds, 8u);
+  EXPECT_EQ(Coord.liveWorkers(), 0u);
+  // Two generations of workers, each killed at its deadline: not
+  // before it, and within a bound after it.
+  EXPECT_GE(Rep.WallSeconds, 2 * dist::HelloTimeoutSeconds);
+  EXPECT_LT(Rep.WallSeconds, 2 * dist::HelloTimeoutSeconds + 2.0);
 }
 
 TEST(DistCoordinator, SimultaneousHangsSurviveMidSweepRespawns) {
@@ -774,7 +847,6 @@ TEST(DistProtocol, TaskCodecRejectsMalformedPayloads) {
 TEST(DistProtocol, PublishCodecRejectsTruncationAndJunk) {
   dist::PublishMsg M;
   M.Generation = 2;
-  M.Token = 0x0123456789abcdefULL;
   M.Stripes = {{16, 777}, {0, 300}};
   std::vector<uint8_t> P = dist::encodePublish(M);
   // Truncation anywhere — inside the header words, the stripe count or
@@ -852,14 +924,6 @@ TEST(DistProtocol, FrameWriterReusesBuffersAndRestoresCorruption) {
   }
 }
 
-TEST(DistShm, TokenIsDeterministicAndInputSensitive) {
-  uint64_t T = dist::shmToken(1, 1000, 0xabcdef);
-  EXPECT_EQ(dist::shmToken(1, 1000, 0xabcdef), T);
-  EXPECT_NE(dist::shmToken(2, 1000, 0xabcdef), T);
-  EXPECT_NE(dist::shmToken(1, 1001, 0xabcdef), T);
-  EXPECT_NE(dist::shmToken(1, 1000, 0xabcdee), T);
-}
-
 TEST(DistShm, WindowMapsSealedBufferAndBoundsChecks) {
   if (!dist::shmTransportAvailable())
     GTEST_SKIP() << "no sealable memfd on this kernel";
@@ -869,7 +933,6 @@ TEST(DistShm, WindowMapsSealedBufferAndBoundsChecks) {
 
   // Two stripes: the first 1000 values, then the other 2000.
   dist::ShmRegion R;
-  R.OwnsFds = true;
   for (size_t Begin : {size_t{0}, size_t{1000}}) {
     size_t End = Begin == 0 ? 1000 : Vals.size();
     int Fd = dist::shmCreateBuffer();
@@ -923,7 +986,6 @@ TEST(DistProtocol, PublishFrameCarriesEveryStripeFdViaScmRights) {
   std::vector<int> Fds;
   dist::PublishMsg M;
   M.Generation = 5;
-  M.Token = dist::shmToken(5, 7, 99);
   for (const std::vector<int64_t> &V : Vals) {
     int Fd = dist::shmCreateBuffer();
     ASSERT_GE(Fd, 0);
@@ -949,12 +1011,10 @@ TEST(DistProtocol, PublishFrameCarriesEveryStripeFdViaScmRights) {
   dist::PublishMsg Got;
   ASSERT_TRUE(dist::decodePublish(F.Payload, &Got));
   EXPECT_EQ(Got.Generation, M.Generation);
-  EXPECT_EQ(Got.Token, M.Token);
   ASSERT_EQ(Got.Stripes.size(), 2u);
   ASSERT_EQ(GotFds.size(), 2u);
 
   dist::ShmRegion R;
-  R.OwnsFds = true;
   R.Generation = Got.Generation;
   for (size_t K = 0; K != 2; ++K)
     R.Stripes.push_back(
@@ -981,7 +1041,7 @@ TEST(DistProtocol, MoreFdsThanAFrameCarriesAreRefusedBeforeSending) {
   dist::FrameWriter W;
   W.payload().u64(0);
   std::vector<int> Fds(dist::MaxFrameFds + 1, S.Fd[0]);
-  EXPECT_FALSE(W.sendWithFds(S.Fd[0], dist::MsgType::Heartbeat, Fds));
+  EXPECT_FALSE(W.sendWithFds(S.Fd[0], dist::MsgType::Shutdown, Fds));
 }
 
 TEST(DistProtocol, UnsolicitedFdsAreClosedNotLeaked) {
@@ -997,7 +1057,7 @@ TEST(DistProtocol, UnsolicitedFdsAreClosedNotLeaked) {
   SocketPair S;
   dist::FrameWriter W;
   W.payload().u64(0);
-  ASSERT_TRUE(W.sendWithFds(S.Fd[0], dist::MsgType::Heartbeat, {Fd}));
+  ASSERT_TRUE(W.sendWithFds(S.Fd[0], dist::MsgType::Shutdown, {Fd}));
   ::close(Fd);
 
   dist::FrameReader Reader;
@@ -1034,9 +1094,12 @@ TEST(DistCoordinator, ShmTransportIsUsedAndAccountsMappedBytes) {
   EXPECT_EQ(Rep.BytesMapped, R.Data.size() * 8);
   EXPECT_GT(Rep.TaskFrames, 0u);
   EXPECT_LT(Rep.BytesShipped, R.Data.size() * 8);
+  // The workers were forked by this run, and still each one got the
+  // mapping on a Publish frame: there is no other way in.
+  EXPECT_EQ(Rep.WorkersSpawned, 3u);
+  EXPECT_EQ(Rep.PublishFrames, 3u);
 
-  // Prewarmed pools get the mapping by Publish frame instead of fork
-  // inheritance — and a second run republishes to the (now stale) pool.
+  // A second run republishes to the (now stale) pool.
   dist::DistRunReport Rep2 = Coord.run(R.Segs);
   EXPECT_EQ(Rep2.Output, R.Serial);
   EXPECT_TRUE(Rep2.UsedShm);
@@ -1051,22 +1114,23 @@ TEST(DistWorker, StaleGenerationDescriptorExitsLoudly) {
   // coordinator's input) and exit with the dedicated status the
   // coordinator's waitpid decoder recognizes.
   DistRun R("sum", 100, 2);
-  dist::ShmRegion Inherited = sealedRegion(R.Data, 3, R.Plan);
-  ASSERT_TRUE(Inherited.valid());
-  ForkedWorker W(R.Plan, Inherited);
-  Inherited.reset();
+  dist::ShmRegion Region = sealedRegion(R.Data, 3);
+  ASSERT_TRUE(Region.valid());
+  ForkedWorker W(R.Plan);
 
-  // The Hello handshake reports the inherited mapping.
+  // The Hello handshake: pid and plan hash, and no mapping.
   dist::Frame F;
   ASSERT_EQ(W.next(&F), dist::RecvStatus::Ok);
   ASSERT_EQ(F.Type, dist::MsgType::Hello);
   dist::HelloMsg H;
   ASSERT_TRUE(dist::decodeHello(F.Payload, &H));
-  EXPECT_EQ(H.ShmGeneration, 3u);
-  EXPECT_EQ(H.ShmToken, dist::shmToken(3, R.Data.size(),
-                                       R.Plan.compiled().bytecodeHash()));
+  EXPECT_EQ(H.Pid, static_cast<uint64_t>(W.Pid));
+  EXPECT_EQ(H.PlanHash, R.Plan.compiled().bytecodeHash());
 
-  // Generation 4 is not the mapping the worker holds.
+  // Generation 3 arrives by Publish frame; generation 4 is not the
+  // mapping the worker holds.
+  ASSERT_TRUE(W.publish(Region));
+  Region.reset();
   ASSERT_TRUE(dist::writeFrame(W.fd(), dist::MsgType::Task,
                                dist::encodeTask(oneItem(4, 0, 10))));
   EXPECT_EQ(W.wait(), dist::StaleMapExitStatus);
@@ -1081,13 +1145,14 @@ TEST(DistWorker, DescriptorNamingAnAbsentStripeExitsLoudly) {
   // generation folds normally first, so the refusal is about the
   // stripe and nothing else.
   DistRun R("sum", 100, 2);
-  dist::ShmRegion Inherited = sealedRegion(R.Data, 3, R.Plan);
-  ASSERT_TRUE(Inherited.valid());
-  ForkedWorker W(R.Plan, Inherited);
-  Inherited.reset();
+  dist::ShmRegion Region = sealedRegion(R.Data, 3);
+  ASSERT_TRUE(Region.valid());
+  ForkedWorker W(R.Plan);
   dist::Frame F;
   ASSERT_EQ(W.next(&F), dist::RecvStatus::Ok);
   ASSERT_EQ(F.Type, dist::MsgType::Hello);
+  ASSERT_TRUE(W.publish(Region));
+  Region.reset();
 
   ASSERT_TRUE(dist::writeFrame(W.fd(), dist::MsgType::Task,
                                dist::encodeTask(oneItem(3, 0, 100))));
@@ -1114,14 +1179,13 @@ TEST(DistWorker, PublishWhoseFdCountDiffersIsNeverFoldedFrom) {
   // holds which stripe; the worker must die before any descriptor is
   // folded from it. Two fds is the control: the same Task then folds.
   DistRun R("sum", 100, 2);
-  dist::ShmRegion Region = sealedRegion(R.Data, 7, R.Plan);
+  dist::ShmRegion Region = sealedRegion(R.Data, 7);
   ASSERT_TRUE(Region.valid());
   dist::PublishMsg Pub;
   Pub.Generation = 7;
-  Pub.Token = Region.Token;
   Pub.Stripes = {{0, 100}, {0, 100}};
   for (size_t Attached : {size_t{1}, size_t{3}, size_t{2}}) {
-    ForkedWorker W(R.Plan, dist::ShmRegion());
+    ForkedWorker W(R.Plan);
     dist::Frame F;
     ASSERT_EQ(W.next(&F), dist::RecvStatus::Ok);
     ASSERT_EQ(F.Type, dist::MsgType::Hello);
@@ -1434,6 +1498,24 @@ TEST(DistCoordinator, DescriptorNamingAnAbsentStripeIsRequeuedAndMatches) {
   }
 }
 
+/// Appends the /proc paths of the stripe memfds process \p Pid holds to
+/// \p Paths; false when its fd table cannot be listed.
+bool stripeFdsOf(pid_t Pid, std::vector<std::string> *Paths) {
+  std::string Dir = "/proc/" + std::to_string(Pid) + "/fd";
+  DIR *D = ::opendir(Dir.c_str());
+  if (!D)
+    return false;
+  while (struct dirent *E = ::readdir(D)) {
+    std::string Path = Dir + "/" + E->d_name;
+    char Link[256] = {0};
+    if (::readlink(Path.c_str(), Link, sizeof(Link) - 1) >= 0 &&
+        std::string(Link).find("memfd:grassp-dist-shm") != std::string::npos)
+      Paths->push_back(Path);
+  }
+  ::closedir(D);
+  return true;
+}
+
 TEST(DistCoordinator, EveryStripeAWorkerReceivesIsSealed) {
   if (!dist::shmTransportAvailable())
     GTEST_SKIP() << "no sealable memfd on this kernel";
@@ -1451,29 +1533,68 @@ TEST(DistCoordinator, EveryStripeAWorkerReceivesIsSealed) {
   ASSERT_EQ(Rep.PublishFrames, 2u);
   const int AllSeals = F_SEAL_WRITE | F_SEAL_SHRINK | F_SEAL_GROW;
   for (unsigned Slot = 0; Slot != 2; ++Slot) {
-    std::string Dir = "/proc/" + std::to_string(Coord.workerPid(Slot)) + "/fd";
-    DIR *D = ::opendir(Dir.c_str());
-    if (!D)
-      GTEST_SKIP() << "cannot list " << Dir;
-    unsigned Stripes = 0;
-    while (struct dirent *E = ::readdir(D)) {
-      std::string Path = Dir + "/" + E->d_name;
-      char Link[256] = {0};
-      if (::readlink(Path.c_str(), Link, sizeof(Link) - 1) < 0 ||
-          std::string(Link).find("memfd:grassp-dist-shm") == std::string::npos)
-        continue;
+    std::vector<std::string> Paths;
+    if (!stripeFdsOf(Coord.workerPid(Slot), &Paths))
+      GTEST_SKIP() << "cannot list the fds of worker " << Slot;
+    for (const std::string &Path : Paths) {
       int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-      if (Fd < 0) {
-        ::closedir(D);
+      if (Fd < 0)
         GTEST_SKIP() << "cannot open " << Path;
-      }
       EXPECT_EQ(::fcntl(Fd, F_GET_SEALS) & AllSeals, AllSeals) << Path;
       ::close(Fd);
-      ++Stripes;
     }
-    ::closedir(D);
-    EXPECT_EQ(Stripes, Rep.Stripes) << "worker in slot " << Slot;
+    EXPECT_EQ(Paths.size(), Rep.Stripes) << "worker in slot " << Slot;
   }
+}
+
+/// Waits up to 5 s for process \p Pid to sleep, as a worker does once
+/// it blocks reading its first frame. False when it never did.
+bool waitUntilAsleep(pid_t Pid) {
+  const std::string StatPath = "/proc/" + std::to_string(Pid) + "/stat";
+  for (int Tries = 0; Tries != 5000; ++Tries) {
+    std::ifstream Stat(StatPath);
+    std::string Line;
+    std::getline(Stat, Line);
+    // The state letter follows the parenthesized command name.
+    size_t Close = Line.rfind(')');
+    if (Close != std::string::npos && Close + 2 < Line.size() &&
+        Line[Close + 2] == 'S')
+      return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+TEST(DistCoordinator, FreshWorkerHoldsNoStripeFdBeforeItsFirstPublish) {
+  if (!dist::shmTransportAvailable())
+    GTEST_SKIP() << "no sealable memfd on this kernel";
+  // A pool forked again after a run is forked while that run's mapping
+  // is still published. Its workers must hold none of the stripe fds:
+  // a mapping reaches a worker only on a Publish frame, and these have
+  // been sent none yet.
+  DistRun R;
+  dist::DistConfig Cfg;
+  Cfg.Workers = 2;
+  dist::DistCoordinator Coord(R.Plan, Cfg);
+  ASSERT_EQ(Coord.run(R.Segs).Output, R.Serial);
+  Coord.shutdown();
+  Coord.prewarm();
+  ASSERT_EQ(Coord.liveWorkers(), 2u);
+  for (unsigned Slot = 0; Slot != 2; ++Slot) {
+    pid_t Pid = Coord.workerPid(Slot);
+    ASSERT_TRUE(waitUntilAsleep(Pid)) << "worker in slot " << Slot;
+    std::vector<std::string> Paths;
+    if (!stripeFdsOf(Pid, &Paths))
+      GTEST_SKIP() << "cannot list the fds of worker " << Slot;
+    EXPECT_TRUE(Paths.empty())
+        << "worker in slot " << Slot << " holds " << Paths.size()
+        << " stripe fd(s)";
+  }
+  // The next run sends each of them the new mapping.
+  dist::DistRunReport Rep = Coord.run(R.Segs);
+  EXPECT_EQ(Rep.Output, R.Serial);
+  EXPECT_EQ(Rep.WorkersSpawned, 0u);
+  EXPECT_EQ(Rep.PublishFrames, 2u);
 }
 
 } // namespace
