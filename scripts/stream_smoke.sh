@@ -1,11 +1,13 @@
 #!/usr/bin/env sh
-# Out-of-core smoke: proves the mmap and chunked segment sources really
-# run in bounded memory, not just that they exist. A generated binary
-# workload is folded through `grassp run --input` under an address-space
-# cap (ulimit -v) whose headroom over the process baseline is smaller
-# than the file — any code path that materializes the whole input
+# Out-of-core smoke: proves the two file readers really run in bounded
+# memory, not just that they exist. One workload is written as a text
+# file and converted to the binary format (`grassp convert`); the mmap
+# source folds the binary file and the chunked source streams the text
+# file, each through `grassp run --input` under an address-space cap
+# (ulimit -v) whose headroom over the process baseline is smaller than
+# either file — any code path that materializes the whole input
 # (loadWorkloadFile, a whole-file mmap) dies with ENOMEM, while the
-# per-chunk windows and bounded pread buffers must pass and agree with
+# per-chunk windows and the text chunk reparse must pass and agree with
 # each other bit-for-bit.
 #
 # The baseline is probed empirically (the binary maps Z3, so its VA
@@ -42,9 +44,9 @@ if sh -c "ulimit -v 16384 && exec '$GRASSP' list" >/dev/null 2>&1; then
     exit 77
 fi
 
-# 8 Mi elements = 64 MiB of payload; the cap's headroom over the probed
-# baseline stays under 48 MiB (probe granularity + margin), so nothing
-# may hold the whole file.
+# 8 Mi elements = 64 MiB of binary payload and about as much text; the
+# cap's headroom over the probed baseline stays under 48 MiB (probe
+# granularity + margin), so nothing may hold a whole file.
 ELEMS=8388608
 FILE_KB=$((64 * 1024))
 MARGIN_KB=$((32 * 1024))
@@ -52,8 +54,12 @@ PROBE_STEP_KB=$((16 * 1024))
 WORKERS=2
 CHUNK_ELEMS=262144 # 2 MiB per resident chunk buffer.
 
-echo "== generating $ELEMS-element binary workload (streamed) =="
-"$GRASSP" convert --gen sum "$ELEMS" "$WORK/big.bin" --seed 99
+echo "== writing $ELEMS-element text workload, converting it to binary =="
+awk -v n="$ELEMS" 'BEGIN {
+    srand(99); print "# grassp-workload " n
+    for (i = 0; i < n; i++) print int(rand() * 2000001) - 1000000 }' \
+    > "$WORK/big.txt"
+"$GRASSP" convert "$WORK/big.txt" "$WORK/big.bin"
 
 # Probe: smallest cap where an in-memory run of the same worker shape
 # works at all. Everything the control needs (Z3 mappings, thread
@@ -78,15 +84,19 @@ CAP_KB=$((BASE_KB + MARGIN_KB))
 echo "baseline cap ${BASE_KB}KB, capped run at ${CAP_KB}KB" \
      "(headroom $((CAP_KB - BASE_KB))KB < file ${FILE_KB}KB)"
 
-run_capped() {
+run_capped() { # run_capped SOURCE FILE
     sh -c "ulimit -v $CAP_KB && exec '$GRASSP' run sum 1 $WORKERS \
-        --input '$WORK/big.bin' --source $1 --chunk-elems $CHUNK_ELEMS"
+        --input '$2' --source $1 --chunk-elems $CHUNK_ELEMS"
 }
 
-echo "== mmap source under the cap =="
-run_capped mmap | tee "$WORK/mmap.out"
-echo "== chunked source under the cap =="
-run_capped chunked | tee "$WORK/chunked.out"
+echo "== mmap source over the binary file under the cap =="
+run_capped mmap "$WORK/big.bin" | tee "$WORK/mmap.out"
+echo "== chunked source over the text file under the cap =="
+run_capped chunked "$WORK/big.txt" | tee "$WORK/chunked.out"
+grep -q '^source   = chunked' "$WORK/chunked.out" || {
+    echo "FAIL: the text leg did not stream through the chunked source" >&2
+    exit 1
+}
 
 # Compare the fold answers only — the trailing (0.0XXs) wall-clock on
 # the serial line is incidental and differs between runs.
@@ -96,4 +106,4 @@ CH=$(grep '^serial' "$WORK/chunked.out" | awk '{print $3}')
     echo "FAIL: mmap and chunked folds disagree: '$MM' vs '$CH'" >&2
     exit 1
 }
-echo "== stream smoke passed: both sources agree under the cap =="
+echo "== stream smoke passed: both readers agree under the cap =="

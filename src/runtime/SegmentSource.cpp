@@ -70,13 +70,6 @@ int openReadOnly(const std::string &Path) {
   return Fd;
 }
 
-uint64_t fileBytes(int Fd, const std::string &Path) {
-  struct stat St;
-  if (::fstat(Fd, &St) != 0)
-    throw WorkloadParseError(Path, 0, "stat failed: " + errnoString());
-  return static_cast<uint64_t>(St.st_size);
-}
-
 void throwEmptyWorkload(const std::string &Path) {
   // Mirrors partition()'s contract: segment sources never produce empty
   // chunk sets, so a zero-length workload is rejected at open.
@@ -86,9 +79,12 @@ void throwEmptyWorkload(const std::string &Path) {
 
 /// Reads + validates the binary header; returns the element count.
 /// Enforces the exact payload size so truncated or trailing-garbage
-/// files fail loudly.
-uint64_t readBinaryCount(int Fd, const std::string &Path) {
-  uint64_t Bytes = fileBytes(Fd, Path);
+/// files fail loudly, and \p MaxElems != 0 as a cap on the count.
+uint64_t readBinaryCount(int Fd, const std::string &Path, uint64_t MaxElems) {
+  struct stat St;
+  if (::fstat(Fd, &St) != 0)
+    throw WorkloadParseError(Path, 0, "stat failed: " + errnoString());
+  uint64_t Bytes = static_cast<uint64_t>(St.st_size);
   if (Bytes < BinaryWorkloadHeaderBytes)
     throw WorkloadParseError(Path, 0,
                              "not a binary workload file (shorter than "
@@ -109,6 +105,11 @@ uint64_t readBinaryCount(int Fd, const std::string &Path) {
         "binary workload size mismatch: header declares " +
             std::to_string(Count) + " element(s) but the file holds " +
             std::to_string(Bytes) + " byte(s)");
+  if (MaxElems != 0 && Count > MaxElems)
+    throw WorkloadParseError(Path, 0,
+                             "file holds " + std::to_string(Count) +
+                                 " elements, over the --max-elems cap of " +
+                                 std::to_string(MaxElems));
   return Count;
 }
 
@@ -176,33 +177,6 @@ private:
   int Fd;
   std::string Path;
   PageWindow Win;
-};
-
-/// Bounded-buffer binary reader: one chunk-sized pread buffer.
-class BinaryChunkCursor : public SegmentCursor {
-public:
-  BinaryChunkCursor(const SegmentSource &Src, int Fd, std::string Path)
-      : Src(Src), Fd(Fd), Path(std::move(Path)) {}
-
-  SegmentView chunk(size_t I) override { return read(I, Src.chunkElems(I)); }
-  SegmentView head(size_t I, size_t N) override {
-    return read(I, std::min(N, Src.chunkElems(I)));
-  }
-
-private:
-  SegmentView read(size_t I, size_t Elems) {
-    checkChunkIndex(I, Src.chunkCount());
-    Buf.resize(Elems);
-    if (Elems != 0)
-      preadFull(Fd, Buf.data(), Elems * sizeof(int64_t),
-                chunkByteOffset(Src.chunkBegin(I)), Path);
-    return {Buf.data(), Elems};
-  }
-
-  const SegmentSource &Src;
-  int Fd;
-  std::string Path;
-  std::vector<int64_t> Buf;
 };
 
 /// Text reader: seeks to the chunk's byte offset (from the up-front
@@ -337,10 +311,10 @@ std::unique_ptr<SegmentCursor> VectorSource::cursor() const {
 //===----------------------------------------------------------------------===//
 
 MmapFileSource::MmapFileSource(const std::string &Path,
-                               const SourceOptions &Opts)
+                               const SourceOptions &Opts, uint64_t MaxElems)
     : Path(Path), Fd(openReadOnly(Path)) {
   try {
-    uint64_t Count = readBinaryCount(Fd, Path);
+    uint64_t Count = readBinaryCount(Fd, Path, MaxElems);
     if (Count == 0)
       throwEmptyWorkload(Path);
     initChunks(Count, Opts.ChunkElems, Opts.MinChunks);
@@ -363,139 +337,34 @@ std::unique_ptr<SegmentCursor> MmapFileSource::cursor() const {
 // ChunkedFileSource
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// First text pass: validates the whole file with the loadWorkloadFile
-/// grammar while holding no elements; returns the count and the byte
-/// offset of the first element line.
-void scanTextWorkload(const std::string &Path, uint64_t MaxElems,
-                      uint64_t *CountOut, uint64_t *DataStartOut) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    throw WorkloadParseError(Path, 0, "cannot open file: " + errnoString());
-  uint64_t Count = 0, DataStart = 0;
-  bool HaveHeader = false;
-  uint64_t Declared = 0;
-  std::string Line;
-  unsigned LineNo = 0;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    std::string Stripped = Line;
-    if (!Stripped.empty() && Stripped.back() == '\r')
-      Stripped.pop_back();
-    if (!Stripped.empty() && Stripped.front() == '#') {
-      if (LineNo != 1)
-        throw WorkloadParseError(Path, LineNo,
-                                 "comment lines are only allowed as the "
-                                 "first-line header");
-      std::string Reason;
-      if (!parseWorkloadHeader(Stripped, &Declared, &Reason))
-        throw WorkloadParseError(Path, LineNo, Reason);
-      if (MaxElems != 0 && Declared > MaxElems)
-        throw WorkloadParseError(
-            Path, LineNo,
-            "header declares " + std::to_string(Declared) +
-                " elements, over the --max-elems cap of " +
-                std::to_string(MaxElems));
-      HaveHeader = true;
-      DataStart = static_cast<uint64_t>(In.tellg());
-      continue;
-    }
-    int64_t V = 0;
-    if (!parseWorkloadElement(Line, &V))
-      throw WorkloadParseError(Path, LineNo,
-                               "malformed element '" + Stripped +
-                                   "' (expected one decimal int64 per "
-                                   "line)");
-    if (MaxElems != 0 && Count == MaxElems)
-      throw WorkloadParseError(Path, LineNo,
-                               "file holds more than the --max-elems cap "
-                               "of " + std::to_string(MaxElems) +
-                                   " element(s)");
-    ++Count;
-  }
-  if (In.bad())
-    throw WorkloadParseError(Path, LineNo, "read error");
-  if (HaveHeader && Count != Declared)
-    throw WorkloadParseError(
-        Path, 0,
-        "element count mismatch: header declares " +
-            std::to_string(Declared) + " but file holds " +
-            std::to_string(Count) +
-            (Count < Declared ? " (truncated file?)" : ""));
-  *CountOut = Count;
-  *DataStartOut = DataStart;
-}
-
-} // namespace
-
 ChunkedFileSource::ChunkedFileSource(const std::string &Path,
                                      const SourceOptions &Opts,
                                      uint64_t MaxElems)
-    : Path(Path), Fd(openReadOnly(Path)) {
-  try {
-    char Magic[sizeof(BinaryWorkloadMagic)] = {};
-    uint64_t Bytes = fileBytes(Fd, Path);
-    if (Bytes >= sizeof(Magic))
-      preadFull(Fd, Magic, sizeof(Magic), 0, Path);
-    Text = std::memcmp(Magic, BinaryWorkloadMagic, sizeof(Magic)) != 0;
-
-    if (!Text) {
-      uint64_t Count = readBinaryCount(Fd, Path);
-      if (Count == 0)
-        throwEmptyWorkload(Path);
-      if (MaxElems != 0 && Count > MaxElems)
-        throw WorkloadParseError(
-            Path, 0,
-            "file holds " + std::to_string(Count) +
-                " elements, over the --max-elems cap of " +
-                std::to_string(MaxElems));
-      initChunks(Count, Opts.ChunkElems, Opts.MinChunks);
-      return;
+    : Path(Path) {
+  // One validating count-only pass, then a second pass recording the
+  // byte offset of each chunk's first line. Neither holds elements, so
+  // the index is O(chunks) regardless of file size.
+  int64_t V = 0;
+  {
+    TextWorkloadReader Scan(Path, MaxElems);
+    while (Scan.next(&V)) {
     }
-
-    // Text: one validating counting pass, then a second pass recording
-    // the byte offset of each chunk's first line. Neither holds
-    // elements, so the index is O(chunks) regardless of file size.
-    uint64_t Count = 0, DataStart = 0;
-    scanTextWorkload(Path, MaxElems, &Count, &DataStart);
-    if (Count == 0)
+    if (Scan.count() == 0)
       throwEmptyWorkload(Path);
-    initChunks(Count, Opts.ChunkElems, Opts.MinChunks);
-
-    std::ifstream In(Path, std::ios::binary);
-    In.seekg(static_cast<std::streamoff>(DataStart));
-    TextChunkOffsets.reserve(NumChunks);
-    std::string Line;
-    uint64_t Elem = 0;
-    size_t NextChunk = 0;
-    while (NextChunk != NumChunks) {
-      uint64_t Pos = static_cast<uint64_t>(In.tellg());
-      if (Elem == chunkBegin(NextChunk)) {
-        TextChunkOffsets.push_back(Pos);
-        ++NextChunk;
-      }
-      if (NextChunk == NumChunks)
-        break;
-      if (!std::getline(In, Line))
+    initChunks(Scan.count(), Opts.ChunkElems, Opts.MinChunks);
+  }
+  TextWorkloadReader Index(Path);
+  TextChunkOffsets.reserve(NumChunks);
+  for (size_t I = 0; I != NumChunks; ++I) {
+    while (Index.count() != chunkBegin(I))
+      if (!Index.next(&V))
         throw WorkloadParseError(Path, 0, "read error building chunk index");
-      ++Elem;
-    }
-  } catch (...) {
-    ::close(Fd);
-    throw;
+    TextChunkOffsets.push_back(Index.offset());
   }
 }
 
-ChunkedFileSource::~ChunkedFileSource() {
-  if (Fd >= 0)
-    ::close(Fd);
-}
-
 std::unique_ptr<SegmentCursor> ChunkedFileSource::cursor() const {
-  if (Text)
-    return std::make_unique<TextChunkCursor>(*this, Path, TextChunkOffsets);
-  return std::make_unique<BinaryChunkCursor>(*this, Fd, Path);
+  return std::make_unique<TextChunkCursor>(*this, Path, TextChunkOffsets);
 }
 
 //===----------------------------------------------------------------------===//
@@ -548,13 +417,7 @@ std::vector<int64_t> readBinaryAll(const std::string &Path,
   int Fd = openReadOnly(Path);
   std::vector<int64_t> Out;
   try {
-    uint64_t Count = readBinaryCount(Fd, Path);
-    if (MaxElems != 0 && Count > MaxElems)
-      throw WorkloadParseError(
-          Path, 0,
-          "file holds " + std::to_string(Count) +
-              " elements, over the --max-elems cap of " +
-              std::to_string(MaxElems));
+    uint64_t Count = readBinaryCount(Fd, Path, MaxElems);
     Out.resize(static_cast<size_t>(Count));
     if (Count != 0)
       preadFull(Fd, Out.data(), static_cast<size_t>(Count) * sizeof(int64_t),
@@ -576,6 +439,10 @@ std::unique_ptr<SegmentSource> openSegmentSource(const std::string &Path,
   bool Binary = isBinaryWorkloadFile(Path);
   if (Kind == SourceKind::Auto)
     Kind = Binary ? SourceKind::Mmap : SourceKind::Memory;
+  // The mmap windows already bound a binary file's footprint; the
+  // chunked reader streams text only.
+  if (Binary && Kind == SourceKind::Chunked)
+    Kind = SourceKind::Mmap;
   switch (Kind) {
   case SourceKind::Memory: {
     std::vector<int64_t> Data = Binary ? readBinaryAll(Path, MaxElems)
@@ -584,16 +451,8 @@ std::unique_ptr<SegmentSource> openSegmentSource(const std::string &Path,
       throwEmptyWorkload(Path);
     return std::make_unique<VectorSource>(std::move(Data), Opts);
   }
-  case SourceKind::Mmap: {
-    auto Src = std::make_unique<MmapFileSource>(Path, Opts);
-    if (MaxElems != 0 && Src->elements() > MaxElems)
-      throw WorkloadParseError(
-          Path, 0,
-          "file holds " + std::to_string(Src->elements()) +
-              " elements, over the --max-elems cap of " +
-              std::to_string(MaxElems));
-    return Src;
-  }
+  case SourceKind::Mmap:
+    return std::make_unique<MmapFileSource>(Path, Opts, MaxElems);
   case SourceKind::Chunked:
     return std::make_unique<ChunkedFileSource>(Path, Opts, MaxElems);
   case SourceKind::Auto:
@@ -655,68 +514,20 @@ void BinaryWorkloadWriter::close() {
 
 uint64_t convertTextToBinary(const std::string &TextPath,
                              const std::string &BinPath, uint64_t MaxElems) {
-  std::ifstream In(TextPath, std::ios::binary);
-  if (!In)
-    throw WorkloadParseError(TextPath, 0,
-                             "cannot open file: " + errnoString());
+  TextWorkloadReader R(TextPath, MaxElems);
   BinaryWorkloadWriter Writer(BinPath);
   std::vector<int64_t> Batch;
   const size_t BatchElems = size_t{1} << 16;
   Batch.reserve(BatchElems);
-
-  bool HaveHeader = false;
-  uint64_t Declared = 0;
-  std::string Line;
-  unsigned LineNo = 0;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    std::string Stripped = Line;
-    if (!Stripped.empty() && Stripped.back() == '\r')
-      Stripped.pop_back();
-    if (!Stripped.empty() && Stripped.front() == '#') {
-      if (LineNo != 1)
-        throw WorkloadParseError(TextPath, LineNo,
-                                 "comment lines are only allowed as the "
-                                 "first-line header");
-      std::string Reason;
-      if (!parseWorkloadHeader(Stripped, &Declared, &Reason))
-        throw WorkloadParseError(TextPath, LineNo, Reason);
-      if (MaxElems != 0 && Declared > MaxElems)
-        throw WorkloadParseError(
-            TextPath, LineNo,
-            "header declares " + std::to_string(Declared) +
-                " elements, over the --max-elems cap of " +
-                std::to_string(MaxElems));
-      HaveHeader = true;
-      continue;
-    }
-    int64_t V = 0;
-    if (!parseWorkloadElement(Line, &V))
-      throw WorkloadParseError(TextPath, LineNo,
-                               "malformed element '" + Stripped +
-                                   "' (expected one decimal int64 per "
-                                   "line)");
-    if (MaxElems != 0 && Writer.written() + Batch.size() == MaxElems)
-      throw WorkloadParseError(TextPath, LineNo,
-                               "file holds more than the --max-elems cap "
-                               "of " + std::to_string(MaxElems) +
-                                   " element(s)");
+  int64_t V = 0;
+  while (R.next(&V)) {
     Batch.push_back(V);
     if (Batch.size() == BatchElems) {
       Writer.append(Batch);
       Batch.clear();
     }
   }
-  if (In.bad())
-    throw WorkloadParseError(TextPath, LineNo, "read error");
   Writer.append(Batch);
-  if (HaveHeader && Writer.written() != Declared)
-    throw WorkloadParseError(
-        TextPath, 0,
-        "element count mismatch: header declares " +
-            std::to_string(Declared) + " but file holds " +
-            std::to_string(Writer.written()) +
-            (Writer.written() < Declared ? " (truncated file?)" : ""));
   Writer.close();
   return Writer.written();
 }

@@ -7,27 +7,26 @@
 // materializes one chunk at a time, so the resident footprint of a fold
 // is one chunk per concurrent reader — never the whole input.
 //
-// Three implementations:
+// Three implementations, one per input form:
 //
 //  * VectorSource      - the existing in-memory workload, zero-copy
 //                        views (what generated workloads use);
-//  * MmapFileSource    - a binary workload file, one page-aligned mmap
-//                        *window* per chunk access with
-//                        madvise(SEQUENTIAL) (a whole-file map would
-//                        charge the full file against the address-space
-//                        limit, which is exactly what out-of-core must
-//                        avoid);
-//  * ChunkedFileSource - a streaming reader with bounded buffering: one
-//                        chunk-sized pread buffer per cursor for binary
-//                        files, and a byte-offset chunk index + strict
-//                        line reparse for text workload files (so even
-//                        unconverted text inputs never materialize).
+//  * MmapFileSource    - the one reader of binary workload files: one
+//                        page-aligned mmap *window* per chunk access
+//                        with madvise(SEQUENTIAL) (a whole-file map
+//                        would charge the full file against the
+//                        address-space limit, which is exactly what
+//                        out-of-core must avoid);
+//  * ChunkedFileSource - the streaming reader of text workload files: a
+//                        byte-offset chunk index + strict line reparse
+//                        per chunk, so even unconverted text inputs
+//                        never materialize.
 //
 // Binary files carry an 8-byte magic + little-endian element count
 // header ("grassp convert" writes them; see BinaryWorkloadMagic). Cursor
 // creation is const and thread-safe: parallel workers each hold their
-// own cursor and read disjoint chunks concurrently (pread / per-cursor
-// mappings share the one O_RDONLY descriptor).
+// own cursor and read disjoint chunks concurrently (per-cursor mappings
+// share the one O_RDONLY descriptor; text cursors own their streams).
 //
 //===----------------------------------------------------------------------===//
 
@@ -173,10 +172,12 @@ private:
 /// Binary workload file via per-chunk mmap windows.
 class MmapFileSource : public SegmentSource {
 public:
-  /// Throws WorkloadParseError on a missing/short/foreign file and
-  /// std::invalid_argument (with the path) on a zero-length workload.
+  /// Throws WorkloadParseError on a missing/short/foreign file or one
+  /// over a \p MaxElems != 0 cap, and std::invalid_argument (with the
+  /// path) on a zero-length workload.
   explicit MmapFileSource(const std::string &Path,
-                          const SourceOptions &Opts = SourceOptions());
+                          const SourceOptions &Opts = SourceOptions(),
+                          uint64_t MaxElems = 0);
   ~MmapFileSource() override;
 
   uint64_t elements() const override { return NumElements; }
@@ -196,45 +197,30 @@ private:
   int Fd = -1;
 };
 
-/// Streaming reader with bounded buffering: binary files by pread, text
-/// workload files by a byte-offset chunk index built in one up-front
-/// scan (the scan itself holds no elements) and strict per-line reparse
-/// on access.
+/// Streaming reader of text workload files with bounded buffering: a
+/// byte-offset chunk index built by two up-front TextWorkloadReader
+/// passes (neither holds elements) and strict per-line reparse on
+/// access.
 class ChunkedFileSource : public SegmentSource {
 public:
-  /// Accepts binary and text workload files (sniffed by magic). Throws
-  /// WorkloadParseError on malformed files, std::invalid_argument on a
-  /// zero-length workload. \p MaxElems != 0 rejects larger inputs with
-  /// a WorkloadParseError before any data is read.
+  /// Throws WorkloadParseError on malformed files (a binary file is one:
+  /// openSegmentSource sends those to MmapFileSource),
+  /// std::invalid_argument on a zero-length workload. \p MaxElems != 0
+  /// rejects larger inputs with a WorkloadParseError.
   explicit ChunkedFileSource(const std::string &Path,
                              const SourceOptions &Opts = SourceOptions(),
                              uint64_t MaxElems = 0);
-  ~ChunkedFileSource() override;
 
   uint64_t elements() const override { return NumElements; }
   size_t chunkCount() const override { return NumChunks; }
   std::unique_ptr<SegmentCursor> cursor() const override;
   const char *kind() const override { return "chunked"; }
-  /// Binary files are a contiguous word region past the header; text
-  /// files are line-encoded and must be reparsed, so they do not
-  /// qualify.
-  bool contiguousByteRegion(int *OutFd, uint64_t *ByteOffset) const override {
-    if (Text)
-      return false;
-    *OutFd = Fd;
-    *ByteOffset = BinaryWorkloadHeaderBytes;
-    return true;
-  }
 
   const std::string &path() const { return Path; }
-  bool isText() const { return Text; }
 
 private:
   std::string Path;
-  int Fd = -1;
-  bool Text = false;
-  /// Text files only: byte offset of each chunk's first line (one entry
-  /// per chunk plus the end sentinel).
+  /// Byte offset of each chunk's first line.
   std::vector<uint64_t> TextChunkOffsets;
 };
 
@@ -246,9 +232,10 @@ bool parseSourceKind(const char *Name, SourceKind *Out);
 const char *sourceKindName(SourceKind K);
 
 /// Opens \p Path as a segment source. Auto picks Mmap for binary files
-/// and Memory (loadWorkloadFile) for text. Memory over text honors
-/// \p MaxElems via loadWorkloadFile; Mmap demands a binary file (text
-/// callers are pointed at `grassp convert` in the error). Throws
+/// and Memory (loadWorkloadFile) for text. Chunked streams text files;
+/// binary files always open as Mmap, whose windows are bounded too.
+/// Mmap demands a binary file (text callers are pointed at `grassp
+/// convert` in the error). Every kind honors \p MaxElems. Throws
 /// WorkloadParseError / std::invalid_argument as the sources do.
 std::unique_ptr<SegmentSource>
 openSegmentSource(const std::string &Path, SourceKind Kind,
@@ -287,8 +274,8 @@ private:
 };
 
 /// Streams a text workload file into the binary format (O(1) memory;
-/// strict text parsing via the loadWorkloadFile grammar, header count
-/// verified when present). Returns the element count.
+/// strict text parsing by TextWorkloadReader, header count verified
+/// when present). Returns the element count.
 uint64_t convertTextToBinary(const std::string &TextPath,
                              const std::string &BinPath,
                              uint64_t MaxElems = 0);

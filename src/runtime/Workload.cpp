@@ -8,7 +8,8 @@
 #include <cassert>
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
+#include <cstring>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 
@@ -95,14 +96,17 @@ bool parseWorkloadElement(std::string Line, int64_t *Out) {
   return true;
 }
 
+namespace {
+
+/// Parses a CR-stripped first line as the canonical `# grassp-workload
+/// <count>` header. Returns false with \p Reason set when the line is a
+/// comment but not a well-formed header.
 bool parseWorkloadHeader(const std::string &Stripped, uint64_t *Count,
                          std::string *Reason) {
   // Must be the exact header: "# grassp-workload <count>".
   const std::string Tag = "# grassp-workload ";
   if (Stripped.compare(0, Tag.size(), Tag) != 0) {
-    if (Reason)
-      *Reason = "unrecognized header (expected '# grassp-workload "
-                "<count>')";
+    *Reason = "unrecognized header (expected '# grassp-workload <count>')";
     return false;
   }
   std::string CountStr = Stripped.substr(Tag.size());
@@ -111,79 +115,93 @@ bool parseWorkloadHeader(const std::string &Stripped, uint64_t *Count,
   unsigned long long C = std::strtoull(CountStr.c_str(), &End, 10);
   if (End == CountStr.c_str() || *End != '\0' || errno == ERANGE ||
       CountStr.front() == '-') {
-    if (Reason)
-      *Reason = "malformed element count '" + CountStr + "' in header";
+    *Reason = "malformed element count '" + CountStr + "' in header";
     return false;
   }
   *Count = static_cast<uint64_t>(C);
   return true;
 }
 
+} // namespace
+
+TextWorkloadReader::TextWorkloadReader(const std::string &Path,
+                                       uint64_t MaxElems)
+    : Path(Path), MaxElems(MaxElems), In(Path, std::ios::binary) {
+  if (!In)
+    throw WorkloadParseError(Path, 0,
+                             std::string("cannot open file: ") +
+                                 std::strerror(errno));
+  if (In.peek() != '#' || !readLine())
+    return;
+  uint64_t C = 0;
+  std::string Reason;
+  if (!parseWorkloadHeader(Line, &C, &Reason))
+    throw WorkloadParseError(Path, LineNo, Reason);
+  if (MaxElems != 0 && C > MaxElems)
+    throw WorkloadParseError(Path, LineNo,
+                             "header declares " + std::to_string(C) +
+                                 " elements, over the --max-elems cap of " +
+                                 std::to_string(MaxElems));
+  Declared = C;
+}
+
+bool TextWorkloadReader::readLine() {
+  if (!std::getline(In, Line))
+    return false;
+  ++LineNo;
+  Offset += Line.size() + 1;
+  if (!Line.empty() && Line.back() == '\r')
+    Line.pop_back();
+  return true;
+}
+
+bool TextWorkloadReader::next(int64_t *Out) {
+  if (!readLine()) {
+    if (In.bad())
+      throw WorkloadParseError(Path, LineNo, "read error");
+    if (Declared && Count != *Declared)
+      throw WorkloadParseError(
+          Path, 0,
+          "element count mismatch: header declares " +
+              std::to_string(*Declared) + " but file holds " +
+              std::to_string(Count) +
+              (Count < *Declared ? " (truncated file?)" : ""));
+    return false;
+  }
+  // The constructor consumed a line-1 header; any other '#' line is out
+  // of place.
+  if (!Line.empty() && Line.front() == '#')
+    throw WorkloadParseError(Path, LineNo,
+                             "comment lines are only allowed as the "
+                             "first-line header");
+  if (!parseWorkloadElement(Line, Out))
+    throw WorkloadParseError(Path, LineNo,
+                             "malformed element '" + Line +
+                                 "' (expected one decimal int64 per line)");
+  if (MaxElems != 0 && Count == MaxElems)
+    throw WorkloadParseError(Path, LineNo,
+                             "file holds more than the --max-elems cap of " +
+                                 std::to_string(MaxElems) + " element(s)");
+  ++Count;
+  return true;
+}
+
 std::vector<int64_t> loadWorkloadFile(const std::string &Path,
                                       uint64_t MaxElems) {
-  std::ifstream In(Path, std::ios::binary | std::ios::ate);
-  if (!In)
-    throw WorkloadParseError(Path, 0, "cannot open file");
-  // Bytes on disk bound the sane reserve: every element line is at
-  // least two bytes ("0\n"), so a header declaring more than bytes/2
-  // elements is lying and must not drive the allocation.
-  uint64_t FileBytes =
-      static_cast<uint64_t>(std::max<std::streamoff>(0, In.tellg()));
-  In.seekg(0);
-
+  TextWorkloadReader R(Path, MaxElems);
   std::vector<int64_t> Out;
-  bool HaveHeader = false;
-  size_t Declared = 0;
-  std::string Line;
-  unsigned LineNo = 0;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    std::string Stripped = Line;
-    if (!Stripped.empty() && Stripped.back() == '\r')
-      Stripped.pop_back();
-    if (!Stripped.empty() && Stripped.front() == '#') {
-      if (LineNo != 1)
-        throw WorkloadParseError(Path, LineNo,
-                                 "comment lines are only allowed as the "
-                                 "first-line header");
-      uint64_t C = 0;
-      std::string Reason;
-      if (!parseWorkloadHeader(Stripped, &C, &Reason))
-        throw WorkloadParseError(Path, LineNo, Reason);
-      if (MaxElems != 0 && C > MaxElems)
-        throw WorkloadParseError(
-            Path, LineNo,
-            "header declares " + std::to_string(C) +
-                " elements, over the --max-elems cap of " +
-                std::to_string(MaxElems));
-      HaveHeader = true;
-      Declared = static_cast<size_t>(C);
-      Out.reserve(static_cast<size_t>(
-          std::min<uint64_t>(Declared, FileBytes / 2 + 1)));
-      continue;
-    }
-    int64_t V = 0;
-    if (!parseWorkloadElement(Line, &V))
-      throw WorkloadParseError(Path, LineNo,
-                               "malformed element '" + Stripped +
-                                   "' (expected one decimal int64 per "
-                                   "line)");
-    if (MaxElems != 0 && Out.size() == MaxElems)
-      throw WorkloadParseError(Path, LineNo,
-                               "file holds more than the --max-elems cap "
-                               "of " + std::to_string(MaxElems) +
-                                   " element(s)");
-    Out.push_back(V);
+  if (R.declared()) {
+    // Every element line is at least two bytes ("0\n"), so a header
+    // declaring more than bytes/2 elements is lying and must not drive
+    // the allocation.
+    std::error_code Ec;
+    uint64_t FileBytes = std::filesystem::file_size(Path, Ec);
+    Out.reserve(static_cast<size_t>(
+        std::min<uint64_t>(*R.declared(), Ec ? 0 : FileBytes / 2 + 1)));
   }
-  if (In.bad())
-    throw WorkloadParseError(Path, LineNo, "read error");
-  if (HaveHeader && Out.size() != Declared)
-    throw WorkloadParseError(
-        Path, 0,
-        "element count mismatch: header declares " +
-            std::to_string(Declared) + " but file holds " +
-            std::to_string(Out.size()) +
-            (Out.size() < Declared ? " (truncated file?)" : ""));
+  int64_t V = 0;
+  while (R.next(&V))
+    Out.push_back(V);
   return Out;
 }
 

@@ -20,6 +20,8 @@
 #include "support/Random.h"
 
 #include <cstdint>
+#include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -92,37 +94,63 @@ private:
   std::string Why;
 };
 
-/// Loads a workload file: one decimal int64 per line, optionally led by
-/// a `# grassp-workload <count>` header (the form the oracle and the
-/// emitted programs write). The parser is strict so a truncated or
-/// corrupted file fails loudly instead of folding garbage:
+/// The one implementation of the text workload grammar: one decimal
+/// int64 per line, optionally led by a `# grassp-workload <count>`
+/// header (the form the oracle and the emitted programs write). The
+/// grammar is strict so a truncated or corrupted file fails loudly
+/// instead of folding garbage:
 ///  * every element line must be exactly one int64 — no trailing junk,
-///    no blank lines, values outside int64 (overflow) rejected;
+///    no blank lines, values outside int64 (overflow) rejected; a '\r'
+///    line tail is tolerated;
 ///  * with a header, the element count must equal the declared count
 ///    (catches truncation, which the bare format cannot detect);
 ///  * only the first line may be a `#` comment, and it must be the
 ///    well-formed header.
 /// \p MaxElems != 0 caps the accepted element count: a header declaring
-/// more is rejected *before* any storage is reserved (a hostile or
-/// corrupted header must produce a typed error, not a bad_alloc), and a
-/// bare file is rejected at the first element past the cap. The vector
-/// is reserved from the header count up front (clamped by the cap and
-/// by a bytes-on-disk bound, since no well-formed file holds more
-/// elements than half its byte size).
-/// Throws WorkloadParseError; never returns partial data.
+/// more is rejected at construction, and a bare file at the first
+/// element past the cap. Elements stream one line at a time, so the
+/// reader itself holds none. Every violation throws WorkloadParseError.
+class TextWorkloadReader {
+public:
+  /// Opens \p Path and reads the header, if line 1 is one.
+  explicit TextWorkloadReader(const std::string &Path, uint64_t MaxElems = 0);
+
+  /// Reads the next element into \p Out. Returns false at end of file,
+  /// after checking the header's count against the elements read.
+  bool next(int64_t *Out);
+
+  /// The header's element count; nullopt for a bare file.
+  const std::optional<uint64_t> &declared() const { return Declared; }
+  /// Elements read so far.
+  uint64_t count() const { return Count; }
+  /// Byte offset of the next unread line.
+  uint64_t offset() const { return Offset; }
+
+private:
+  /// Reads one line into Line, dropping a '\r' tail; false at EOF.
+  bool readLine();
+
+  std::string Path;
+  uint64_t MaxElems;
+  std::ifstream In;
+  std::string Line;
+  unsigned LineNo = 0;
+  uint64_t Count = 0, Offset = 0;
+  std::optional<uint64_t> Declared;
+};
+
+/// Loads a whole text workload file (TextWorkloadReader's grammar). The
+/// vector is reserved from the header count up front, clamped by a
+/// bytes-on-disk bound since no well-formed file holds more elements
+/// than half its byte size: a lying header ends in a count mismatch,
+/// not a bad_alloc. Never returns partial data.
 std::vector<int64_t> loadWorkloadFile(const std::string &Path,
                                       uint64_t MaxElems = 0);
 
 /// Strict one-int64 parse of a workload element line (no junk, no blank
 /// lines, int64 range enforced; lone '\r' tail tolerated). Shared by
-/// loadWorkloadFile and the streaming text source.
+/// TextWorkloadReader and the streaming text source's chunk reparse.
 bool parseWorkloadElement(std::string Line, int64_t *Out);
-
-/// Parses a stripped first line as the canonical `# grassp-workload
-/// <count>` header. Returns false with \p Reason set when the line is a
-/// comment but not a well-formed header.
-bool parseWorkloadHeader(const std::string &Stripped, uint64_t *Count,
-                         std::string *Reason);
 
 /// The canonical header line (without newline) for \p Count elements.
 std::string workloadFileHeader(size_t Count);

@@ -240,7 +240,10 @@ void signalHandler(int Sig) {
 
 /// Polls the flag at ~20ms and fires the root token once. The thread is
 /// joined from the static destructor — never detached — so TSan sees a
-/// clean teardown and exit() cannot race a live watcher.
+/// clean teardown and exit() cannot race a live watcher. After a hard
+/// fire it idles until that join instead of returning: a process that
+/// leaves by _exit (a forked child) never runs the destructor, and a
+/// finished but unjoined thread is a leak.
 struct SignalSource {
   CancelToken Root = CancelToken::root();
   CancelToken Drain = CancelToken::root();
@@ -255,10 +258,10 @@ struct SignalSource {
     std::signal(SIGINT, signalHandler);
     std::signal(SIGTERM, signalHandler);
     Watcher = std::thread([this] {
-      bool DrainFired = false;
+      bool DrainFired = false, HardFired = false;
       while (!Stop.load(std::memory_order_acquire)) {
         int Sig = GSignalFlag.load(std::memory_order_relaxed);
-        if (Sig != 0) {
+        if (Sig != 0 && !HardFired) {
           if (Sig == SIGTERM && !DrainFired &&
               DrainArmed.load(std::memory_order_acquire)) {
             // Graceful path: consume the flag, re-arm the handlers
@@ -277,10 +280,12 @@ struct SignalSource {
           std::signal(SIGINT, SIG_DFL);
           std::signal(SIGTERM, SIG_DFL);
           // A hard fire implies drain: nothing may keep waiting on the
-          // graceful token once the run is being torn down.
-          Drain.cancel();
+          // graceful token once the run is being torn down. Root fires
+          // first, so whoever sees the drain token fired and then checks
+          // the root tells a hard fire from a graceful one.
           Root.cancel();
-          return;
+          Drain.cancel();
+          HardFired = true;
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }

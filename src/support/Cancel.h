@@ -156,9 +156,10 @@ CancelToken installSignalSource();
 /// and returns the drain token: the first SIGTERM fires it — and ONLY
 /// it — then re-arms the handlers; SIGINT or a second SIGTERM fires the
 /// hard root token from installSignalSource() exactly as before (a hard
-/// fire cancels the drain token too, so drain waiters never outlive the
-/// root). Services poll drain for "stop accepting, finish, exit clean"
-/// and the root for "abandon everything now".
+/// fire cancels the drain token too, after the root, so drain waiters
+/// never outlive the root and a fired drain token with a fired root
+/// means a hard fire). Services poll drain for "stop accepting, finish,
+/// exit clean" and the root for "abandon everything now".
 CancelToken installDrainSignalSource();
 
 /// 128 + signal number once the source HARD-fired (130 for SIGINT, 143

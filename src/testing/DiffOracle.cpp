@@ -215,8 +215,8 @@ OracleVerdict DiffOracle::check(const SegmentedInput &Segs) {
   int64_t Par = PR.Output;
   Faults += PR;
 
-  // Out-of-core + streaming paths: the same workload through a chunked
-  // SegmentSource (source-backed runParallel) and through the MergeTree
+  // Out-of-core + streaming paths: the same workload through a
+  // VectorSource (source-backed runParallel) and through the MergeTree
   // (append one chunk at a time, query the root). Chunk geometry is
   // deliberately different from the segment shape, so chunk/segment
   // boundary mismatches are exercised on every fuzzed workload.

@@ -16,7 +16,7 @@
 //     this is the hash-set distinct kernel and the only tier);
 //  6. the compiled plan run segment-parallel on a real ThreadPool
 //     (runtime::runParallel);
-//  7. the compiled plan run over a chunked SegmentSource (the
+//  7. the compiled plan run over an in-memory VectorSource (the
 //     out-of-core entry point, runtime::runParallel(Plan, Source)) with
 //     chunk boundaries deliberately misaligned with the segment shape;
 //  8. the MergeTree replay: the same chunks appended one at a time to
@@ -106,7 +106,7 @@ public:
 
   /// Paths compared per check: the interpreter, every execution tier the
   /// program supports (including the jit-compiled native tier when a
-  /// host compiler exists), the plan+pool run, the chunked-source
+  /// host compiler exists), the plan+pool run, the source-backed
   /// parallel run and the MergeTree replay (skipped on empty
   /// workloads), and (when ready) the emitted binary. 7-9 for typical
   /// scalar programs, 5 or 6 for bag programs (which have only the

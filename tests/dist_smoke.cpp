@@ -1308,7 +1308,9 @@ TEST(DistCoordinator, CopiedSourcesAreFoldedFromTheSealedMapping) {
           Out << V << '\n';
       }
       runtime::ChunkedFileSource Text(Path, Opts);
-      ASSERT_TRUE(Text.isText());
+      int TextFd = -1;
+      uint64_t TextOff = 0;
+      ASSERT_FALSE(Text.contiguousByteRegion(&TextFd, &TextOff));
       for (const runtime::SegmentSource *Src :
            {static_cast<const runtime::SegmentSource *>(&Vec),
             static_cast<const runtime::SegmentSource *>(&Text)}) {

@@ -66,7 +66,7 @@ TEST_P(Representative, NoDivergenceAcrossAdversarialShapes) {
   // hash-set tier; scalar programs run interp + vm + loop-vm + plan+pool,
   // plus the fused path when the step specializes, plus the jit-compiled
   // native path whenever a host compiler exists. Every program adds the
-  // chunked-source parallel run and the MergeTree replay — the bounded
+  // source-backed parallel run and the MergeTree replay — the bounded
   // streaming slice of this smoke tier.
   grassp::runtime::CompiledProgram CP(*P);
   unsigned WantPaths;

@@ -1,10 +1,10 @@
 //===- tests/runtime_workload_test.cpp - Workload file ingestion ----------==//
 //
-// The hardened loadWorkloadFile contract over the malformed-file corpus
-// in tests/data/: every corruption class is rejected with a typed
-// WorkloadParseError carrying file:line, good files (headered, bare,
-// CRLF, empty) load exactly, and the header round-trips what the oracle
-// writes.
+// The hardened text-workload grammar over the malformed-file corpus in
+// tests/data/: every corruption class is rejected with a typed
+// WorkloadParseError carrying file:line — identically by all three text
+// readers — good files (headered, bare, CRLF, empty) load exactly, and
+// the header round-trips what the oracle writes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,15 +27,33 @@ std::string corpus(const char *Name) {
   return std::string(GRASSP_TEST_DATA_DIR) + "/" + Name;
 }
 
-/// Loads an expected-bad corpus file and returns the caught error.
+/// Runs an expected-bad corpus file through every text reader —
+/// loadWorkloadFile, the streaming ChunkedFileSource and
+/// convertTextToBinary — checks that all three reject it at the same
+/// line for the same reason, and returns the caught error.
 WorkloadParseError loadBad(const char *Name) {
-  try {
-    loadWorkloadFile(corpus(Name));
-  } catch (const WorkloadParseError &E) {
-    return E;
+  const std::string Bin = ::testing::TempDir() + "grassp_workload_bad.bin";
+  const std::function<void()> Readers[] = {
+      [&] { loadWorkloadFile(corpus(Name)); },
+      [&] { ChunkedFileSource Src(corpus(Name)); },
+      [&] { convertTextToBinary(corpus(Name), Bin); }};
+  std::vector<WorkloadParseError> Errs;
+  for (const std::function<void()> &Read : Readers) {
+    try {
+      Read();
+      ADD_FAILURE() << Name << " parsed without error by reader "
+                    << Errs.size();
+      Errs.emplace_back("", 0, "");
+    } catch (const WorkloadParseError &E) {
+      Errs.push_back(E);
+    }
   }
-  ADD_FAILURE() << Name << " parsed without error";
-  return WorkloadParseError("", 0, "");
+  for (size_t I = 1; I != Errs.size(); ++I) {
+    EXPECT_EQ(Errs[I].line(), Errs[0].line()) << Name << " reader " << I;
+    EXPECT_EQ(Errs[I].reason(), Errs[0].reason()) << Name << " reader " << I;
+  }
+  std::remove(Bin.c_str());
+  return Errs[0];
 }
 
 TEST(WorkloadFile, GoodFilesLoadExactly) {
@@ -166,23 +185,24 @@ TEST(SegmentSourceFile, ZeroElementFilesAreInvalidArgumentWithThePath) {
     BinaryWorkloadWriter W(Bin);
     W.close(); // zero elements, valid header.
   }
-  for (SourceKind K : {SourceKind::Mmap, SourceKind::Chunked}) {
-    const std::string &Path = K == SourceKind::Mmap ? Bin : Text;
+  // Chunked streams text; a binary file under Chunked opens as mmap.
+  const std::pair<const std::string *, SourceKind> Legs[] = {
+      {&Bin, SourceKind::Mmap},
+      {&Text, SourceKind::Chunked},
+      {&Bin, SourceKind::Chunked}};
+  for (const auto &[Path, K] : Legs) {
     try {
-      openSegmentSource(Path, K);
+      openSegmentSource(*Path, K);
       ADD_FAILURE() << "zero-element source opened under kind "
                     << sourceKindName(K);
     } catch (const std::invalid_argument &E) {
-      EXPECT_NE(std::string(E.what()).find(Path), std::string::npos)
+      EXPECT_NE(std::string(E.what()).find(*Path), std::string::npos)
           << E.what();
       EXPECT_NE(std::string(E.what()).find("zero elements"),
                 std::string::npos)
           << E.what();
     }
   }
-  // The chunked reader accepts binary files too; same contract.
-  EXPECT_THROW(openSegmentSource(Bin, SourceKind::Chunked),
-               std::invalid_argument);
   std::remove(Text.c_str());
   std::remove(Bin.c_str());
 }

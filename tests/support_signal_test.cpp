@@ -59,10 +59,12 @@ void armAndSpin(int ReadyFd) {
   (void)!::write(ReadyFd, &B, 1);
   Deadline Give = Deadline::after(15.0);
   while (!Give.expired()) {
-    if (Root.cancelled())
-      ::_exit(signalExitCode()); // hard fire: shell-style 128+sig.
+    // A hard fire cancels drain too, root first: test drain, then the
+    // root, so a hard fire landing between the two reads is not taken
+    // for a graceful one.
     if (Drain.cancelled())
-      ::_exit(0); // graceful drain: clean exit.
+      ::_exit(Root.cancelled() ? signalExitCode() // hard: 128+sig.
+                               : 0);              // graceful: clean exit.
     ::usleep(5000);
   }
   ::_exit(98); // neither token fired.

@@ -16,7 +16,9 @@
 //                                   --input folds a workload file through
 //                                   a segment source (mmap / chunked /
 //                                   memory / auto) so inputs larger than
-//                                   RAM never materialize
+//                                   RAM never materialize; chunked
+//                                   streams text files, binary files
+//                                   always use mmap
 //   grassp convert <in.txt> <out.bin> [--max-elems M]
 //   grassp convert --gen <name> <N> <out.bin> [--seed S]
 //                                   text workload -> binary workload, or
@@ -97,7 +99,9 @@ int usage(const char *Prog) {
                "[--resume] |\n"
                "       run <name> [N] [P] [--no-specialize] [--no-native] "
                "[--input FILE] [--source auto|memory|mmap|chunked]\n"
-               "                 [--max-elems M] [--chunk-elems C] |\n"
+               "                 [--max-elems M] [--chunk-elems C]\n"
+               "                 (--source chunked streams text files; "
+               "binary files always use mmap) |\n"
                "       convert <in.txt> <out.bin> [--max-elems M] |\n"
                "       convert --gen <name> <N> <out.bin> [--seed S] |\n"
                "       stream <name> [--input FILE] [--source KIND] "
@@ -152,6 +156,49 @@ synth::SynthesisResult synthOrDie(const lang::SerialProgram &P) {
   }
   return R;
 }
+
+/// The input options `run` and `stream` share.
+struct InputOptions {
+  bool Specialize = true;
+  bool Native = true;
+  const char *File = nullptr;
+  runtime::SourceKind Kind = runtime::SourceKind::Auto;
+  uint64_t MaxElems = 0;
+  uint64_t ChunkElems = 0;
+
+  /// Consumes argv[I] (and its value) when it is one of the shared
+  /// options and returns true. A malformed value is a usage error:
+  /// an "error: ..." line and exit status 2.
+  bool parse(int Argc, char **Argv, int &I) {
+    NumericFlag Num(Argc, Argv, I);
+    if (Num("--max-elems", &MaxElems) || Num("--chunk-elems", &ChunkElems))
+      return true;
+    if (std::strcmp(Argv[I], "--no-specialize") == 0)
+      Specialize = false;
+    else if (std::strcmp(Argv[I], "--no-native") == 0)
+      Native = false;
+    else if (std::strcmp(Argv[I], "--input") == 0 && I + 1 < Argc)
+      File = Argv[++I];
+    else if (std::strcmp(Argv[I], "--source") == 0 && I + 1 < Argc) {
+      if (!runtime::parseSourceKind(Argv[++I], &Kind)) {
+        std::fprintf(stderr,
+                     "error: --source expects auto, memory, mmap, or "
+                     "chunked, got '%s'\n",
+                     Argv[I]);
+        std::exit(2);
+      }
+    } else
+      return false;
+    return true;
+  }
+
+  runtime::SourceOptions sourceOptions() const {
+    runtime::SourceOptions SOpts;
+    if (ChunkElems)
+      SOpts.ChunkElems = static_cast<size_t>(ChunkElems);
+    return SOpts;
+  }
+};
 
 } // namespace
 
@@ -502,46 +549,11 @@ int main(int argc, char **argv) {
   if (std::strcmp(Cmd, "run") == 0) {
     size_t N = 10000000;
     unsigned Workers = 8;
-    bool Specialize = true;
-    bool Native = true;
-    const char *InputFile = nullptr;
-    runtime::SourceKind Kind = runtime::SourceKind::Auto;
-    uint64_t MaxElems = 0;
-    size_t ChunkElems = 0;
+    InputOptions In;
     unsigned Positional = 0;
     for (int I = 3; I < argc; ++I) {
-      if (std::strcmp(argv[I], "--no-specialize") == 0) {
-        Specialize = false;
+      if (In.parse(argc, argv, I))
         continue;
-      }
-      if (std::strcmp(argv[I], "--no-native") == 0) {
-        Native = false;
-        continue;
-      }
-      if (std::strcmp(argv[I], "--input") == 0 && I + 1 < argc) {
-        InputFile = argv[++I];
-        continue;
-      }
-      if (std::strcmp(argv[I], "--source") == 0 && I + 1 < argc) {
-        if (!runtime::parseSourceKind(argv[++I], &Kind)) {
-          std::fprintf(stderr,
-                       "error: --source expects auto, memory, mmap, or "
-                       "chunked, got '%s'\n",
-                       argv[I]);
-          return 2;
-        }
-        continue;
-      }
-      if (std::strcmp(argv[I], "--max-elems") == 0 && I + 1 < argc &&
-          parseSeed(argv[I + 1], &MaxElems)) {
-        ++I;
-        continue;
-      }
-      if (std::strcmp(argv[I], "--chunk-elems") == 0 && I + 1 < argc &&
-          parseSize(argv[I + 1], &ChunkElems)) {
-        ++I;
-        continue;
-      }
       bool Ok = Positional == 0   ? parseSize(argv[I], &N)
                 : Positional == 1 ? parseUnsigned(argv[I], &Workers)
                                   : false;
@@ -556,24 +568,23 @@ int main(int argc, char **argv) {
       ++Positional;
     }
     synth::SynthesisResult R = synthOrDie(*P);
-    runtime::CompiledProgram CP(*P, Specialize, Native);
-    runtime::CompiledPlan Plan(*P, R.Plan, Specialize, Native);
+    runtime::CompiledProgram CP(*P, In.Specialize, In.Native);
+    runtime::CompiledPlan Plan(*P, R.Plan, In.Specialize, In.Native);
     std::string Info = CP.specializationInfo();
     std::printf("tier     = %s%s%s%s\n", runtime::execTierName(CP.tier()),
                 Info.empty() ? "" : " (", Info.c_str(),
                 Info.empty() ? "" : ")");
 
-    if (InputFile) {
+    if (In.File) {
       // File inputs go through a SegmentSource: serial and parallel both
       // hold one chunk resident at a time, so the file may be far
       // larger than RAM (or the address-space cap).
       std::unique_ptr<runtime::SegmentSource> Src;
       try {
-        runtime::SourceOptions SOpts;
-        if (ChunkElems)
-          SOpts.ChunkElems = ChunkElems;
+        runtime::SourceOptions SOpts = In.sourceOptions();
         SOpts.MinChunks = Workers;
-        Src = runtime::openSegmentSource(InputFile, Kind, SOpts, MaxElems);
+        Src = runtime::openSegmentSource(In.File, In.Kind, SOpts,
+                                         In.MaxElems);
       } catch (const std::exception &E) {
         std::fprintf(stderr, "error: %s\n", E.what());
         return 2;
@@ -813,49 +824,12 @@ int main(int argc, char **argv) {
     return 0;
   }
   if (std::strcmp(Cmd, "stream") == 0) {
-    bool Specialize = true;
-    bool Native = true;
-    const char *InputFile = nullptr;
-    runtime::SourceKind Kind = runtime::SourceKind::Auto;
-    uint64_t MaxElems = 0;
-    size_t ChunkElems = 0;
-    for (int I = 3; I < argc; ++I) {
-      if (std::strcmp(argv[I], "--no-specialize") == 0) {
-        Specialize = false;
-        continue;
-      }
-      if (std::strcmp(argv[I], "--no-native") == 0) {
-        Native = false;
-        continue;
-      }
-      if (std::strcmp(argv[I], "--input") == 0 && I + 1 < argc) {
-        InputFile = argv[++I];
-        continue;
-      }
-      if (std::strcmp(argv[I], "--source") == 0 && I + 1 < argc) {
-        if (!runtime::parseSourceKind(argv[++I], &Kind)) {
-          std::fprintf(stderr,
-                       "error: --source expects auto, memory, mmap, or "
-                       "chunked, got '%s'\n",
-                       argv[I]);
-          return 2;
-        }
-        continue;
-      }
-      if (std::strcmp(argv[I], "--max-elems") == 0 && I + 1 < argc &&
-          parseSeed(argv[I + 1], &MaxElems)) {
-        ++I;
-        continue;
-      }
-      if (std::strcmp(argv[I], "--chunk-elems") == 0 && I + 1 < argc &&
-          parseSize(argv[I + 1], &ChunkElems)) {
-        ++I;
-        continue;
-      }
-      return usage(argv[0]);
-    }
+    InputOptions In;
+    for (int I = 3; I < argc; ++I)
+      if (!In.parse(argc, argv, I))
+        return usage(argv[0]);
     synth::SynthesisResult R = synthOrDie(*P);
-    runtime::CompiledPlan Plan(*P, R.Plan, Specialize, Native);
+    runtime::CompiledPlan Plan(*P, R.Plan, In.Specialize, In.Native);
     runtime::MergeTree Tree(Plan);
 
     // The current stream contents, for `edit` bounds and `verify`:
@@ -867,12 +841,10 @@ int main(int argc, char **argv) {
     std::vector<std::vector<int64_t>> Appended;
     size_t FileChunks = 0;
 
-    if (InputFile) {
+    if (In.File) {
       try {
-        runtime::SourceOptions SOpts;
-        if (ChunkElems)
-          SOpts.ChunkElems = ChunkElems;
-        Src = runtime::openSegmentSource(InputFile, Kind, SOpts, MaxElems);
+        Src = runtime::openSegmentSource(In.File, In.Kind, In.sourceOptions(),
+                                         In.MaxElems);
         std::unique_ptr<runtime::SegmentCursor> C = Src->cursor();
         for (size_t I = 0; I != Src->chunkCount(); ++I)
           Tree.append(C->chunk(I));
@@ -883,7 +855,7 @@ int main(int argc, char **argv) {
       }
       std::printf("loaded %llu element(s) from %s (%s source, %zu "
                   "chunks)\n",
-                  (unsigned long long)Src->elements(), InputFile,
+                  (unsigned long long)Src->elements(), In.File,
                   Src->kind(), FileChunks);
     }
 
