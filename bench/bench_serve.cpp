@@ -9,7 +9,14 @@
 //    point of the service is that a hit costs a hash lookup and two
 //    socket frames, orders of magnitude under a solve.
 //
-//  * Phase 2 — overload. A batch of uncached synth requests is pushed
+//  * Phase 2 — served runs. RunReq round trips at 2^10, 2^16 and 2^20
+//    elements per run program, after one untimed warm-up run: p50/p90
+//    latency next to the p50 of the same fold run locally, and every
+//    served output checked against CompiledProgram::runSerial. The gap
+//    between the two columns is the wire's cost: encode, checksum, two
+//    socket copies, decode and reply.
+//
+//  * Phase 3 — overload. A batch of uncached synth requests is pushed
 //    onto the server raw (frames written back-to-back on separate
 //    connections, replies not yet read) so queued + in-flight work
 //    crosses the high-water mark. While the pool grinds, the main
@@ -26,6 +33,8 @@
 
 #include "dist/Protocol.h"
 #include "lang/Benchmarks.h"
+#include "runtime/Kernels.h"
+#include "runtime/Workload.h"
 #include "serve/Client.h"
 #include "serve/ProgramText.h"
 #include "serve/Protocol.h"
@@ -55,6 +64,19 @@ namespace {
 /// cold column measures solver work rather than SMT timeouts.
 const char *const HotJobs[] = {"count",    "sum",        "max_elem",
                                "sum_even", "count_gt",   "second_max"};
+
+/// Phase-2 programs: the lightest fold and an automaton row.
+const char *const RunJobs[] = {"sum", "count_102"};
+const unsigned RunLog2Sizes[] = {10, 16, 20};
+constexpr unsigned RunRepeats = 40;
+
+struct RunRow {
+  std::string Name;
+  size_t Elements = 0;
+  double P50 = 0, P90 = 0; ///< served round trip
+  double FoldP50 = 0;      ///< the same fold, in process
+  std::string Tier;
+};
 
 struct Row {
   std::string Name;
@@ -218,7 +240,56 @@ int main(int argc, char **argv) {
   }
   std::printf("%s\n", std::string(68, '-').c_str());
 
-  // --- Phase 2: overload — flood uncached solves, measure hits ---
+  // --- Phase 2: served runs, checked against the local serial fold ---
+  std::printf("\n%-12s %-9s %-11s %-11s %-11s %s\n", "run", "elements",
+              "p50(s)", "p90(s)", "fold(s)", "tier");
+  std::vector<RunRow> RunRows;
+  for (const char *Name : RunJobs) {
+    const lang::SerialProgram *P = lang::findBenchmark(Name);
+    if (!P)
+      continue;
+    std::string Text = serve::printProgramText(*P);
+    runtime::CompiledProgram CP(*P);
+    for (unsigned Log2 : RunLog2Sizes) {
+      RunRow R;
+      R.Name = Name;
+      R.Elements = size_t{1} << Log2;
+      std::vector<int64_t> Data = runtime::generateWorkload(*P, R.Elements, 7);
+      std::vector<runtime::SegmentView> Segs = {{Data.data(), Data.size()}};
+      int64_t Want = CP.runSerial(Segs);
+      std::vector<double> Served, Fold;
+      serve::ClientReply Reply;
+      for (unsigned I = 0; I <= RunRepeats; ++I) {
+        Stopwatch W;
+        bool Sent = Client.run(Text, Data, &Reply);
+        double Sec = W.seconds();
+        if (!Sent || !Reply.IsOk || Reply.Ok.Run.Output != Want) {
+          std::printf("%-12s run of %zu elements FAILED (%s)\n", Name,
+                      R.Elements,
+                      !Sent         ? "transport"
+                      : !Reply.IsOk ? Reply.Err.Message.c_str()
+                                    : "output differs from runSerial");
+          Ok = false;
+          break;
+        }
+        if (I == 0)
+          continue; // the warm-up: the server compiles the program here.
+        Served.push_back(Sec);
+        Stopwatch F;
+        CP.runSerial(Segs);
+        Fold.push_back(F.seconds());
+      }
+      R.P50 = percentile(Served, 0.5);
+      R.P90 = percentile(Served, 0.9);
+      R.FoldP50 = percentile(Fold, 0.5);
+      R.Tier = Reply.IsOk ? Reply.Ok.Run.Tier : "-";
+      RunRows.push_back(R);
+      std::printf("%-12s %-9zu %-11.6f %-11.6f %-11.6f %s\n", Name,
+                  R.Elements, R.P50, R.P90, R.FoldP50, R.Tier.c_str());
+    }
+  }
+
+  // --- Phase 3: overload — flood uncached solves, measure hits ---
   // Every B1/B2 benchmark not in the hot suite is an uncached key; the
   // raw pushes park real solver work on the pool past the high-water
   // mark without this process blocking on the replies.
@@ -318,6 +389,16 @@ int main(int argc, char **argv) {
                    R.Name.c_str(), R.ColdSec, R.HitSec,
                    R.HitSec > 0 ? R.ColdSec / R.HitSec : 0, R.Group.c_str(),
                    R.Cert.c_str(), I + 1 == Rows.size() ? "" : ",");
+    }
+    std::fprintf(F, "  ],\n  \"runs\": [\n");
+    for (size_t I = 0; I != RunRows.size(); ++I) {
+      const RunRow &R = RunRows[I];
+      std::fprintf(F,
+                   "    {\"name\": \"%s\", \"elements\": %zu, \"p50_s\": "
+                   "%.6f, \"p90_s\": %.6f, \"fold_p50_s\": %.6f,\n"
+                   "     \"tier\": \"%s\"}%s\n",
+                   R.Name.c_str(), R.Elements, R.P50, R.P90, R.FoldP50,
+                   R.Tier.c_str(), I + 1 == RunRows.size() ? "" : ",");
     }
     std::fprintf(F,
                  "  ],\n  \"overload\": {\"pushed\": %zu, \"solved\": %u, "

@@ -20,8 +20,9 @@
 #     sealed memfd stripes);
 #  5. bench_serve --json    ->  BENCH_serve.json at the repo root
 #     (the synthesis service: cache-hit latency vs cold synth per hot
-#     benchmark, and the shed/served split plus hit p50/p99 while a
-#     synth flood saturates the solver pool);
+#     benchmark, served-run p50/p90 at 2^10, 2^16 and 2^20 elements next
+#     to the same fold in process, and the shed/served split plus hit
+#     p50/p99 while a synth flood saturates the solver pool);
 #  6. bench_synthesis --json -> BENCH_synth.json at the repo root
 #     (cold synthesis of all 27 Table-1 programs, one at a time: time,
 #     SMT checks, Unknown verdicts and SMT fallbacks per program).

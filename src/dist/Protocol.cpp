@@ -2,25 +2,112 @@
 
 #include "dist/Protocol.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace grassp {
 namespace dist {
 
-uint64_t fnv1aBytes(const uint8_t *Data, size_t N) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (size_t I = 0; I != N; ++I) {
-    H ^= Data[I];
-    H *= 0x100000001b3ULL;
+namespace {
+
+constexpr bool LittleEndianHost = std::endian::native == std::endian::little;
+
+/// Most bytes FrameReader reserves up front for a payload it receives in
+/// place; a longer payload grows past it by doubling.
+constexpr uint64_t MaxInPlaceReserve = uint64_t{1} << 26;
+
+/// The Castagnoli polynomial, bit-reflected.
+constexpr uint32_t CrcPoly = 0x82f63b78u;
+
+/// Slice-by-8 tables for the reflected Castagnoli polynomial: row 0 is
+/// the byte-at-a-time table, row K advances a byte through K more zero
+/// bytes.
+constexpr std::array<std::array<uint32_t, 256>, 8> makeCrcTables() {
+  std::array<std::array<uint32_t, 256>, 8> T{};
+  for (uint32_t I = 0; I != 256; ++I) {
+    uint32_t C = I;
+    for (int B = 0; B != 8; ++B)
+      C = (C >> 1) ^ (CrcPoly & (0u - (C & 1)));
+    T[0][I] = C;
   }
-  return H;
+  for (size_t K = 1; K != 8; ++K)
+    for (uint32_t I = 0; I != 256; ++I)
+      T[K][I] = (T[K - 1][I] >> 8) ^ T[0][T[K - 1][I] & 0xff];
+  return T;
+}
+constexpr std::array<std::array<uint32_t, 256>, 8> CrcTables = makeCrcTables();
+
+/// A linear map on raw (uninverted) CRC registers, as a 32x32 matrix over
+/// GF(2): entry J is the image of bit J.
+using Gf2Op = std::array<uint32_t, 32>;
+
+constexpr uint32_t gf2Apply(const Gf2Op &M, uint32_t V) {
+  uint32_t R = 0;
+  for (int J = 0; V != 0; ++J, V >>= 1)
+    if (V & 1)
+      R ^= M[J];
+  return R;
 }
 
-namespace {
+/// A after B.
+constexpr Gf2Op gf2Compose(const Gf2Op &A, const Gf2Op &B) {
+  Gf2Op R{};
+  for (int J = 0; J != 32; ++J)
+    R[J] = gf2Apply(A, B[J]);
+  return R;
+}
+
+/// Byte-indexed tables of the map that feeds \p Bytes zero bytes through
+/// a raw CRC register: crc(A ‖ B) = shift(crc(A)) ^ crc(B) for
+/// |B| = Bytes, on raw registers. The hardware path uses them to join
+/// three independent crc32 streams.
+constexpr std::array<std::array<uint32_t, 256>, 4> makeShiftTables(size_t Bytes) {
+  Gf2Op Bit{}; // one zero bit: shift right, fold the low bit back in.
+  Bit[0] = CrcPoly;
+  for (int J = 1; J != 32; ++J)
+    Bit[J] = 1u << (J - 1);
+  Gf2Op Pow = Bit;
+  for (int I = 0; I != 3; ++I)
+    Pow = gf2Compose(Pow, Pow); // one zero byte.
+  Gf2Op Op{};
+  for (int J = 0; J != 32; ++J)
+    Op[J] = 1u << J;
+  for (size_t N = Bytes; N != 0; N >>= 1) {
+    if (N & 1)
+      Op = gf2Compose(Pow, Op);
+    Pow = gf2Compose(Pow, Pow);
+  }
+  std::array<std::array<uint32_t, 256>, 4> T{};
+  for (uint32_t K = 0; K != 4; ++K)
+    for (uint32_t I = 0; I != 256; ++I)
+      T[K][I] = gf2Apply(Op, I << (8 * K));
+  return T;
+}
+
+/// Stream lengths of the three-way hardware CRC: crc32 has a latency of
+/// three cycles and a throughput of one per cycle, so three independent
+/// streams keep the unit busy.
+constexpr size_t CrcLongBlock = 8192, CrcShortBlock = 256;
+constexpr std::array<std::array<uint32_t, 256>, 4> CrcLongShift =
+    makeShiftTables(CrcLongBlock);
+constexpr std::array<std::array<uint32_t, 256>, 4> CrcShortShift =
+    makeShiftTables(CrcShortBlock);
+
+uint32_t crcShift(const std::array<std::array<uint32_t, 256>, 4> &T,
+                  uint32_t C) {
+  return T[0][C & 0xff] ^ T[1][(C >> 8) & 0xff] ^ T[2][(C >> 16) & 0xff] ^
+         T[3][C >> 24];
+}
 
 void putLe32(std::vector<uint8_t> &B, uint32_t V) {
   for (int I = 0; I != 4; ++I)
@@ -46,22 +133,44 @@ uint64_t getLe64(const uint8_t *P) {
   return V;
 }
 
-/// The frame checksum covers type + length + payload, so a corrupted
+/// The frame checksum: CRC32C over type ‖ len ‖ payload, so a corrupted
 /// header word is as detectable as a corrupted payload byte.
-uint64_t frameChecksum(MsgType Type, const std::vector<uint8_t> &Payload) {
+uint32_t frameCrc(uint32_t Type, uint64_t Len, const uint8_t *Payload,
+                  Crc32cFn Crc) {
   uint8_t Head[12];
   for (int I = 0; I != 4; ++I)
-    Head[I] = static_cast<uint8_t>(static_cast<uint32_t>(Type) >> (8 * I));
-  uint64_t Len = Payload.size();
+    Head[I] = static_cast<uint8_t>(Type >> (8 * I));
   for (int I = 0; I != 8; ++I)
     Head[4 + I] = static_cast<uint8_t>(Len >> (8 * I));
-  uint64_t H = fnv1aBytes(Head, sizeof(Head));
-  // Continue the same FNV stream over the payload.
-  for (uint8_t B : Payload) {
-    H ^= B;
-    H *= 0x100000001b3ULL;
-  }
-  return H;
+  return Crc(Crc(0, Head, sizeof(Head)), Payload, static_cast<size_t>(Len));
+}
+
+void putHeader(std::vector<uint8_t> &Head, MsgType Type,
+               const std::vector<uint8_t> &P) {
+  Head.clear();
+  putLe32(Head, FrameMagic);
+  putLe32(Head, static_cast<uint32_t>(Type));
+  putLe64(Head, P.size());
+  putLe64(Head, frameCrc(static_cast<uint32_t>(Type), P.size(), P.data(),
+                         crc32c));
+}
+
+/// The header words a receiver trusts before the payload arrives.
+struct FrameHead {
+  uint32_t Type = 0;
+  uint64_t Len = 0;
+  uint32_t Crc = 0;
+};
+
+/// Magic, a known type, a length under the cap and a zero high checksum
+/// half; false means the frame is corrupt.
+bool parseHead(const uint8_t *H, FrameHead *Out) {
+  uint64_t Sum = getLe64(H + 16);
+  Out->Type = getLe32(H + 4);
+  Out->Len = getLe64(H + 8);
+  Out->Crc = static_cast<uint32_t>(Sum);
+  return getLe32(H) == FrameMagic && validMsgType(Out->Type) &&
+         Out->Len <= MaxFramePayloadBytes && (Sum >> 32) == 0;
 }
 
 bool sendAll(int Fd, const uint8_t *Data, size_t N) {
@@ -80,24 +189,123 @@ bool sendAll(int Fd, const uint8_t *Data, size_t N) {
 
 } // namespace
 
-void WireWriter::u32(uint32_t V) { putLe32(Buf, V); }
-void WireWriter::u64(uint64_t V) { putLe64(Buf, V); }
+uint32_t crc32cPortable(uint32_t Crc, const uint8_t *Data, size_t N) {
+  const auto &T = CrcTables;
+  uint32_t C = ~Crc;
+  for (; N >= 8; Data += 8, N -= 8) {
+    uint32_t Lo = getLe32(Data) ^ C, Hi = getLe32(Data + 4);
+    C = T[7][Lo & 0xff] ^ T[6][(Lo >> 8) & 0xff] ^ T[5][(Lo >> 16) & 0xff] ^
+        T[4][Lo >> 24] ^ T[3][Hi & 0xff] ^ T[2][(Hi >> 8) & 0xff] ^
+        T[1][(Hi >> 16) & 0xff] ^ T[0][Hi >> 24];
+  }
+  for (; N != 0; ++Data, --N)
+    C = (C >> 8) ^ T[0][(C ^ *Data) & 0xff];
+  return ~C;
+}
+
+#if defined(__x86_64__)
+namespace {
+
+__attribute__((target("sse4.2"))) inline uint64_t crcWord(uint64_t C,
+                                                          const uint8_t *P) {
+  uint64_t W;
+  std::memcpy(&W, P, 8);
+  return _mm_crc32_u64(C, W);
+}
+
+/// Three crc32 streams over consecutive Block-byte thirds of each
+/// 3*Block chunk, joined by shifting the running CRC past the next third.
+__attribute__((target("sse4.2"))) uint64_t
+crcThreeWay(uint64_t C, const uint8_t *&Data, size_t &N, size_t Block,
+            const std::array<std::array<uint32_t, 256>, 4> &Shift) {
+  for (; N >= 3 * Block; Data += 3 * Block, N -= 3 * Block) {
+    uint64_t C1 = 0, C2 = 0;
+    for (size_t I = 0; I != Block; I += 8) {
+      C = crcWord(C, Data + I);
+      C1 = crcWord(C1, Data + Block + I);
+      C2 = crcWord(C2, Data + 2 * Block + I);
+    }
+    C = crcShift(Shift, static_cast<uint32_t>(C)) ^ C1;
+    C = crcShift(Shift, static_cast<uint32_t>(C)) ^ C2;
+  }
+  return C;
+}
+
+} // namespace
+
+__attribute__((target("sse4.2"))) uint32_t
+crc32cHardware(uint32_t Crc, const uint8_t *Data, size_t N) {
+  uint64_t C = ~Crc;
+  C = crcThreeWay(C, Data, N, CrcLongBlock, CrcLongShift);
+  C = crcThreeWay(C, Data, N, CrcShortBlock, CrcShortShift);
+  for (; N >= 8; Data += 8, N -= 8)
+    C = crcWord(C, Data);
+  uint32_t C32 = static_cast<uint32_t>(C);
+  for (; N != 0; ++Data, --N)
+    C32 = _mm_crc32_u8(C32, *Data);
+  return ~C32;
+}
+
+bool crc32cHardwareAvailable() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+#else
+uint32_t crc32cHardware(uint32_t Crc, const uint8_t *Data, size_t N) {
+  return crc32cPortable(Crc, Data, N);
+}
+
+bool crc32cHardwareAvailable() { return false; }
+#endif
+
+uint32_t crc32c(uint32_t Crc, const uint8_t *Data, size_t N) {
+  static const bool Hardware = crc32cHardwareAvailable();
+  return Hardware ? crc32cHardware(Crc, Data, N)
+                  : crc32cPortable(Crc, Data, N);
+}
+
+void WireWriter::u32(uint32_t V) {
+  if constexpr (LittleEndianHost)
+    raw(&V, sizeof(V));
+  else
+    putLe32(Buf, V);
+}
+
+void WireWriter::u64(uint64_t V) {
+  if constexpr (LittleEndianHost)
+    raw(&V, sizeof(V));
+  else
+    putLe64(Buf, V);
+}
+
+void WireWriter::raw(const void *Src, size_t N) {
+  const uint8_t *P = static_cast<const uint8_t *>(Src);
+  Buf.insert(Buf.end(), P, P + N);
+}
 
 void WireWriter::vecI64(const std::vector<int64_t> &V) {
   u64(V.size());
-  for (int64_t X : V)
-    i64(X);
+  if constexpr (LittleEndianHost) {
+    raw(V.data(), V.size() * sizeof(int64_t));
+  } else {
+    for (int64_t X : V)
+      i64(X);
+  }
 }
 
 void WireWriter::vecU32(const std::vector<uint32_t> &V) {
   u64(V.size());
-  for (uint32_t X : V)
-    u32(X);
+  if constexpr (LittleEndianHost) {
+    raw(V.data(), V.size() * sizeof(uint32_t));
+  } else {
+    for (uint32_t X : V)
+      u32(X);
+  }
 }
 
 void WireWriter::str(const std::string &S) {
   u64(S.size());
-  Buf.insert(Buf.end(), S.begin(), S.end());
+  raw(S.data(), S.size());
 }
 
 bool WireReader::u8(uint8_t *V) {
@@ -110,7 +318,10 @@ bool WireReader::u8(uint8_t *V) {
 bool WireReader::u32(uint32_t *V) {
   if (End - Data < 4)
     return false;
-  *V = getLe32(Data);
+  if constexpr (LittleEndianHost)
+    std::memcpy(V, Data, 4);
+  else
+    *V = getLe32(Data);
   Data += 4;
   return true;
 }
@@ -118,7 +329,10 @@ bool WireReader::u32(uint32_t *V) {
 bool WireReader::u64(uint64_t *V) {
   if (End - Data < 8)
     return false;
-  *V = getLe64(Data);
+  if constexpr (LittleEndianHost)
+    std::memcpy(V, Data, 8);
+  else
+    *V = getLe64(Data);
   Data += 8;
   return true;
 }
@@ -136,6 +350,12 @@ bool WireReader::vecI64(std::vector<int64_t> *V) {
   if (!u64(&N) || N > static_cast<uint64_t>(End - Data) / 8)
     return false;
   V->resize(static_cast<size_t>(N));
+  if constexpr (LittleEndianHost) {
+    if (N != 0)
+      std::memcpy(V->data(), Data, N * 8);
+    Data += N * 8;
+    return true;
+  }
   for (int64_t &X : *V)
     if (!i64(&X))
       return false;
@@ -147,6 +367,12 @@ bool WireReader::vecU32(std::vector<uint32_t> *V) {
   if (!u64(&N) || N > static_cast<uint64_t>(End - Data) / 4)
     return false;
   V->resize(static_cast<size_t>(N));
+  if constexpr (LittleEndianHost) {
+    if (N != 0)
+      std::memcpy(V->data(), Data, N * 4);
+    Data += N * 4;
+    return true;
+  }
   for (uint32_t &X : *V)
     if (!u32(&X))
       return false;
@@ -168,11 +394,7 @@ bool FrameWriter::sendPrepared(int Fd, MsgType Type, int64_t CorruptByteAt,
   if (NFds > MaxFrameFds)
     return false; // the receiver has no room for them.
   std::vector<uint8_t> &P = Payload.buffer();
-  Head.clear();
-  putLe32(Head, FrameMagic);
-  putLe32(Head, static_cast<uint32_t>(Type));
-  putLe64(Head, P.size());
-  putLe64(Head, frameChecksum(Type, P));
+  putHeader(Head, Type, P);
   LastBytes = Head.size() + P.size();
   // The injected fault: the checksum above described the true payload;
   // the bytes on the wire differ in exactly one position. Flipped in
@@ -239,11 +461,7 @@ bool FrameWriter::send(int Fd, MsgType Type, int64_t CorruptByteAt) {
 
 void FrameWriter::frameInto(MsgType Type, std::vector<uint8_t> *Out) {
   std::vector<uint8_t> &P = Payload.buffer();
-  Head.clear();
-  putLe32(Head, FrameMagic);
-  putLe32(Head, static_cast<uint32_t>(Type));
-  putLe64(Head, P.size());
-  putLe64(Head, frameChecksum(Type, P));
+  putHeader(Head, Type, P);
   LastBytes = Head.size() + P.size();
   Out->insert(Out->end(), Head.begin(), Head.end());
   Out->insert(Out->end(), P.begin(), P.end());
@@ -261,13 +479,37 @@ bool writeFrame(int Fd, MsgType Type, const std::vector<uint8_t> &Payload,
   return W.send(Fd, Type, CorruptByteAt);
 }
 
+RecvStatus decodeFrame(const uint8_t *Bytes, size_t N, Frame *Out,
+                       Crc32cFn Crc) {
+  FrameHead H;
+  if (N < FrameHeaderBytes || !parseHead(Bytes, &H) ||
+      H.Len != N - FrameHeaderBytes ||
+      frameCrc(H.Type, H.Len, Bytes + FrameHeaderBytes, Crc) != H.Crc)
+    return RecvStatus::Corrupt;
+  Out->Type = static_cast<MsgType>(H.Type);
+  Out->Payload.assign(Bytes + FrameHeaderBytes, Bytes + N);
+  return RecvStatus::Ok;
+}
+
 RecvStatus FrameReader::fill(int Fd, std::vector<int> *Fds) {
   if (Broken)
     return RecvStatus::Corrupt;
   uint8_t Tmp[1 << 16];
   struct iovec Iov;
-  Iov.iov_base = Tmp;
-  Iov.iov_len = sizeof(Tmp);
+  if (InPlace) {
+    // Grow the payload by doubling as bytes arrive, so a header that
+    // lies about its length costs no more memory than the bytes sent.
+    std::vector<uint8_t> &P = Big.Payload;
+    size_t Want = static_cast<size_t>(
+        std::min<uint64_t>(BigLen, BigGot + std::max<size_t>(BigGot, 1 << 16)));
+    if (P.size() < Want)
+      P.resize(Want);
+    Iov.iov_base = P.data() + BigGot;
+    Iov.iov_len = P.size() - BigGot;
+  } else {
+    Iov.iov_base = Tmp;
+    Iov.iov_len = sizeof(Tmp);
+  }
   // Room for one frame's SCM_RIGHTS fds: a Publish attaches at most
   // MaxFrameFds, and one read never returns the fds of two sends.
   alignas(struct cmsghdr) char Ctrl[CMSG_SPACE(MaxFrameFds * sizeof(int))];
@@ -300,6 +542,10 @@ RecvStatus FrameReader::fill(int Fd, std::vector<int> *Fds) {
     return errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK
                ? RecvStatus::NeedMore
                : RecvStatus::Error;
+  if (InPlace) {
+    BigGot += static_cast<size_t>(R);
+    return RecvStatus::Ok;
+  }
   // Compact lazily so long sessions do not grow the buffer unboundedly.
   if (Off != 0 && (Off > (Buf.size() >> 1) || Buf.size() > (1u << 20))) {
     Buf.erase(Buf.begin(), Buf.begin() + Off);
@@ -312,31 +558,53 @@ RecvStatus FrameReader::fill(int Fd, std::vector<int> *Fds) {
 RecvStatus FrameReader::next(Frame *Out) {
   if (Broken)
     return RecvStatus::Corrupt;
+  if (InPlace) {
+    if (BigGot != BigLen)
+      return RecvStatus::NeedMore;
+    InPlace = false;
+    if (frameCrc(static_cast<uint32_t>(Big.Type), BigLen, Big.Payload.data(),
+                 crc32c) != BigCrc) {
+      Broken = true;
+      return RecvStatus::Corrupt;
+    }
+    Out->Type = Big.Type;
+    std::swap(Out->Payload, Big.Payload);
+    return RecvStatus::Ok;
+  }
   size_t Avail = Buf.size() - Off;
   if (Avail < FrameHeaderBytes)
     return RecvStatus::NeedMore;
-  const uint8_t *H = Buf.data() + Off;
-  if (getLe32(H) != FrameMagic) {
+  const uint8_t *P = Buf.data() + Off;
+  FrameHead H;
+  if (!parseHead(P, &H)) {
     Broken = true;
     return RecvStatus::Corrupt;
   }
-  uint32_t Type = getLe32(H + 4);
-  uint64_t Len = getLe64(H + 8);
-  uint64_t Sum = getLe64(H + 16);
-  if (Len > MaxFramePayloadBytes || !validMsgType(Type)) {
-    Broken = true;
-    return RecvStatus::Corrupt;
+  if (Avail >= FrameHeaderBytes + H.Len) {
+    size_t N = FrameHeaderBytes + static_cast<size_t>(H.Len);
+    Off += N;
+    if (decodeFrame(P, N, Out) != RecvStatus::Ok) {
+      Broken = true;
+      return RecvStatus::Corrupt;
+    }
+    return RecvStatus::Ok;
   }
-  if (Avail < FrameHeaderBytes + Len)
-    return RecvStatus::NeedMore;
-  Out->Type = static_cast<MsgType>(Type);
-  Out->Payload.assign(H + FrameHeaderBytes, H + FrameHeaderBytes + Len);
-  Off += FrameHeaderBytes + static_cast<size_t>(Len);
-  if (frameChecksum(Out->Type, Out->Payload) != Sum) {
-    Broken = true;
-    return RecvStatus::Corrupt;
-  }
-  return RecvStatus::Ok;
+  // The payload outruns the buffer: take what is buffered and receive
+  // the rest in place, into the storage of the caller's frame. The
+  // reservation is capped so a lying length word cannot claim more
+  // address space than MaxInPlaceReserve.
+  InPlace = true;
+  Big.Type = static_cast<MsgType>(H.Type);
+  BigLen = H.Len;
+  BigCrc = H.Crc;
+  BigGot = Avail - FrameHeaderBytes;
+  std::swap(Big.Payload, Out->Payload);
+  Big.Payload.reserve(static_cast<size_t>(
+      std::min<uint64_t>(BigLen, MaxInPlaceReserve)));
+  Big.Payload.assign(P + FrameHeaderBytes, P + Avail);
+  Buf.clear();
+  Off = 0;
+  return RecvStatus::NeedMore;
 }
 
 RecvStatus FrameReader::read(int Fd, Frame *Out, std::vector<int> *Fds) {

@@ -4,19 +4,28 @@
 // checksummed binary protocol over Unix-domain stream sockets. Every
 // frame is
 //
-//   [u32 magic 'GDP1'][u32 type][u64 payload-len][u64 fnv1a(payload)]
+//   [u32 magic 'GDP2'][u32 type][u64 payload-len][u64 checksum word]
 //   [payload bytes]
 //
-// and the checksum covers the payload *and* the header's type+length
-// words, so a flipped bit anywhere in a frame — including one planted by
-// the dist.frame.corrupt fault site — is detected at the receiver and
-// converted into a retry, never into a wrong answer. Framing after a
-// corrupt frame is untrusted by construction: the coordinator kills and
-// restarts the offending worker instead of trying to resynchronize.
+// The checksum word holds CRC32C(type ‖ len ‖ payload) in its low half
+// and zero in its high half; a receiver rejects a nonzero high half. The
+// CRC covers the header's type+length words as well as the payload, so
+// a flipped byte anywhere in a frame — including one planted by the
+// dist.frame.corrupt fault site — is detected at the receiver and
+// converted into a retry, never into a wrong answer (a CRC of degree 32
+// catches every burst of up to 32 bits). On x86 the CRC runs on the
+// SSE4.2 crc32 instruction, chosen at run time; elsewhere a slice-by-8
+// table computes the same value. Framing after a corrupt frame is
+// untrusted by construction: the coordinator kills and restarts the
+// offending worker instead of trying to resynchronize.
 //
 // Payloads are little-endian fixed-width words written by WireWriter and
 // read back by the bounds-checked WireReader (a truncated or oversized
-// payload decodes as Corrupt, not as garbage). The messages:
+// payload decodes as Corrupt, not as garbage). On little-endian hosts
+// both move scalars and vectors with memcpy. A payload longer than the
+// bytes already buffered is received in place: FrameReader reads the
+// rest straight into the frame's payload vector and hands it out by
+// move. The messages:
 //
 //   Hello      worker -> coord   pid + the plan's canonical bytecode
 //                                hash (the fork handshake: a worker
@@ -56,7 +65,7 @@
 namespace grassp {
 namespace dist {
 
-inline constexpr uint32_t FrameMagic = 0x31504447; // "GDP1", little-endian.
+inline constexpr uint32_t FrameMagic = 0x32504447; // "GDP2", little-endian.
 inline constexpr size_t FrameHeaderBytes = 24;
 /// Upper bound a receiver accepts for one payload; anything larger is a
 /// corrupt length word, not a legitimate frame.
@@ -76,7 +85,7 @@ enum class MsgType : uint32_t {
   Shutdown = 5,
   Publish = 6,
 
-  // The serve service rides the same GDP1 framing (src/serve/Protocol.h
+  // The serve service rides the same GDP2 framing (src/serve/Protocol.h
   // owns the payload codecs). Types 4 and 7..15 are reserved for the
   // dist runtime; a gap value decodes as Corrupt.
   SynthReq = 16,   ///< client -> server  program text to synthesize
@@ -89,7 +98,7 @@ enum class MsgType : uint32_t {
   SolveDone = 23,  ///< solver worker -> server  solve outcome
 };
 
-/// The set of frame types any GDP1 receiver accepts; everything else is
+/// The set of frame types any GDP2 receiver accepts; everything else is
 /// a corrupt type word.
 inline bool validMsgType(uint32_t T) {
   return (T >= static_cast<uint32_t>(MsgType::Hello) &&
@@ -103,8 +112,18 @@ struct Frame {
   std::vector<uint8_t> Payload;
 };
 
-/// FNV-1a over a byte range; the frame checksum.
-uint64_t fnv1aBytes(const uint8_t *Data, size_t N);
+/// CRC32C (Castagnoli polynomial) of \p N bytes, continuing from \p Crc:
+/// pass 0 to start, or an earlier result to extend it, so
+/// crc32c(crc32c(0, A), B) is the CRC of A ‖ B. Runs on the SSE4.2
+/// instruction when the CPU has it, else on crc32cPortable.
+uint32_t crc32c(uint32_t Crc, const uint8_t *Data, size_t N);
+/// The slice-by-8 table implementation; the same value on every host.
+uint32_t crc32cPortable(uint32_t Crc, const uint8_t *Data, size_t N);
+/// The SSE4.2 crc32 implementation. Call it only when
+/// crc32cHardwareAvailable(); off x86 it is crc32cPortable.
+uint32_t crc32cHardware(uint32_t Crc, const uint8_t *Data, size_t N);
+bool crc32cHardwareAvailable();
+using Crc32cFn = uint32_t (*)(uint32_t, const uint8_t *, size_t);
 
 /// Little-endian payload serializer.
 class WireWriter {
@@ -127,6 +146,9 @@ public:
   std::vector<uint8_t> &buffer() { return Buf; }
 
 private:
+  /// Appends \p N bytes in one copy.
+  void raw(const void *Src, size_t N);
+
   std::vector<uint8_t> Buf;
 };
 
@@ -211,28 +233,55 @@ enum class RecvStatus : uint8_t {
   Error,    ///< read(2) failed.
 };
 
+/// Checks one complete frame held in memory: Ok, with the frame in
+/// \p Out, only when the \p N bytes are exactly one frame with a sound
+/// header and a matching checksum; Corrupt otherwise. \p Crc picks the
+/// CRC32C implementation (FrameReader uses the default).
+RecvStatus decodeFrame(const uint8_t *Bytes, size_t N, Frame *Out,
+                       Crc32cFn Crc = crc32c);
+
 /// Incremental frame parser: feed bytes as they arrive (the coordinator
 /// reads nonblocking-style via poll), pop frames as they complete. A
 /// Corrupt verdict is sticky — framing downstream of a bad frame cannot
 /// be trusted, so the owner must discard the connection.
+///
+/// Small frames are read through a stack buffer and a reusable byte
+/// buffer. Once a header announces a payload longer than the bytes
+/// already buffered, the rest is received straight into that frame's
+/// payload vector, and next() hands the vector out by move.
 class FrameReader {
 public:
-  /// One recvmsg(2) into the buffer; classifies EOF and errors. Any
-  /// SCM_RIGHTS fds that arrive are appended to \p Fds in order (the
-  /// worker's Publish queue) — or closed immediately when \p Fds is
-  /// null, so an unexpected fd can never leak.
+  /// One recvmsg(2), never past the end of a payload being received in
+  /// place; classifies EOF and errors. Any SCM_RIGHTS fds that arrive
+  /// are appended to \p Fds in order (the worker's Publish queue) — or
+  /// closed immediately when \p Fds is null, so an unexpected fd can
+  /// never leak.
   RecvStatus fill(int Fd, std::vector<int> *Fds);
   RecvStatus fill(int Fd) { return fill(Fd, nullptr); }
-  /// Extracts the next complete frame, if any.
+  /// Extracts the next complete frame, if any, into \p Out. The storage
+  /// of Out->Payload is reused (an in-place receive takes it over), so a
+  /// caller that passes the same Frame every time stops allocating once
+  /// its buffer has grown to the frames it sees.
   RecvStatus next(Frame *Out);
   /// Blocks until the next frame is complete (Ok) or the stream ends
   /// (Eof/Corrupt/Error); fds arrive on \p Fds as with fill().
   RecvStatus read(int Fd, Frame *Out, std::vector<int> *Fds = nullptr);
+  /// True while a frame is partly received. After next() has returned
+  /// NeedMore, the bytes buffered so far end inside a frame exactly
+  /// when this holds.
+  bool midFrame() const { return InPlace || Off != Buf.size(); }
 
 private:
   std::vector<uint8_t> Buf;
   size_t Off = 0; // consumed prefix of Buf.
   bool Broken = false;
+  /// The frame whose payload is being received in place: its type, its
+  /// length and checksum from the header, and the bytes received so far.
+  bool InPlace = false;
+  Frame Big;
+  uint64_t BigLen = 0;
+  uint32_t BigCrc = 0;
+  size_t BigGot = 0;
 };
 
 /// Blocking single-frame read on a fresh FrameReader (reads exactly one

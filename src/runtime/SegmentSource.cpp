@@ -341,18 +341,27 @@ ChunkedFileSource::ChunkedFileSource(const std::string &Path,
                                      const SourceOptions &Opts,
                                      uint64_t MaxElems)
     : Path(Path) {
-  // One validating count-only pass, then a second pass recording the
-  // byte offset of each chunk's first line. Neither holds elements, so
-  // the index is O(chunks) regardless of file size.
+  // The index holds the byte offset of each chunk's first line, O(chunks)
+  // regardless of file size. When the header declares the count, the
+  // chunk geometry is known up front and one validating pass records
+  // the offsets; a bare file needs a count-only pass first.
   int64_t V = 0;
-  {
-    TextWorkloadReader Scan(Path, MaxElems);
-    while (Scan.next(&V)) {
-    }
-    if (Scan.count() == 0)
-      throwEmptyWorkload(Path);
-    initChunks(Scan.count(), Opts.ChunkElems, Opts.MinChunks);
+  TextWorkloadReader Scan(Path, MaxElems);
+  if (Scan.declared() && *Scan.declared() != 0) {
+    initChunks(*Scan.declared(), Opts.ChunkElems, Opts.MinChunks);
+    TextChunkOffsets.reserve(NumChunks);
+    do {
+      if (TextChunkOffsets.size() != NumChunks &&
+          Scan.count() == chunkBegin(TextChunkOffsets.size()))
+        TextChunkOffsets.push_back(Scan.offset());
+    } while (Scan.next(&V));
+    return; // next() has checked the count against the header.
   }
+  while (Scan.next(&V)) {
+  }
+  if (Scan.count() == 0)
+    throwEmptyWorkload(Path);
+  initChunks(Scan.count(), Opts.ChunkElems, Opts.MinChunks);
   TextWorkloadReader Index(Path);
   TextChunkOffsets.reserve(NumChunks);
   for (size_t I = 0; I != NumChunks; ++I) {

@@ -198,9 +198,9 @@ private:
 };
 
 /// Streaming reader of text workload files with bounded buffering: a
-/// byte-offset chunk index built by two up-front TextWorkloadReader
-/// passes (neither holds elements) and strict per-line reparse on
-/// access.
+/// byte-offset chunk index built by up-front TextWorkloadReader passes
+/// that hold no elements (one pass when the header declares the count,
+/// two for a bare file) and strict per-line reparse on access.
 class ChunkedFileSource : public SegmentSource {
 public:
   /// Throws WorkloadParseError on malformed files (a binary file is one:

@@ -103,10 +103,7 @@ bool ServeClient::synth(const std::string &ProgramText, ClientReply *Out) {
 
 bool ServeClient::run(const std::string &ProgramText,
                       const std::vector<int64_t> &Data, ClientReply *Out) {
-  RunReqMsg M;
-  M.Program = ProgramText;
-  M.Data = Data;
-  encodeRunReq(M, Writer.payload());
+  encodeRunReq(ProgramText, Data, Writer.payload());
   return roundTrip(dist::MsgType::RunReq, Out);
 }
 
@@ -127,33 +124,14 @@ bool ServeClient::sendTruncatedSynth(const std::string &ProgramText) {
     return false;
   SynthReqMsg M;
   M.Program = ProgramText;
-  dist::WireWriter W;
-  encodeSynthReq(M, W);
-  const std::vector<uint8_t> &Payload = W.bytes();
-
-  // Hand-build the GDP1 header over the FULL payload, then send only
-  // half of it and hang up: the server's FrameReader must classify the
-  // torn tail as EOF mid-frame and drop the connection, nothing more.
+  encodeSynthReq(M, Writer.payload());
+  // Frame the FULL payload, then send the header and only half of the
+  // payload and hang up: the server's FrameReader must classify the torn
+  // tail as EOF mid-frame and drop the connection, nothing more.
   std::vector<uint8_t> Buf;
-  auto PutU32 = [&Buf](uint32_t V) {
-    for (int I = 0; I != 4; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  };
-  auto PutU64 = [&Buf](uint64_t V) {
-    for (int I = 0; I != 8; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  };
-  PutU32(dist::FrameMagic);
-  PutU32(static_cast<uint32_t>(dist::MsgType::SynthReq));
-  PutU64(Payload.size());
-  // Checksum over type+len+payload, matching FrameWriter's layout.
-  std::vector<uint8_t> Sum;
-  {
-    std::vector<uint8_t> Tmp(Buf.begin() + 4, Buf.end());
-    Tmp.insert(Tmp.end(), Payload.begin(), Payload.end());
-    PutU64(dist::fnv1aBytes(Tmp.data(), Tmp.size()));
-  }
-  Buf.insert(Buf.end(), Payload.begin(), Payload.begin() + Payload.size() / 2);
+  Writer.frameInto(dist::MsgType::SynthReq, &Buf);
+  Buf.resize(dist::FrameHeaderBytes +
+             (Buf.size() - dist::FrameHeaderBytes) / 2);
 
   size_t Off = 0;
   while (Off < Buf.size()) {

@@ -77,9 +77,10 @@ bool decodeSynthReq(const std::vector<uint8_t> &P, SynthReqMsg *M) {
   return R.str(&M->Program) && R.atEnd();
 }
 
-void encodeRunReq(const RunReqMsg &M, WireWriter &W) {
-  W.str(M.Program);
-  W.vecI64(M.Data);
+void encodeRunReq(const std::string &Program, const std::vector<int64_t> &Data,
+                  WireWriter &W) {
+  W.str(Program);
+  W.vecI64(Data);
 }
 bool decodeRunReq(const std::vector<uint8_t> &P, RunReqMsg *M) {
   WireReader R(P);

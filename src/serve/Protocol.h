@@ -1,8 +1,10 @@
 //===- serve/Protocol.h - Payload codecs for the serve service -----------===//
 //
-// The serve service speaks the same GDP1 framing as the dist runtime
-// (dist/Protocol.h owns the frame layer and the MsgType registry; types
-// 16..23 are ours). This header owns the payload codecs.
+// The serve service speaks the same GDP2 framing as the dist runtime:
+// [u32 magic 'GDP2'][u32 type][u64 payload-len][u64 checksum word]
+// [payload], with CRC32C(type ‖ len ‖ payload) in the checksum word's
+// low half. dist/Protocol.h owns the frame layer and the MsgType
+// registry (types 16..23 are ours); this header owns the payload codecs.
 //
 // Client <-> server (one Unix-socket connection, strict request/reply
 // lockstep per connection):
@@ -146,7 +148,10 @@ struct SolveDoneMsg {
 // Encoders append to a WireWriter; decoders are strict.
 void encodeSynthReq(const SynthReqMsg &M, dist::WireWriter &W);
 bool decodeSynthReq(const std::vector<uint8_t> &P, SynthReqMsg *M);
-void encodeRunReq(const RunReqMsg &M, dist::WireWriter &W);
+/// Takes the request's fields rather than a RunReqMsg, so a client
+/// encodes straight from its own data vector.
+void encodeRunReq(const std::string &Program, const std::vector<int64_t> &Data,
+                  dist::WireWriter &W);
 bool decodeRunReq(const std::vector<uint8_t> &P, RunReqMsg *M);
 void encodeCertifyReq(const CertifyReqMsg &M, dist::WireWriter &W);
 bool decodeCertifyReq(const std::vector<uint8_t> &P, CertifyReqMsg *M);

@@ -21,6 +21,10 @@ namespace {
 
 constexpr int TickMs = 25;
 
+/// Largest request buffer the server keeps for the next request (a
+/// 2^21-element run); larger ones are freed once their request is done.
+constexpr size_t MaxKeptRequestBytes = size_t{16} << 20;
+
 bool certWireFromName(const std::string &S, CertWire *Out) {
   for (CertWire W : {CertWire::Certified, CertWire::NotCertified,
                      CertWire::Unknown, CertWire::Unsupported,
@@ -345,7 +349,7 @@ void ServeServer::handleSynthLike(Conn &Cn, const std::string &Text,
 }
 
 void ServeServer::handleRun(Conn &Cn, const dist::Frame &F) {
-  RunReqMsg Req;
+  RunReqMsg &Req = RunReq; // reused across requests; see Server.h.
   if (!decodeRunReq(F.Payload, &Req)) {
     ++C.BadRequests;
     sendErr(Cn, ErrCode::BadRequest, "undecodable run request");
@@ -365,8 +369,7 @@ void ServeServer::handleRun(Conn &Cn, const dist::Frame &F) {
   // must recompile, never silently execute the first comer's program.
   // (Alpha-variants thus memoize separately — correctness over sharing.)
   std::string CanonText = printProgramText(Prog);
-  uint64_t MemoKey = dist::fnv1aBytes(
-      reinterpret_cast<const uint8_t *>(CanonText.data()), CanonText.size());
+  uint64_t MemoKey = std::hash<std::string>{}(CanonText);
   auto It = RunMemo.find(MemoKey);
   std::unique_ptr<RunEntry> Scratch;
   const RunEntry *E;
@@ -473,27 +476,38 @@ void ServeServer::handleFrame(Conn &Cn, const dist::Frame &F) {
 }
 
 void ServeServer::serviceConn(Conn &Cn) {
-  // One fill per POLLIN wakeup (nonblocking fd: EAGAIN is NeedMore),
-  // then drain every complete frame it produced.
-  dist::RecvStatus S = Cn.Reader.fill(Cn.Fd);
-  if (S == dist::RecvStatus::Eof || S == dist::RecvStatus::Error ||
-      S == dist::RecvStatus::Corrupt) {
-    Cn.Fd = -Cn.Fd - 1; // mark dead; reaped by the caller. (Fd >= 0 check.)
-    return;
-  }
+  // Read and drain every complete frame; keep reading while a frame is
+  // partly received and bytes are still arriving, so a large request
+  // costs one POLLIN wakeup per socket-buffer load, not per 64 KiB.
   for (;;) {
-    dist::Frame F;
-    S = Cn.Reader.next(&F);
-    if (S == dist::RecvStatus::NeedMore)
-      return;
-    if (S != dist::RecvStatus::Ok) {
-      // Corrupt framing: the connection cannot be trusted any further.
-      Cn.Fd = -Cn.Fd - 1;
+    dist::RecvStatus S = Cn.Reader.fill(Cn.Fd);
+    if (S == dist::RecvStatus::Eof || S == dist::RecvStatus::Error ||
+        S == dist::RecvStatus::Corrupt) {
+      Cn.Fd = -Cn.Fd - 1; // mark dead; reaped by the caller.
       return;
     }
-    handleFrame(Cn, F);
-    if (Cn.Fd < 0)
-      return; // a reply failed mid-burst; connection already condemned.
+    for (;;) {
+      dist::RecvStatus N = Cn.Reader.next(&Incoming);
+      if (N == dist::RecvStatus::NeedMore)
+        break;
+      if (N != dist::RecvStatus::Ok) {
+        // Corrupt framing: the connection cannot be trusted any further.
+        Cn.Fd = -Cn.Fd - 1;
+        return;
+      }
+      handleFrame(Cn, Incoming);
+      if (Incoming.Payload.capacity() > MaxKeptRequestBytes)
+        Incoming.Payload = {};
+      if (RunReq.Program.capacity() +
+              RunReq.Data.capacity() * sizeof(int64_t) >
+          MaxKeptRequestBytes)
+        RunReq = {};
+      if (Cn.Fd < 0)
+        return; // a reply failed mid-burst; connection already condemned.
+    }
+    // EAGAIN, or a frame boundary: let the other connections have a turn.
+    if (S == dist::RecvStatus::NeedMore || !Cn.Reader.midFrame())
+      return;
   }
 }
 

@@ -205,6 +205,13 @@ private:
   /// collision resistance of a 64-bit hash.
   std::map<uint64_t, std::unique_ptr<RunEntry>> RunMemo;
 
+  /// Every connection's frames are received into this one frame, and
+  /// run requests decoded into this one message, so a steady stream of
+  /// runs reuses two buffers instead of faulting in fresh pages for each
+  /// request. Buffers past MaxKeptRequestBytes are freed after use.
+  dist::Frame Incoming;
+  RunReqMsg RunReq;
+
   struct {
     uint64_t Accepted = 0;
     uint64_t Disconnects = 0;

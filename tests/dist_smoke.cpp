@@ -9,6 +9,9 @@
 //
 //  * wire protocol framing — roundtrip over a real socketpair, corrupt
 //    byte detection, bounds-checked payload decoding, message codecs;
+//  * the GDP2 frame layer — the CRC32C check value and hardware/portable
+//    agreement, every single-byte flip of a whole frame, a 1 MiB frame
+//    sent in odd-sized pieces or cut short, RunReq truncation;
 //  * decorrelated-jitter backoff — bounds, determinism, cap clamping
 //    (shared by runtime::RunPolicy retries and the dist coordinator);
 //  * ThreadPool::drain(Deadline) shedding — discardedTasks counts
@@ -32,6 +35,7 @@
 #include "dist/Worker.h"
 #include "lang/Benchmarks.h"
 #include "lang/Interp.h"
+#include "serve/Protocol.h"
 #include "runtime/Runner.h"
 #include "runtime/SegmentSource.h"
 #include "runtime/Workload.h"
@@ -50,6 +54,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <random>
 #include <string>
 #include <dirent.h>
 #include <fcntl.h>
@@ -242,6 +247,221 @@ TEST(DistProtocol, MessageCodecsRoundTrip) {
   std::vector<uint8_t> Padded = dist::encodeHello(H);
   Padded.push_back(0);
   EXPECT_FALSE(dist::decodeHello(Padded, &H2));
+}
+
+//===----------------------------------------------------------------------===//
+// GDP2 frame layer
+//===----------------------------------------------------------------------===//
+
+/// The CRC32C implementations this host can run: the portable table
+/// always, the SSE4.2 instruction when the CPU has it.
+std::vector<dist::Crc32cFn> crcImpls() {
+  std::vector<dist::Crc32cFn> Impls = {dist::crc32cPortable};
+  if (dist::crc32cHardwareAvailable())
+    Impls.push_back(dist::crc32cHardware);
+  return Impls;
+}
+
+TEST(FrameCrc, CheckValueOnBothImplementations) {
+  const uint8_t *Digits = reinterpret_cast<const uint8_t *>("123456789");
+  for (dist::Crc32cFn Crc : crcImpls())
+    EXPECT_EQ(Crc(0, Digits, 9), 0xE3069283u);
+  EXPECT_EQ(dist::crc32c(0, Digits, 9), 0xE3069283u);
+  // Continuing from an earlier result is the CRC of the concatenation.
+  EXPECT_EQ(dist::crc32c(dist::crc32c(0, Digits, 4), Digits + 4, 5),
+            0xE3069283u);
+}
+
+TEST(FrameCrc, HardwareAndPortableAgreeOnRandomBuffers) {
+  if (!dist::crc32cHardwareAvailable())
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this host";
+  std::mt19937_64 Gen(24);
+  std::vector<uint8_t> Buf(65536 + 8);
+  for (uint8_t &B : Buf)
+    B = static_cast<uint8_t>(Gen());
+  // Every length up to 64 (the ragged tails), random ones to 4096, and
+  // the edges of the three-way blocks (3 x 256 and 3 x 8192 bytes).
+  std::vector<size_t> Lens;
+  for (size_t Len = 0; Len <= 64; ++Len)
+    Lens.push_back(Len);
+  for (int I = 0; I != 200; ++I)
+    Lens.push_back(Gen() % 4097);
+  for (size_t Len : {767, 768, 769, 4096, 24575, 24576, 25353, 65536})
+    Lens.push_back(Len);
+  for (size_t Off = 0; Off != 8; ++Off) {
+    const uint8_t *P = Buf.data() + Off;
+    for (size_t Len : Lens) {
+      uint32_t Want = dist::crc32cPortable(0, P, Len);
+      EXPECT_EQ(dist::crc32cHardware(0, P, Len), Want)
+          << "offset " << Off << " length " << Len;
+      size_t Cut = Gen() % (Len + 1);
+      EXPECT_EQ(dist::crc32cHardware(dist::crc32cHardware(0, P, Cut), P + Cut,
+                                     Len - Cut),
+                Want)
+          << "offset " << Off << " length " << Len << " cut " << Cut;
+    }
+  }
+}
+
+TEST(DistProtocol, EverySingleByteFlipInAFrameIsCorrupt) {
+  std::vector<uint8_t> Payload(4096);
+  for (size_t I = 0; I != Payload.size(); ++I)
+    Payload[I] = static_cast<uint8_t>(I * 131 + 7);
+  dist::FrameWriter W;
+  W.payload().buffer() = Payload;
+  std::vector<uint8_t> Wire;
+  W.frameInto(dist::MsgType::Result, &Wire);
+  ASSERT_EQ(Wire.size(), dist::FrameHeaderBytes + Payload.size());
+  dist::Frame F;
+  for (dist::Crc32cFn Crc : crcImpls()) {
+    ASSERT_EQ(dist::decodeFrame(Wire.data(), Wire.size(), &F, Crc),
+              dist::RecvStatus::Ok);
+    EXPECT_EQ(F.Payload, Payload);
+  }
+
+  // Header included: magic [0,4), type [4,8), length [8,16), and both
+  // halves of the checksum word [16,24).
+  for (size_t At = 0; At != Wire.size(); ++At)
+    for (uint8_t Mask : {0x01, 0x80, 0xff}) {
+      Wire[At] ^= Mask;
+      for (dist::Crc32cFn Crc : crcImpls())
+        EXPECT_EQ(dist::decodeFrame(Wire.data(), Wire.size(), &F, Crc),
+                  dist::RecvStatus::Corrupt)
+            << "byte " << At << " mask " << int(Mask);
+      Wire[At] ^= Mask;
+    }
+
+  // Through a socket the receiver never delivers a flipped frame. A flip
+  // that raises the length word leaves it waiting for bytes that never
+  // come, so it reads Eof; every other flip is Corrupt.
+  for (size_t At = 0; At != Wire.size(); ++At) {
+    SocketPair S;
+    Wire[At] ^= 0x80;
+    ASSERT_EQ(::send(S.Fd[0], Wire.data(), Wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(Wire.size()));
+    Wire[At] ^= 0x80;
+    ::close(S.Fd[0]);
+    S.Fd[0] = -1;
+    dist::RecvStatus St = dist::readFrameBlocking(S.Fd[1], &F);
+    bool InLength = At >= 8 && At < 16;
+    if (InLength)
+      EXPECT_NE(St, dist::RecvStatus::Ok) << "byte " << At;
+    else
+      EXPECT_EQ(St, dist::RecvStatus::Corrupt) << "byte " << At;
+  }
+}
+
+/// Sends Wire[0, Limit) from a thread in pieces whose sizes cycle
+/// through \p Pieces, then shuts the writing end; returns what one
+/// FrameReader makes of the stream.
+dist::RecvStatus receivePiecewise(const std::vector<uint8_t> &Wire,
+                                  size_t Limit,
+                                  const std::vector<size_t> &Pieces,
+                                  dist::Frame *Out) {
+  SocketPair S;
+  std::thread Sender([&] {
+    size_t Off = 0;
+    for (size_t K = 0; Off < Limit; ++K) {
+      size_t N = std::min(Pieces[K % Pieces.size()], Limit - Off);
+      ssize_t W = ::send(S.Fd[0], Wire.data() + Off, N, MSG_NOSIGNAL);
+      if (W < 0)
+        return; // the reader gave up and closed its end.
+      Off += static_cast<size_t>(W);
+    }
+    ::shutdown(S.Fd[0], SHUT_WR);
+  });
+  dist::FrameReader Reader;
+  dist::RecvStatus St = Reader.read(S.Fd[1], Out);
+  ::shutdown(S.Fd[1], SHUT_RDWR); // unblocks a sender still writing.
+  Sender.join();
+  return St;
+}
+
+/// A RunReq frame carrying \p Data, as ServeClient::run sends it.
+std::vector<uint8_t> runReqFrame(const std::string &Program,
+                                 const std::vector<int64_t> &Data) {
+  dist::FrameWriter W;
+  serve::encodeRunReq(Program, Data, W.payload());
+  std::vector<uint8_t> Wire;
+  W.frameInto(dist::MsgType::RunReq, &Wire);
+  return Wire;
+}
+
+TEST(DistProtocol, MegabyteFrameSentInOddPiecesArrivesWhole) {
+  std::vector<int64_t> Data(1 << 17); // 1 MiB of elements.
+  std::mt19937_64 Gen(7);
+  for (int64_t &X : Data)
+    X = static_cast<int64_t>(Gen());
+  Data[0] = INT64_MIN;
+  Data[1] = INT64_MAX;
+  const std::string Program = "(program sum)";
+  std::vector<uint8_t> Wire = runReqFrame(Program, Data);
+
+  dist::Frame F;
+  ASSERT_EQ(receivePiecewise(Wire, Wire.size(), {1, 7, 4093}, &F),
+            dist::RecvStatus::Ok);
+  EXPECT_EQ(F.Type, dist::MsgType::RunReq);
+  EXPECT_TRUE(std::equal(F.Payload.begin(), F.Payload.end(),
+                         Wire.begin() + dist::FrameHeaderBytes,
+                         Wire.end()));
+  serve::RunReqMsg M;
+  ASSERT_TRUE(serve::decodeRunReq(F.Payload, &M));
+  EXPECT_EQ(M.Program, Program);
+  EXPECT_EQ(M.Data, Data);
+}
+
+TEST(DistProtocol, InPlaceReceiveReusesTheCallersPayloadStorage) {
+  // Two 1 MiB frames back to back into one Frame: the second lands in
+  // the first one's storage, so a server reusing its frame stops
+  // allocating per request.
+  std::vector<int64_t> Data(1 << 17, 11);
+  std::vector<uint8_t> Wire = runReqFrame("(program sum)", Data);
+  SocketPair S;
+  std::thread Sender([&] {
+    for (int I = 0; I != 2; ++I)
+      ASSERT_TRUE(::send(S.Fd[0], Wire.data(), Wire.size(), MSG_NOSIGNAL) ==
+                  static_cast<ssize_t>(Wire.size()));
+  });
+  dist::FrameReader Reader;
+  dist::Frame F;
+  ASSERT_EQ(Reader.read(S.Fd[1], &F), dist::RecvStatus::Ok);
+  const uint8_t *First = F.Payload.data();
+  ASSERT_EQ(Reader.read(S.Fd[1], &F), dist::RecvStatus::Ok);
+  Sender.join();
+  EXPECT_EQ(F.Payload.data(), First);
+  EXPECT_TRUE(std::equal(F.Payload.begin(), F.Payload.end(),
+                         Wire.begin() + dist::FrameHeaderBytes, Wire.end()));
+}
+
+TEST(DistProtocol, MegabyteFrameCutShortReadsEof) {
+  std::vector<int64_t> Data(1 << 17, -3);
+  std::vector<uint8_t> Wire = runReqFrame("(program sum)", Data);
+  std::vector<size_t> Cuts = {0,     1,     23,    24,    25,
+                              4117,  65535, 65560, 65561, Wire.size() / 2,
+                              Wire.size() - 8,  Wire.size() - 1};
+  std::mt19937_64 Gen(3);
+  for (int I = 0; I != 8; ++I)
+    Cuts.push_back(Gen() % Wire.size());
+  for (size_t Cut : Cuts) {
+    dist::Frame F;
+    EXPECT_EQ(receivePiecewise(Wire, Cut, {1, 7, 4093}, &F),
+              dist::RecvStatus::Eof)
+        << "cut at " << Cut;
+  }
+}
+
+TEST(DistProtocol, RunReqDecodeFailsAtEveryTruncation) {
+  dist::WireWriter W;
+  serve::encodeRunReq("(program count)", {1, -2, INT64_MIN, INT64_MAX}, W);
+  const std::vector<uint8_t> &Bytes = W.bytes();
+  serve::RunReqMsg M;
+  ASSERT_TRUE(serve::decodeRunReq(Bytes, &M));
+  EXPECT_EQ(M.Program, "(program count)");
+  EXPECT_EQ(M.Data, (std::vector<int64_t>{1, -2, INT64_MIN, INT64_MAX}));
+  for (size_t Cut = 0; Cut != Bytes.size(); ++Cut)
+    EXPECT_FALSE(serve::decodeRunReq(
+        std::vector<uint8_t>(Bytes.begin(), Bytes.begin() + Cut), &M))
+        << "cut " << Cut;
 }
 
 //===----------------------------------------------------------------------===//

@@ -120,7 +120,9 @@ int usage(const char *Prog) {
                "       chaos [same options as fuzz; --faults implied; "
                "--dist kills real worker processes] |\n"
                "       dist-run <name> [N] [--workers W] [--shards S] "
-               "[--batch-shards B] [--input FILE] [--json]\n"
+               "[--batch-shards B] [--json]\n"
+               "                [--input FILE] [--source KIND] "
+               "[--max-elems M] [--chunk-elems C]\n"
                "                [--fault-seed S] [--kill-permille K] "
                "[--exit-permille K] [--hang-permille K]\n"
                "                [--corrupt-permille K] [--no-specialize] "
@@ -157,7 +159,7 @@ synth::SynthesisResult synthOrDie(const lang::SerialProgram &P) {
   return R;
 }
 
-/// The input options `run` and `stream` share.
+/// The input options `run`, `dist-run` and `stream` share.
 struct InputOptions {
   bool Specialize = true;
   bool Native = true;
@@ -632,12 +634,12 @@ int main(int argc, char **argv) {
     unsigned BatchShards = 0; // 0 = the coordinator default.
     uint64_t FaultSeed = 7;
     unsigned KillPm = 0, ExitPm = 0, HangPm = 0, CorruptPm = 0;
-    bool Specialize = true;
-    bool Native = true;
     bool Json = false;
-    const char *InputFile = nullptr;
+    InputOptions In;
     unsigned Positional = 0;
     for (int I = 3; I < argc; ++I) {
+      if (In.parse(argc, argv, I))
+        continue;
       NumericFlag Num(argc, argv, I);
       if (Num("--workers", &Workers) ||
           Num("--shards", &Shards) ||
@@ -650,18 +652,6 @@ int main(int argc, char **argv) {
       if (std::strcmp(argv[I], "--fault-seed") == 0 && I + 1 < argc &&
           parseSeed(argv[I + 1], &FaultSeed)) {
         ++I;
-        continue;
-      }
-      if (std::strcmp(argv[I], "--input") == 0 && I + 1 < argc) {
-        InputFile = argv[++I];
-        continue;
-      }
-      if (std::strcmp(argv[I], "--no-specialize") == 0) {
-        Specialize = false;
-        continue;
-      }
-      if (std::strcmp(argv[I], "--no-native") == 0) {
-        Native = false;
         continue;
       }
       if (std::strcmp(argv[I], "--json") == 0) {
@@ -681,8 +671,8 @@ int main(int argc, char **argv) {
     if (Shards == 0)
       Shards = Workers * 4;
     synth::SynthesisResult R = synthOrDie(*P);
-    runtime::CompiledProgram CP(*P, Specialize, Native);
-    runtime::CompiledPlan Plan(*P, R.Plan, Specialize, Native);
+    runtime::CompiledProgram CP(*P, In.Specialize, In.Native);
+    runtime::CompiledPlan Plan(*P, R.Plan, In.Specialize, In.Native);
     if (!Json)
       std::printf("tier     = %s\n", runtime::execTierName(CP.tier()));
 
@@ -694,12 +684,12 @@ int main(int argc, char **argv) {
     std::vector<runtime::SegmentView> Segs;
     double SerialSec = 0;
     int64_t SerialOut = 0;
-    if (InputFile) {
+    if (In.File) {
       try {
-        runtime::SourceOptions SOpts;
+        runtime::SourceOptions SOpts = In.sourceOptions();
         SOpts.MinChunks = Shards;
-        Src = runtime::openSegmentSource(InputFile,
-                                         runtime::SourceKind::Auto, SOpts);
+        Src = runtime::openSegmentSource(In.File, In.Kind, SOpts,
+                                         In.MaxElems);
       } catch (const std::exception &E) {
         std::fprintf(stderr, "error: %s\n", E.what());
         return 2;
