@@ -16,8 +16,12 @@
 //               the budget-dependent SMT fallback count is left out.
 //   --json      print a machine-readable report instead of the table:
 //               per-program cold synthesis time, SMT checks, Unknown
-//               verdicts and SMT fallbacks (consumed by
+//               verdicts, SMT fallbacks and proof route (consumed by
 //               scripts/bench_baseline.sh to produce BENCH_synth.json).
+//
+// The proof column says how the winner was accepted: "induction", or
+// "bounded:<why>" (the induction failed its base or step case, or was
+// not tried on a prefix plan or bag state; see synth::ProofRoute).
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +39,10 @@ using namespace grassp;
 
 namespace {
 
+const char *proofOf(const synth::SynthesisResult &R) {
+  return R.Proof ? synth::proofRouteName(*R.Proof) : "-";
+}
+
 /// Prints the --json report; returns the number of programs solved.
 unsigned printJson(const std::vector<synth::TaskResult> &Results,
                    unsigned Jobs, double WallSeconds) {
@@ -47,10 +55,10 @@ unsigned printJson(const std::vector<synth::TaskResult> &Results,
     std::printf("    {\"name\": \"%s\", \"status\": \"%s\", "
                 "\"group\": \"%s\", \"cold_s\": %.6f,\n"
                 "     \"candidates\": %u, \"smt_checks\": %u, "
-                "\"unknowns\": %u, \"fallbacks\": %u}%s\n",
+                "\"unknowns\": %u, \"fallbacks\": %u, \"proof\": \"%s\"}%s\n",
                 T.Name.c_str(), synth::taskStatusName(T.Status),
                 R.Group.c_str(), R.SynthSeconds, R.CandidatesTried,
-                R.SmtChecks, R.UnknownVerdicts, R.SmtFallbacks,
+                R.SmtChecks, R.UnknownVerdicts, R.SmtFallbacks, proofOf(R),
                 I + 1 == Results.size() ? "" : ",");
     Solved += R.Success ? 1 : 0;
     Total += R.SynthSeconds;
@@ -101,9 +109,9 @@ int main(int argc, char **argv) {
     return printJson(Results, Jobs, Wall.seconds()) == Results.size() ? 0 : 1;
 
   std::printf("Table 1 (synthesis): GRASSP performance\n");
-  std::printf("%-22s %-6s %-10s %-6s %-5s  %s\n", "benchmark", "group",
-              "synt time", "cands", "smt", "winning stage");
-  std::printf("%s\n", std::string(88, '-').c_str());
+  std::printf("%-22s %-6s %-10s %-6s %-5s %-17s %s\n", "benchmark", "group",
+              "synt time", "cands", "smt", "proof", "winning stage");
+  std::printf("%s\n", std::string(106, '-').c_str());
 
   double Total = 0;
   unsigned Solved = 0, Fallbacks = 0;
@@ -116,14 +124,14 @@ int main(int argc, char **argv) {
     const char *Group = R.Success ? R.Group.c_str()
                        : T.Status == synth::TaskStatus::Unknown ? "UNK"
                                                                 : "FAIL";
-    std::printf("%-22s %-6s %-10s %-6u %-5u  %s\n", T.Name.c_str(), Group,
-                Stable ? "-" : formatSeconds(R.SynthSeconds).c_str(),
-                R.CandidatesTried, R.SmtChecks, Stage);
+    std::printf("%-22s %-6s %-10s %-6u %-5u %-17s %s\n", T.Name.c_str(),
+                Group, Stable ? "-" : formatSeconds(R.SynthSeconds).c_str(),
+                R.CandidatesTried, R.SmtChecks, proofOf(R), Stage);
     Total += R.SynthSeconds;
     Solved += R.Success ? 1 : 0;
     Fallbacks += R.SmtFallbacks;
   }
-  std::printf("%s\n", std::string(88, '-').c_str());
+  std::printf("%s\n", std::string(106, '-').c_str());
   std::printf("solved %u/27, total synthesis time %s\n", Solved,
               Stable ? "-" : formatSeconds(Total).c_str());
   if (!Stable)

@@ -1,4 +1,4 @@
-//===- synth/EquivCheck.h - Bounded serial/parallel equivalence ----------===//
+//===- synth/EquivCheck.h - Serial/parallel equivalence ------------------===//
 //
 // The CEGIS backbone (paper Sect. 8): candidates are first screened
 // against a corpus of concrete counterexamples (cheap), then checked
@@ -8,11 +8,21 @@
 // establishes equivalence for the bound. Satisfying models become new
 // corpus entries, pruning the remaining search space.
 //
+// Before the shapes, a no-prefix plan is tried by induction: with an
+// invariant Inv of the states reachable from d0 in at least one step,
+//   base  Inv(a)          => f(a, x)       = M(a, f(d0, x))
+//   step  Inv(a) /\ Inv(b) => f(M(a, b), x) = M(a, f(b, x))
+// prove fold(A ++ B) = M(fold A, fold B) for all non-empty A and B (by
+// induction on B), hence the plan's left-to-right merge matches the
+// serial fold on every segmentation. Both are equalities of the whole
+// state. The shapes run only when the induction does not prove the plan;
+// they stay CEGIS's only source of counterexamples.
+//
 // One checker owns one SMT solver, and so one Z3 context, created on
 // the first symbolic query and kept for the checker's lifetime. Each
-// segment shape is checked in its own push/pop scope; the shape's terms
-// are released afterwards, so memory does not grow with the number of
-// shapes or candidates.
+// query is checked in its own push/pop scope; its terms are released
+// afterwards, so memory does not grow with the number of shapes or
+// candidates.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +35,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace grassp {
 namespace smt {
 class SmtSolver;
+enum class SatResult;
 } // namespace smt
 
 namespace synth {
@@ -52,8 +64,25 @@ struct VerifyOptions {
 
 enum class Verdict { Equivalent, Refuted, Unknown, Cancelled };
 
-/// Counterexample-corpus + bounded-SMT equivalence checking for one
-/// program.
+/// How verify() settled a plan: by induction, or by the bounded shapes
+/// together with why the induction did not settle it.
+enum class ProofRoute {
+  Induction,        ///< Base and step hold; no shape was checked.
+  BoundedBase,      ///< Induction tried: the base case fails.
+  BoundedStep,      ///< Induction tried: the step case fails.
+  BoundedUnknown,   ///< Induction tried: a query gave up in its budget.
+  BoundedCancelled, ///< Induction tried: the token fired.
+  BoundedBag,       ///< Not tried: the state has a bag field.
+  BoundedRefold,    ///< Not tried: the merge re-folds.
+  BoundedPrefix,    ///< Not tried: the plan re-folds or summarizes a
+                    ///< prefix.
+};
+
+/// Short name: "induction", "bounded:base", ..., "bounded:prefix".
+const char *proofRouteName(ProofRoute R);
+
+/// Counterexample-corpus, induction and bounded-SMT equivalence
+/// checking for one program.
 class EquivChecker {
 public:
   explicit EquivChecker(const lang::SerialProgram &Prog);
@@ -69,15 +98,27 @@ public:
   /// every corpus entry?
   bool passesCorpus(const ParallelPlan &Plan) const;
 
-  /// Bounded symbolic check. On Refuted, \p CexOut (if non-null) receives
-  /// the refuting segments (also added to the corpus).
+  /// Symbolic check: proveByInduction(), then, unless that proved the
+  /// plan, verifyBounded(). \p RouteOut (if non-null) receives the route.
   Verdict verify(const ParallelPlan &Plan, const VerifyOptions &Opts,
-                 Segments *CexOut = nullptr);
+                 Segments *CexOut = nullptr, ProofRoute *RouteOut = nullptr);
+
+  /// The induction alone (see the file comment), under the options'
+  /// token and SMT budget. Induction means the plan is right for every
+  /// segmentation, so verifyBounded() would call it Equivalent under any
+  /// bounds. Only no-prefix plans without bag state are tried.
+  ProofRoute proveByInduction(const ParallelPlan &Plan,
+                              const VerifyOptions &Opts);
+
+  /// The bounded shapes alone. On Refuted, \p CexOut (if non-null)
+  /// receives the refuting segments (also added to the corpus).
+  Verdict verifyBounded(const ParallelPlan &Plan, const VerifyOptions &Opts,
+                        Segments *CexOut = nullptr);
 
   size_t corpusSize() const { return Corpus.size(); }
   unsigned numSmtChecks() const { return SmtChecks; }
   /// Shapes whose incremental check came back Unknown and were checked
-  /// again on a fresh solver (see verify()).
+  /// again on a fresh solver (see verifyBounded()).
   unsigned numSmtFallbacks() const { return SmtFallbacks; }
 
 private:
@@ -88,8 +129,22 @@ private:
 
   void addEntry(Segments Segs);
 
+  /// One induction or invariant query: Sat means \p Query has a model.
+  /// A constant query needs no solver.
+  smt::SatResult checkQuery(const ir::ExprRef &Query,
+                            const VerifyOptions &Opts);
+
+  /// Fills Invariant by Houdini over the candidate atoms; false when
+  /// the token fired first (nothing is cached then).
+  bool computeInvariant(const VerifyOptions &Opts);
+
   const lang::SerialProgram &Prog;
   std::vector<CorpusEntry> Corpus;
+  /// Atoms over the field names whose conjunction holds on every state
+  /// reachable from d0 in at least one step (an atom whose query is
+  /// Unknown is dropped). Plan-independent, so it is computed by the
+  /// first induction and kept.
+  std::optional<std::vector<ir::ExprRef>> Invariant;
   std::unique_ptr<smt::SmtSolver> Solver; ///< Created by the first query.
   unsigned SmtChecks = 0;
   unsigned SmtFallbacks = 0;

@@ -13,8 +13,8 @@ namespace synth {
 
 namespace {
 
-/// Tries each plan in \p Plans against the corpus and the bounded
-/// verifier; returns the first verified plan.
+/// Tries each plan in \p Plans against the corpus and the symbolic
+/// checker; returns the first verified plan, logging how it was accepted.
 bool tryPlans(EquivChecker &Checker, const std::vector<ParallelPlan> &Plans,
               const VerifyOptions &Bounds, SynthesisResult &Res,
               const char *StageName) {
@@ -29,7 +29,8 @@ bool tryPlans(EquivChecker &Checker, const std::vector<ParallelPlan> &Plans,
       ++Screened;
       continue;
     }
-    Verdict V = Checker.verify(Plan, Bounds);
+    ProofRoute Route = ProofRoute::BoundedUnknown;
+    Verdict V = Checker.verify(Plan, Bounds, nullptr, &Route);
     if (V == Verdict::Cancelled) {
       Res.Cancelled = true;
       break;
@@ -39,11 +40,14 @@ bool tryPlans(EquivChecker &Checker, const std::vector<ParallelPlan> &Plans,
     if (V == Verdict::Equivalent) {
       Res.Plan = Plan;
       Res.Success = true;
+      Res.Proof = Route;
       std::ostringstream OS;
       OS << StageName << ": solved with candidate " << Tried << " of "
          << Plans.size() << " (" << Screened
          << " screened out by the corpus)";
       Res.StageLog.push_back(OS.str());
+      Res.StageLog.push_back(std::string(StageName) + ": accepted by " +
+                             proofRouteName(Route));
       Res.CandidatesTried += Tried;
       return true;
     }
@@ -195,13 +199,22 @@ SynthesisResult synthesizeWithLazyBounds(const lang::SerialProgram &Prog,
   SynthOptions Cur = Opts;
   SynthesisResult Res = synthesize(Prog, Cur);
   for (unsigned Round = 0; Round != MaxRounds && Res.Success; ++Round) {
-    // Re-verify the winner under wider bounds.
+    // A plan proved by induction is right for every segmentation; wider
+    // bounds cannot refute it.
+    if (Res.Proof == ProofRoute::Induction) {
+      Res.StageLog.push_back(
+          "lazy-bounds: plan proved by induction, wider re-verification "
+          "skipped");
+      return Res;
+    }
+    // Re-verify the winner under wider bounds. The induction already
+    // failed on this plan, so only the shapes are checked.
     VerifyOptions Wide = Cur.Bounds;
     Wide.MaxSegments += Widen;
     Wide.MaxLen += Widen;
     EquivChecker Checker(Prog);
     Segments Cex;
-    Verdict V = Checker.verify(Res.Plan, Wide, &Cex);
+    Verdict V = Checker.verifyBounded(Res.Plan, Wide, &Cex);
     Res.SmtFallbacks += Checker.numSmtFallbacks();
     if (V == Verdict::Equivalent) {
       Res.StageLog.push_back(

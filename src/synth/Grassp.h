@@ -10,8 +10,9 @@
 //   stage 3  - conditional prefixes + summaries   (group B4)
 //
 // Every candidate is screened against the counterexample corpus and then
-// verified by the bounded symbolic checker; refuting models feed back
-// into the corpus (CEGIS).
+// verified symbolically: a no-prefix plan first by induction, any plan
+// the induction does not prove by the bounded shapes, whose refuting
+// models feed back into the corpus (CEGIS).
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include "synth/EquivCheck.h"
 #include "synth/ParallelPlan.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,16 +52,20 @@ struct SynthesisResult {
   bool Cancelled = false;
   ParallelPlan Plan;
   std::string Group; // B1..B4 on success.
+  /// How the winning plan was accepted (set on success).
+  std::optional<ProofRoute> Proof;
   double SynthSeconds = 0;
   unsigned CandidatesTried = 0;
   unsigned SmtChecks = 0;
-  /// Bounded-verifier verdicts that came back Unknown (solver timeout).
-  /// A failed run with UnknownVerdicts != 0 may succeed under a larger
-  /// SMT budget; the parallel driver keys its retry policy on this.
+  /// Verifier verdicts that came back Unknown (solver timeout). A
+  /// failed run with UnknownVerdicts != 0 may succeed under a larger
+  /// SMT budget; the parallel driver keys its retry policy on this. An
+  /// Unknown from the induction only sends the plan to the bounded
+  /// shapes and is not counted.
   unsigned UnknownVerdicts = 0;
   /// Segment shapes whose incremental SMT check came back Unknown and
-  /// were checked again on a fresh solver (EquivChecker::verify). Zero
-  /// at the default budget; a tight --timeout-ms makes it climb.
+  /// were checked again on a fresh solver (EquivChecker::verifyBounded).
+  /// Zero at the default budget; a tight --timeout-ms makes it climb.
   unsigned SmtFallbacks = 0;
   /// One line per stage attempted, e.g. "stage1: refuted after 3
   /// candidates"; reproduces the gradual escalation of Fig. 10.
@@ -74,8 +80,9 @@ SynthesisResult synthesize(const lang::SerialProgram &Prog,
 /// Lazy bound maintenance (paper Sect. 8.1): synthesize under the small
 /// bounds of \p Opts, then re-verify the winner under bounds widened by
 /// \p Widen segments/elements; on refutation the counterexample seeds a
-/// re-synthesis, up to \p MaxRounds rounds. Each escalation is logged in
-/// the result's StageLog.
+/// re-synthesis, up to \p MaxRounds rounds. A winner proved by induction
+/// is not re-verified. Each escalation is logged in the result's
+/// StageLog.
 SynthesisResult synthesizeWithLazyBounds(const lang::SerialProgram &Prog,
                                          const SynthOptions &Opts =
                                              SynthOptions(),

@@ -215,7 +215,9 @@ private:
     return lang::outputOf(Prog, Acc, P);
   }
 
-  /// Binary merge step of the MergeFn.
+public:
+  /// Binary merge step of the MergeFn. Public for the induction of
+  /// EquivChecker, which merges symbolic states directly.
   State applyMerge(const State &A, const State &B) {
     const lang::StateLayout &Layout = Prog.State;
     ir::DomainEnv<S> Env;
@@ -237,6 +239,7 @@ private:
     return Out;
   }
 
+private:
   //===------------------------------------------------------------------===
   // Conditional-prefix scenarios.
   //===------------------------------------------------------------------===

@@ -82,9 +82,10 @@ TEST_P(Representative, NoDivergenceAcrossAdversarialShapes) {
   EXPECT_EQ(Rep.PathsCompared, WantPaths);
   // The native tier must actually participate when a compiler exists.
   if (GetParam() != "count_distinct" &&
-      gt::DiffOracle::hostCompilerAvailable())
+      gt::DiffOracle::hostCompilerAvailable()) {
     EXPECT_TRUE(CP.tierAvailable(grassp::runtime::ExecTier::Native))
         << "host compiler available but native tier absent";
+  }
   EXPECT_GT(Rep.Checks, 0u);
 }
 
@@ -166,8 +167,9 @@ TEST(FuzzSmoke, AllTiersMatchInterpreterOnFuzzedWorkloads) {
   // And with a host compiler present, the jit tier must participate on
   // every scalar benchmark — a silent fallback to the loop VM here would
   // mean the native path is never differentially certified.
-  if (gt::DiffOracle::hostCompilerAvailable())
+  if (gt::DiffOracle::hostCompilerAvailable()) {
     EXPECT_GE(NativeSeen, 20u);
+  }
 }
 
 // Plant a bug: sum's merge combines partial sums with subtraction
@@ -232,8 +234,9 @@ TEST(FuzzSmoke, AdversarialShapesCoverDegenerateGeometry) {
         EXPECT_TRUE(SawEmptySegment) << "N=" << N << " M=" << M;
         EXPECT_TRUE(SawSingleton) << "N=" << N << " M=" << M;
       }
-      if (N < M) // more segments than elements forces empties.
+      if (N < M) { // more segments than elements forces empties.
         EXPECT_TRUE(SawEmptySegment);
+      }
     }
   }
 }

@@ -54,12 +54,15 @@ TEST(Specialize, ExpectedBenchmarkFamilyMatches) {
     if (P.State.hasBag())
       continue;
     std::optional<SpecializedStep> S = runtime::specializeStep(P);
-    if (MustMatch.count(P.Name))
+    if (MustMatch.count(P.Name)) {
       EXPECT_TRUE(S.has_value()) << P.Name << " should specialize";
-    if (MustNotMatch.count(P.Name))
+    }
+    if (MustNotMatch.count(P.Name)) {
       EXPECT_FALSE(S.has_value()) << P.Name << " should NOT specialize";
-    if (S)
+    }
+    if (S) {
       EXPECT_FALSE(S->describe().empty());
+    }
   }
 }
 

@@ -127,10 +127,11 @@ TEST(EquivCheck, OneCheckerAnswersLikeFreshCheckers) {
     ASSERT_EQ(ReusedCex.size(), FreshCex.size()) << "plan " << K;
     for (size_t I = 0; I != FreshCex.size(); ++I)
       EXPECT_EQ(ReusedCex[I].size(), FreshCex[I].size()) << "plan " << K;
-    if (RV == Verdict::Refuted)
+    if (RV == Verdict::Refuted) {
       EXPECT_NE(lang::runSerialSegmented(*P, ReusedCex),
                 runPlanConcrete(*P, Plans[K], ReusedCex))
           << "plan " << K;
+    }
     EXPECT_EQ(Reused.numSmtChecks() - Before, Fresh.numSmtChecks())
         << "plan " << K;
     FreshChecks += Fresh.numSmtChecks();

@@ -540,10 +540,11 @@ int main(int argc, char **argv) {
   if (std::strcmp(Cmd, "synth") == 0) {
     synth::SynthesisResult R = synthOrDie(*P);
     std::printf("%s (%s)\nsynthesized in %s, %u candidates, %u SMT "
-                "queries\n\n%s\nstages:\n",
+                "queries, proof: %s\n\n%s\nstages:\n",
                 P->Name.c_str(), P->Description.c_str(),
                 formatSeconds(R.SynthSeconds).c_str(), R.CandidatesTried,
-                R.SmtChecks, R.Plan.describe(*P).c_str());
+                R.SmtChecks, synth::proofRouteName(*R.Proof),
+                R.Plan.describe(*P).c_str());
     for (const std::string &S : R.StageLog)
       std::printf("  %s\n", S.c_str());
     return 0;
