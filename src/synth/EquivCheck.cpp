@@ -39,6 +39,7 @@ const char *proofRouteName(ProofRoute R) {
 namespace {
 
 using SymState = lang::StateVec<SymbolicPolicy>;
+using SymEnv = DomainEnv<SymbolicPolicy>;
 
 /// A state of fresh variables "<Prefix><field>".
 SymState freshState(const lang::SerialProgram &Prog,
@@ -50,16 +51,32 @@ SymState freshState(const lang::SerialProgram &Prog,
   return St;
 }
 
+/// The conjunction of \p Atoms over the names bound in \p Env.
+template <class S>
+typename S::Scalar holdsIn(const std::vector<ExprRef> &Atoms,
+                           const DomainEnv<S> &Env, S &P) {
+  typename S::Scalar All = P.constBool(true);
+  for (const ExprRef &A : Atoms)
+    All = P.land(All, evalExpr(A, Env, P).Sc);
+  return All;
+}
+
 /// The conjunction of \p Atoms (over field names) on state \p St.
 template <class S>
 typename S::Scalar holdsOn(const lang::SerialProgram &Prog,
                            const std::vector<ExprRef> &Atoms,
                            const lang::StateVec<S> &St, S &P) {
-  DomainEnv<S> Env = lang::bindState<S>(Prog.State, St);
-  typename S::Scalar All = P.constBool(true);
-  for (const ExprRef &A : Atoms)
-    All = P.land(All, evalExpr(A, Env, P).Sc);
-  return All;
+  return holdsIn(Atoms, lang::bindState<S>(Prog.State, St), P);
+}
+
+/// Drops every atom that is false in one of the concrete \p Samples.
+void dropFailing(std::vector<ExprRef> &Atoms,
+                 const std::vector<DomainEnv<ConcretePolicy>> &Samples) {
+  ConcretePolicy CP;
+  for (const DomainEnv<ConcretePolicy> &Env : Samples)
+    std::erase_if(Atoms, [&](const ExprRef &A) {
+      return evalExpr(A, Env, CP).Sc == 0;
+    });
 }
 
 ExprRef sameState(const SymState &A, const SymState &B) {
@@ -69,50 +86,237 @@ ExprRef sameState(const SymState &A, const SymState &B) {
   return All;
 }
 
+/// Appends \p A to \p Atoms unless an atom that prints the same is there.
+void addAtom(std::vector<ExprRef> &Atoms, ExprRef A) {
+  std::string Key = toString(A);
+  for (const ExprRef &B : Atoms)
+    if (toString(B) == Key)
+      return;
+  Atoms.push_back(std::move(A));
+}
+
 /// Houdini's candidates, over the Int fields: bounds by the initial
 /// value, by 0 and by 1, and every ordered pair.
 std::vector<ExprRef> candidateAtoms(const lang::SerialProgram &Prog) {
   std::vector<ExprRef> Atoms;
-  std::vector<std::string> Seen;
-  auto Add = [&](ExprRef A) {
-    std::string Key = toString(A);
-    if (std::find(Seen.begin(), Seen.end(), Key) != Seen.end())
-      return;
-    Seen.push_back(std::move(Key));
-    Atoms.push_back(std::move(A));
-  };
   const lang::StateLayout &L = Prog.State;
   for (size_t I = 0, E = L.size(); I != E; ++I) {
     if (L.field(I).Ty != TypeKind::Int)
       continue;
     ExprRef F = L.fieldVar(I);
-    Add(ge(F, constInt(L.field(I).InitInt)));
-    Add(le(F, constInt(L.field(I).InitInt)));
-    Add(ge(F, constInt(0)));
-    Add(ge(F, constInt(1)));
+    addAtom(Atoms, ge(F, constInt(L.field(I).InitInt)));
+    addAtom(Atoms, le(F, constInt(L.field(I).InitInt)));
+    addAtom(Atoms, ge(F, constInt(0)));
+    addAtom(Atoms, ge(F, constInt(1)));
     for (size_t J = 0; J != E; ++J)
       if (J != I && L.field(J).Ty == TypeKind::Int)
-        Add(ge(F, L.fieldVar(J)));
+        addAtom(Atoms, ge(F, L.fieldVar(J)));
   }
   return Atoms;
 }
 
-/// States reached from d0 by one or two representative inputs: an atom
-/// that fails on one of them is no invariant, and is dropped without a
-/// query.
-std::vector<lang::StateVec<ConcretePolicy>>
-sampleStates(const lang::SerialProgram &Prog) {
-  ConcretePolicy P;
-  std::vector<int64_t> Reps = Prog.representativeInputs();
-  lang::StateVec<ConcretePolicy> D0 = lang::initialState(Prog, P);
-  std::vector<lang::StateVec<ConcretePolicy>> Out;
-  for (int64_t X : Reps) {
-    lang::StateVec<ConcretePolicy> One = lang::stepState(Prog, D0, X, P);
-    for (int64_t Y : Reps)
-      Out.push_back(lang::stepState(Prog, One, Y, P));
-    Out.push_back(std::move(One));
+/// Field \p I's value in d0, as a constant.
+ExprRef initialValue(const lang::StateLayout &L, size_t I) {
+  const lang::Field &F = L.field(I);
+  return F.Ty == TypeKind::Bool ? constBool(F.InitInt != 0)
+                                : constInt(F.InitInt);
+}
+
+/// The carry invariant's plan-independent candidates: the Int atoms, and
+/// for each Bool field b: b, !b, and b \/ f = d0.f for every other field.
+std::vector<ExprRef> carryAtoms(const lang::SerialProgram &Prog) {
+  std::vector<ExprRef> Atoms = candidateAtoms(Prog);
+  const lang::StateLayout &L = Prog.State;
+  for (size_t I = 0, E = L.size(); I != E; ++I) {
+    if (L.field(I).Ty != TypeKind::Bool)
+      continue;
+    ExprRef B = L.fieldVar(I);
+    addAtom(Atoms, B);
+    addAtom(Atoms, lnot(B));
+    for (size_t J = 0; J != E; ++J)
+      if (J != I)
+        addAtom(Atoms, lor(B, eq(L.fieldVar(J), initialValue(L, J))));
   }
-  return Out;
+  return Atoms;
+}
+
+/// "The control tuple \p Ctrl is one of the plan's CtrlValues".
+ExprRef ctrlAmongValues(const lang::SerialProgram &Prog,
+                        const CondPrefixInfo &CP,
+                        const std::vector<ExprRef> &Ctrl) {
+  ExprRef Any = constBool(false);
+  for (const std::vector<int64_t> &Val : CP.CtrlValues) {
+    ExprRef All = constBool(true);
+    for (size_t K = 0, E = CP.CtrlFields.size(); K != E; ++K)
+      All = land(All, eq(Ctrl[K], Prog.State.field(CP.CtrlFields[K]).Ty ==
+                                          TypeKind::Bool
+                                      ? constBool(Val[K] != 0)
+                                      : constInt(Val[K])));
+    Any = lor(Any, All);
+  }
+  return Any;
+}
+
+/// Names of a worker result's scalars in the worker invariant's atoms.
+std::string workerName(const char *What, size_t J, size_t V) {
+  return std::string("w_") + What + std::to_string(J) + "_v" +
+         std::to_string(V);
+}
+std::string workerStateName(const lang::StateLayout &L, size_t I) {
+  return "w_d_" + L.field(I).Name;
+}
+
+/// Binds worker result \p W's scalars to their names.
+template <class S>
+DomainEnv<S> bindWorker(const lang::SerialProgram &Prog,
+                        const CondPrefixInfo &CP, const WorkerResult<S> &W) {
+  using DV = DomainValue<S>;
+  DomainEnv<S> Env;
+  Env.emplace("w_found", DV::scalar(W.Found));
+  Env.emplace("w_bnd", DV::scalar(W.Boundary));
+  for (size_t I = 0, E = Prog.State.size(); I != E; ++I)
+    Env.emplace(workerStateName(Prog.State, I), W.D[I]);
+  for (size_t V = 0, NV = CP.numValuations(); V != NV; ++V) {
+    for (size_t K = 0, E = CP.CtrlFields.size(); K != E; ++K)
+      Env.emplace(workerName("ctrl", K, V), DV::scalar(W.CtrlCur[V][K]));
+    for (size_t J = 0, E = CP.AccFields.size(); J != E; ++J) {
+      Env.emplace(workerName("mode", J, V), DV::scalar(W.Mode[V][J]));
+      Env.emplace(workerName("arg", J, V), DV::scalar(W.Arg[V][J]));
+    }
+  }
+  return Env;
+}
+
+/// A worker result of fresh variables, named as bindWorker() binds them.
+WorkerResult<SymbolicPolicy> freshWorker(const lang::SerialProgram &Prog,
+                                         const CondPrefixInfo &CP) {
+  const lang::StateLayout &L = Prog.State;
+  WorkerResult<SymbolicPolicy> W;
+  W.Found = var("w_found", TypeKind::Bool);
+  W.Boundary = var("w_bnd", TypeKind::Int);
+  for (size_t I = 0, E = L.size(); I != E; ++I)
+    W.D.push_back(DomainValue<SymbolicPolicy>::scalar(
+        var(workerStateName(L, I), L.field(I).Ty)));
+  size_t NV = CP.numValuations();
+  W.CtrlCur.resize(NV);
+  W.Mode.resize(NV);
+  W.Arg.resize(NV);
+  for (size_t V = 0; V != NV; ++V) {
+    for (size_t K = 0, E = CP.CtrlFields.size(); K != E; ++K)
+      W.CtrlCur[V].push_back(
+          var(workerName("ctrl", K, V), L.field(CP.CtrlFields[K]).Ty));
+    for (size_t J = 0, E = CP.AccFields.size(); J != E; ++J) {
+      W.Mode[V].push_back(var(workerName("mode", J, V), TypeKind::Int));
+      W.Arg[V].push_back(
+          var(workerName("arg", J, V), L.field(CP.AccFields[J]).Ty));
+    }
+  }
+  return W;
+}
+
+/// The worker invariant's candidates: D stays d0 until the boundary, and
+/// satisfies every carry atom after it; the boundary satisfies
+/// prefix_cond; each tracked control tuple is one of CtrlValues; and
+/// bounds on each accumulator transform's mode and argument.
+std::vector<ExprRef> workerAtoms(const lang::SerialProgram &Prog,
+                                 const CondPrefixInfo &CP,
+                                 const std::vector<ExprRef> &Carry) {
+  const lang::StateLayout &L = Prog.State;
+  std::vector<ExprRef> Atoms;
+  ExprRef Found = var("w_found", TypeKind::Bool);
+  std::map<std::string, ExprRef> ToD;
+  for (size_t I = 0, E = L.size(); I != E; ++I) {
+    ExprRef D = var(workerStateName(L, I), L.field(I).Ty);
+    addAtom(Atoms, lor(Found, eq(D, initialValue(L, I))));
+    ToD.emplace(L.field(I).Name, D);
+  }
+  for (const ExprRef &A : Carry)
+    addAtom(Atoms, lor(lnot(Found), substitute(A, ToD)));
+  addAtom(Atoms,
+          lor(lnot(Found),
+              substitute(CP.PrefixCond, {{lang::inputVarName(),
+                                          var("w_bnd", TypeKind::Int)}})));
+  for (size_t V = 0, NV = CP.numValuations(); V != NV; ++V) {
+    std::vector<ExprRef> Ctrl;
+    for (size_t K = 0, E = CP.CtrlFields.size(); K != E; ++K)
+      Ctrl.push_back(
+          var(workerName("ctrl", K, V), L.field(CP.CtrlFields[K]).Ty));
+    addAtom(Atoms, ctrlAmongValues(Prog, CP, Ctrl));
+    for (size_t J = 0, E = CP.AccFields.size(); J != E; ++J) {
+      ExprRef M = var(workerName("mode", J, V), TypeKind::Int);
+      for (int64_t Hi : {0, 1, 2})
+        addAtom(Atoms, le(M, constInt(Hi)));
+      addAtom(Atoms, ge(M, constInt(0)));
+      ExprRef A = var(workerName("arg", J, V), L.field(CP.AccFields[J]).Ty);
+      if (L.field(CP.AccFields[J]).Ty == TypeKind::Bool) {
+        addAtom(Atoms, A);
+        addAtom(Atoms, lnot(A));
+        continue;
+      }
+      addAtom(Atoms, ge(A, constInt(0)));
+      addAtom(Atoms, ge(A, constInt(1)));
+      addAtom(Atoms, le(A, constInt(0)));
+    }
+  }
+  return Atoms;
+}
+
+/// Inputs over the representative elements, shortest first: the empty
+/// one, then all of length 1, 2 and 3, at most 512 in all.
+std::vector<std::vector<int64_t>>
+representativeRuns(const lang::SerialProgram &Prog) {
+  std::vector<int64_t> Reps = Prog.representativeInputs();
+  std::vector<std::vector<int64_t>> Runs{{}};
+  for (size_t Lo = 0; Lo != Runs.size() && Runs[Lo].size() != 3; ++Lo)
+    for (int64_t X : Reps) {
+      if (Runs.size() == 512)
+        return Runs;
+      std::vector<int64_t> Next = Runs[Lo];
+      Next.push_back(X);
+      Runs.push_back(std::move(Next));
+    }
+  return Runs;
+}
+
+/// Houdini: drops from \p Atoms (over the names the environments bind)
+/// every atom that fails in \p Init, then, to the greatest fixed point,
+/// every atom not preserved from \p Cur to \p Next while all kept atoms
+/// hold in \p Cur. \p Check settles one query (Sat: it has a model); an
+/// atom without a verdict is dropped. False when the token fired.
+template <class CheckFn>
+bool houdini(std::vector<ExprRef> &Atoms, const SymEnv &Init,
+             const SymEnv &Cur, const SymEnv &Next, CheckFn Check) {
+  SymbolicPolicy P;
+  // Drops every atom for which \p Refutes(A) has a model (or no verdict);
+  // true when some atom was dropped.
+  bool Fired = false;
+  auto DropRefuted = [&](auto Refutes) {
+    size_t Before = Atoms.size();
+    for (size_t K = 0; K != Atoms.size() && !Fired;) {
+      smt::SatResult R = Check(Refutes(Atoms[K]));
+      Fired = R == smt::SatResult::Cancelled;
+      if (R == smt::SatResult::Unsat)
+        ++K;
+      else
+        Atoms.erase(Atoms.begin() + K);
+    }
+    return Atoms.size() != Before;
+  };
+  DropRefuted([&](const ExprRef &A) { return lnot(holdsIn({A}, Init, P)); });
+  auto NotPreserved = [&](const ExprRef &A) {
+    return land(holdsIn(Atoms, Cur, P), lnot(holdsIn({A}, Next, P)));
+  };
+  // Most survivors of the concrete samples are preserved, so one query
+  // for all of them usually settles a round.
+  auto Settled = [&] {
+    smt::SatResult R = Check(
+        land(holdsIn(Atoms, Cur, P), lnot(holdsIn(Atoms, Next, P))));
+    Fired = R == smt::SatResult::Cancelled;
+    return Fired || R == smt::SatResult::Unsat;
+  };
+  while (!Fired && !Settled() && DropRefuted(NotPreserved))
+    ;
+  return !Fired;
 }
 
 } // namespace
@@ -206,60 +410,66 @@ smt::SatResult EquivChecker::checkQuery(const ExprRef &Query,
   return R;
 }
 
-bool EquivChecker::computeInvariant(const VerifyOptions &Opts) {
-  std::vector<ExprRef> Atoms = candidateAtoms(Prog);
+std::optional<std::vector<ExprRef>>
+EquivChecker::invariantOf(std::vector<ExprRef> Atoms, bool FromD0,
+                          const VerifyOptions &Opts) {
   ConcretePolicy CP;
-  for (const lang::StateVec<ConcretePolicy> &St : sampleStates(Prog))
-    std::erase_if(Atoms, [&](const ExprRef &A) {
-      return holdsOn(Prog, {A}, St, CP) == 0;
-    });
+  std::vector<DomainEnv<ConcretePolicy>> Samples;
+  for (const std::vector<int64_t> &Run : representativeRuns(Prog))
+    if (FromD0 || !Run.empty())
+      Samples.push_back(lang::bindState(
+          Prog.State,
+          lang::foldSegment(Prog, lang::initialState(Prog, CP), Run, CP)));
+  dropFailing(Atoms, Samples);
 
   SymbolicPolicy P;
   SymState S = freshState(Prog, "inv_s_");
   ExprRef X = var("inv_x", TypeKind::Int);
-  SymState First = lang::stepState(Prog, lang::initialState(Prog, P), X, P);
-  SymState Next = lang::stepState(Prog, S, X, P);
-  // Drops every atom for which \p Refutes(A) has a model (or no verdict);
-  // true when some atom was dropped.
-  bool Fired = false;
-  auto DropRefuted = [&](auto Refutes) {
-    size_t Before = Atoms.size();
-    for (size_t K = 0; K != Atoms.size() && !Fired;) {
-      smt::SatResult R = checkQuery(Refutes(Atoms[K]), Opts);
-      Fired = R == smt::SatResult::Cancelled;
-      if (R == smt::SatResult::Unsat)
-        ++K;
-      else
-        Atoms.erase(Atoms.begin() + K);
+  SymState Init = lang::initialState(Prog, P);
+  if (!FromD0)
+    Init = lang::stepState(Prog, Init, X, P);
+  if (!houdini(Atoms, lang::bindState(Prog.State, Init),
+               lang::bindState(Prog.State, S),
+               lang::bindState(Prog.State, lang::stepState(Prog, S, X, P)),
+               [&](const ExprRef &Q) { return checkQuery(Q, Opts); }))
+    return std::nullopt;
+  return Atoms;
+}
+
+ProofRoute EquivChecker::settle(const ExprRef &Base, const ExprRef &Step,
+                                const VerifyOptions &Opts) {
+  for (auto [Query, Fails] : {std::pair{Base, ProofRoute::BoundedBase},
+                              std::pair{Step, ProofRoute::BoundedStep}}) {
+    switch (checkQuery(Query, Opts)) {
+    case smt::SatResult::Unsat:
+      continue;
+    case smt::SatResult::Sat:
+      return Fails;
+    case smt::SatResult::Unknown:
+      return ProofRoute::BoundedUnknown;
+    case smt::SatResult::Cancelled:
+      return ProofRoute::BoundedCancelled;
     }
-    return Atoms.size() != Before;
-  };
-  // Initiation: the atom holds after the first step from d0.
-  DropRefuted([&](const ExprRef &A) {
-    return lnot(holdsOn(Prog, {A}, First, P));
-  });
-  // Consecution, to the greatest fixed point.
-  auto NotPreserved = [&](const ExprRef &A) {
-    return land(holdsOn(Prog, Atoms, S, P),
-                lnot(holdsOn(Prog, {A}, Next, P)));
-  };
-  while (!Fired && DropRefuted(NotPreserved))
-    ;
-  if (Fired)
-    return false;
-  Invariant = std::move(Atoms);
-  return true;
+  }
+  return ProofRoute::Induction;
 }
 
 ProofRoute EquivChecker::proveByInduction(const ParallelPlan &Plan,
                                           const VerifyOptions &Opts) {
-  if (Plan.Kind != Scenario::NoPrefix)
+  if (Plan.Kind == Scenario::ConstPrefix ||
+      Plan.Kind == Scenario::CondPrefixRefold)
     return ProofRoute::BoundedPrefix;
   if (Prog.State.hasBag())
     return ProofRoute::BoundedBag;
   if (Plan.Merge.Refold)
     return ProofRoute::BoundedRefold;
-  if (Opts.Token.cancelled() || (!Invariant && !computeInvariant(Opts)))
+  if (Opts.Token.cancelled())
+    return ProofRoute::BoundedCancelled;
+  if (Plan.Kind == Scenario::CondPrefixSummary)
+    return proveCondPrefix(Plan, Opts);
+  if (!Invariant)
+    Invariant = invariantOf(candidateAtoms(Prog), /*FromD0=*/false, Opts);
+  if (!Invariant)
     return ProofRoute::BoundedCancelled;
 
   SymbolicPolicy P;
@@ -277,20 +487,63 @@ ProofRoute EquivChecker::proveByInduction(const ParallelPlan &Plan,
       land(land(InvA, InvB),
            lnot(sameState(lang::stepState(Prog, Exec.applyMerge(A, B), X, P),
                           Exec.applyMerge(A, lang::stepState(Prog, B, X, P)))));
-  for (auto [Query, Fails] : {std::pair{Base, ProofRoute::BoundedBase},
-                              std::pair{Step, ProofRoute::BoundedStep}}) {
-    switch (checkQuery(Query, Opts)) {
-    case smt::SatResult::Unsat:
-      continue;
-    case smt::SatResult::Sat:
-      return Fails;
-    case smt::SatResult::Unknown:
-      return ProofRoute::BoundedUnknown;
-    case smt::SatResult::Cancelled:
-      return ProofRoute::BoundedCancelled;
-    }
+  return settle(Base, Step, Opts);
+}
+
+ProofRoute EquivChecker::proveCondPrefix(const ParallelPlan &Plan,
+                                         const VerifyOptions &Opts) {
+  if (!CarryInvariant)
+    CarryInvariant = invariantOf(carryAtoms(Prog), /*FromD0=*/true, Opts);
+  if (!CarryInvariant)
+    return ProofRoute::BoundedCancelled;
+  const CondPrefixInfo &CP = Plan.Cond;
+  const lang::StateLayout &L = Prog.State;
+  SymbolicPolicy P;
+  PlanExecutor<SymbolicPolicy> Exec(Prog, Plan, P);
+  SymState C = freshState(Prog, "ind_c_");
+  ExprRef X = var("ind_x", TypeKind::Int);
+
+  // InvC: the cached atoms, plus "the control tuple is one of CtrlValues"
+  // if it is inductive by itself (control steps read no accumulator).
+  auto Check = [&](const ExprRef &Q) { return checkQuery(Q, Opts); };
+  std::vector<ExprRef> CtrlVars;
+  for (size_t K : CP.CtrlFields)
+    CtrlVars.push_back(L.fieldVar(K));
+  std::vector<ExprRef> InvC{ctrlAmongValues(Prog, CP, CtrlVars)};
+  SymState S = freshState(Prog, "inv_s_");
+  if (!houdini(InvC, lang::bindState(L, lang::initialState(Prog, P)),
+               lang::bindState(L, S),
+               lang::bindState(L, lang::stepState(Prog, S, X, P)), Check))
+    return ProofRoute::BoundedCancelled;
+  InvC.insert(InvC.begin(), CarryInvariant->begin(), CarryInvariant->end());
+
+  // InvW: Houdini over the worker's own fold, from w0 = runWorker({}),
+  // after dropping the atoms that fail on sampled workers.
+  std::vector<ExprRef> InvW = workerAtoms(Prog, CP, InvC);
+  {
+    ConcretePolicy CPol;
+    PlanExecutor<ConcretePolicy> Conc(Prog, Plan, CPol);
+    std::vector<DomainEnv<ConcretePolicy>> Samples;
+    for (const std::vector<int64_t> &Run : representativeRuns(Prog))
+      Samples.push_back(bindWorker(Prog, CP, Conc.runWorker(Run)));
+    dropFailing(InvW, Samples);
   }
-  return ProofRoute::Induction;
+  WorkerResult<SymbolicPolicy> W0 = Exec.runWorker({});
+  WorkerResult<SymbolicPolicy> W = freshWorker(Prog, CP);
+  WorkerResult<SymbolicPolicy> W1 = W;
+  Exec.stepWorker(W1, X);
+  SymEnv EnvW = bindWorker(Prog, CP, W);
+  if (!houdini(InvW, bindWorker(Prog, CP, W0), EnvW,
+               bindWorker(Prog, CP, W1), Check))
+    return ProofRoute::BoundedCancelled;
+
+  ExprRef InvCC = holdsOn(Prog, InvC, C, P);
+  ExprRef Base = land(InvCC, lnot(sameState(Exec.merge1(C, W0), C)));
+  ExprRef Step = land(
+      land(InvCC, holdsIn(InvW, EnvW, P)),
+      lnot(sameState(Exec.merge1(C, W1),
+                     lang::stepState(Prog, Exec.merge1(C, W), X, P))));
+  return settle(Base, Step, Opts);
 }
 
 Verdict EquivChecker::verify(const ParallelPlan &Plan,

@@ -14,9 +14,25 @@
 //   step  Inv(a) /\ Inv(b) => f(M(a, b), x) = M(a, f(b, x))
 // prove fold(A ++ B) = M(fold A, fold B) for all non-empty A and B (by
 // induction on B), hence the plan's left-to-right merge matches the
-// serial fold on every segmentation. Both are equalities of the whole
-// state. The shapes run only when the induction does not prove the plan;
-// they stay CEGIS's only source of counterexamples.
+// serial fold on every segmentation.
+//
+// A cond-prefix summary plan is tried by a simulation of the serial fold
+// by the worker's own fold. With merge1(c, w) the plan's one-worker merge
+// step (PlanExecutor::merge1), w0 = runWorker({}), stepWorker the
+// worker's transition, InvC an invariant of the states reachable from d0
+// (d0 included) and InvW one of the worker results reachable from w0,
+//   base  InvC(c)             => merge1(c, w0)              = c
+//   step  InvC(c) /\ InvW(w)  => merge1(c, stepWorker(w, x)) =
+//                                f(merge1(c, w), x)
+// prove merge1(c, runWorker(B)) = fold(c, B) for every segment B (by
+// induction on B). The merge threads a serial state from d0 through
+// merge1, so it matches the serial fold on every segmentation.
+//
+// All queries are equalities of the whole state. Both invariants come
+// from Houdini over candidate atoms, after dropping the atoms that fail
+// on concretely sampled states or workers. The shapes run only when the
+// induction does not prove the plan; they stay CEGIS's only source of
+// counterexamples.
 //
 // One checker owns one SMT solver, and so one Z3 context, created on
 // the first symbolic query and kept for the checker's lifetime. Each
@@ -74,8 +90,8 @@ enum class ProofRoute {
   BoundedCancelled, ///< Induction tried: the token fired.
   BoundedBag,       ///< Not tried: the state has a bag field.
   BoundedRefold,    ///< Not tried: the merge re-folds.
-  BoundedPrefix,    ///< Not tried: the plan re-folds or summarizes a
-                    ///< prefix.
+  BoundedPrefix,    ///< Not tried: a constant-prefix plan, or a
+                    ///< cond-prefix plan that re-folds its prefixes.
 };
 
 /// Short name: "induction", "bounded:base", ..., "bounded:prefix".
@@ -106,7 +122,8 @@ public:
   /// The induction alone (see the file comment), under the options'
   /// token and SMT budget. Induction means the plan is right for every
   /// segmentation, so verifyBounded() would call it Equivalent under any
-  /// bounds. Only no-prefix plans without bag state are tried.
+  /// bounds. No-prefix and cond-prefix summary plans without bag state
+  /// are tried; constant-prefix and re-folding cond-prefix plans are not.
   ProofRoute proveByInduction(const ParallelPlan &Plan,
                               const VerifyOptions &Opts);
 
@@ -134,9 +151,21 @@ private:
   smt::SatResult checkQuery(const ir::ExprRef &Query,
                             const VerifyOptions &Opts);
 
-  /// Fills Invariant by Houdini over the candidate atoms; false when
-  /// the token fired first (nothing is cached then).
-  bool computeInvariant(const VerifyOptions &Opts);
+  /// Houdini over \p Atoms (over the field names) on the states
+  /// reachable from d0, d0 itself included iff \p FromD0; nullopt when
+  /// the token fired first.
+  std::optional<std::vector<ir::ExprRef>>
+  invariantOf(std::vector<ir::ExprRef> Atoms, bool FromD0,
+              const VerifyOptions &Opts);
+
+  /// Checks the base query, then the step query: Induction when both are
+  /// unsatisfiable.
+  ProofRoute settle(const ir::ExprRef &Base, const ir::ExprRef &Step,
+                    const VerifyOptions &Opts);
+
+  /// The simulation induction of a cond-prefix summary plan.
+  ProofRoute proveCondPrefix(const ParallelPlan &Plan,
+                             const VerifyOptions &Opts);
 
   const lang::SerialProgram &Prog;
   std::vector<CorpusEntry> Corpus;
@@ -145,6 +174,9 @@ private:
   /// Unknown is dropped). Plan-independent, so it is computed by the
   /// first induction and kept.
   std::optional<std::vector<ir::ExprRef>> Invariant;
+  /// The same over every state reachable from d0, d0 included, with Bool
+  /// atoms besides: what the carry of a cond-prefix merge satisfies.
+  std::optional<std::vector<ir::ExprRef>> CarryInvariant;
   std::unique_ptr<smt::SmtSolver> Solver; ///< Created by the first query.
   unsigned SmtChecks = 0;
   unsigned SmtFallbacks = 0;

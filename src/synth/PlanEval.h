@@ -154,26 +154,33 @@ public:
   }
 
   /// The conditional-prefix merge: threads the true state through the
-  /// segment summaries (synthesized upd), one boundary application of f,
-  /// and the per-flavor suffix combine. Exposed for the runtime.
+  /// segment summaries from d0, one merge1() per worker.
   Sc mergeWorkers(const std::vector<WorkerResult<S>> &Workers) {
     State C = lang::initialState(Prog, P);
-    State D0 = lang::initialState(Prog, P);
-    for (const WorkerResult<S> &W : Workers) {
-      if (Plan.Kind == Scenario::CondPrefixSummary) {
-        C = applyUpd(C, W);
-      } else {
-        for (const auto &ElFlag : W.PrefixEls) {
-          State Stepped = lang::stepState(Prog, C, ElFlag.first, P);
-          C = selectState(ElFlag.second, Stepped, C);
-        }
-      }
-      State T = lang::stepState(Prog, C, W.Boundary, P);
-      State W0 = lang::stepState(Prog, D0, W.Boundary, P);
-      State Comb = combineStates(T, W.D, W0);
-      C = selectState(W.Found, Comb, C);
-    }
+    for (const WorkerResult<S> &W : Workers)
+      C = merge1(C, W);
     return lang::outputOf(Prog, C, P);
+  }
+
+  /// One merge step: carries the true state \p C across worker \p W's
+  /// segment by the synthesized upd (or the re-folded prefix), one
+  /// boundary application of f, and the per-flavor suffix combine. Also
+  /// what the induction of EquivChecker proves equal to the serial fold.
+  State merge1(const State &C, const WorkerResult<S> &W) {
+    State Pre = C;
+    if (Plan.Kind == Scenario::CondPrefixSummary) {
+      Pre = applyUpd(C, W);
+    } else {
+      for (const auto &ElFlag : W.PrefixEls) {
+        State Stepped = lang::stepState(Prog, Pre, ElFlag.first, P);
+        Pre = selectState(ElFlag.second, Stepped, Pre);
+      }
+    }
+    State T = lang::stepState(Prog, Pre, W.Boundary, P);
+    State W0 =
+        lang::stepState(Prog, lang::initialState(Prog, P), W.Boundary, P);
+    State Comb = combineStates(T, W.D, W0);
+    return selectState(W.Found, Comb, Pre);
   }
 
 private:

@@ -24,6 +24,20 @@ TEST(LazyBounds, ReverifiesAtWiderBounds) {
   EXPECT_TRUE(Logged);
 }
 
+TEST(LazyBounds, ReverifiesABoundedWinnerAtWiderBounds) {
+  // A constant-prefix (B3) winner is accepted by the bounded shapes, so
+  // the lazy loop re-checks it at wider bounds.
+  const lang::SerialProgram *P = lang::findBenchmark("zero_first_one_last");
+  SynthesisResult R = synthesizeWithLazyBounds(*P);
+  ASSERT_TRUE(R.Success);
+  EXPECT_EQ(R.Plan.Kind, Scenario::ConstPrefix);
+  bool Logged = false;
+  for (const std::string &S : R.StageLog)
+    Logged |= S.find("lazy-bounds: plan re-verified at m<=4, len<=4") !=
+              std::string::npos;
+  EXPECT_TRUE(Logged);
+}
+
 TEST(LazyBounds, TinyInitialBoundsGetEscalated) {
   // With a 1-segment bound every merge is vacuously "correct"; the lazy
   // loop must catch the overfit plan at 2 segments and re-synthesize.

@@ -1,11 +1,12 @@
 //===- tests/synth_induction_test.cpp - Acceptance by induction ----------===//
 //
-// EquivChecker proves a no-prefix plan for every segmentation by a base
-// and a step query over an invariant, before the bounded shapes. These
-// tests pin what the induction may accept: every no-prefix winner of the
-// suite, only plans the bounded shapes and concrete runs also accept,
-// never a plan that is right only within the bound, and nothing once the
-// token has fired.
+// EquivChecker proves a no-prefix or cond-prefix summary plan for every
+// segmentation by a base and a step query over invariants, before the
+// bounded shapes. These tests pin what the induction may accept: every
+// no-prefix and cond-prefix winner of the suite, only plans (and plan
+// mutants) the bounded shapes and concrete runs also accept, never a
+// plan that is right only within the bound, and nothing once the token
+// has fired.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <map>
 #include <thread>
 
 using namespace grassp;
@@ -36,6 +39,60 @@ std::vector<const lang::SerialProgram *> noPrefixPrograms() {
     if ((P.ExpectedGroup == "B1" || P.ExpectedGroup == "B2") &&
         !P.State.hasBag())
       Out.push_back(&P);
+  return Out;
+}
+
+/// The suite's programs whose winner is a cond-prefix summary plan.
+std::vector<const lang::SerialProgram *> condPrefixPrograms() {
+  std::vector<const lang::SerialProgram *> Out;
+  for (const lang::SerialProgram &P : lang::allBenchmarks())
+    if (P.ExpectedGroup == "B4")
+      Out.push_back(&P);
+  return Out;
+}
+
+/// Single mutations of a cond-prefix summary plan: another prefix_cond,
+/// another accumulator flavour, or another entry in a mode or an arg
+/// table. The other tables are left as they were.
+std::vector<ParallelPlan> condPrefixMutants(const lang::SerialProgram &P,
+                                            const ParallelPlan &Won) {
+  std::vector<ParallelPlan> Out;
+  std::string Pc = toString(Won.Cond.PrefixCond);
+  ExprRef In = var(lang::inputVarName(), TypeKind::Int);
+  for (int64_t C : P.representativeInputs())
+    for (ExprRef Alt : {eq(In, constInt(C)), ne(In, constInt(C))})
+      if (toString(Alt) != Pc) {
+        ParallelPlan M = Won;
+        M.Cond.PrefixCond = Alt;
+        Out.push_back(std::move(M));
+      }
+  const CondPrefixInfo &CP = Won.Cond;
+  for (size_t J = 0; J != CP.AccFields.size(); ++J) {
+    bool IsBool = P.State.field(CP.AccFields[J]).Ty == TypeKind::Bool;
+    std::vector<AccFlavor> Flavors =
+        IsBool ? std::vector<AccFlavor>{AccFlavor::And, AccFlavor::Or,
+                                        AccFlavor::SetLike}
+               : std::vector<AccFlavor>{AccFlavor::Plus, AccFlavor::Max,
+                                        AccFlavor::Min, AccFlavor::SetLike};
+    for (AccFlavor F : Flavors)
+      if (F != CP.AccFlavors[J]) {
+        ParallelPlan M = Won;
+        M.Cond.AccFlavors[J] = F;
+        Out.push_back(std::move(M));
+      }
+    for (size_t V = 0; V != CP.numValuations(); ++V) {
+      for (int64_t Mode : {0, 1, 2})
+        if (toString(CP.AccMode[V][J]) != toString(constInt(Mode))) {
+          ParallelPlan M = Won;
+          M.Cond.AccMode[V][J] = constInt(Mode);
+          Out.push_back(std::move(M));
+        }
+      ParallelPlan M = Won;
+      const ExprRef &Arg = CP.AccArg[V][J];
+      M.Cond.AccArg[V][J] = IsBool ? lnot(Arg) : add(Arg, constInt(1));
+      Out.push_back(std::move(M));
+    }
+  }
   return Out;
 }
 
@@ -72,19 +129,99 @@ lang::SerialProgram atLeastTen() {
   return P;
 }
 
-TEST(Induction, AcceptsEveryNoPrefixWinner) {
-  std::vector<const lang::SerialProgram *> Progs = noPrefixPrograms();
-  ASSERT_EQ(Progs.size(), 15u);
+/// Each of \p Progs synthesizes a \p Kind plan accepted by induction.
+void expectWinnersProvedByInduction(
+    const std::vector<const lang::SerialProgram *> &Progs, Scenario Kind) {
   for (const lang::SerialProgram *P : Progs) {
     SynthesisResult R = synthesize(*P);
     ASSERT_TRUE(R.Success) << P->Name;
-    EXPECT_EQ(R.Plan.Kind, Scenario::NoPrefix) << P->Name;
+    EXPECT_EQ(R.Plan.Kind, Kind) << P->Name;
     ASSERT_TRUE(R.Proof.has_value()) << P->Name;
     EXPECT_EQ(*R.Proof, ProofRoute::Induction) << P->Name;
     bool Logged = false;
     for (const std::string &S : R.StageLog)
       Logged |= S.find("accepted by induction") != std::string::npos;
     EXPECT_TRUE(Logged) << P->Name;
+  }
+}
+
+TEST(Induction, AcceptsEveryNoPrefixWinner) {
+  std::vector<const lang::SerialProgram *> Progs = noPrefixPrograms();
+  ASSERT_EQ(Progs.size(), 15u);
+  expectWinnersProvedByInduction(Progs, Scenario::NoPrefix);
+}
+
+TEST(Induction, AcceptsEveryCondPrefixWinner) {
+  std::vector<const lang::SerialProgram *> Progs = condPrefixPrograms();
+  ASSERT_EQ(Progs.size(), 6u);
+  expectWinnersProvedByInduction(Progs, Scenario::CondPrefixSummary);
+}
+
+/// Tries the induction on one mutant; if it proves the mutant, the
+/// bounded shapes and 40 random concrete runs must accept it too.
+/// Returns the route, and appends what went wrong to \p Failures.
+ProofRoute checkMutant(const lang::SerialProgram &P, const ParallelPlan &Plan,
+                       uint64_t Seed, std::vector<std::string> &Failures) {
+  EquivChecker C(P);
+  ProofRoute Route = C.proveByInduction(Plan, VerifyOptions());
+  if (Route == ProofRoute::BoundedUnknown)
+    Failures.push_back("induction unknown");
+  if (Route != ProofRoute::Induction)
+    return Route;
+  if (C.verifyBounded(Plan, VerifyOptions()) != Verdict::Equivalent)
+    Failures.push_back("proved, but the shapes refute it");
+  Rng R(Seed);
+  for (int Trial = 0; Trial != 40; ++Trial) {
+    Segments Segs = randomSegments(P, R);
+    if (runPlanConcrete(P, Plan, Segs) != lang::runSerialSegmented(P, Segs)) {
+      Failures.push_back("proved, but trial " + std::to_string(Trial) +
+                         " diverges");
+      break;
+    }
+  }
+  return Route;
+}
+
+TEST(Induction, ProvedCondPrefixMutantsPassBoundedAndConcreteChecks) {
+  struct Job {
+    const lang::SerialProgram *P;
+    ParallelPlan Plan;
+    bool Proved = false;
+    std::vector<std::string> Failures;
+  };
+  std::vector<Job> Jobs;
+  for (const lang::SerialProgram *P : condPrefixPrograms()) {
+    SynthesisResult Won = synthesize(*P);
+    ASSERT_TRUE(Won.Success) << P->Name;
+    for (ParallelPlan &M : condPrefixMutants(*P, Won.Plan))
+      Jobs.push_back({P, std::move(M), false, {}});
+  }
+  // One checker, and so one Z3 context, per mutant; four at a time.
+  std::atomic<size_t> Next{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != 4; ++T)
+    Threads.emplace_back([&] {
+      for (size_t I; (I = Next++) < Jobs.size();)
+        Jobs[I].Proved = checkMutant(*Jobs[I].P, Jobs[I].Plan, 26 + I,
+                                     Jobs[I].Failures) ==
+                         ProofRoute::Induction;
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  std::map<std::string, std::pair<unsigned, unsigned>> ProvedOfAll;
+  for (size_t I = 0; I != Jobs.size(); ++I) {
+    for (const std::string &F : Jobs[I].Failures)
+      ADD_FAILURE() << Jobs[I].P->Name << " mutant #" << I << ": " << F;
+    auto &[Proved, All] = ProvedOfAll[Jobs[I].P->Name];
+    Proved += Jobs[I].Proved;
+    ++All;
+  }
+  ASSERT_EQ(ProvedOfAll.size(), 6u);
+  for (const auto &[Name, Count] : ProvedOfAll) {
+    EXPECT_GE(Count.first, 1u) << Name;
+    // Some mutants fail the induction, or it would prove anything.
+    EXPECT_LT(Count.first, Count.second) << Name;
   }
 }
 
@@ -112,8 +249,10 @@ TEST(Induction, ProvedCandidatesPassBoundedAndConcreteChecks) {
       if (Route != ProofRoute::Induction)
         continue;
       ++Proved;
+      auto T0 = std::chrono::steady_clock::now();
       EXPECT_EQ(C.verifyBounded(Plan, VerifyOptions()), Verdict::Equivalent)
           << P->Name << " #" << K;
+      std::printf("  #%zu bounded %.3f s\n", K, std::chrono::duration<double>(std::chrono::steady_clock::now()-T0).count());
       for (int Trial = 0; Trial != 40; ++Trial) {
         Segments Segs = randomSegments(*P, R);
         ASSERT_EQ(runPlanConcrete(*P, Plan, Segs),
@@ -181,13 +320,11 @@ TEST(Induction, SameOutputDifferentStateFallsBackToTheShapes) {
   }
 }
 
-TEST(Induction, AcceptsNothingOnceTheTokenFired) {
-  const lang::SerialProgram *P = lang::findBenchmark("second_max");
-  SynthesisResult Won = synthesize(*P);
-  ASSERT_TRUE(Won.Success);
-  ASSERT_EQ(Won.Proof, ProofRoute::Induction);
-
-  EquivChecker C(*P);
+/// A fired or expired token makes the induction prove nothing, and
+/// caches nothing: with a live token the checker still proves \p Won.
+void expectNothingAcceptedOnceTheTokenFired(const lang::SerialProgram &P,
+                                            const SynthesisResult &Won) {
+  EquivChecker C(P);
   VerifyOptions Fired;
   Fired.Token = CancelToken::root();
   Fired.Token.cancel();
@@ -205,6 +342,23 @@ TEST(Induction, AcceptsNothingOnceTheTokenFired) {
   // The cut-short attempts cached no invariant: a live token proves it.
   EXPECT_EQ(C.proveByInduction(Won.Plan, VerifyOptions()),
             ProofRoute::Induction);
+}
+
+TEST(Induction, AcceptsNothingOnceTheTokenFired) {
+  const lang::SerialProgram *P = lang::findBenchmark("second_max");
+  SynthesisResult Won = synthesize(*P);
+  ASSERT_TRUE(Won.Success);
+  ASSERT_EQ(Won.Proof, ProofRoute::Induction);
+  expectNothingAcceptedOnceTheTokenFired(*P, Won);
+}
+
+TEST(Induction, AcceptsNoCondPrefixPlanOnceTheTokenFired) {
+  const lang::SerialProgram *P = lang::findBenchmark("count_102");
+  SynthesisResult Won = synthesize(*P);
+  ASSERT_TRUE(Won.Success);
+  ASSERT_EQ(Won.Plan.Kind, Scenario::CondPrefixSummary);
+  ASSERT_EQ(Won.Proof, ProofRoute::Induction);
+  expectNothingAcceptedOnceTheTokenFired(*P, Won);
 }
 
 TEST(Induction, LazyBoundsSkipsTheWiderCheckOfAProvedPlan) {
