@@ -61,7 +61,6 @@ constexpr double ClosedFormNsPerElem = 0.05;
 
 struct Row {
   std::string Name;
-  MergeTree::Support Sup;
   double AppendElemsPerSec = 0.0;
   double UpdateUs = 0.0; // median per-update (replace + query)
   double RefoldUs = 0.0; // median from-scratch refold on the same edit
@@ -104,7 +103,6 @@ bool measure(const lang::SerialProgram &P, const Options &Opts, Row *Out) {
     Out->AppendElemsPerSec =
         S > 0.0 ? static_cast<double>(Data.size()) / S : 0.0;
   }
-  Out->Sup = Tree.support();
 
   // Random single-chunk edits: tree update vs from-scratch refold, both
   // on the identical post-edit stream, answers compared every time.
@@ -163,13 +161,11 @@ int run(const Options &Opts) {
     std::printf("  \"benchmarks\": [\n");
     for (size_t I = 0; I != Rows.size(); ++I) {
       const Row &R = Rows[I];
-      std::printf("    {\"name\": \"%s\", \"support\": \"%s\", "
+      std::printf("    {\"name\": \"%s\", "
                   "\"append_elems_per_sec\": %.0f, "
                   "\"update_us\": %.2f, \"refold_us\": %.2f, ",
-                  R.Name.c_str(),
-                  R.Sup == MergeTree::Support::LogPath ? "log-path"
-                                                       : "linear-merge",
-                  R.AppendElemsPerSec, R.UpdateUs, R.RefoldUs);
+                  R.Name.c_str(), R.AppendElemsPerSec, R.UpdateUs,
+                  R.RefoldUs);
       if (R.ClosedForm)
         std::printf("\"refold\": \"closed-form\", ");
       else
@@ -184,21 +180,18 @@ int run(const Options &Opts) {
   std::printf("incremental recompute, N=%zu chunks=%zu updates=%u "
               "(per-update medians)\n",
               Opts.N, Opts.Chunks, Opts.Updates);
-  std::printf("%-22s %-13s %14s %12s %12s %10s %9s\n", "benchmark",
-              "support", "append elem/s", "update (us)", "refold (us)",
-              "speedup", "verified");
+  std::printf("%-22s %14s %12s %12s %10s %9s\n", "benchmark",
+              "append elem/s", "update (us)", "refold (us)", "speedup",
+              "verified");
   for (const Row &R : Rows) {
     char Sp[32];
     if (R.ClosedForm)
       std::snprintf(Sp, sizeof(Sp), "closed-form");
     else
       std::snprintf(Sp, sizeof(Sp), "%.1fx", R.Speedup);
-    std::printf("%-22s %-13s %14.0f %12.2f %12.2f %10s %6u/%u\n",
-                R.Name.c_str(),
-                R.Sup == MergeTree::Support::LogPath ? "log-path"
-                                                     : "linear-merge",
-                R.AppendElemsPerSec, R.UpdateUs, R.RefoldUs, Sp,
-                R.Verified, R.Verified + R.Mismatched);
+    std::printf("%-22s %14.0f %12.2f %12.2f %10s %6u/%u\n",
+                R.Name.c_str(), R.AppendElemsPerSec, R.UpdateUs, R.RefoldUs,
+                Sp, R.Verified, R.Verified + R.Mismatched);
   }
   if (Mismatches != 0) {
     std::printf("\nFAIL: %u update(s) diverged from the full refold\n",

@@ -372,7 +372,6 @@ void DistCoordinator::killOverdue(DistRunReport &R,
 
 DistRunReport DistCoordinator::runImpl(
     const std::vector<uint64_t> &ShardElems, const OpenFn &Open,
-    const std::vector<runtime::SegmentView> &MergeSegs,
     const runtime::SegmentSource *Src) {
   const size_t N = ShardElems.size();
   DistRunReport R;
@@ -479,7 +478,7 @@ DistRunReport DistCoordinator::runImpl(
   R.ShardsCompleted = static_cast<unsigned>(Sched.done());
   if (!R.Cancelled) {
     Stopwatch MergeTimer;
-    R.Output = Plan.merge(Outs, MergeSegs);
+    R.Output = Plan.merge(Outs);
     R.MergeSeconds = MergeTimer.seconds();
   }
   R.WallSeconds = Total.seconds();
@@ -493,12 +492,11 @@ DistCoordinator::run(const std::vector<runtime::SegmentView> &Segs) {
   for (size_t I = 0; I != Segs.size(); ++I)
     Elems[I] = Segs[I].Size;
   return runImpl(
-      Elems, [&] { return ChunkFn([&](size_t I) { return Segs[I]; }); }, Segs,
+      Elems, [&] { return ChunkFn([&](size_t I) { return Segs[I]; }); },
       nullptr);
 }
 
 DistRunReport DistCoordinator::run(const runtime::SegmentSource &Src) {
-  const runtime::MergeHeads Heads = runtime::prefetchMergeHeads(Plan, Src);
   std::vector<uint64_t> Elems(Src.chunkCount());
   for (size_t I = 0; I != Elems.size(); ++I)
     Elems[I] = Src.chunkElems(I);
@@ -511,7 +509,7 @@ DistRunReport DistCoordinator::run(const runtime::SegmentSource &Src) {
         std::shared_ptr<runtime::SegmentCursor> C = Src.cursor();
         return ChunkFn([C](size_t I) { return C->chunk(I); });
       },
-      Heads.Views, &Src);
+      &Src);
 }
 
 } // namespace dist

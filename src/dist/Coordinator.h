@@ -158,9 +158,7 @@ public:
   /// (SegmentSource::contiguousByteRegion) and workers mmap windows of
   /// the workload file itself — nothing is copied anywhere. Other
   /// sources (vectors, text files) are copied chunk by chunk into
-  /// sealed memfd stripes, one cursor per writing thread. Merge reads
-  /// only the prefetched constant-prefix repair heads
-  /// (runtime::prefetchMergeHeads).
+  /// sealed memfd stripes, one cursor per writing thread.
   DistRunReport run(const runtime::SegmentSource &Src);
 
   /// Forks the initial worker pool immediately (idempotent; run() tops
@@ -231,9 +229,7 @@ private:
   /// run's source, if any; only its contiguous file region is
   /// consulted, by publish().
   DistRunReport runImpl(const std::vector<uint64_t> &ShardElems,
-                        const OpenFn &Open,
-                        const std::vector<runtime::SegmentView> &MergeSegs,
-                        const runtime::SegmentSource *Src);
+                        const OpenFn &Open, const runtime::SegmentSource *Src);
 
   /// The one publication step: installs the run's input as the current
   /// mapping and fills Desc. A source with a contiguous file region is

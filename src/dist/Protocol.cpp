@@ -684,9 +684,12 @@ void encodeResult(const ResultMsg &M, WireWriter &W) {
   W.u64(M.TaskId);
   W.u64(M.ShardIndex);
   const runtime::WorkerOutput &O = M.Out;
+  W.u64(O.Elems);
+  W.vecI64(O.D);
+  W.vecI64(O.Head);
+  W.vecI64(O.Merged);
   W.u8(O.Found ? 1 : 0);
   W.i64(O.Boundary);
-  W.vecI64(O.D);
   W.vecU32(O.CtrlCur);
   W.u64(O.ModeArg.size());
   for (const std::vector<std::pair<int64_t, int64_t>> &Row : O.ModeArg) {
@@ -710,8 +713,9 @@ bool decodeResult(const std::vector<uint8_t> &P, ResultMsg *M) {
   WireReader R(P);
   runtime::WorkerOutput &O = M->Out;
   uint8_t Found;
-  if (!R.u64(&M->TaskId) || !R.u64(&M->ShardIndex) || !R.u8(&Found) ||
-      !R.i64(&O.Boundary) || !R.vecI64(&O.D) || !R.vecU32(&O.CtrlCur))
+  if (!R.u64(&M->TaskId) || !R.u64(&M->ShardIndex) || !R.u64(&O.Elems) ||
+      !R.vecI64(&O.D) || !R.vecI64(&O.Head) || !R.vecI64(&O.Merged) ||
+      !R.u8(&Found) || !R.i64(&O.Boundary) || !R.vecU32(&O.CtrlCur))
     return false;
   O.Found = Found != 0;
   uint64_t NV;

@@ -38,8 +38,9 @@
 //                                offset within the stripe, count). The
 //                                worker folds items in order and sends
 //                                one Result per item as it completes.
-//   Result     worker -> coord   task id, shard index, serialized
-//                                runtime::WorkerOutput
+//   Result     worker -> coord   task id, shard index, the shard's
+//                                serialized runtime::WorkerOutput (its
+//                                whole segment summary)
 //   Shutdown   coord -> worker   clean exit request
 //   Publish    coord -> worker   a new mapping's generation and its
 //                                stripe table, one (byte offset, elems)

@@ -184,7 +184,6 @@ JobReport runJob(const lang::SerialProgram &Prog,
   std::vector<double> TaskSec;
   std::vector<double> ExtraSec;
   std::vector<unsigned> Home;
-  std::vector<runtime::SegmentView> Views;
   Outputs.reserve(NumShards);
   for (const Shard &S : Shards) {
     Stopwatch T;
@@ -196,12 +195,11 @@ JobReport runJob(const lang::SerialProgram &Prog,
                                           TaskSec.size() - 1)
                    : 0.0);
     Home.push_back(S.HomeNode);
-    Views.push_back(S.View);
     Report.MeasuredComputeSec += Sec;
   }
 
   Stopwatch MergeT;
-  Report.Output = Compiled.merge(Outputs, Views);
+  Report.Output = Compiled.merge(Outputs);
   double MergeSec = MergeT.seconds() * Cfg.ComputeScale;
 
   // Modeled N-node job: startup + scheduled map makespan + reduce. A

@@ -3,8 +3,8 @@
 // Open-addressing hash set used by the "counting distinct elements"
 // kernels. The paper's serial reference code does a linear membership
 // scan, which makes every distinct-elements run O(n*k); this set keeps
-// the same observable behavior (insertion order is preserved, so worker
-// outputs and merge refolds see identical sequences) at O(n) expected.
+// the same observable behavior (insertion order is preserved) at O(n)
+// expected.
 //
 // Keys are hashed with the SplitMix64 finalizer — the same mixer as
 // support/Random.h — which is enough to break up the adversarial

@@ -2,12 +2,13 @@
 
 #include "runtime/Kernels.h"
 
-#include "ir/DomainEval.h"
 #include "lang/Interp.h"
 #include "runtime/DistinctSet.h"
 #include "runtime/SegmentSource.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace grassp {
 namespace runtime {
@@ -223,10 +224,19 @@ int64_t CompiledProgram::runSerialSourceTier(ExecTier T,
 CompiledPlan::CompiledPlan(const lang::SerialProgram &Prog,
                            const synth::ParallelPlan &Plan,
                            bool AllowSpecialize, bool AllowNative)
-    : Prog(Prog), Plan(Plan), Compiled(Prog, AllowSpecialize, AllowNative) {
-  if (Plan.Kind != synth::Scenario::CondPrefixRefold &&
-      Plan.Kind != synth::Scenario::CondPrefixSummary)
+    : Plan(Plan), Compiled(Prog, AllowSpecialize, AllowNative) {
+  if (Plan.Kind == synth::Scenario::NoPrefix ||
+      Plan.Kind == synth::Scenario::ConstPrefix) {
+    if (!Plan.Merge.Refold) {
+      std::vector<std::string> Names;
+      for (const char *Side : {"a_", "b_"})
+        for (const lang::Field &F : Prog.State.fields())
+          Names.push_back(Side + F.Name);
+      MergeFn =
+          ir::BytecodeFunction::compile(Plan.Merge.Combine, Names).optimized();
+    }
     return;
+  }
   const synth::CondPrefixInfo &CP = Plan.Cond;
   std::vector<std::string> InOnly = {lang::inputVarName()};
   PcFn = ir::BytecodeFunction::compile({CP.PrefixCond}, InOnly);
@@ -278,15 +288,22 @@ WorkerOutput CompiledPlan::runWorker(SegmentView Seg) const {
 
 WorkerOutput CompiledPlan::runScanWorker(SegmentView Seg) const {
   WorkerOutput W;
+  W.Elems = Seg.Size;
   if (Compiled.usesBag()) {
     DistinctSet Seen;
     for (size_t I = 0; I != Seg.Size; ++I)
       Seen.insert(Seg.Data[I]);
+    // Sorted, so that ⊕ is a linear merge and the summary of a segment
+    // does not depend on how it was split.
     W.Distinct = Seen.takeOrder();
+    std::sort(W.Distinct.begin(), W.Distinct.end());
     return W;
   }
   W.D = Compiled.initialState();
   Compiled.foldSegment(W.D, Seg);
+  if (Plan.Kind == synth::Scenario::ConstPrefix)
+    W.Head.assign(Seg.Data,
+                  Seg.Data + std::min<size_t>(Plan.PrefixLen, Seg.Size));
   return W;
 }
 
@@ -298,6 +315,7 @@ WorkerOutput CompiledPlan::runCondWorker(SegmentView Seg) const {
   size_t NumCtrl = CP.CtrlFields.size();
 
   WorkerOutput W;
+  W.Elems = Seg.Size;
   W.D = Compiled.initialState();
   if (Summary) {
     W.CtrlCur.resize(NumV);
@@ -324,18 +342,7 @@ WorkerOutput CompiledPlan::runCondWorker(SegmentView Seg) const {
       for (size_t J = 0; J != NumAcc; ++J) {
         int64_t M2 = run1(ModeFns[Cur][J], El, Regs);
         int64_t A2 = run1(ArgFns[Cur][J], El, Regs);
-        auto &[M1, A1] = W.ModeArg[V][J];
-        if (M2 == 1) {
-          M1 = 1;
-          A1 = A2;
-        } else if (M2 == 2) {
-          if (M1 == 0) {
-            M1 = 2;
-            A1 = A2;
-          } else {
-            A1 = applyFlavor(CP.AccFlavors[J], A1, A2);
-          }
-        } // M2 == 0: identity, nothing to do.
+        composeModeArg(CP.AccFlavors[J], W.ModeArg[V][J], M2, A2);
       }
       for (size_t K = 0; K != NumCtrl; ++K)
         NewCtrl[K] = run1(CtrlStepFns[Cur][K], El, Regs);
@@ -358,6 +365,23 @@ WorkerOutput CompiledPlan::runCondWorker(SegmentView Seg) const {
     Compiled.foldSegment(W.D, {Seg.Data + I, Seg.Size - I});
   }
   return W;
+}
+
+void CompiledPlan::composeModeArg(synth::AccFlavor F,
+                                  std::pair<int64_t, int64_t> &MA, int64_t M2,
+                                  int64_t A2) const {
+  auto &[M1, A1] = MA;
+  if (M2 == 1) {
+    M1 = 1;
+    A1 = A2;
+  } else if (M2 == 2) {
+    if (M1 == 0) {
+      M1 = 2;
+      A1 = A2;
+    } else {
+      A1 = applyFlavor(F, A1, A2);
+    }
+  } // any other mode: identity, nothing to do.
 }
 
 void CompiledPlan::applyUpd(std::vector<int64_t> &C,
@@ -422,84 +446,125 @@ void CompiledPlan::combineAtBoundary(std::vector<int64_t> &C,
   }
 }
 
-std::vector<int64_t>
-CompiledPlan::mergeStates(const std::vector<int64_t> &A,
-                          const std::vector<int64_t> &B) const {
-  ir::ConcretePolicy P;
-  ir::DomainEnv<ir::ConcretePolicy> Env;
-  for (size_t K = 0; K != Prog.State.size(); ++K) {
-    Env.emplace("a_" + Prog.State.field(K).Name,
-                ir::DomainValue<ir::ConcretePolicy>::scalar(A[K]));
-    Env.emplace("b_" + Prog.State.field(K).Name,
-                ir::DomainValue<ir::ConcretePolicy>::scalar(B[K]));
-  }
-  std::vector<int64_t> Out(Prog.State.size());
-  for (size_t K = 0; K != Prog.State.size(); ++K)
-    Out[K] = ir::evalExpr(Plan.Merge.Combine[K], Env, P).Sc;
-  return Out;
+void CompiledPlan::mergeStates(std::vector<int64_t> &A,
+                               const std::vector<int64_t> &B) const {
+  int64_t *Regs = tlScratch(MergeFn.numRegs());
+  std::copy(A.begin(), A.end(), Regs);
+  std::copy(B.begin(), B.end(), Regs + A.size());
+  MergeFn.run(Regs, A.data());
 }
 
-int64_t CompiledPlan::merge(const std::vector<WorkerOutput> &Workers,
-                            const std::vector<SegmentView> &Segs) const {
-  assert(Workers.size() == Segs.size() && "one worker output per segment");
+void CompiledPlan::merge1(std::vector<int64_t> &C,
+                          const WorkerOutput &W) const {
+  if (Plan.Kind == synth::Scenario::CondPrefixSummary)
+    applyUpd(C, W);
+  else if (!W.PrefixData.empty())
+    Compiled.foldSegment(C, {W.PrefixData.data(), W.PrefixData.size()});
+  if (W.Found)
+    combineAtBoundary(C, W);
+}
+
+void CompiledPlan::combine(WorkerOutput &A, const WorkerOutput &B) const {
+  if (B.Elems == 0)
+    return;
+  if (A.Elems == 0) {
+    A = B;
+    return;
+  }
+  A.Elems += B.Elems;
+  switch (Plan.Kind) {
+  case synth::Scenario::NoPrefix:
+  case synth::Scenario::ConstPrefix:
+    if (Plan.Merge.Refold) {
+      std::vector<int64_t> Union;
+      Union.reserve(A.Distinct.size() + B.Distinct.size());
+      std::set_union(A.Distinct.begin(), A.Distinct.end(),
+                     B.Distinct.begin(), B.Distinct.end(),
+                     std::back_inserter(Union));
+      A.Distinct = std::move(Union);
+    } else if (Plan.Kind == synth::Scenario::NoPrefix) {
+      mergeStates(A.D, B.D);
+    } else {
+      // Repair A's last state with the head of the segment after it,
+      // B's first; B's last state waits for a right neighbour of its own.
+      if (!B.Head.empty())
+        Compiled.foldSegment(A.D, {B.Head.data(), B.Head.size()});
+      if (A.Merged.empty())
+        A.Merged = std::move(A.D);
+      else
+        mergeStates(A.Merged, A.D);
+      if (!B.Merged.empty())
+        mergeStates(A.Merged, B.Merged);
+      A.D = B.D;
+    }
+    return;
+  case synth::Scenario::CondPrefixRefold:
+  case synth::Scenario::CondPrefixSummary:
+    if (A.Found) {
+      // A's boundary stays the first one; B's elements fold into the
+      // serial state A.D.
+      merge1(A.D, B);
+      return;
+    }
+    // A is all prefix: B's boundary and suffix, and the prefix of A
+    // followed by B's.
+    A.Found = B.Found;
+    A.Boundary = B.Boundary;
+    A.D = B.D;
+    if (Plan.Kind == synth::Scenario::CondPrefixRefold) {
+      A.PrefixData.insert(A.PrefixData.end(), B.PrefixData.begin(),
+                          B.PrefixData.end());
+      return;
+    }
+    for (size_t V = 0; V != A.CtrlCur.size(); ++V) {
+      uint32_t Mid = A.CtrlCur[V];
+      for (size_t J = 0; J != A.ModeArg[V].size(); ++J)
+        composeModeArg(Plan.Cond.AccFlavors[J], A.ModeArg[V][J],
+                       B.ModeArg[Mid][J].first, B.ModeArg[Mid][J].second);
+      A.CtrlCur[V] = B.CtrlCur[Mid];
+    }
+    return;
+  }
+}
+
+int64_t CompiledPlan::finish(const WorkerOutput &S) const {
   switch (Plan.Kind) {
   case synth::Scenario::NoPrefix:
   case synth::Scenario::ConstPrefix: {
-    if (Plan.Merge.Refold) {
-      DistinctSet All;
-      for (const WorkerOutput &W : Workers)
-        for (int64_t V : W.Distinct)
-          All.insert(V);
-      return static_cast<int64_t>(All.size());
-    }
-    // Empty segments sit outside the verified data model (the bounded
-    // checker quantifies over non-empty segments only), and a d0 partial
-    // state is not guaranteed to be neutral for a nontrivial merge — so
-    // drop them here. The concatenation semantics is unchanged, and the
-    // remaining shape is one the plan was verified for.
-    std::vector<std::vector<int64_t>> States;
-    std::vector<size_t> Live; // indices of non-empty segments.
-    States.reserve(Workers.size());
-    for (size_t I = 0; I != Workers.size(); ++I) {
-      if (Segs[I].Size == 0)
-        continue;
-      States.push_back(Workers[I].D);
-      Live.push_back(I);
-    }
-    if (States.empty())
+    if (Plan.Merge.Refold)
+      return static_cast<int64_t>(S.Distinct.size());
+    if (S.Elems == 0)
       return Compiled.output(Compiled.initialState());
-    // Repair partial states with constant prefixes of the *next
-    // non-empty* successor (what PlanEval::runConstPrefix computes once
-    // empties are dropped).
-    if (Plan.Kind == synth::Scenario::ConstPrefix) {
-      for (size_t I = 0; I + 1 < States.size(); ++I) {
-        const SegmentView &Next = Segs[Live[I + 1]];
-        size_t L = std::min<size_t>(Plan.PrefixLen, Next.Size);
-        Compiled.foldSegment(States[I], {Next.Data, L});
-      }
-    }
-    // Left fold of the binary merge (interpreted; m is tiny).
-    std::vector<int64_t> Acc = States[0];
-    for (size_t I = 1; I != States.size(); ++I)
-      Acc = mergeStates(Acc, States[I]);
+    if (S.Merged.empty())
+      return Compiled.output(S.D);
+    // The last state is never repaired: nothing follows it.
+    std::vector<int64_t> Acc = S.Merged;
+    mergeStates(Acc, S.D);
     return Compiled.output(Acc);
   }
   case synth::Scenario::CondPrefixRefold:
   case synth::Scenario::CondPrefixSummary: {
     std::vector<int64_t> C = Compiled.initialState();
-    for (const WorkerOutput &W : Workers) {
-      if (Plan.Kind == synth::Scenario::CondPrefixSummary) {
-        applyUpd(C, W);
-      } else if (!W.PrefixData.empty()) {
-        Compiled.foldSegment(C, {W.PrefixData.data(), W.PrefixData.size()});
-      }
-      if (W.Found)
-        combineAtBoundary(C, W);
-    }
+    if (S.Elems != 0)
+      merge1(C, S);
     return Compiled.output(C);
   }
   }
   return 0;
+}
+
+int64_t CompiledPlan::merge(const std::vector<WorkerOutput> &Workers) const {
+  WorkerOutput Acc;
+  for (const WorkerOutput &W : Workers)
+    combine(Acc, W);
+  return finish(Acc);
+}
+
+int64_t CompiledPlan::merge(const std::vector<WorkerOutput> &Workers,
+                            const std::vector<SegmentView> &Segs) const {
+  assert(Workers.size() == Segs.size() && "one worker output per segment");
+  (void)Segs;
+  return merge(Workers);
 }
 
 } // namespace runtime

@@ -128,21 +128,44 @@ private:
   std::shared_ptr<const jit::NativeKernel> Native; // the jit tier.
 };
 
-/// Per-segment worker output (conditional-prefix scenarios carry summary
-/// tables; the distinct kernel carries its local element set).
+/// The summary of one segment, for every plan shape. CompiledPlan::combine
+/// (⊕) joins the summaries of two adjacent segments and
+/// CompiledPlan::finish turns a summary into the output, so the pool,
+/// the dist coordinator, the MergeTree and the MapReduce cluster merge
+/// every shape the same way and in any tree shape (runtime/MergeTree.h
+/// has the soundness argument). A summary with Elems == 0 is the
+/// identity of ⊕.
 struct WorkerOutput {
-  bool Found = false;
-  int64_t Boundary = 0;
+  /// Segment length.
+  uint64_t Elems = 0;
+
+  /// No-prefix plans: the m-combination of the segments' states.
+  /// Constant-prefix plans: the last non-empty segment's unrepaired
+  /// state (a right neighbour would repair it). Cond-prefix plans: the
+  /// fold of f from d0 over the elements from the boundary on.
   std::vector<int64_t> D;
 
+  /// Constant-prefix plans: the first min(PrefixLen, Elems) elements of
+  /// the first segment, which repair the state of its left neighbour.
+  std::vector<int64_t> Head;
+  /// Constant-prefix plans: the m-combination of the repaired states of
+  /// every non-empty segment but the last; empty while the summary
+  /// covers one non-empty segment.
+  std::vector<int64_t> Merged;
+
+  // Conditional-prefix plans: the first boundary element, and the
+  // prefix before it summarized as per-valuation tables (or kept whole).
+  bool Found = false;
+  int64_t Boundary = 0;
   std::vector<uint32_t> CtrlCur;                  // [v] -> valuation idx
   std::vector<std::vector<std::pair<int64_t, int64_t>>> ModeArg; // [v][j]
-
   std::vector<int64_t> PrefixData; // refold scenario
 
-  /// Bag kernel: the distinct elements in insertion order (hash-set
-  /// membership; see runtime/DistinctSet.h).
+  /// Bag kernel: the distinct elements, sorted (collected by the hash
+  /// set of runtime/DistinctSet.h).
   std::vector<int64_t> Distinct;
+
+  bool operator==(const WorkerOutput &) const = default;
 };
 
 /// A synthesized plan compiled for fast segment-parallel execution.
@@ -152,23 +175,24 @@ public:
                const synth::ParallelPlan &Plan, bool AllowSpecialize = true,
                bool AllowNative = true);
 
-  /// Runs the per-segment worker (safe to call concurrently).
+  /// The summary of one segment (safe to call concurrently).
   WorkerOutput runWorker(SegmentView Seg) const;
 
-  /// Merges worker outputs into the final output. \p Segs is consulted
-  /// by constant-prefix plans for the repair elements: only the first
-  /// min(PrefixLen, Size) elements of each segment are ever read, so
-  /// out-of-core callers may pass head-buffer views whose Size is the
-  /// true segment length but whose Data holds only that prefix.
+  /// ⊕, in place: \p A becomes the summary of A's segment followed by
+  /// \p B's.
+  void combine(WorkerOutput &A, const WorkerOutput &B) const;
+
+  /// The program's output over the segments a summary covers.
+  int64_t finish(const WorkerOutput &S) const;
+
+  /// finish() of the left fold of combine() over \p Workers, one summary
+  /// per segment in order.
+  int64_t merge(const std::vector<WorkerOutput> &Workers) const;
+
+  /// The same merge; \p Segs is only counted. Kept for
+  /// perfbench/ServeMix.cpp, its only caller.
   int64_t merge(const std::vector<WorkerOutput> &Workers,
                 const std::vector<SegmentView> &Segs) const;
-
-  /// The certified binary merge on scalar partial states (the m the
-  /// CHC engine certified; merge() left-folds it). Public so the
-  /// MergeTree can re-associate it over a balanced tree — sound because
-  /// certification makes m associative on fold images.
-  std::vector<int64_t> mergeStates(const std::vector<int64_t> &A,
-                                   const std::vector<int64_t> &B) const;
 
   const synth::ParallelPlan &plan() const { return Plan; }
   const CompiledProgram &compiled() const { return Compiled; }
@@ -176,14 +200,25 @@ public:
 private:
   WorkerOutput runScanWorker(SegmentView Seg) const;
   WorkerOutput runCondWorker(SegmentView Seg) const;
+  /// A = m(A, B) on scalar partial states.
+  void mergeStates(std::vector<int64_t> &A,
+                   const std::vector<int64_t> &B) const;
+  /// Carries the serial state \p C across the segment \p W summarizes:
+  /// upd (or the re-folded prefix), then the boundary combine.
+  void merge1(std::vector<int64_t> &C, const WorkerOutput &W) const;
   void applyUpd(std::vector<int64_t> &C, const WorkerOutput &W) const;
   void combineAtBoundary(std::vector<int64_t> &C,
                          const WorkerOutput &W) const;
+  /// Follows accumulator transform \p MA by the transform (\p M2, \p A2).
+  void composeModeArg(synth::AccFlavor F, std::pair<int64_t, int64_t> &MA,
+                      int64_t M2, int64_t A2) const;
   int64_t applyFlavor(synth::AccFlavor F, int64_t A, int64_t B) const;
 
-  const lang::SerialProgram &Prog;
   const synth::ParallelPlan &Plan;
   CompiledProgram Compiled;
+
+  // Scalar scan plans: the merge m, inputs a_* then b_*.
+  ir::BytecodeFunction MergeFn;
 
   // Conditional-prefix machinery, compiled.
   ir::BytecodeFunction PcFn; // inputs: "in".

@@ -2,90 +2,30 @@
 
 #include "runtime/MergeTree.h"
 
-#include "runtime/DistinctSet.h"
-
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
 namespace grassp {
 namespace runtime {
 
-MergeTree::MergeTree(const CompiledPlan &Plan)
-    : Plan(Plan),
-      Sup(Plan.plan().Kind == synth::Scenario::NoPrefix ||
-                  Plan.plan().Kind == synth::Scenario::ConstPrefix
-              ? Support::LogPath
-              : Support::LinearMerge),
-      Refold(Plan.plan().Merge.Refold),
-      PrefixLen(Plan.plan().Kind == synth::Scenario::ConstPrefix
-                    ? Plan.plan().PrefixLen
-                    : 0) {}
-
-MergeTree::Node MergeTree::makeLeaf(SegmentView Chunk) const {
-  Node L;
-  WorkerOutput W = Plan.runWorker(Chunk);
-  if (Refold) {
-    L.Distinct = std::move(W.Distinct);
-    return L;
-  }
-  L.Right = std::move(W.D);
-  if (PrefixLen != 0)
-    L.Head.assign(Chunk.Data,
-                  Chunk.Data + std::min<size_t>(PrefixLen, Chunk.Size));
-  return L;
-}
-
-MergeTree::Node MergeTree::combine(const Node &A, const Node &B) const {
-  Node N;
-  if (Refold) {
-    DistinctSet All;
-    for (int64_t V : A.Distinct)
-      All.insert(V);
-    for (int64_t V : B.Distinct)
-      All.insert(V);
-    N.Distinct = All.takeOrder();
-    return N;
-  }
-  // Repair A's rightmost chunk state with the head of the chunk that
-  // follows it — B's leftmost (what the flat ConstPrefix merge does;
-  // no-op for NoPrefix, whose Head is empty).
-  std::vector<int64_t> AR = A.Right;
-  if (!B.Head.empty())
-    Plan.compiled().foldSegment(AR, {B.Head.data(), B.Head.size()});
-  std::vector<int64_t> S = A.HasState ? Plan.mergeStates(A.State, AR) : AR;
-  if (B.HasState)
-    S = Plan.mergeStates(S, B.State);
-  N.HasState = true;
-  N.State = std::move(S);
-  N.Right = B.Right;
-  N.Head = A.Head;
-  return N;
-}
-
 void MergeTree::updatePath(size_t Leaf) {
   LastCombines = 0;
-  size_t I = Leaf;
-  for (size_t K = 0; K + 1 < Levels.size() || Levels.back().size() > 1;
-       ++K) {
+  for (size_t K = 0, I = Leaf; Levels[K].size() > 1; ++K, I /= 2) {
     if (K + 1 == Levels.size())
       Levels.emplace_back();
-    std::vector<Node> &Up = Levels[K + 1];
+    const std::vector<WorkerOutput> &Cur = Levels[K];
+    std::vector<WorkerOutput> &Up = Levels[K + 1];
     size_t Parent = I / 2;
     if (Up.size() <= Parent)
       Up.resize(Parent + 1);
-    const std::vector<Node> &Cur = Levels[K];
     size_t Lc = Parent * 2, Rc = Lc + 1;
+    // An odd tail is carried up unchanged until it gains a right
+    // sibling. Assigning over the old node reuses its storage.
+    Up[Parent] = Cur[Lc];
     if (Rc < Cur.size()) {
-      Up[Parent] = combine(Cur[Lc], Cur[Rc]);
+      Plan.combine(Up[Parent], Cur[Rc]);
       ++LastCombines;
-    } else {
-      // Odd tail: carried up unchanged until it gains a right sibling.
-      Up[Parent] = Cur[Lc];
     }
-    I = Parent;
-    if (Levels[K + 1].size() == 1 && K + 2 == Levels.size())
-      break;
   }
 }
 
@@ -93,17 +33,10 @@ void MergeTree::append(SegmentView Chunk) {
   if (Chunk.Size == 0)
     throw std::invalid_argument("MergeTree::append: empty chunk "
                                 "(sources never produce one)");
-  if (Sup == Support::LinearMerge) {
-    Leaves.push_back(Plan.runWorker(Chunk));
-    LastCombines = Leaves.size() - 1;
-  } else {
-    if (Levels.empty())
-      Levels.emplace_back();
-    Levels[0].push_back(makeLeaf(Chunk));
-    updatePath(Levels[0].size() - 1);
-  }
-  ChunkSizes.push_back(Chunk.Size);
-  NumElements += Chunk.Size;
+  if (Levels.empty())
+    Levels.emplace_back();
+  Levels[0].push_back(Plan.runWorker(Chunk));
+  updatePath(Levels[0].size() - 1);
 }
 
 void MergeTree::replace(size_t I, SegmentView Chunk) {
@@ -114,38 +47,14 @@ void MergeTree::replace(size_t I, SegmentView Chunk) {
   if (Chunk.Size == 0)
     throw std::invalid_argument("MergeTree::replace: empty chunk "
                                 "(sources never produce one)");
-  if (Sup == Support::LinearMerge) {
-    Leaves[I] = Plan.runWorker(Chunk);
-    LastCombines = Leaves.size() - 1;
-  } else {
-    Levels[0][I] = makeLeaf(Chunk);
-    updatePath(I);
-  }
-  NumElements += Chunk.Size;
-  NumElements -= ChunkSizes[I];
-  ChunkSizes[I] = Chunk.Size;
+  Levels[0][I] = Plan.runWorker(Chunk);
+  updatePath(I);
 }
 
 int64_t MergeTree::query() const {
   if (chunks() == 0)
     throw std::logic_error("MergeTree::query: no chunks appended");
-  if (Sup == Support::LinearMerge) {
-    // Conditional-prefix summaries compose left-to-right; re-merge the
-    // tiny per-chunk outputs (no chunk data is touched). merge() reads
-    // nothing from the views for these plans beyond their count.
-    std::vector<SegmentView> Segs(Leaves.size());
-    for (size_t K = 0; K != Leaves.size(); ++K)
-      Segs[K] = {nullptr, ChunkSizes[K]};
-    return Plan.merge(Leaves, Segs);
-  }
-  const Node &Root = Levels.back().front();
-  if (Refold)
-    return static_cast<int64_t>(Root.Distinct.size());
-  // The flat merge never repairs the final segment's state, so the
-  // root's Right joins here, at the very end.
-  if (!Root.HasState)
-    return Plan.compiled().output(Root.Right);
-  return Plan.compiled().output(Plan.mergeStates(Root.State, Root.Right));
+  return Plan.finish(Levels.back().front());
 }
 
 } // namespace runtime

@@ -1,33 +1,42 @@
-//===- runtime/MergeTree.h - Incremental recompute over certified merges -===//
+//===- runtime/MergeTree.h - Incremental recompute over segment summaries -===//
 //
-// The online-aggregation payoff of certified merges (ROADMAP item 3): a
-// balanced tree of per-chunk partial fold states, keyed by chunk index.
-// append(chunk) folds ONLY the new chunk and re-combines the O(log n)
-// internal nodes on its root path; replace(i, chunk) re-folds only chunk
-// i and the same path. query() reads the root. A from-scratch refold
+// The online-aggregation payoff of a merge that composes: a balanced
+// tree of per-chunk segment summaries (runtime::WorkerOutput), keyed by
+// chunk index. append(chunk) folds ONLY the new chunk and re-combines
+// the O(log n) internal nodes on its root path with the plan's ⊕
+// (CompiledPlan::combine); replace(i, chunk) re-folds only chunk i and
+// the same path. query() finishes the root. A from-scratch refold
 // touches every element; the tree touches one chunk — that asymmetry is
-// what bench_stream measures.
+// what bench_stream measures. Every plan shape takes this one path.
 //
-// Soundness: the CHC engine certified the plan's binary merge m as a
-// homomorphism witness — m(fold(x), fold(y)) = fold(x ++ y) on fold
-// images — which makes m associative there, so re-associating the
-// runner's left fold of m into a balanced tree cannot change the
-// result. Every tree query is differentially checked against a full
-// refold in runtime_stream_test and the fuzz_smoke streaming slice.
+// Soundness: the runner's merge is finish() of the LEFT fold of ⊕; the
+// tree re-associates that fold, which is sound where ⊕ is associative
+// on the summaries that workers produce:
 //
-// Support levels per plan shape:
+//  * no-prefix plans: ⊕ is the merge m. The no-prefix induction of
+//    synth/EquivCheck proves fold(A ++ B) = m(fold A, fold B), so on
+//    fold images m(m(x, y), z) and m(x, m(y, z)) are both
+//    fold(A ++ B ++ C) (a plan accepted on the bounded shapes alone has
+//    this only up to their bounds);
+//  * constant-prefix plans: a summary is (first head, m-combination of
+//    the repaired states, last unrepaired state). ⊕ repairs A's last
+//    state with B's head and m-combines; re-association therefore only
+//    re-brackets m over the same repaired states that the flat merge
+//    combines, which is sound under the same homomorphism property;
+//  * bag plans: ⊕ is the union of the sorted distinct sets;
+//  * conditional-prefix plans: if A found its boundary, ⊕ keeps A's
+//    boundary and tables and folds B into the serial state A.D by
+//    merge1; otherwise it takes B's boundary and suffix state and
+//    composes the prefix tables (or concatenates the refold prefix).
+//    W(A) ⊕ W(B) = W(A ++ B) field for field whenever
+//    merge1(c, W(B)) = fold(c, B) at serial states c — A.D is one, and
+//    the cond-prefix induction of synth/EquivCheck proves exactly that
+//    equation for summary plans — so every bracketing computes W of the
+//    whole stream. No proof query beyond acceptance's is needed.
 //
-//  * LogPath     - NoPrefix / ConstPrefix scalar plans (internal nodes
-//                  combine partial states via m; constant-prefix repair
-//                  folds the right child's leftmost chunk head, kept in
-//                  each node) and Refold plans (distinct-set union —
-//                  trivially associative). O(log n) state merges per
-//                  update.
-//  * LinearMerge - conditional-prefix plans: their summary tables
-//                  compose left-to-right only, so query() re-merges the
-//                  n tiny leaf outputs linearly. Updates still fold just
-//                  one chunk — the merge is O(n) in *chunks*, not
-//                  elements, and stays far ahead of a full refold.
+// Every tree query is differentially checked against a full refold in
+// runtime_stream_test and the fuzz_smoke streaming slice, and the
+// DiffOracle folds summaries over a random ⊕ tree on every check.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,9 +53,7 @@ namespace runtime {
 
 class MergeTree {
 public:
-  enum class Support { LogPath, LinearMerge };
-
-  explicit MergeTree(const CompiledPlan &Plan);
+  explicit MergeTree(const CompiledPlan &Plan) : Plan(Plan) {}
 
   /// Folds \p Chunk as chunk index chunks() and re-combines its root
   /// path. Chunks must be non-empty (the SegmentSource invariant);
@@ -61,49 +68,25 @@ public:
   /// empty tree (mirrors the empty-workload contract).
   int64_t query() const;
 
-  size_t chunks() const { return ChunkSizes.size(); }
-  uint64_t elements() const { return NumElements; }
-  Support support() const { return Sup; }
+  size_t chunks() const { return Levels.empty() ? 0 : Levels[0].size(); }
+  uint64_t elements() const {
+    return Levels.empty() ? 0 : Levels.back().front().Elems;
+  }
 
-  /// Plan-state merges performed by the last append/replace (path
+  /// ⊕ applications performed by the last append/replace (path
   /// recombines; the per-update work bench_stream reports).
   size_t lastUpdateCombines() const { return LastCombines; }
 
 private:
-  /// One tree node (leaf or internal) for the LogPath shapes. For
-  /// scalar plans: State is the m-combination of the node's repaired
-  /// chunk states except the rightmost, Right the rightmost chunk's
-  /// unrepaired state (the flat merge never repairs the final segment,
-  /// so the repair of this node's last chunk must wait until a right
-  /// sibling exists), Head the ≤PrefixLen-element repair prefix of the
-  /// node's leftmost chunk. For Refold plans only Distinct is used.
-  struct Node {
-    bool HasState = false; // node spans >= 2 chunks
-    std::vector<int64_t> State;
-    std::vector<int64_t> Right;
-    std::vector<int64_t> Head;
-    std::vector<int64_t> Distinct;
-  };
-
-  Node makeLeaf(SegmentView Chunk) const;
-  Node combine(const Node &A, const Node &B) const;
   void updatePath(size_t Leaf);
 
   const CompiledPlan &Plan;
-  Support Sup;
-  bool Refold;
-  size_t PrefixLen; // ConstPrefix repair length; 0 otherwise
-
-  uint64_t NumElements = 0;
-  std::vector<size_t> ChunkSizes;
   size_t LastCombines = 0;
 
-  // LogPath: Levels[0] = leaf nodes, Levels[k][i] covers leaves
-  // [i*2^k, (i+1)*2^k); an odd tail node is carried up unchanged.
-  std::vector<std::vector<Node>> Levels;
-
-  // LinearMerge: per-chunk worker outputs, re-merged on query().
-  std::vector<WorkerOutput> Leaves;
+  // Levels[0] = chunk summaries, Levels[k][i] covers chunks
+  // [i*2^k, (i+1)*2^k); an odd tail node is carried up unchanged. The
+  // last level holds the root alone.
+  std::vector<std::vector<WorkerOutput>> Levels;
 };
 
 } // namespace runtime

@@ -68,9 +68,10 @@ struct Inbox {
   }
 };
 
-/// runParallel over \p Elems.size() segments: \p Work folds one segment
-/// (a pure function of its index, callable concurrently) and \p Merge
-/// combines the committed outputs; both entry points are thin wrappers.
+/// runParallel of \p Plan over \p Elems.size() segments: \p Work folds
+/// one segment (a pure function of its index, callable concurrently)
+/// and Plan.merge combines the committed outputs; both entry points are
+/// thin wrappers.
 ///
 /// With \p Pool, attempts run on pool threads that only fold and post
 /// events: the scheduler, outputs and timings are touched by this thread
@@ -82,9 +83,8 @@ struct Inbox {
 /// last, once nothing is in flight, so a real kernel error they raise
 /// propagates with no attempt left referencing this frame.
 ParallelRunResult
-runParallelCore(std::vector<uint64_t> Elems,
+runParallelCore(const CompiledPlan &Plan, std::vector<uint64_t> Elems,
                 const std::function<WorkerOutput(size_t)> &Work,
-                const std::function<int64_t(std::vector<WorkerOutput> &)> &Merge,
                 ThreadPool *Pool, const RunPolicy &Policy) {
   ParallelRunResult R;
   Stopwatch Total;
@@ -175,7 +175,7 @@ runParallelCore(std::vector<uint64_t> Elems,
             R.WorkerSeconds[I] = W.seconds();
           }
           Stopwatch MergeTimer;
-          R.Output = Merge(Outputs);
+          R.Output = Plan.merge(Outputs);
           R.MergeSeconds = MergeTimer.seconds();
         }
         R.WallSeconds = Total.seconds();
@@ -219,51 +219,24 @@ ParallelRunResult runParallel(const CompiledPlan &Plan,
   for (size_t I = 0; I != Segs.size(); ++I)
     Elems[I] = Segs[I].Size;
   return runParallelCore(
-      std::move(Elems), [&](size_t I) { return Plan.runWorker(Segs[I]); },
-      [&](std::vector<WorkerOutput> &Outputs) {
-        return Plan.merge(Outputs, Segs);
-      },
-      Pool, Policy);
-}
-
-MergeHeads prefetchMergeHeads(const CompiledPlan &Plan,
-                              const SegmentSource &Src) {
-  const size_t N = Src.chunkCount();
-  size_t PrefixLen = Plan.plan().Kind == synth::Scenario::ConstPrefix
-                         ? Plan.plan().PrefixLen
-                         : 0;
-  MergeHeads M;
-  M.Heads.resize(N);
-  M.Views.resize(N);
-  std::unique_ptr<SegmentCursor> C = Src.cursor();
-  for (size_t I = 0; I != N; ++I) {
-    if (PrefixLen != 0) {
-      SegmentView H = C->head(I, PrefixLen);
-      M.Heads[I].assign(H.Data, H.Data + H.Size);
-    }
-    M.Views[I] = {M.Heads[I].data(), Src.chunkElems(I)};
-  }
-  return M;
+      Plan, std::move(Elems),
+      [&](size_t I) { return Plan.runWorker(Segs[I]); }, Pool, Policy);
 }
 
 ParallelRunResult runParallel(const CompiledPlan &Plan,
                               const SegmentSource &Src, ThreadPool *Pool,
                               const RunPolicy &Policy) {
-  const MergeHeads Heads = prefetchMergeHeads(Plan, Src);
   std::vector<uint64_t> Elems(Src.chunkCount());
   for (size_t I = 0; I != Elems.size(); ++I)
     Elems[I] = Src.chunkElems(I);
   return runParallelCore(
-      std::move(Elems),
+      Plan, std::move(Elems),
       [&](size_t I) {
         // A fresh cursor per attempt: cursors are not thread-safe, and
         // retries/backups may run the same chunk concurrently. The
         // chunk view lives as long as the cursor.
         std::unique_ptr<SegmentCursor> C = Src.cursor();
         return Plan.runWorker(C->chunk(I));
-      },
-      [&](std::vector<WorkerOutput> &Outputs) {
-        return Plan.merge(Outputs, Heads.Views);
       },
       Pool, Policy);
 }

@@ -61,24 +61,11 @@ ParallelRunResult runParallel(const CompiledPlan &Plan,
 /// Out-of-core parallel run: one worker per source chunk, each holding
 /// one chunk resident via its own cursor. Runs on the same scheduler as
 /// the in-memory overload and is bit-identical to it on the same element
-/// stream (constant-prefix repair heads are prefetched; whole chunks
-/// never are).
+/// stream.
 ParallelRunResult runParallel(const CompiledPlan &Plan,
                               const SegmentSource &Src,
                               ThreadPool *Pool = nullptr,
                               const RunPolicy &Policy = RunPolicy());
-
-/// The segments merge() reads for a source's chunks, with no chunk held
-/// resident: constant-prefix repair reads min(PrefixLen, Size) elements
-/// per segment, so each view carries the TRUE chunk size but only the
-/// prefetched head's data (the documented merge() contract). Shared by
-/// every out-of-core runner; Views point into Heads.
-struct MergeHeads {
-  std::vector<std::vector<int64_t>> Heads;
-  std::vector<SegmentView> Views;
-};
-MergeHeads prefetchMergeHeads(const CompiledPlan &Plan,
-                              const SegmentSource &Src);
 
 /// Serial out-of-core run over \p Src; wall time in \p Seconds.
 int64_t runSerialSourceTimed(const CompiledProgram &Prog,

@@ -137,10 +137,6 @@ public:
     checkChunkIndex(I, Src.chunkCount());
     return {Data.data() + Src.chunkBegin(I), Src.chunkElems(I)};
   }
-  SegmentView head(size_t I, size_t N) override {
-    SegmentView V = chunk(I);
-    return {V.Data, std::min(N, V.Size)};
-  }
 
 private:
   const SegmentSource &Src;
@@ -155,9 +151,6 @@ public:
       : Src(Src), Fd(Fd), Path(std::move(Path)) {}
 
   SegmentView chunk(size_t I) override { return window(I, Src.chunkElems(I)); }
-  SegmentView head(size_t I, size_t N) override {
-    return window(I, std::min(N, Src.chunkElems(I)));
-  }
 
 private:
   SegmentView window(size_t I, size_t Elems) {
@@ -193,9 +186,6 @@ public:
   }
 
   SegmentView chunk(size_t I) override { return read(I, Src.chunkElems(I)); }
-  SegmentView head(size_t I, size_t N) override {
-    return read(I, std::min(N, Src.chunkElems(I)));
-  }
 
 private:
   SegmentView read(size_t I, size_t Elems) {
@@ -260,13 +250,8 @@ void PageWindow::unmap() {
 }
 
 //===----------------------------------------------------------------------===//
-// SegmentCursor / SegmentSource geometry
+// SegmentSource geometry
 //===----------------------------------------------------------------------===//
-
-SegmentView SegmentCursor::head(size_t I, size_t N) {
-  SegmentView V = chunk(I);
-  return {V.Data, std::min(N, V.Size)};
-}
 
 void SegmentSource::initChunks(uint64_t N, size_t ChunkElemsTarget,
                                size_t MinChunks) {

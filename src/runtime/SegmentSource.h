@@ -51,8 +51,8 @@ inline constexpr char BinaryWorkloadMagic[8] = {'G', 'R', 'S', 'P',
 inline constexpr size_t BinaryWorkloadHeaderBytes = 16;
 
 /// One-chunk-at-a-time reader over a SegmentSource. Cursors are cheap;
-/// each concurrent reader owns one. The view returned by chunk()/head()
-/// is valid until the next call on the same cursor or the cursor's
+/// each concurrent reader owns one. The view returned by chunk() is
+/// valid until the next call on the same cursor or the cursor's
 /// destruction.
 class SegmentCursor {
 public:
@@ -60,12 +60,6 @@ public:
 
   /// Materializes chunk \p I (whole).
   virtual SegmentView chunk(size_t I) = 0;
-
-  /// Materializes only the first min(N, chunkElems(I)) elements of
-  /// chunk \p I — the constant-prefix merge repair needs segment heads,
-  /// not whole segments. Default reads the whole chunk and truncates;
-  /// file sources override with a bounded read.
-  virtual SegmentView head(size_t I, size_t N);
 };
 
 /// An element stream of known length carved into contiguous chunks.

@@ -73,7 +73,10 @@ SynthesisResult synthesize(const lang::SerialProgram &Prog,
   Stopwatch Timer;
   SynthesisResult Res;
   EquivChecker Checker(Prog);
-  Checker.seedCorpus(Opts.CorpusTests, Opts.CorpusSeed);
+  // CorpusTests == 0 means no corpus screen at all: the crafted seeds
+  // would screen candidates too.
+  if (Opts.CorpusTests != 0)
+    Checker.seedCorpus(Opts.CorpusTests, Opts.CorpusSeed);
   for (const Segments &S : Opts.SeedInputs)
     Checker.addCounterexample(S);
 

@@ -31,6 +31,8 @@ namespace synth {
 
 struct SynthOptions {
   VerifyOptions Bounds;
+  /// Random counterexample-corpus entries; 0 turns the corpus screen off
+  /// (the crafted boundary seeds are skipped too).
   unsigned CorpusTests = 120;
   uint64_t CorpusSeed = 0x5eed5eedULL;
   /// Maximum constant prefix length attempted in stage 2.

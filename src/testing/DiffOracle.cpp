@@ -10,6 +10,7 @@
 #include "runtime/SegmentSource.h"
 #include "runtime/Workload.h"
 #include "support/ChildProc.h"
+#include "support/Random.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +35,18 @@ makePrewarmedCoordinator(const runtime::CompiledPlan &Plan,
   auto C = std::make_unique<dist::DistCoordinator>(Plan, Cfg);
   C->prewarm();
   return C;
+}
+
+/// The summary of Workers[Lo, Hi) by ⊕ over a random binary tree.
+runtime::WorkerOutput foldRandomTree(const runtime::CompiledPlan &Plan,
+                                     const std::vector<runtime::WorkerOutput> &W,
+                                     size_t Lo, size_t Hi, Rng &R) {
+  if (Hi - Lo <= 1)
+    return Lo == Hi ? runtime::WorkerOutput() : W[Lo];
+  size_t Mid = Lo + 1 + static_cast<size_t>(R.next() % (Hi - Lo - 1));
+  runtime::WorkerOutput Left = foldRandomTree(Plan, W, Lo, Mid, R);
+  Plan.combine(Left, foldRandomTree(Plan, W, Mid, Hi, R));
+  return Left;
 }
 
 } // namespace
@@ -215,6 +228,16 @@ OracleVerdict DiffOracle::check(const SegmentedInput &Segs) {
   int64_t Par = PR.Output;
   Faults += PR;
 
+  // The segment summaries joined by ⊕ in a random bracketing: the pool,
+  // dist and MergeTree paths each fix one shape, and ⊕ must not care.
+  std::vector<runtime::WorkerOutput> Summaries;
+  for (const runtime::SegmentView &S : Views)
+    Summaries.push_back(CompiledPlanImpl.runWorker(S));
+  Rng TreeShape(Checks);
+  int64_t TreeFold = CompiledPlanImpl.finish(
+      foldRandomTree(CompiledPlanImpl, Summaries, 0, Summaries.size(),
+                     TreeShape));
+
   // Out-of-core + streaming paths: the same workload through a
   // VectorSource (source-backed runParallel) and through the MergeTree
   // (append one chunk at a time, query the root). Chunk geometry is
@@ -266,7 +289,8 @@ OracleVerdict DiffOracle::check(const SegmentedInput &Segs) {
     EmittedOk = runEmitted(Flat, &EmSerial, &EmParallel, &EmittedFailure);
   }
 
-  bool Agree = Par == V.Expected && !EmittedBroken &&
+  bool Agree = Par == V.Expected && TreeFold == V.Expected &&
+               !EmittedBroken &&
                (!EmittedReady ||
                 (EmittedOk && EmSerial == V.Expected &&
                  EmParallel == V.Expected));
@@ -284,7 +308,7 @@ OracleVerdict DiffOracle::check(const SegmentedInput &Segs) {
   for (const TierRun &R : Tiers)
     if (R.Active)
       D << ' ' << R.Name << '=' << R.Value;
-  D << " plan+pool=" << Par;
+  D << " plan+pool=" << Par << " summary-tree=" << TreeFold;
   if (SourceActive)
     D << " source+pool=" << SourceVal << " merge-tree=" << TreeVal;
   if (DistOn)

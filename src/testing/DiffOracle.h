@@ -15,7 +15,9 @@
 //     only when the program's step shape specializes — for bag programs
 //     this is the hash-set distinct kernel and the only tier);
 //  6. the compiled plan run segment-parallel on a real ThreadPool
-//     (runtime::runParallel);
+//     (runtime::runParallel), and the same segment summaries joined by
+//     CompiledPlan::combine (⊕) over a random binary tree, seeded by
+//     the check count ("summary-tree");
 //  7. the compiled plan run over an in-memory VectorSource (the
 //     out-of-core entry point, runtime::runParallel(Plan, Source)) with
 //     chunk boundaries deliberately misaligned with the segment shape;
@@ -106,13 +108,14 @@ public:
 
   /// Paths compared per check: the interpreter, every execution tier the
   /// program supports (including the jit-compiled native tier when a
-  /// host compiler exists), the plan+pool run, the source-backed
-  /// parallel run and the MergeTree replay (skipped on empty
-  /// workloads), and (when ready) the emitted binary. 7-9 for typical
-  /// scalar programs, 5 or 6 for bag programs (which have only the
-  /// hash-set tier).
+  /// host compiler exists), the plan+pool run, the random summary
+  /// tree, the source-backed parallel run and the MergeTree replay
+  /// (skipped on empty workloads), and (when ready) the emitted binary.
+  /// 8-10 for typical scalar programs, 6 or 7 for bag programs (which
+  /// have only the hash-set tier).
   unsigned numPaths() const {
-    unsigned N = 4; // interpreter + plan+pool + source+pool + merge-tree.
+    // interpreter + plan+pool + summary-tree + source+pool + merge-tree.
+    unsigned N = 5;
     if (Compiled.tierAvailable(runtime::ExecTier::PerElement))
       ++N;
     if (Compiled.tierAvailable(runtime::ExecTier::LoopVM))

@@ -49,6 +49,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -221,7 +222,8 @@ TEST(DistProtocol, MessageCodecsRoundTrip) {
   }
 
   // A Result carrying every WorkerOutput field, including the nested
-  // mode-argument table.
+  // mode-argument table; then a constant-prefix summary of several
+  // segments (length, repair head and merged state).
   dist::ResultMsg M;
   M.TaskId = 9;
   M.ShardIndex = 1;
@@ -232,16 +234,35 @@ TEST(DistProtocol, MessageCodecsRoundTrip) {
   M.Out.ModeArg = {{{1, 2}, {3, 4}}, {}, {{-5, 6}}};
   M.Out.PrefixData = {42};
   M.Out.Distinct = {7, 8};
-  dist::ResultMsg M2;
-  ASSERT_TRUE(dist::decodeResult(dist::encodeResult(M), &M2));
-  EXPECT_EQ(M2.TaskId, M.TaskId);
-  EXPECT_EQ(M2.Out.Found, M.Out.Found);
-  EXPECT_EQ(M2.Out.Boundary, M.Out.Boundary);
-  EXPECT_EQ(M2.Out.D, M.Out.D);
-  EXPECT_EQ(M2.Out.CtrlCur, M.Out.CtrlCur);
-  EXPECT_EQ(M2.Out.ModeArg, M.Out.ModeArg);
-  EXPECT_EQ(M2.Out.PrefixData, M.Out.PrefixData);
-  EXPECT_EQ(M2.Out.Distinct, M.Out.Distinct);
+  dist::ResultMsg Scan;
+  Scan.TaskId = 10;
+  Scan.ShardIndex = 4;
+  Scan.Out.Elems = 1ULL << 40;
+  Scan.Out.D = {4, -4};
+  Scan.Out.Head = {-1, 0};
+  Scan.Out.Merged = {9, INT64_MIN};
+  for (const dist::ResultMsg &In : {M, Scan}) {
+    std::vector<uint8_t> Bytes = dist::encodeResult(In);
+    dist::ResultMsg M2;
+    ASSERT_TRUE(dist::decodeResult(Bytes, &M2));
+    EXPECT_EQ(M2.TaskId, In.TaskId);
+    EXPECT_EQ(M2.ShardIndex, In.ShardIndex);
+    EXPECT_EQ(M2.Out.Elems, In.Out.Elems);
+    EXPECT_EQ(M2.Out.Found, In.Out.Found);
+    EXPECT_EQ(M2.Out.Boundary, In.Out.Boundary);
+    EXPECT_EQ(M2.Out.D, In.Out.D);
+    EXPECT_EQ(M2.Out.Head, In.Out.Head);
+    EXPECT_EQ(M2.Out.Merged, In.Out.Merged);
+    EXPECT_EQ(M2.Out.CtrlCur, In.Out.CtrlCur);
+    EXPECT_EQ(M2.Out.ModeArg, In.Out.ModeArg);
+    EXPECT_EQ(M2.Out.PrefixData, In.Out.PrefixData);
+    EXPECT_EQ(M2.Out.Distinct, In.Out.Distinct);
+    // Cut anywhere, the message no longer decodes.
+    for (size_t Cut = 0; Cut < Bytes.size(); ++Cut) {
+      std::vector<uint8_t> Short(Bytes.begin(), Bytes.begin() + Cut);
+      EXPECT_FALSE(dist::decodeResult(Short, &M2)) << "cut " << Cut;
+    }
+  }
 
   // Trailing junk after a well-formed message is corruption, not slack.
   std::vector<uint8_t> Padded = dist::encodeHello(H);
@@ -1105,7 +1126,10 @@ TEST(DistProtocol, FrameWriterReusesBuffersAndRestoresCorruption) {
   dist::ResultMsg R;
   R.TaskId = 11;
   R.ShardIndex = 2;
+  R.Out.Elems = 3;
   R.Out.D = {5, -9};
+  R.Out.Head = {7};
+  R.Out.Merged = {2, 6};
 
   uint64_t CleanBytes = 0;
   {
@@ -1118,7 +1142,7 @@ TEST(DistProtocol, FrameWriterReusesBuffersAndRestoresCorruption) {
     ASSERT_EQ(dist::readFrameBlocking(S.Fd[1], &F), dist::RecvStatus::Ok);
     dist::ResultMsg Got;
     ASSERT_TRUE(dist::decodeResult(F.Payload, &Got));
-    EXPECT_EQ(Got.Out.D, R.Out.D);
+    EXPECT_EQ(Got.Out, R.Out);
   }
   {
     SocketPair S;
@@ -1140,7 +1164,7 @@ TEST(DistProtocol, FrameWriterReusesBuffersAndRestoresCorruption) {
     dist::ResultMsg Got;
     ASSERT_TRUE(dist::decodeResult(F.Payload, &Got));
     EXPECT_EQ(Got.TaskId, R.TaskId);
-    EXPECT_EQ(Got.Out.D, R.Out.D);
+    EXPECT_EQ(Got.Out, R.Out);
   }
 }
 
@@ -1380,9 +1404,7 @@ TEST(DistWorker, DescriptorNamingAnAbsentStripeExitsLoudly) {
   ASSERT_EQ(F.Type, dist::MsgType::Result);
   dist::ResultMsg Res;
   ASSERT_TRUE(dist::decodeResult(F.Payload, &Res));
-  EXPECT_EQ(R.Plan.merge({Res.Out}, {runtime::SegmentView{R.Data.data(),
-                                                          R.Data.size()}}),
-            R.Serial);
+  EXPECT_EQ(R.Plan.merge({Res.Out}), R.Serial);
 
   ASSERT_TRUE(dist::writeFrame(W.fd(), dist::MsgType::Task,
                                dist::encodeTask(oneItem(3, 1, 10))));
@@ -1507,7 +1529,7 @@ TEST(DistCoordinator, CopiedSourcesAreFoldedFromTheSealedMapping) {
   // VectorSource and a text workload file — are written once into the
   // sealed memfd, so every shard is still a descriptor and the socket
   // bytes stay flat while the input grows 100x. is_sorted runs the
-  // constant-prefix merge over the prefetched chunk heads.
+  // constant-prefix merge over the repair heads its workers send back.
   for (const char *Name : {"sum", "is_sorted"}) {
     const lang::SerialProgram *P = lang::findBenchmark(Name);
     runtime::CompiledPlan Plan(*P, synthFor(Name).Plan);

@@ -66,14 +66,15 @@ TEST_P(Representative, NoDivergenceAcrossAdversarialShapes) {
   // hash-set tier; scalar programs run interp + vm + loop-vm + plan+pool,
   // plus the fused path when the step specializes, plus the jit-compiled
   // native path whenever a host compiler exists. Every program adds the
-  // source-backed parallel run and the MergeTree replay — the bounded
-  // streaming slice of this smoke tier.
+  // random ⊕ tree over the segment summaries, the source-backed parallel
+  // run and the MergeTree replay — the bounded streaming slice of this
+  // smoke tier.
   grassp::runtime::CompiledProgram CP(*P);
   unsigned WantPaths;
   if (GetParam() == "count_distinct") {
-    WantPaths = 5u;
-  } else {
     WantPaths = 6u;
+  } else {
+    WantPaths = 7u;
     if (CP.tierAvailable(grassp::runtime::ExecTier::Specialized))
       ++WantPaths;
     if (CP.tierAvailable(grassp::runtime::ExecTier::Native))
@@ -114,13 +115,13 @@ TEST(FuzzSmoke, EmittedPathAgreesOnSum) {
   Opts.Sizes = {0, 1, 3, 17, 64};
   gt::FuzzReport Rep = gt::fuzzBenchmark(*P, R.Plan, Opts);
   EXPECT_FALSE(Rep.Diverged) << Rep.Shape << ": " << Rep.Detail;
-  // interp + vm + loop-vm + fused + plan+pool + source+pool + merge-tree
-  // + emitted, plus the native jit path (this test already skipped
+  // interp + vm + loop-vm + fused + plan+pool + summary-tree + source+pool
+  // + merge-tree + emitted, plus the native jit path (this test already skipped
   // without a host compiler, so the native tier is absent only if its
   // compile failed).
   grassp::runtime::CompiledProgram CP(*P);
   unsigned WantPaths =
-      8u + (CP.tierAvailable(grassp::runtime::ExecTier::Native) ? 1u : 0u);
+      9u + (CP.tierAvailable(grassp::runtime::ExecTier::Native) ? 1u : 0u);
   EXPECT_EQ(Rep.PathsCompared, WantPaths);
 }
 

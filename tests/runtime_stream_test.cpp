@@ -8,11 +8,13 @@
 // append/replace answers match a from-scratch refold of the reference
 // interpreter after EVERY update, across randomized edit sequences and
 // the adversarial chunk geometries (all size-1 chunks, one giant chunk,
-// coprime boundary mismatch).
+// coprime boundary mismatch); (3) on every benchmark's winner, the
+// segment summaries joined by ⊕ over random trees give the serial
+// output, and cond-prefix summaries compose exactly.
 //
-// The soundness argument for the tree lives in MergeTree.h; this file
-// is the experimental check that the certified merge really is
-// associative on fold images for every benchmark family we ship.
+// The soundness argument for ⊕ lives in MergeTree.h; this file is the
+// experimental check that it really is associative on the summaries
+// workers produce, for every benchmark we ship.
 //
 //===----------------------------------------------------------------------===//
 
@@ -178,6 +180,54 @@ TEST(MergeTree, RejectsEmptyChunksAndEmptyQueries) {
   Tree.append({&V, 1});
   EXPECT_EQ(Tree.query(), 4);
   EXPECT_THROW(Tree.replace(1, {&V, 1}), std::out_of_range);
+}
+
+/// Joins \p W[Lo, Hi) by ⊕ over a random binary tree.
+WorkerOutput foldRandomTree(const CompiledPlan &Plan,
+                            const std::vector<WorkerOutput> &W, size_t Lo,
+                            size_t Hi, Rng &R) {
+  if (Hi - Lo <= 1)
+    return Lo == Hi ? WorkerOutput() : W[Lo];
+  size_t Mid = Lo + 1 + R.next() % (Hi - Lo - 1);
+  WorkerOutput Left = foldRandomTree(Plan, W, Lo, Mid, R);
+  Plan.combine(Left, foldRandomTree(Plan, W, Mid, Hi, R));
+  return Left;
+}
+
+TEST(SegmentSummary, RandomTreesMatchSerialOnEveryWinner) {
+  for (const lang::SerialProgram &Prog : lang::allBenchmarks()) {
+    Compiled C = compile(Prog.Name.c_str());
+    const CompiledPlan &Plan = *C.Plan;
+    bool Cond = C.R.Plan.Kind == synth::Scenario::CondPrefixSummary ||
+                C.R.Plan.Kind == synth::Scenario::CondPrefixRefold;
+    std::vector<int64_t> Data = generateWorkload(Prog, 8 * 12, 31);
+    Rng R(77);
+    for (unsigned Trial = 0; Trial != 60; ++Trial) {
+      // Random split: 1-8 segments of 0-12 elements each.
+      std::vector<std::vector<int64_t>> Segs(1 + R.next() % 8);
+      size_t At = 0;
+      for (std::vector<int64_t> &S : Segs) {
+        size_t Len = R.next() % 13;
+        S.assign(Data.begin() + At, Data.begin() + At + Len);
+        At += Len;
+      }
+      std::vector<WorkerOutput> W;
+      for (const std::vector<int64_t> &S : Segs)
+        W.push_back(Plan.runWorker({S.data(), S.size()}));
+      std::vector<int64_t> Flat = flatten(Segs);
+      ASSERT_EQ(Plan.finish(foldRandomTree(Plan, W, 0, W.size(), R)),
+                refold(Prog, Flat))
+          << Prog.Name << " trial " << Trial;
+      if (!Cond || Segs.size() < 2)
+        continue;
+      // Cond-prefix summaries compose exactly: W(A) ⊕ W(B) = W(A ++ B).
+      std::vector<int64_t> AB = flatten({Segs[0], Segs[1]});
+      WorkerOutput Joined = W[0];
+      Plan.combine(Joined, W[1]);
+      EXPECT_EQ(Joined, Plan.runWorker({AB.data(), AB.size()}))
+          << Prog.Name << " trial " << Trial;
+    }
+  }
 }
 
 /// Writes \p Data as a headered text workload and returns the path.

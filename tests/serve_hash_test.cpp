@@ -170,7 +170,7 @@ TEST(CanonHash, RebindPortsAPlanOntoARenamedReorderedVariant) {
   std::vector<runtime::WorkerOutput> Outs;
   for (const runtime::SegmentView &S : Segs)
     Outs.push_back(CP.runWorker(S));
-  EXPECT_EQ(CP.merge(Outs, Segs), lang::runSerial(To, Data));
+  EXPECT_EQ(CP.merge(Outs), lang::runSerial(To, Data));
 }
 
 TEST(CanonHash, RebindRefusesNonCorrespondingPrograms) {

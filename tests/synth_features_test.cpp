@@ -50,6 +50,13 @@ TEST(LazyBounds, TinyInitialBoundsGetEscalated) {
   SynthesisResult R = synthesizeWithLazyBounds(*P, Opts, /*Widen=*/1,
                                                /*MaxRounds=*/4);
   ASSERT_TRUE(R.Success);
+  std::string Log;
+  for (const std::string &L : R.StageLog)
+    Log += L + "\n";
+  EXPECT_NE(Log.find("lazy-bounds: refuted at wider bounds, "
+                     "re-synthesizing\n"),
+            std::string::npos)
+      << Log;
   // The final plan must be right on random data despite the tiny start.
   Rng Rand(5);
   for (int Trial = 0; Trial != 30; ++Trial) {

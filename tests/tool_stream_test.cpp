@@ -27,11 +27,13 @@ struct ToolRun {
   int ExitCode = -1;
 };
 
-/// Runs `grassp stream sum` with \p Input on stdin; captures stdout
-/// (stderr is folded in via the shell so typed EOF errors are visible).
-ToolRun runStream(const std::string &Input) {
+/// Runs `grassp stream <Program>` with \p Input on stdin; captures
+/// stdout (stderr is folded in via the shell so typed EOF errors are
+/// visible).
+ToolRun runStream(const std::string &Input,
+                  const std::string &Program = "sum") {
   std::string Cmd = "printf '%s' '" + Input + "' | '" GRASSP_TOOL
-                    "' stream sum 2>&1";
+                    "' stream " + Program + " 2>&1";
   ToolRun R;
   FILE *P = ::popen(Cmd.c_str(), "r");
   if (!P) {
@@ -52,6 +54,24 @@ TEST(StreamRepl, CleanSessionExitsZero) {
   EXPECT_EQ(R.ExitCode, 0) << R.Out;
   EXPECT_NE(R.Out.find("query = 6"), std::string::npos) << R.Out;
   EXPECT_NE(R.Out.find("verify ok: 6"), std::string::npos) << R.Out;
+  EXPECT_EQ(R.Out.find("error["), std::string::npos) << R.Out;
+}
+
+TEST(StreamRepl, CondPrefixSessionVerifies) {
+  // count_102 merges by conditional-prefix summaries, through the same
+  // tree path as every other plan shape.
+  ToolRun R = runStream("append 1 0 2 1\n"
+                        "append 0 2 2 1 0\n"
+                        "append 2 1\n"
+                        "edit 1 1 0 0 2\n"
+                        "verify\n"
+                        "stats\n"
+                        "quit\n",
+                        "count_102");
+  EXPECT_EQ(R.ExitCode, 0) << R.Out;
+  EXPECT_NE(R.Out.find("verify ok:"), std::string::npos) << R.Out;
+  EXPECT_NE(R.Out.find("chunks=3 elements=10\n"), std::string::npos)
+      << R.Out;
   EXPECT_EQ(R.Out.find("error["), std::string::npos) << R.Out;
 }
 

@@ -929,11 +929,8 @@ int main(int argc, char **argv) {
             std::printf("verify MISMATCH: tree=%lld refold=%lld\n",
                         (long long)Got, (long long)Want);
         } else if (Op == "stats") {
-          std::printf("chunks=%zu elements=%llu support=%s\n", Tree.chunks(),
-                      (unsigned long long)Tree.elements(),
-                      Tree.support() == runtime::MergeTree::Support::LogPath
-                          ? "log-path"
-                          : "linear-merge");
+          std::printf("chunks=%zu elements=%llu\n", Tree.chunks(),
+                      (unsigned long long)Tree.elements());
         } else {
           std::printf("error[unknown-command]: '%s' (append/edit/query/"
                       "verify/stats/quit)\n",
