@@ -52,11 +52,7 @@ ExprRef serialOutput(const lang::SerialProgram &Prog) {
 
 /// Per-segment program-state variables ("s<i>_<field>").
 SymState segmentStateVars(const lang::SerialProgram &Prog, unsigned I) {
-  SymState S;
-  for (const lang::Field &F : Prog.State.fields())
-    S.push_back(ir::DomainValue<SymbolicPolicy>::scalar(
-        var("s" + std::to_string(I) + "_" + F.Name, F.Ty)));
-  return S;
+  return lang::freshState(Prog, "s" + std::to_string(I) + "_");
 }
 
 /// Gates field updates: Next = ite(Cond, Stepped, Current).
@@ -160,36 +156,18 @@ encodeProductAutomaton(const lang::SerialProgram &Prog,
   case synth::Scenario::CondPrefixRefold:
     return std::nullopt; // refold workers store unbounded prefixes.
   case synth::Scenario::CondPrefixSummary: {
-    const synth::CondPrefixInfo &CP = Plan.Cond;
     synth::PlanExecutor<SymbolicPolicy> Exec(Prog, Plan, P);
 
+    synth::WorkerResult<SymbolicPolicy> W0 = Exec.runWorker({});
     std::vector<synth::WorkerResult<SymbolicPolicy>> Workers;
     for (unsigned I = 1; I <= M; ++I) {
       std::string Pre = "w" + std::to_string(I) + "_";
       synth::WorkerResult<SymbolicPolicy> W;
       W.Found = var(Pre + "found", TypeKind::Bool);
       W.Boundary = var(Pre + "B", TypeKind::Int);
-      W.D = SymState();
-      for (const lang::Field &F : Prog.State.fields())
-        W.D.push_back(ir::DomainValue<SymbolicPolicy>::scalar(
-            var(Pre + "d_" + F.Name, F.Ty)));
-      W.CtrlCur.resize(CP.numValuations());
-      W.Mode.resize(CP.numValuations());
-      W.Arg.resize(CP.numValuations());
-      for (size_t V = 0; V != CP.numValuations(); ++V) {
-        for (size_t K = 0; K != CP.CtrlFields.size(); ++K)
-          W.CtrlCur[V].push_back(
-              var(Pre + "c" + std::to_string(V) + "_" + std::to_string(K),
-                  Prog.State.field(CP.CtrlFields[K]).Ty));
-        for (size_t J = 0; J != CP.AccFields.size(); ++J) {
-          W.Mode[V].push_back(
-              var(Pre + "m" + std::to_string(V) + "_" + std::to_string(J),
-                  TypeKind::Int));
-          W.Arg[V].push_back(
-              var(Pre + "a" + std::to_string(V) + "_" + std::to_string(J),
-                  Prog.State.field(CP.AccFields[J]).Ty));
-        }
-      }
+      W.D = lang::freshState(Prog, Pre + "d_");
+      synth::SummaryLayout Slots(Prog, Plan, Pre);
+      Slots.unflatten(Slots.vars(), W);
       Workers.push_back(W);
 
       // One worker step produces the gated next-state expressions.
@@ -211,26 +189,13 @@ encodeProductAutomaton(const lang::SerialProgram &Prog,
         AddVar(Pre + "d_" + F.Name, F.Ty, fieldInit(F), W.D[K].Sc,
                Stepped.D[K].Sc);
       }
-      for (size_t V = 0; V != CP.numValuations(); ++V) {
-        for (size_t K = 0; K != CP.CtrlFields.size(); ++K) {
-          const lang::Field &F = Prog.State.field(CP.CtrlFields[K]);
-          ExprRef Init = F.Ty == TypeKind::Bool
-                             ? constBool(CP.CtrlValues[V][K] != 0)
-                             : constInt(CP.CtrlValues[V][K]);
-          AddVar(Pre + "c" + std::to_string(V) + "_" + std::to_string(K),
-                 F.Ty, Init, W.CtrlCur[V][K], Stepped.CtrlCur[V][K]);
-        }
-        for (size_t J = 0; J != CP.AccFields.size(); ++J) {
-          const lang::Field &F = Prog.State.field(CP.AccFields[J]);
-          AddVar(Pre + "m" + std::to_string(V) + "_" + std::to_string(J),
-                 TypeKind::Int, constInt(0), W.Mode[V][J],
-                 Stepped.Mode[V][J]);
-          AddVar(Pre + "a" + std::to_string(V) + "_" + std::to_string(J),
-                 F.Ty,
-                 F.Ty == TypeKind::Bool ? constBool(false) : constInt(0),
-                 W.Arg[V][J], Stepped.Arg[V][J]);
-        }
-      }
+      // The tables start where runWorker({}) starts them.
+      std::vector<ExprRef> Init = Slots.flatten(W0);
+      std::vector<ExprRef> Cur = Slots.flatten(W);
+      std::vector<ExprRef> Next = Slots.flatten(Stepped);
+      for (size_t K = 0; K != Slots.size(); ++K)
+        AddVar(Slots.names()[K], Cur[K]->getType(), Init[K], Cur[K],
+               Next[K]);
     }
     Sys.ParallelOut = Exec.mergeWorkers(Workers);
     break;

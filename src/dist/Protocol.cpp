@@ -293,16 +293,6 @@ void WireWriter::vecI64(const std::vector<int64_t> &V) {
   }
 }
 
-void WireWriter::vecU32(const std::vector<uint32_t> &V) {
-  u64(V.size());
-  if constexpr (LittleEndianHost) {
-    raw(V.data(), V.size() * sizeof(uint32_t));
-  } else {
-    for (uint32_t X : V)
-      u32(X);
-  }
-}
-
 void WireWriter::str(const std::string &S) {
   u64(S.size());
   raw(S.data(), S.size());
@@ -358,23 +348,6 @@ bool WireReader::vecI64(std::vector<int64_t> *V) {
   }
   for (int64_t &X : *V)
     if (!i64(&X))
-      return false;
-  return true;
-}
-
-bool WireReader::vecU32(std::vector<uint32_t> *V) {
-  uint64_t N;
-  if (!u64(&N) || N > static_cast<uint64_t>(End - Data) / 4)
-    return false;
-  V->resize(static_cast<size_t>(N));
-  if constexpr (LittleEndianHost) {
-    if (N != 0)
-      std::memcpy(V->data(), Data, N * 4);
-    Data += N * 4;
-    return true;
-  }
-  for (uint32_t &X : *V)
-    if (!u32(&X))
       return false;
   return true;
 }
@@ -690,15 +663,7 @@ void encodeResult(const ResultMsg &M, WireWriter &W) {
   W.vecI64(O.Merged);
   W.u8(O.Found ? 1 : 0);
   W.i64(O.Boundary);
-  W.vecU32(O.CtrlCur);
-  W.u64(O.ModeArg.size());
-  for (const std::vector<std::pair<int64_t, int64_t>> &Row : O.ModeArg) {
-    W.u64(Row.size());
-    for (const std::pair<int64_t, int64_t> &P2 : Row) {
-      W.i64(P2.first);
-      W.i64(P2.second);
-    }
-  }
+  W.vecI64(O.Tables);
   W.vecI64(O.PrefixData);
   W.vecI64(O.Distinct);
 }
@@ -715,22 +680,9 @@ bool decodeResult(const std::vector<uint8_t> &P, ResultMsg *M) {
   uint8_t Found;
   if (!R.u64(&M->TaskId) || !R.u64(&M->ShardIndex) || !R.u64(&O.Elems) ||
       !R.vecI64(&O.D) || !R.vecI64(&O.Head) || !R.vecI64(&O.Merged) ||
-      !R.u8(&Found) || !R.i64(&O.Boundary) || !R.vecU32(&O.CtrlCur))
+      !R.u8(&Found) || !R.i64(&O.Boundary) || !R.vecI64(&O.Tables))
     return false;
   O.Found = Found != 0;
-  uint64_t NV;
-  if (!R.u64(&NV) || NV > (1u << 20))
-    return false;
-  O.ModeArg.resize(static_cast<size_t>(NV));
-  for (std::vector<std::pair<int64_t, int64_t>> &Row : O.ModeArg) {
-    uint64_t NJ;
-    if (!R.u64(&NJ) || NJ > (1u << 20))
-      return false;
-    Row.resize(static_cast<size_t>(NJ));
-    for (std::pair<int64_t, int64_t> &P2 : Row)
-      if (!R.i64(&P2.first) || !R.i64(&P2.second))
-        return false;
-  }
   return R.vecI64(&O.PrefixData) && R.vecI64(&O.Distinct) && R.atEnd();
 }
 

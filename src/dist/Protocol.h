@@ -134,7 +134,6 @@ public:
   void u64(uint64_t V);
   void i64(int64_t V) { u64(static_cast<uint64_t>(V)); }
   void vecI64(const std::vector<int64_t> &V);
-  void vecU32(const std::vector<uint32_t> &V);
   /// Length-prefixed byte string (the serve payloads carry program and
   /// plan text).
   void str(const std::string &S);
@@ -167,7 +166,6 @@ public:
   bool u64(uint64_t *V);
   bool i64(int64_t *V);
   bool vecI64(std::vector<int64_t> *V);
-  bool vecU32(std::vector<uint32_t> *V);
   bool str(std::string *S);
   bool atEnd() const { return Data == End; }
 

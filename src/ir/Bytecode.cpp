@@ -257,11 +257,25 @@ void BytecodeFunction::foldLoop(const int64_t *Data, size_t N,
                                 int64_t *State, int64_t *Scratch) const {
   assert(numOutputs() + 1 == NumInputs &&
          "foldLoop expects inputs = state fields followed by the element");
-  const unsigned NF = numOutputs();
+  foldImpl<false>(Data, N, State, Scratch);
+}
+
+size_t BytecodeFunction::foldLoopUntil(const int64_t *Data, size_t N,
+                                       int64_t *State,
+                                       int64_t *Scratch) const {
+  assert(numOutputs() == NumInputs && NumInputs != 0 &&
+         "foldLoopUntil expects the state's outputs followed by a flag");
+  return foldImpl<true>(Data, N, State, Scratch);
+}
+
+template <bool Until>
+size_t BytecodeFunction::foldImpl(const int64_t *Data, size_t N,
+                                  int64_t *State, int64_t *Scratch) const {
+  const unsigned NF = NumInputs - 1;
   int64_t *const R = Scratch;            // the register file.
   int64_t *const Stage = Scratch + NumRegs; // simultaneous-writeback area.
   for (unsigned K = 0; K != NF; ++K)
-    R[K] = State[K];
+    R[K] = Stage[K] = State[K];
   const BcInstr *const Base = Instrs.data();
   const BcInstr *const EndI = Base + Instrs.size();
   const uint16_t *const ORegs = OutputRegs.data();
@@ -365,6 +379,15 @@ L_Select: {
   GRASSP_BC_NEXT;
 
 L_IterDone:
+  if constexpr (Until) {
+    if (R[ORegs[NF]] != 0) {
+      // The step may have reused a state register; Stage still holds
+      // the state before this element.
+      for (unsigned K = 0; K != NF; ++K)
+        State[K] = Stage[K];
+      return I;
+    }
+  }
   // Simultaneous assignment: read every output before writing any state
   // slot (an output may name another field's input register).
   for (unsigned K = 0; K != NF; ++K)
@@ -378,6 +401,7 @@ L_AllDone:;
 #undef GRASSP_BC_NEXT
   for (unsigned K = 0; K != NF; ++K)
     State[K] = R[K];
+  return I;
 }
 
 } // namespace ir

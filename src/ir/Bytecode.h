@@ -10,7 +10,8 @@
 //  * foldLoop() - the loop-resident fold: the *entire* segment loop runs
 //                 inside the VM, state stays in the register file across
 //                 iterations, the register file is caller-provided
-//                 scratch, and dispatch uses computed-goto threading.
+//                 scratch, and dispatch uses computed-goto threading;
+//                 foldLoopUntil() is the same loop, stopped by a flag.
 //
 // Bytecode is post-processed by optimized(): a peephole pass doing
 // constant folding, copy propagation, dead-instruction elimination, and
@@ -136,7 +137,19 @@ public:
   void foldLoop(const int64_t *Data, size_t N, int64_t *State,
                 int64_t *Scratch) const;
 
+  /// foldLoop() for a step function with one more output, last, that is
+  /// a stop flag (numOutputs() == numInputs()). Folds \p Data up to the
+  /// first element whose flag is nonzero, leaves that element unapplied,
+  /// and returns its index; returns N when no flag is set. \p State
+  /// carries numOutputs() - 1 values.
+  size_t foldLoopUntil(const int64_t *Data, size_t N, int64_t *State,
+                       int64_t *Scratch) const;
+
 private:
+  template <bool Until>
+  size_t foldImpl(const int64_t *Data, size_t N, int64_t *State,
+                  int64_t *Scratch) const;
+
   std::vector<BcInstr> Instrs;
   std::vector<uint16_t> OutputRegs;
   unsigned NumInputs = 0;

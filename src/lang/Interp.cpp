@@ -5,6 +5,15 @@
 namespace grassp {
 namespace lang {
 
+StateVec<ir::SymbolicPolicy> freshState(const SerialProgram &Prog,
+                                        const std::string &Prefix) {
+  StateVec<ir::SymbolicPolicy> St;
+  for (const Field &F : Prog.State.fields())
+    St.push_back(ir::DomainValue<ir::SymbolicPolicy>::scalar(
+        ir::var(Prefix + F.Name, F.Ty)));
+  return St;
+}
+
 int64_t runSerial(const SerialProgram &Prog,
                   const std::vector<int64_t> &Elements) {
   ir::ConcretePolicy P;

@@ -15,6 +15,7 @@
 #include "lang/Program.h"
 
 #include <cassert>
+#include <string>
 #include <vector>
 
 namespace grassp {
@@ -86,6 +87,11 @@ typename S::Scalar outputOf(const SerialProgram &Prog, const StateVec<S> &St,
 //===----------------------------------------------------------------------===//
 // Concrete conveniences
 //===----------------------------------------------------------------------===//
+
+/// A symbolic state of variables named \p Prefix + field name, typed as
+/// the fields.
+StateVec<ir::SymbolicPolicy> freshState(const SerialProgram &Prog,
+                                        const std::string &Prefix);
 
 /// Runs the serial program over a flat element sequence; Bool outputs are
 /// reported as 0/1.

@@ -5,10 +5,13 @@
 #include "lang/Interp.h"
 #include "runtime/DistinctSet.h"
 #include "runtime/SegmentSource.h"
+#include "synth/PlanEval.h"
 
 #include <algorithm>
 #include <cassert>
+#include <initializer_list>
 #include <iterator>
+#include <stdexcept>
 
 namespace grassp {
 namespace runtime {
@@ -36,14 +39,47 @@ int64_t *tlScratch(size_t N) {
   return S.data();
 }
 
-/// Runs a single-input bytecode function on one element.
-int64_t run1(const ir::BytecodeFunction &Fn, int64_t El,
-             std::vector<int64_t> &Regs) {
-  Regs.resize(Fn.numRegs());
-  Regs[0] = El;
-  int64_t Out = 0;
-  Fn.run(Regs.data(), &Out);
+/// Runs \p Fn on the concatenation of \p Ins (thread-local scratch) and
+/// writes its outputs to \p Out, which may alias an input. Throws
+/// std::invalid_argument when the inputs do not fill Fn's input slots
+/// exactly (a summary of another plan's shape).
+void runOn(const ir::BytecodeFunction &Fn,
+           std::initializer_list<SegmentView> Ins, int64_t *Out) {
+  size_t N = 0;
+  for (SegmentView In : Ins)
+    N += In.Size;
+  if (N != Fn.numInputs())
+    throw std::invalid_argument("segment summary does not match the plan");
+  int64_t *Regs = tlScratch(Fn.numRegs());
+  int64_t *Slot = Regs;
+  for (SegmentView In : Ins)
+    Slot = std::copy(In.Data, In.Data + In.Size, Slot);
+  Fn.run(Regs, Out);
+}
+
+SegmentView view(const std::vector<int64_t> &V) {
+  return {V.data(), V.size()};
+}
+
+using SymState = lang::StateVec<ir::SymbolicPolicy>;
+
+std::vector<ir::ExprRef> scalars(const SymState &St) {
+  std::vector<ir::ExprRef> Out;
+  for (const ir::DomainValue<ir::SymbolicPolicy> &V : St)
+    Out.push_back(V.Sc);
   return Out;
+}
+
+/// Compiles \p Roots, optimized, over the variables of \p Inputs in
+/// order.
+ir::BytecodeFunction
+compileOver(const std::vector<ir::ExprRef> &Roots,
+            std::initializer_list<std::vector<ir::ExprRef>> Inputs) {
+  std::vector<std::string> Names;
+  for (const std::vector<ir::ExprRef> &Vars : Inputs)
+    for (const ir::ExprRef &V : Vars)
+      Names.push_back(V->varName());
+  return ir::BytecodeFunction::compile(Roots, Names).optimized();
 }
 
 } // namespace
@@ -158,11 +194,6 @@ void CompiledProgram::foldSegmentTier(ExecTier T, std::vector<int64_t> &State,
   }
 }
 
-void CompiledProgram::step(std::vector<int64_t> &State, int64_t El) const {
-  SegmentView One{&El, 1};
-  foldSegment(State, One);
-}
-
 int64_t CompiledProgram::output(const std::vector<int64_t> &State) const {
   assert(!Bag);
   int64_t *Regs = tlScratch(OutputFn.numRegs());
@@ -227,51 +258,47 @@ CompiledPlan::CompiledPlan(const lang::SerialProgram &Prog,
     : Plan(Plan), Compiled(Prog, AllowSpecialize, AllowNative) {
   if (Plan.Kind == synth::Scenario::NoPrefix ||
       Plan.Kind == synth::Scenario::ConstPrefix) {
-    if (!Plan.Merge.Refold) {
-      std::vector<std::string> Names;
-      for (const char *Side : {"a_", "b_"})
-        for (const lang::Field &F : Prog.State.fields())
-          Names.push_back(Side + F.Name);
-      MergeFn =
-          ir::BytecodeFunction::compile(Plan.Merge.Combine, Names).optimized();
-    }
+    if (!Plan.Merge.Refold)
+      MergeFn = compileOver(Plan.Merge.Combine,
+                            {scalars(lang::freshState(Prog, "a_")),
+                             scalars(lang::freshState(Prog, "b_"))});
     return;
   }
-  const synth::CondPrefixInfo &CP = Plan.Cond;
-  std::vector<std::string> InOnly = {lang::inputVarName()};
-  PcFn = ir::BytecodeFunction::compile({CP.PrefixCond}, InOnly);
+  // Cond-prefix plans: every function is PlanExecutor's own terms, built
+  // over variables and compiled.
+  ir::SymbolicPolicy P;
+  synth::PlanExecutor<ir::SymbolicPolicy> Exec(Prog, Plan, P);
+  synth::SummaryLayout Slots(Prog, Plan);
+  ir::ExprRef In = ir::var(lang::inputVarName(), ir::TypeKind::Int);
+
+  // The worker's prefix step: stepWorker before any boundary (Found is
+  // false), tables as variables; its last output, Found after the step,
+  // is prefix_cond(in) and stops the fold.
+  synth::WorkerResult<ir::SymbolicPolicy> W = Exec.runWorker({});
+  Slots.unflatten(Slots.vars(), W);
+  Exec.stepWorker(W, In);
+  std::vector<ir::ExprRef> Roots = Slots.flatten(W);
+  Roots.push_back(W.Found);
+  PrefixFn = compileOver(Roots, {Slots.vars(), {In}});
+
+  SymState C = lang::freshState(Prog, ""), D = lang::freshState(Prog, "w_d_");
+  BoundaryFn = compileOver(scalars(Exec.crossBoundary(C, In, D)),
+                           {scalars(C), scalars(D), {In}});
+
+  ir::ConcretePolicy CPol;
+  synth::PlanExecutor<ir::ConcretePolicy> Conc(Prog, Plan, CPol);
+  InitTables = Slots.flatten(Conc.runWorker({}));
   if (Plan.Kind != synth::Scenario::CondPrefixSummary)
     return;
-  CtrlStepFns.resize(CP.numValuations());
-  ModeFns.resize(CP.numValuations());
-  ArgFns.resize(CP.numValuations());
-  for (size_t V = 0; V != CP.numValuations(); ++V) {
-    for (const ir::ExprRef &E : CP.CtrlStep[V])
-      CtrlStepFns[V].push_back(ir::BytecodeFunction::compile({E}, InOnly));
-    for (const ir::ExprRef &E : CP.AccMode[V])
-      ModeFns[V].push_back(ir::BytecodeFunction::compile({E}, InOnly));
-    for (const ir::ExprRef &E : CP.AccArg[V])
-      ArgFns[V].push_back(ir::BytecodeFunction::compile({E}, InOnly));
-  }
-}
 
-int64_t CompiledPlan::applyFlavor(synth::AccFlavor F, int64_t A,
-                                  int64_t B) const {
-  switch (F) {
-  case synth::AccFlavor::Plus:
-    return A + B;
-  case synth::AccFlavor::Max:
-    return A > B ? A : B;
-  case synth::AccFlavor::Min:
-    return A < B ? A : B;
-  case synth::AccFlavor::And:
-    return (A != 0 && B != 0) ? 1 : 0;
-  case synth::AccFlavor::Or:
-    return (A != 0 || B != 0) ? 1 : 0;
-  case synth::AccFlavor::SetLike:
-    return B;
-  }
-  return A;
+  UpdFn = compileOver(synth::materializeUpdExprs(Prog, Plan),
+                      {scalars(C), Slots.vars()});
+  synth::SummaryLayout SlotsA(Prog, Plan, "a_"), SlotsB(Prog, Plan, "b_");
+  synth::WorkerResult<ir::SymbolicPolicy> A, B;
+  SlotsA.unflatten(SlotsA.vars(), A);
+  SlotsB.unflatten(SlotsB.vars(), B);
+  Exec.composeTables(A, B);
+  ComposeFn = compileOver(SlotsA.flatten(A), {SlotsA.vars(), SlotsB.vars()});
 }
 
 WorkerOutput CompiledPlan::runWorker(SegmentView Seg) const {
@@ -308,57 +335,14 @@ WorkerOutput CompiledPlan::runScanWorker(SegmentView Seg) const {
 }
 
 WorkerOutput CompiledPlan::runCondWorker(SegmentView Seg) const {
-  const synth::CondPrefixInfo &CP = Plan.Cond;
-  bool Summary = Plan.Kind == synth::Scenario::CondPrefixSummary;
-  size_t NumV = CP.numValuations();
-  size_t NumAcc = CP.AccFields.size();
-  size_t NumCtrl = CP.CtrlFields.size();
-
   WorkerOutput W;
   W.Elems = Seg.Size;
   W.D = Compiled.initialState();
-  if (Summary) {
-    W.CtrlCur.resize(NumV);
-    for (size_t V = 0; V != NumV; ++V)
-      W.CtrlCur[V] = static_cast<uint32_t>(V);
-    W.ModeArg.assign(NumV, std::vector<std::pair<int64_t, int64_t>>(
-                               NumAcc, {0, 0}));
-  }
-
-  std::vector<int64_t> Regs;
-  std::vector<int64_t> NewCtrl(NumCtrl);
-  size_t I = 0;
-  for (; I != Seg.Size; ++I) {
-    int64_t El = Seg.Data[I];
-    if (run1(PcFn, El, Regs) != 0)
-      break; // boundary found.
-    if (!Summary) {
-      W.PrefixData.push_back(El);
-      continue;
-    }
-    for (size_t V = 0; V != NumV; ++V) {
-      uint32_t Cur = W.CtrlCur[V];
-      // Accumulator transforms use the pre-element valuation.
-      for (size_t J = 0; J != NumAcc; ++J) {
-        int64_t M2 = run1(ModeFns[Cur][J], El, Regs);
-        int64_t A2 = run1(ArgFns[Cur][J], El, Regs);
-        composeModeArg(CP.AccFlavors[J], W.ModeArg[V][J], M2, A2);
-      }
-      for (size_t K = 0; K != NumCtrl; ++K)
-        NewCtrl[K] = run1(CtrlStepFns[Cur][K], El, Regs);
-      // Map the valuation back to its index; unknown valuations keep the
-      // current index (the verifier rules this out for accepted plans).
-      for (size_t X = 0; X != NumV; ++X) {
-        bool Match = true;
-        for (size_t K = 0; K != NumCtrl; ++K)
-          Match &= (CP.CtrlValues[X][K] == NewCtrl[K]);
-        if (Match) {
-          W.CtrlCur[V] = static_cast<uint32_t>(X);
-          break;
-        }
-      }
-    }
-  }
+  W.Tables = InitTables;
+  size_t I = PrefixFn.foldLoopUntil(Seg.Data, Seg.Size, W.Tables.data(),
+                                    tlScratch(PrefixFn.scratchSize()));
+  if (Plan.Kind == synth::Scenario::CondPrefixRefold)
+    W.PrefixData.assign(Seg.Data, Seg.Data + I);
   if (I != Seg.Size) {
     W.Found = true;
     W.Boundary = Seg.Data[I];
@@ -367,101 +351,19 @@ WorkerOutput CompiledPlan::runCondWorker(SegmentView Seg) const {
   return W;
 }
 
-void CompiledPlan::composeModeArg(synth::AccFlavor F,
-                                  std::pair<int64_t, int64_t> &MA, int64_t M2,
-                                  int64_t A2) const {
-  auto &[M1, A1] = MA;
-  if (M2 == 1) {
-    M1 = 1;
-    A1 = A2;
-  } else if (M2 == 2) {
-    if (M1 == 0) {
-      M1 = 2;
-      A1 = A2;
-    } else {
-      A1 = applyFlavor(F, A1, A2);
-    }
-  } // any other mode: identity, nothing to do.
-}
-
-void CompiledPlan::applyUpd(std::vector<int64_t> &C,
-                            const WorkerOutput &W) const {
-  const synth::CondPrefixInfo &CP = Plan.Cond;
-  // Find C's control valuation.
-  size_t Idx = CP.numValuations();
-  for (size_t V = 0; V != CP.numValuations(); ++V) {
-    bool Match = true;
-    for (size_t K = 0; K != CP.CtrlFields.size(); ++K)
-      Match &= (C[CP.CtrlFields[K]] == CP.CtrlValues[V][K]);
-    if (Match) {
-      Idx = V;
-      break;
-    }
-  }
-  if (Idx == CP.numValuations())
-    return; // unreachable for verified plans.
-  const std::vector<int64_t> &End = CP.CtrlValues[W.CtrlCur[Idx]];
-  for (size_t K = 0; K != CP.CtrlFields.size(); ++K)
-    C[CP.CtrlFields[K]] = End[K];
-  for (size_t J = 0; J != CP.AccFields.size(); ++J) {
-    auto [M, A] = W.ModeArg[Idx][J];
-    int64_t &Cur = C[CP.AccFields[J]];
-    if (M == 1)
-      Cur = A;
-    else if (M == 2)
-      Cur = applyFlavor(CP.AccFlavors[J], Cur, A);
-  }
-}
-
-void CompiledPlan::combineAtBoundary(std::vector<int64_t> &C,
-                                     const WorkerOutput &W) const {
-  const synth::CondPrefixInfo &CP = Plan.Cond;
-  std::vector<int64_t> T = C;
-  Compiled.step(T, W.Boundary);
-  std::vector<int64_t> W0 = Compiled.initialState();
-  Compiled.step(W0, W.Boundary);
-
-  C = W.D; // control fields and SetLike accumulators.
-  for (size_t J = 0; J != CP.AccFields.size(); ++J) {
-    size_t F = CP.AccFields[J];
-    switch (CP.AccFlavors[J]) {
-    case synth::AccFlavor::Plus:
-      C[F] = T[F] + (W.D[F] - W0[F]);
-      break;
-    case synth::AccFlavor::Max:
-      C[F] = std::max(T[F], W.D[F]);
-      break;
-    case synth::AccFlavor::Min:
-      C[F] = std::min(T[F], W.D[F]);
-      break;
-    case synth::AccFlavor::And:
-      C[F] = (T[F] != 0 && (W0[F] == 0 || W.D[F] != 0)) ? 1 : 0;
-      break;
-    case synth::AccFlavor::Or:
-      C[F] = (T[F] != 0 || (W.D[F] != 0 && W0[F] == 0)) ? 1 : 0;
-      break;
-    case synth::AccFlavor::SetLike:
-      break; // already W.D[F].
-    }
-  }
-}
-
 void CompiledPlan::mergeStates(std::vector<int64_t> &A,
                                const std::vector<int64_t> &B) const {
-  int64_t *Regs = tlScratch(MergeFn.numRegs());
-  std::copy(A.begin(), A.end(), Regs);
-  std::copy(B.begin(), B.end(), Regs + A.size());
-  MergeFn.run(Regs, A.data());
+  runOn(MergeFn, {view(A), view(B)}, A.data());
 }
 
 void CompiledPlan::merge1(std::vector<int64_t> &C,
                           const WorkerOutput &W) const {
   if (Plan.Kind == synth::Scenario::CondPrefixSummary)
-    applyUpd(C, W);
+    runOn(UpdFn, {view(C), view(W.Tables)}, C.data());
   else if (!W.PrefixData.empty())
-    Compiled.foldSegment(C, {W.PrefixData.data(), W.PrefixData.size()});
+    Compiled.foldSegment(C, view(W.PrefixData));
   if (W.Found)
-    combineAtBoundary(C, W);
+    runOn(BoundaryFn, {view(C), view(W.D), {&W.Boundary, 1}}, C.data());
 }
 
 void CompiledPlan::combine(WorkerOutput &A, const WorkerOutput &B) const {
@@ -488,7 +390,7 @@ void CompiledPlan::combine(WorkerOutput &A, const WorkerOutput &B) const {
       // Repair A's last state with the head of the segment after it,
       // B's first; B's last state waits for a right neighbour of its own.
       if (!B.Head.empty())
-        Compiled.foldSegment(A.D, {B.Head.data(), B.Head.size()});
+        Compiled.foldSegment(A.D, view(B.Head));
       if (A.Merged.empty())
         A.Merged = std::move(A.D);
       else
@@ -511,18 +413,11 @@ void CompiledPlan::combine(WorkerOutput &A, const WorkerOutput &B) const {
     A.Found = B.Found;
     A.Boundary = B.Boundary;
     A.D = B.D;
-    if (Plan.Kind == synth::Scenario::CondPrefixRefold) {
+    if (Plan.Kind == synth::Scenario::CondPrefixRefold)
       A.PrefixData.insert(A.PrefixData.end(), B.PrefixData.begin(),
                           B.PrefixData.end());
-      return;
-    }
-    for (size_t V = 0; V != A.CtrlCur.size(); ++V) {
-      uint32_t Mid = A.CtrlCur[V];
-      for (size_t J = 0; J != A.ModeArg[V].size(); ++J)
-        composeModeArg(Plan.Cond.AccFlavors[J], A.ModeArg[V][J],
-                       B.ModeArg[Mid][J].first, B.ModeArg[Mid][J].second);
-      A.CtrlCur[V] = B.CtrlCur[Mid];
-    }
+    else
+      runOn(ComposeFn, {view(A.Tables), view(B.Tables)}, A.Tables.data());
     return;
   }
 }

@@ -26,9 +26,12 @@
 // the differential oracle (testing/DiffOracle runs every available tier
 // on every fuzzed workload).
 //
-// These kernels implement exactly the ParallelPlan semantics of
-// synth/PlanEval.h; a property test cross-checks them against the
-// domain-generic reference executor.
+// A conditional-prefix plan runs no hand-written plan code: its worker's
+// prefix step, upd, boundary combine and the composition of two prefix
+// summaries are built once by synth::PlanExecutor over variables — the
+// same terms the induction, the CHC encoder and the corpus screen
+// evaluate — and compiled to optimized bytecode. Only the merge m of the
+// other plan shapes comes from the plan's own expressions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -98,9 +101,6 @@ public:
   void foldSegmentTier(ExecTier T, std::vector<int64_t> &State,
                        SegmentView Seg) const;
 
-  /// One f step.
-  void step(std::vector<int64_t> &State, int64_t El) const;
-
   /// h. Uses thread-local scratch only; const-callable concurrently.
   int64_t output(const std::vector<int64_t> &State) const;
 
@@ -154,12 +154,13 @@ struct WorkerOutput {
   std::vector<int64_t> Merged;
 
   // Conditional-prefix plans: the first boundary element, and the
-  // prefix before it summarized as per-valuation tables (or kept whole).
+  // prefix before it. Summary plans keep its tables, flat in the slot
+  // order of synth::SummaryLayout (control values stored as values);
+  // re-folding plans keep its elements.
   bool Found = false;
   int64_t Boundary = 0;
-  std::vector<uint32_t> CtrlCur;                  // [v] -> valuation idx
-  std::vector<std::vector<std::pair<int64_t, int64_t>>> ModeArg; // [v][j]
-  std::vector<int64_t> PrefixData; // refold scenario
+  std::vector<int64_t> Tables;
+  std::vector<int64_t> PrefixData;
 
   /// Bag kernel: the distinct elements, sorted (collected by the hash
   /// set of runtime/DistinctSet.h).
@@ -206,13 +207,6 @@ private:
   /// Carries the serial state \p C across the segment \p W summarizes:
   /// upd (or the re-folded prefix), then the boundary combine.
   void merge1(std::vector<int64_t> &C, const WorkerOutput &W) const;
-  void applyUpd(std::vector<int64_t> &C, const WorkerOutput &W) const;
-  void combineAtBoundary(std::vector<int64_t> &C,
-                         const WorkerOutput &W) const;
-  /// Follows accumulator transform \p MA by the transform (\p M2, \p A2).
-  void composeModeArg(synth::AccFlavor F, std::pair<int64_t, int64_t> &MA,
-                      int64_t M2, int64_t A2) const;
-  int64_t applyFlavor(synth::AccFlavor F, int64_t A, int64_t B) const;
 
   const synth::ParallelPlan &Plan;
   CompiledProgram Compiled;
@@ -220,11 +214,13 @@ private:
   // Scalar scan plans: the merge m, inputs a_* then b_*.
   ir::BytecodeFunction MergeFn;
 
-  // Conditional-prefix machinery, compiled.
-  ir::BytecodeFunction PcFn; // inputs: "in".
-  std::vector<std::vector<ir::BytecodeFunction>> CtrlStepFns; // [v][k]
-  std::vector<std::vector<ir::BytecodeFunction>> ModeFns;     // [v][j]
-  std::vector<std::vector<ir::BytecodeFunction>> ArgFns;      // [v][j]
+  // Conditional-prefix plans, compiled from synth::PlanExecutor. Tables
+  // are in synth::SummaryLayout order; a re-folding plan has none.
+  ir::BytecodeFunction PrefixFn;   // tables, in -> tables, prefix_cond(in)
+  ir::BytecodeFunction UpdFn;      // state, tables -> upd(state, tables)
+  ir::BytecodeFunction BoundaryFn; // state, worker D, boundary -> state
+  ir::BytecodeFunction ComposeFn;  // tables a_*, b_* -> tables of a ++ b
+  std::vector<int64_t> InitTables; // the tables of the empty prefix
 };
 
 } // namespace runtime

@@ -32,7 +32,15 @@
 //    merge1(c, W(B)) = fold(c, B) at serial states c — A.D is one, and
 //    the cond-prefix induction of synth/EquivCheck proves exactly that
 //    equation for summary plans — so every bracketing computes W of the
-//    whole stream. No proof query beyond acceptance's is needed.
+//    whole stream. No proof query beyond acceptance's is needed. The
+//    argument is about the code that runs: the worker's prefix step,
+//    upd, the boundary combine and the table composition of ⊕ are
+//    compiled from synth::PlanExecutor's stepWorker, applyUpd,
+//    crossBoundary and composeTables (runtime/Kernels.h), the terms
+//    whose merge1 the induction proves. composeTables applies B's
+//    entries with stepWorker's own composeParam and selectByValuation,
+//    and those compose associatively, so tables built across a ⊕ equal
+//    the tables the worker builds over A ++ B.
 //
 // Every tree query is differentially checked against a full refold in
 // runtime_stream_test and the fuzz_smoke streaming slice, and the

@@ -41,16 +41,6 @@ namespace {
 using SymState = lang::StateVec<SymbolicPolicy>;
 using SymEnv = DomainEnv<SymbolicPolicy>;
 
-/// A state of fresh variables "<Prefix><field>".
-SymState freshState(const lang::SerialProgram &Prog,
-                    const std::string &Prefix) {
-  SymState St;
-  for (const lang::Field &F : Prog.State.fields())
-    St.push_back(
-        DomainValue<SymbolicPolicy>::scalar(var(Prefix + F.Name, F.Ty)));
-  return St;
-}
-
 /// The conjunction of \p Atoms over the names bound in \p Env.
 template <class S>
 typename S::Scalar holdsIn(const std::vector<ExprRef> &Atoms,
@@ -157,97 +147,65 @@ ExprRef ctrlAmongValues(const lang::SerialProgram &Prog,
   return Any;
 }
 
-/// Names of a worker result's scalars in the worker invariant's atoms.
-std::string workerName(const char *What, size_t J, size_t V) {
-  return std::string("w_") + What + std::to_string(J) + "_v" +
-         std::to_string(V);
-}
-std::string workerStateName(const lang::StateLayout &L, size_t I) {
-  return "w_d_" + L.field(I).Name;
-}
-
-/// Binds worker result \p W's scalars to their names.
+/// Binds worker result \p W's scalars to their names (its tables' by
+/// \p Slots).
 template <class S>
 DomainEnv<S> bindWorker(const lang::SerialProgram &Prog,
-                        const CondPrefixInfo &CP, const WorkerResult<S> &W) {
+                        const SummaryLayout &Slots, const WorkerResult<S> &W) {
   using DV = DomainValue<S>;
   DomainEnv<S> Env;
   Env.emplace("w_found", DV::scalar(W.Found));
   Env.emplace("w_bnd", DV::scalar(W.Boundary));
   for (size_t I = 0, E = Prog.State.size(); I != E; ++I)
-    Env.emplace(workerStateName(Prog.State, I), W.D[I]);
-  for (size_t V = 0, NV = CP.numValuations(); V != NV; ++V) {
-    for (size_t K = 0, E = CP.CtrlFields.size(); K != E; ++K)
-      Env.emplace(workerName("ctrl", K, V), DV::scalar(W.CtrlCur[V][K]));
-    for (size_t J = 0, E = CP.AccFields.size(); J != E; ++J) {
-      Env.emplace(workerName("mode", J, V), DV::scalar(W.Mode[V][J]));
-      Env.emplace(workerName("arg", J, V), DV::scalar(W.Arg[V][J]));
-    }
-  }
+    Env.emplace("w_d_" + Prog.State.field(I).Name, W.D[I]);
+  std::vector<typename S::Scalar> Flat = Slots.flatten(W);
+  for (size_t I = 0, E = Slots.size(); I != E; ++I)
+    Env.emplace(Slots.names()[I], DV::scalar(Flat[I]));
   return Env;
 }
 
 /// A worker result of fresh variables, named as bindWorker() binds them.
 WorkerResult<SymbolicPolicy> freshWorker(const lang::SerialProgram &Prog,
-                                         const CondPrefixInfo &CP) {
-  const lang::StateLayout &L = Prog.State;
+                                         const SummaryLayout &Slots) {
   WorkerResult<SymbolicPolicy> W;
   W.Found = var("w_found", TypeKind::Bool);
   W.Boundary = var("w_bnd", TypeKind::Int);
-  for (size_t I = 0, E = L.size(); I != E; ++I)
-    W.D.push_back(DomainValue<SymbolicPolicy>::scalar(
-        var(workerStateName(L, I), L.field(I).Ty)));
-  size_t NV = CP.numValuations();
-  W.CtrlCur.resize(NV);
-  W.Mode.resize(NV);
-  W.Arg.resize(NV);
-  for (size_t V = 0; V != NV; ++V) {
-    for (size_t K = 0, E = CP.CtrlFields.size(); K != E; ++K)
-      W.CtrlCur[V].push_back(
-          var(workerName("ctrl", K, V), L.field(CP.CtrlFields[K]).Ty));
-    for (size_t J = 0, E = CP.AccFields.size(); J != E; ++J) {
-      W.Mode[V].push_back(var(workerName("mode", J, V), TypeKind::Int));
-      W.Arg[V].push_back(
-          var(workerName("arg", J, V), L.field(CP.AccFields[J]).Ty));
-    }
-  }
+  W.D = lang::freshState(Prog, "w_d_");
+  Slots.unflatten(Slots.vars(), W);
   return W;
 }
 
-/// The worker invariant's candidates: D stays d0 until the boundary, and
-/// satisfies every carry atom after it; the boundary satisfies
-/// prefix_cond; each tracked control tuple is one of CtrlValues; and
-/// bounds on each accumulator transform's mode and argument.
+/// The worker invariant's candidates over freshWorker()'s variables: D
+/// stays d0 until the boundary, and satisfies every carry atom after it;
+/// the boundary satisfies prefix_cond; each tracked control tuple is one
+/// of CtrlValues; and bounds on each accumulator transform's mode and
+/// argument.
 std::vector<ExprRef> workerAtoms(const lang::SerialProgram &Prog,
                                  const CondPrefixInfo &CP,
+                                 const SummaryLayout &Slots,
                                  const std::vector<ExprRef> &Carry) {
   const lang::StateLayout &L = Prog.State;
+  WorkerResult<SymbolicPolicy> W = freshWorker(Prog, Slots);
   std::vector<ExprRef> Atoms;
-  ExprRef Found = var("w_found", TypeKind::Bool);
   std::map<std::string, ExprRef> ToD;
   for (size_t I = 0, E = L.size(); I != E; ++I) {
-    ExprRef D = var(workerStateName(L, I), L.field(I).Ty);
-    addAtom(Atoms, lor(Found, eq(D, initialValue(L, I))));
-    ToD.emplace(L.field(I).Name, D);
+    addAtom(Atoms, lor(W.Found, eq(W.D[I].Sc, initialValue(L, I))));
+    ToD.emplace(L.field(I).Name, W.D[I].Sc);
   }
   for (const ExprRef &A : Carry)
-    addAtom(Atoms, lor(lnot(Found), substitute(A, ToD)));
+    addAtom(Atoms, lor(lnot(W.Found), substitute(A, ToD)));
   addAtom(Atoms,
-          lor(lnot(Found),
-              substitute(CP.PrefixCond, {{lang::inputVarName(),
-                                          var("w_bnd", TypeKind::Int)}})));
+          lor(lnot(W.Found),
+              substitute(CP.PrefixCond,
+                         {{lang::inputVarName(), W.Boundary}})));
   for (size_t V = 0, NV = CP.numValuations(); V != NV; ++V) {
-    std::vector<ExprRef> Ctrl;
-    for (size_t K = 0, E = CP.CtrlFields.size(); K != E; ++K)
-      Ctrl.push_back(
-          var(workerName("ctrl", K, V), L.field(CP.CtrlFields[K]).Ty));
-    addAtom(Atoms, ctrlAmongValues(Prog, CP, Ctrl));
+    addAtom(Atoms, ctrlAmongValues(Prog, CP, W.CtrlCur[V]));
     for (size_t J = 0, E = CP.AccFields.size(); J != E; ++J) {
-      ExprRef M = var(workerName("mode", J, V), TypeKind::Int);
+      const ExprRef &M = W.Mode[V][J];
       for (int64_t Hi : {0, 1, 2})
         addAtom(Atoms, le(M, constInt(Hi)));
       addAtom(Atoms, ge(M, constInt(0)));
-      ExprRef A = var(workerName("arg", J, V), L.field(CP.AccFields[J]).Ty);
+      const ExprRef &A = W.Arg[V][J];
       if (L.field(CP.AccFields[J]).Ty == TypeKind::Bool) {
         addAtom(Atoms, A);
         addAtom(Atoms, lnot(A));
@@ -423,7 +381,7 @@ EquivChecker::invariantOf(std::vector<ExprRef> Atoms, bool FromD0,
   dropFailing(Atoms, Samples);
 
   SymbolicPolicy P;
-  SymState S = freshState(Prog, "inv_s_");
+  SymState S = lang::freshState(Prog, "inv_s_");
   ExprRef X = var("inv_x", TypeKind::Int);
   SymState Init = lang::initialState(Prog, P);
   if (!FromD0)
@@ -474,8 +432,8 @@ ProofRoute EquivChecker::proveByInduction(const ParallelPlan &Plan,
 
   SymbolicPolicy P;
   PlanExecutor<SymbolicPolicy> Exec(Prog, Plan, P);
-  SymState A = freshState(Prog, "ind_a_");
-  SymState B = freshState(Prog, "ind_b_");
+  SymState A = lang::freshState(Prog, "ind_a_");
+  SymState B = lang::freshState(Prog, "ind_b_");
   ExprRef X = var("ind_x", TypeKind::Int);
   SymState First = lang::stepState(Prog, lang::initialState(Prog, P), X, P);
   ExprRef InvA = holdsOn(Prog, *Invariant, A, P);
@@ -500,7 +458,7 @@ ProofRoute EquivChecker::proveCondPrefix(const ParallelPlan &Plan,
   const lang::StateLayout &L = Prog.State;
   SymbolicPolicy P;
   PlanExecutor<SymbolicPolicy> Exec(Prog, Plan, P);
-  SymState C = freshState(Prog, "ind_c_");
+  SymState C = lang::freshState(Prog, "ind_c_");
   ExprRef X = var("ind_x", TypeKind::Int);
 
   // InvC: the cached atoms, plus "the control tuple is one of CtrlValues"
@@ -510,7 +468,7 @@ ProofRoute EquivChecker::proveCondPrefix(const ParallelPlan &Plan,
   for (size_t K : CP.CtrlFields)
     CtrlVars.push_back(L.fieldVar(K));
   std::vector<ExprRef> InvC{ctrlAmongValues(Prog, CP, CtrlVars)};
-  SymState S = freshState(Prog, "inv_s_");
+  SymState S = lang::freshState(Prog, "inv_s_");
   if (!houdini(InvC, lang::bindState(L, lang::initialState(Prog, P)),
                lang::bindState(L, S),
                lang::bindState(L, lang::stepState(Prog, S, X, P)), Check))
@@ -519,22 +477,23 @@ ProofRoute EquivChecker::proveCondPrefix(const ParallelPlan &Plan,
 
   // InvW: Houdini over the worker's own fold, from w0 = runWorker({}),
   // after dropping the atoms that fail on sampled workers.
-  std::vector<ExprRef> InvW = workerAtoms(Prog, CP, InvC);
+  SummaryLayout Slots(Prog, Plan);
+  std::vector<ExprRef> InvW = workerAtoms(Prog, CP, Slots, InvC);
   {
     ConcretePolicy CPol;
     PlanExecutor<ConcretePolicy> Conc(Prog, Plan, CPol);
     std::vector<DomainEnv<ConcretePolicy>> Samples;
     for (const std::vector<int64_t> &Run : representativeRuns(Prog))
-      Samples.push_back(bindWorker(Prog, CP, Conc.runWorker(Run)));
+      Samples.push_back(bindWorker(Prog, Slots, Conc.runWorker(Run)));
     dropFailing(InvW, Samples);
   }
   WorkerResult<SymbolicPolicy> W0 = Exec.runWorker({});
-  WorkerResult<SymbolicPolicy> W = freshWorker(Prog, CP);
+  WorkerResult<SymbolicPolicy> W = freshWorker(Prog, Slots);
   WorkerResult<SymbolicPolicy> W1 = W;
   Exec.stepWorker(W1, X);
-  SymEnv EnvW = bindWorker(Prog, CP, W);
-  if (!houdini(InvW, bindWorker(Prog, CP, W0), EnvW,
-               bindWorker(Prog, CP, W1), Check))
+  SymEnv EnvW = bindWorker(Prog, Slots, W);
+  if (!houdini(InvW, bindWorker(Prog, Slots, W0), EnvW,
+               bindWorker(Prog, Slots, W1), Check))
     return ProofRoute::BoundedCancelled;
 
   ExprRef InvCC = holdsOn(Prog, InvC, C, P);

@@ -130,35 +130,14 @@ materializeUpdExprs(const lang::SerialProgram &Prog,
   PlanExecutor<S> Exec(Prog, Plan, P);
 
   // State C as field variables.
-  lang::StateVec<S> C;
-  for (const lang::Field &F : Prog.State.fields())
-    C.push_back(ir::DomainValue<S>::scalar(ir::var(F.Name, F.Ty)));
+  lang::StateVec<S> C = lang::freshState(Prog, "");
 
   // A symbolic worker summary: one variable per table slot.
-  const CondPrefixInfo &CP = Plan.Cond;
+  SummaryLayout Slots(Prog, Plan);
   WorkerResult<S> W;
   W.Found = ir::constBool(true);
   W.Boundary = ir::constInt(0);
-  W.CtrlCur.resize(CP.numValuations());
-  W.Mode.resize(CP.numValuations());
-  W.Arg.resize(CP.numValuations());
-  for (size_t V = 0; V != CP.numValuations(); ++V) {
-    for (size_t K = 0; K != CP.CtrlFields.size(); ++K) {
-      const lang::Field &F = Prog.State.field(CP.CtrlFields[K]);
-      W.CtrlCur[V].push_back(
-          ir::var("D_ctrl" + std::to_string(V) + "_" + std::to_string(K),
-                  F.Ty));
-    }
-    for (size_t J = 0; J != CP.AccFields.size(); ++J) {
-      const lang::Field &F = Prog.State.field(CP.AccFields[J]);
-      W.Mode[V].push_back(
-          ir::var("D_mode" + std::to_string(V) + "_" + std::to_string(J),
-                  ir::TypeKind::Int));
-      W.Arg[V].push_back(
-          ir::var("D_arg" + std::to_string(V) + "_" + std::to_string(J),
-                  F.Ty));
-    }
-  }
+  Slots.unflatten(Slots.vars(), W);
 
   lang::StateVec<S> Out = Exec.applyUpd(C, W);
   std::vector<ir::ExprRef> Exprs;

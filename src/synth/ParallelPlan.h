@@ -113,10 +113,10 @@ struct ParallelPlan {
 };
 
 /// Materializes the `upd` function of a summary plan as one nested-ite
-/// expression per state field, over variables {field names} and
-/// {"D_ctrl<k>_v<v>", "D_mode<j>_v<v>", "D_arg<j>_v<v>"}. This reproduces
-/// the paper's observation that synthesized sum/upd functions are nested
-/// ite terms, and feeds the code generators.
+/// expression per state field, over the field names and the table slots
+/// of synth::SummaryLayout (synth/PlanEval.h). This reproduces the paper's
+/// observation that synthesized sum/upd functions are nested ite terms;
+/// the runtime compiles it, and ParallelPlan::describe() prints it.
 std::vector<ir::ExprRef>
 materializeUpdExprs(const lang::SerialProgram &Prog, const ParallelPlan &Plan);
 

@@ -3,9 +3,12 @@
 // The single definition of what a ParallelPlan *means*. Evaluation is
 // branch-free (all control is `ite`/select) and templated over the scalar
 // policy, so the exact same code:
-//   * concretely executes plans (reference semantics for the runtime and
-//     the counterexample corpus), and
-//   * symbolically encodes plans for the bounded equivalence verifier.
+//   * concretely executes plans (reference semantics for the counterexample
+//     corpus and the differential oracle),
+//   * symbolically encodes plans for the bounded equivalence verifier, the
+//     induction and the CHC encoder, and
+//   * built once over variables, is compiled to the bytecode the runtime
+//     runs for cond-prefix plans (runtime/Kernels.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +19,8 @@
 #include "synth/ParallelPlan.h"
 
 #include <cassert>
+#include <string>
+#include <tuple>
 #include <vector>
 
 namespace grassp {
@@ -37,6 +42,88 @@ template <class S> struct WorkerResult {
 
   // Refold scenario: every element with an "is in prefix" flag.
   std::vector<std::pair<Sc, Sc>> PrefixEls;
+};
+
+/// The one flat layout of a summary worker's tables (CtrlCur, Mode and
+/// Arg of WorkerResult): per start valuation v, the control tuple
+/// CtrlCur[v][0..k), then the pair Mode[v][j], Arg[v][j] for every
+/// accumulator j. Slot names are <Prefix>ctrl<k>_v<v>, <Prefix>mode<j>_v<v>
+/// and <Prefix>arg<j>_v<v>. The runtime's compiled summary functions, the
+/// induction's worker variables and materializeUpdExprs() all use it. A
+/// plan that is not a cond-prefix summary plan has no slots.
+class SummaryLayout {
+public:
+  SummaryLayout(const lang::SerialProgram &Prog, const ParallelPlan &Plan,
+                const std::string &Prefix = "w_") {
+    const CondPrefixInfo &CP = Plan.Cond;
+    if (Plan.Kind != Scenario::CondPrefixSummary)
+      return;
+    NumV = CP.numValuations();
+    NumCtrl = CP.CtrlFields.size();
+    NumAcc = CP.AccFields.size();
+    auto Add = [&](const char *What, size_t I, size_t V, ir::TypeKind Ty) {
+      Names.push_back(Prefix + What + std::to_string(I) + "_v" +
+                      std::to_string(V));
+      Types.push_back(Ty);
+    };
+    for (size_t V = 0; V != NumV; ++V) {
+      for (size_t K = 0; K != NumCtrl; ++K)
+        Add("ctrl", K, V, Prog.State.field(CP.CtrlFields[K]).Ty);
+      for (size_t J = 0; J != NumAcc; ++J) {
+        Add("mode", J, V, ir::TypeKind::Int);
+        Add("arg", J, V, Prog.State.field(CP.AccFields[J]).Ty);
+      }
+    }
+  }
+
+  size_t size() const { return Names.size(); }
+  const std::vector<std::string> &names() const { return Names; }
+
+  /// Every slot as a variable of its type, in slot order.
+  std::vector<ir::ExprRef> vars() const {
+    std::vector<ir::ExprRef> Out;
+    for (size_t I = 0; I != size(); ++I)
+      Out.push_back(ir::var(Names[I], Types[I]));
+    return Out;
+  }
+
+  /// \p W's tables, flat.
+  template <class S>
+  std::vector<typename S::Scalar> flatten(const WorkerResult<S> &W) const {
+    std::vector<typename S::Scalar> Out;
+    for (size_t V = 0; V != NumV; ++V) {
+      Out.insert(Out.end(), W.CtrlCur[V].begin(), W.CtrlCur[V].end());
+      for (size_t J = 0; J != NumAcc; ++J) {
+        Out.push_back(W.Mode[V][J]);
+        Out.push_back(W.Arg[V][J]);
+      }
+    }
+    return Out;
+  }
+
+  /// Sets \p W's tables from the flat \p Slots.
+  template <class S>
+  void unflatten(const std::vector<typename S::Scalar> &Slots,
+                 WorkerResult<S> &W) const {
+    assert(Slots.size() == size() && "slot count does not match the layout");
+    W.CtrlCur.assign(NumV, {});
+    W.Mode.assign(NumV, {});
+    W.Arg.assign(NumV, {});
+    auto It = Slots.begin();
+    for (size_t V = 0; V != NumV; ++V) {
+      W.CtrlCur[V].assign(It, It + NumCtrl);
+      It += NumCtrl;
+      for (size_t J = 0; J != NumAcc; ++J) {
+        W.Mode[V].push_back(*It++);
+        W.Arg[V].push_back(*It++);
+      }
+    }
+  }
+
+private:
+  size_t NumV = 0, NumCtrl = 0, NumAcc = 0;
+  std::vector<std::string> Names;
+  std::vector<ir::TypeKind> Types;
 };
 
 /// Executes plans of every scenario in domain S.
@@ -65,8 +152,7 @@ public:
     return P.constInt(0);
   }
 
-  /// Runs one conditional-prefix worker over a segment (exposed for the
-  /// runtime and for tests).
+  /// Runs one conditional-prefix worker over a segment.
   WorkerResult<S> runWorker(const std::vector<Sc> &Segment) {
     const CondPrefixInfo &CP = Plan.Cond;
     size_t NumV = CP.numValuations();
@@ -176,11 +262,38 @@ public:
         Pre = selectState(ElFlag.second, Stepped, Pre);
       }
     }
-    State T = lang::stepState(Prog, Pre, W.Boundary, P);
-    State W0 =
-        lang::stepState(Prog, lang::initialState(Prog, P), W.Boundary, P);
-    State Comb = combineStates(T, W.D, W0);
-    return selectState(W.Found, Comb, Pre);
+    return selectState(W.Found, crossBoundary(Pre, W.Boundary, W.D), Pre);
+  }
+
+  /// Carries the true state \p Pre across boundary element \p Bnd into a
+  /// worker suffix whose fold from d0 is \p D: one application of f, then
+  /// the per-flavor combine with the worker baseline f(d0, Bnd).
+  State crossBoundary(const State &Pre, const Sc &Bnd, const State &D) {
+    State T = lang::stepState(Prog, Pre, Bnd, P);
+    State W0 = lang::stepState(Prog, lang::initialState(Prog, P), Bnd, P);
+    return combineStates(T, D, W0);
+  }
+
+  /// ⊕ on the tables of two adjacent summary workers when the left one,
+  /// \p A, holds no boundary: \p A's tables become those of its prefix
+  /// followed by \p B's. Valuation v reaches A.CtrlCur[v] through A, so B's
+  /// entries for that valuation follow A's.
+  void composeTables(WorkerResult<S> &A, const WorkerResult<S> &B) {
+    const CondPrefixInfo &CP = Plan.Cond;
+    for (size_t V = 0, NV = CP.numValuations(); V != NV; ++V) {
+      const std::vector<Sc> Mid = A.CtrlCur[V];
+      for (size_t J = 0, E = CP.AccFields.size(); J != E; ++J) {
+        Sc BMode = selectByValuation(
+            Mid, [&](size_t Wv) { return B.Mode[Wv][J]; }, P.constInt(0));
+        Sc BArg = selectByValuation(
+            Mid, [&](size_t Wv) { return B.Arg[Wv][J]; }, accZero(J));
+        std::tie(A.Mode[V][J], A.Arg[V][J]) = composeParam(
+            CP.AccFlavors[J], A.Mode[V][J], A.Arg[V][J], BMode, BArg);
+      }
+      for (size_t K = 0, E = CP.CtrlFields.size(); K != E; ++K)
+        A.CtrlCur[V][K] = selectByValuation(
+            Mid, [&](size_t Wv) { return B.CtrlCur[Wv][K]; }, Mid[K]);
+    }
   }
 
 private:
@@ -348,7 +461,7 @@ private:
 
 public:
   /// The synthesized upd: applies worker \p W's prefix summary to state C.
-  /// Public so the runtime and the upd-materializer reuse it.
+  /// Public for materializeUpdExprs(), which builds it over variables.
   State applyUpd(const State &C, const WorkerResult<S> &W) {
     const CondPrefixInfo &CP = Plan.Cond;
     std::vector<Sc> Ctrl;
@@ -376,6 +489,7 @@ public:
     return Out;
   }
 
+private:
   /// Suffix combine at a boundary: true pre-boundary state \p T, worker
   /// result \p D, worker baseline \p W0 (= f(d0, boundary)).
   State combineStates(const State &T, const State &D, const State &W0) {
@@ -412,7 +526,6 @@ public:
     return Out;
   }
 
-private:
   /// Branch-free state select.
   State selectState(const Sc &Cond, const State &A, const State &B) {
     State Out;

@@ -221,17 +221,16 @@ TEST(DistProtocol, MessageCodecsRoundTrip) {
     EXPECT_EQ(Pub2.Stripes[K].Elems, Pub.Stripes[K].Elems) << K;
   }
 
-  // A Result carrying every WorkerOutput field, including the nested
-  // mode-argument table; then a constant-prefix summary of several
-  // segments (length, repair head and merged state).
+  // A Result carrying every WorkerOutput field, including the flat
+  // summary tables; then a constant-prefix summary of several segments
+  // (length, repair head and merged state).
   dist::ResultMsg M;
   M.TaskId = 9;
   M.ShardIndex = 1;
   M.Out.Found = true;
   M.Out.Boundary = -11;
   M.Out.D = {1, 2, 3};
-  M.Out.CtrlCur = {0, 2};
-  M.Out.ModeArg = {{{1, 2}, {3, 4}}, {}, {{-5, 6}}};
+  M.Out.Tables = {0, 2, 1, 2, 3, 4, -5, 6};
   M.Out.PrefixData = {42};
   M.Out.Distinct = {7, 8};
   dist::ResultMsg Scan;
@@ -253,8 +252,7 @@ TEST(DistProtocol, MessageCodecsRoundTrip) {
     EXPECT_EQ(M2.Out.D, In.Out.D);
     EXPECT_EQ(M2.Out.Head, In.Out.Head);
     EXPECT_EQ(M2.Out.Merged, In.Out.Merged);
-    EXPECT_EQ(M2.Out.CtrlCur, In.Out.CtrlCur);
-    EXPECT_EQ(M2.Out.ModeArg, In.Out.ModeArg);
+    EXPECT_EQ(M2.Out.Tables, In.Out.Tables);
     EXPECT_EQ(M2.Out.PrefixData, In.Out.PrefixData);
     EXPECT_EQ(M2.Out.Distinct, In.Out.Distinct);
     // Cut anywhere, the message no longer decodes.

@@ -5,7 +5,8 @@
 // certifies both differentially. Randomly generated well-formed bytecode
 // is run optimized and unoptimized on random register states and must
 // agree bit-for-bit; foldLoop must agree with an element-at-a-time
-// reference fold including the simultaneous-writeback hazard.
+// reference fold including the simultaneous-writeback hazard, and
+// foldLoopUntil must also stop where that fold first sees its flag.
 //
 //===----------------------------------------------------------------------===//
 
@@ -249,6 +250,45 @@ TEST(FoldLoop, AgreesWithPerElementOnRandomStepFunctions) {
     BytecodeFunction O = F.optimized();
     EXPECT_EQ(loopFold(O, State, Data), refFold(F, State, Data))
         << "optimized, trial " << Trial;
+  }
+}
+
+TEST(FoldLoopUntil, StopsBeforeTheFirstFlaggedElement) {
+  Rng R(0x5709);
+  for (unsigned Trial = 0; Trial != 200; ++Trial) {
+    unsigned NumFields = static_cast<unsigned>(R.bounded(3));
+    // One more output than fields: the last is the stop flag.
+    BytecodeFunction F = randomFunction(
+        R, NumFields + 1, 1 + static_cast<unsigned>(R.bounded(16)),
+        NumFields + 1);
+    std::vector<int64_t> State;
+    for (unsigned I = 0; I != NumFields; ++I)
+      State.push_back(R.range(-100, 100));
+    std::vector<int64_t> Data;
+    for (unsigned I = 0, N = static_cast<unsigned>(R.bounded(50)); I != N;
+         ++I)
+      Data.push_back(R.range(-3, 3));
+
+    // Reference: one run() per element, stopping at the first flag.
+    std::vector<int64_t> Want = State;
+    size_t Stop = 0;
+    for (; Stop != Data.size(); ++Stop) {
+      std::vector<int64_t> In = Want;
+      In.push_back(Data[Stop]);
+      std::vector<int64_t> Out = evalOn(F, In);
+      if (Out.back() != 0)
+        break;
+      Want.assign(Out.begin(), Out.end() - 1);
+    }
+    for (const BytecodeFunction &G : {F, F.optimized()}) {
+      std::vector<int64_t> Got = State;
+      std::vector<int64_t> Scratch(G.scratchSize(), 0);
+      EXPECT_EQ(G.foldLoopUntil(Data.data(), Data.size(), Got.data(),
+                                Scratch.data()),
+                Stop)
+          << "trial " << Trial;
+      EXPECT_EQ(Got, Want) << "trial " << Trial;
+    }
   }
 }
 

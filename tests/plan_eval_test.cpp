@@ -141,11 +141,11 @@ TEST(MaterializeUpd, AgreesWithTabulatedUpd) {
       W.CtrlCur[V] = {static_cast<int64_t>(R.next() % 2)};
       W.Mode[V] = {static_cast<int64_t>(R.next() % 3)};
       W.Arg[V] = {R.range(-3, 3)};
-      Env.emplace("D_ctrl" + std::to_string(V) + "_0",
+      Env.emplace("w_ctrl0_v" + std::to_string(V),
                   DomainValue<ConcretePolicy>::scalar(W.CtrlCur[V][0]));
-      Env.emplace("D_mode" + std::to_string(V) + "_0",
+      Env.emplace("w_mode0_v" + std::to_string(V),
                   DomainValue<ConcretePolicy>::scalar(W.Mode[V][0]));
-      Env.emplace("D_arg" + std::to_string(V) + "_0",
+      Env.emplace("w_arg0_v" + std::to_string(V),
                   DomainValue<ConcretePolicy>::scalar(W.Arg[V][0]));
     }
     lang::StateVec<ConcretePolicy> C;

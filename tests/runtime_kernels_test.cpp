@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace grassp;
 using namespace grassp::lang;
 using namespace grassp::runtime;
@@ -61,6 +63,54 @@ TEST_P(KernelBenchmark, CompiledMatchesReference) {
     // Reference plan executor agrees too.
     EXPECT_EQ(runPlanConcrete(*P, R.Plan, RefSegs), Expected);
   }
+}
+
+// max_sum_zeros sums the elements between zeros in a `+` accumulator.
+// Here its prefixes, suffixes and whole runs sum past INT64_MAX, so the
+// summary tables, their composition and the boundary combine must wrap
+// exactly as the serial fold does (ir/Arith.h), on every bracketing.
+TEST(CondPrefixKernels, PlusAccumulatorWrapsLikeTheSerialFold) {
+  const SerialProgram *P = findBenchmark("max_sum_zeros");
+  ASSERT_NE(P, nullptr);
+  SynthesisResult R = synthesize(*P);
+  ASSERT_TRUE(R.Success) << R.FailureReason;
+  ASSERT_EQ(R.Plan.Kind, Scenario::CondPrefixSummary);
+  CompiledPlan Plan(*P, R.Plan);
+
+  const int64_t Max = INT64_MAX;
+  std::vector<std::vector<int64_t>> Segs = {
+      {Max, 1, 0, Max, 2},    // prefix and suffix sums wrap
+      {3, Max, Max},          // no boundary: all prefix
+      {Max, 1, 0, 5, Max, 0}, // continues the wrapped run
+      {Max, Max, 0, Max},
+      {1, 2, 0, 7}};
+  std::vector<int64_t> All;
+  std::vector<SegmentView> Views;
+  for (const std::vector<int64_t> &S : Segs) {
+    All.insert(All.end(), S.begin(), S.end());
+    Views.push_back({S.data(), S.size()});
+  }
+  int64_t Expected = runSerial(*P, All);
+
+  std::vector<WorkerOutput> W;
+  for (SegmentView S : Views)
+    W.push_back(Plan.runWorker(S));
+  WorkerOutput Left;
+  for (const WorkerOutput &O : W)
+    Plan.combine(Left, O);
+  EXPECT_EQ(Plan.finish(Left), Expected);
+  WorkerOutput Right;
+  for (size_t I = W.size(); I-- > 0;) {
+    WorkerOutput Acc = W[I];
+    Plan.combine(Acc, Right);
+    Right = std::move(Acc);
+  }
+  EXPECT_EQ(Right, Left);
+  EXPECT_EQ(Plan.runWorker({All.data(), All.size()}), Left);
+
+  EXPECT_EQ(runParallel(Plan, Views, nullptr).Output, Expected);
+  ThreadPool Pool(2);
+  EXPECT_EQ(runParallel(Plan, Views, &Pool).Output, Expected);
 }
 
 std::vector<std::string> allNames() {

@@ -78,7 +78,7 @@ TEST(CondPrefix, MaterializedUpdMentionsDeltaVars) {
   collectVars(Upd[1], Vars); // cnt update
   bool MentionsDelta = false;
   for (const auto &KV : Vars)
-    MentionsDelta |= KV.first.rfind("D_", 0) == 0;
+    MentionsDelta |= KV.first.rfind("w_", 0) == 0;
   EXPECT_TRUE(MentionsDelta);
 }
 
