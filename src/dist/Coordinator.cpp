@@ -325,6 +325,12 @@ void DistCoordinator::drainFrames(unsigned Slot, DistRunReport &R,
       if (QIt == P.Queue.end())
         break; // stale result (task was reassigned); drop it.
       Attempt A = QIt->A;
+      if (!Plan.fitsSegment(M.Out, Desc[A.Shard].Count)) {
+        // Checksummed, from a worker that passed the handshake, yet not
+        // a summary of its shard: as untrustworthy as bad bytes.
+        handleDeath(Slot, DeathReason::Corrupt, R, Sched);
+        return;
+      }
       P.Queue.erase(QIt);
       if (Sched.completed(A))
         Outs[A.Shard] = std::move(M.Out);

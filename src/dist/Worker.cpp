@@ -112,6 +112,12 @@ void workerMain(int Fd, const runtime::CompiledPlan &Plan,
       Res.TaskId = It.TaskId;
       Res.ShardIndex = It.ShardIndex;
       Res.Out = Plan.runWorker(Seg);
+      if (Faults && Faults->shouldFailKeyed(SiteResultShape, It.AttemptKey)) {
+        std::vector<int64_t> *Parts[] = {&Res.Out.D, &Res.Out.Head,
+                                         &Res.Out.Merged, &Res.Out.Tables};
+        uint64_t Pick = Faults->drawFor(SiteResultShape, It.AttemptKey) % 4;
+        Parts[Pick]->push_back(0);
+      }
 
       int64_t CorruptAt = -1;
       if (Faults && Faults->shouldFailKeyed(SiteFrameCorrupt, It.AttemptKey))

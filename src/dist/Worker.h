@@ -27,8 +27,9 @@
 //
 // Real fault injection: on receipt of a task item the worker consults
 // the dist.* fault sites keyed by the item's attempt key, and then
-// actually _exit(137)s, raise(SIGKILL)s itself, hangs forever, or flips
-// one byte of its reply frame; before its Hello it consults
+// actually _exit(137)s, raise(SIGKILL)s itself, hangs forever, flips
+// one byte of its reply frame, or replies with a checksummed summary of
+// the wrong shape; before its Hello it consults
 // dist.worker.hello and may hang without ever greeting. These are
 // genuine process deaths and genuine bad bytes on a real socket — the
 // coordinator's recovery machinery is exercised against exactly what it
@@ -55,6 +56,9 @@ inline constexpr const char *SiteWorkerExit = "dist.worker.exit";
 inline constexpr const char *SiteWorkerKill = "dist.worker.kill";
 inline constexpr const char *SiteWorkerHang = "dist.worker.hang";
 inline constexpr const char *SiteFrameCorrupt = "dist.frame.corrupt";
+/// The worker sends a checksummed Result whose summary has one value
+/// too many in D, Head, Merged or Tables (the draw picks which).
+inline constexpr const char *SiteResultShape = "dist.result.shape";
 /// Consulted once per worker process, with key 0, before the Hello: when
 /// it fires the worker hangs without greeting, so an armed site hits
 /// every spawn and the coordinator's Hello deadline must kill each one.

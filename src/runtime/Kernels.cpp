@@ -448,6 +448,26 @@ int64_t CompiledPlan::finish(const WorkerOutput &S) const {
   return 0;
 }
 
+bool CompiledPlan::fitsSegment(const WorkerOutput &W, uint64_t Elems) const {
+  const bool Cond = Plan.Kind == synth::Scenario::CondPrefixRefold ||
+                    Plan.Kind == synth::Scenario::CondPrefixSummary;
+  const bool Bag = !Cond && Compiled.usesBag();
+  const size_t Fields = Bag ? 0 : Compiled.initialState().size();
+  const size_t HeadLen = Plan.Kind == synth::Scenario::ConstPrefix && !Bag
+                             ? std::min<uint64_t>(Plan.PrefixLen, Elems)
+                             : 0;
+  if (W.Elems != Elems || W.D.size() != Fields || W.Head.size() != HeadLen ||
+      !W.Merged.empty() ||
+      W.Tables.size() != (Cond ? InitTables.size() : 0) ||
+      W.Distinct.size() > (Bag ? Elems : 0))
+    return false;
+  // A re-folding worker keeps the elements before its boundary.
+  if (Plan.Kind == synth::Scenario::CondPrefixRefold)
+    return W.Found ? W.PrefixData.size() < Elems
+                   : W.PrefixData.size() == Elems;
+  return W.PrefixData.empty();
+}
+
 int64_t CompiledPlan::merge(const std::vector<WorkerOutput> &Workers) const {
   WorkerOutput Acc;
   for (const WorkerOutput &W : Workers)

@@ -186,6 +186,12 @@ public:
   /// The program's output over the segments a summary covers.
   int64_t finish(const WorkerOutput &S) const;
 
+  /// Whether \p W has the sizes runWorker() gives a segment of \p Elems
+  /// elements. combine() and finish() trust those sizes, so a summary
+  /// from outside the process (a dist worker's Result) is checked here
+  /// before it reaches them.
+  bool fitsSegment(const WorkerOutput &W, uint64_t Elems) const;
+
   /// finish() of the left fold of combine() over \p Workers, one summary
   /// per segment in order.
   int64_t merge(const std::vector<WorkerOutput> &Workers) const;

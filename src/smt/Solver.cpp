@@ -14,6 +14,27 @@
 namespace grassp {
 namespace smt {
 
+namespace {
+
+constexpr unsigned NoTimeout = 4294967295u; // Z3's "unbounded".
+
+/// The value of Z3's `timeout` param a check runs under. With a valid
+/// token the interrupt watcher enforces the budget and Z3's own timer
+/// stays disarmed (see ScopedInterruptWatcher); without one, Z3's
+/// timeout is used as usual and no interrupt is ever issued.
+unsigned z3Timeout(unsigned EffectiveMs, const CancelToken &Token) {
+  return (Token.valid() || EffectiveMs == 0) ? NoTimeout : EffectiveMs;
+}
+
+/// The SMT budget of a check. A token deadline clamps it: a query
+/// admitted 800ms before the deadline runs under an 800ms timeout even
+/// when the budget ladder would grant more.
+unsigned effectiveMs(unsigned TimeoutMs, const CancelToken &Token) {
+  return Token.deadline().remainingMs(TimeoutMs);
+}
+
+} // namespace
+
 struct SmtSolver::Impl {
   z3::context Ctx;
   z3::solver Solver;
@@ -25,21 +46,34 @@ struct SmtSolver::Impl {
   /// releaseTerms() drops both together.
   std::vector<ir::ExprRef> Retained;
 
-  Impl() : Solver(Ctx) { disableCtrlC(Solver); }
+  /// The `timeout` param in force on Solver.
+  unsigned SolverTimeout = NoTimeout;
 
+  Impl() : Solver(Ctx) { configure(Solver, SolverTimeout); }
+
+  /// Sets both params a solver needs in one call. Setting params is
+  /// not cheap: Z3 validates them against the solver's whole parameter
+  /// table and re-applies them, about 1 ms a call, and calls on
+  /// concurrent threads slow each other down (EXPERIMENTS.md, "One SMT
+  /// session per synthesis attempt"). So each solver is configured
+  /// once, and check() re-sets the timeout only when it changes.
+  ///
   /// Z3 installs its own SIGINT handler around every check by default,
   /// which would swallow Ctrl-C mid-solve (interrupting just that one
   /// query and resuming the run). Signal policy belongs to
   /// installSignalSource(); cancellation reaches in-flight checks via
   /// the interrupt watcher instead.
-  void disableCtrlC(z3::solver &S) {
+  void configure(z3::solver &S, unsigned Timeout) {
     z3::params P(Ctx);
     P.set("ctrl_c", false);
+    P.set("timeout", Timeout);
     S.set(P);
   }
 
-  SatResult check(z3::solver &S, unsigned TimeoutMs,
-                  const CancelToken &Token);
+  /// Runs one check on \p S, whose `timeout` param is already the one
+  /// z3Timeout() gives for \p EffectiveMs and \p Token.
+  SatResult run(z3::solver &S, unsigned EffectiveMs,
+                const CancelToken &Token);
 
   z3::expr lower(const ir::ExprRef &E) {
     auto It = Cache.find(E.get());
@@ -209,41 +243,36 @@ private:
 
 SatResult SmtSolver::check(unsigned TimeoutMs, CancelToken Token) {
   ++Checks;
-  return I->check(I->Solver, TimeoutMs, Token);
+  if (Token.cancelled())
+    return SatResult::Cancelled;
+  unsigned EffectiveMs = effectiveMs(TimeoutMs, Token);
+  unsigned Timeout = z3Timeout(EffectiveMs, Token);
+  if (Timeout != I->SolverTimeout) {
+    z3::params P(I->Ctx);
+    P.set("timeout", Timeout);
+    I->Solver.set(P);
+    I->SolverTimeout = Timeout;
+  }
+  return I->run(I->Solver, EffectiveMs, Token);
 }
 
 SatResult SmtSolver::recheckFresh(unsigned TimeoutMs, CancelToken Token) {
   ++Checks;
+  if (Token.cancelled())
+    return SatResult::Cancelled;
+  unsigned EffectiveMs = effectiveMs(TimeoutMs, Token);
   // A solver that never saw push() or a second check() runs Z3's
   // default (tactic) pipeline; it shares the context, so the asserted
   // terms carry over without lowering again.
   z3::solver Fresh(I->Ctx);
-  I->disableCtrlC(Fresh);
+  I->configure(Fresh, z3Timeout(EffectiveMs, Token));
   for (const z3::expr &A : I->Solver.assertions())
     Fresh.add(A);
-  return I->check(Fresh, TimeoutMs, Token);
+  return I->run(Fresh, EffectiveMs, Token);
 }
 
-SatResult SmtSolver::Impl::check(z3::solver &S, unsigned TimeoutMs,
-                                 const CancelToken &Token) {
-  if (Token.cancelled())
-    return SatResult::Cancelled;
-  // A token deadline clamps the SMT budget: a query admitted 800ms
-  // before the deadline runs under an 800ms timeout even when the
-  // budget ladder would grant more.
-  unsigned EffectiveMs = Token.deadline().remainingMs(TimeoutMs);
-  // With a valid token the interrupt watcher enforces the budget and
-  // Z3's own timer stays disarmed (see ScopedInterruptWatcher); the
-  // explicit no-timeout value also clears any timeout a previous
-  // token-less check left set on this solver. Without a token, Z3's
-  // timeout param is used as usual and no interrupt is ever issued.
-  {
-    constexpr unsigned NoTimeout = 4294967295u; // Z3's "unbounded".
-    z3::params P(Ctx);
-    P.set("timeout", (Token.valid() || EffectiveMs == 0) ? NoTimeout
-                                                         : EffectiveMs);
-    S.set(P);
-  }
+SatResult SmtSolver::Impl::run(z3::solver &S, unsigned EffectiveMs,
+                               const CancelToken &Token) {
   Model.reset();
   z3::check_result R;
   {

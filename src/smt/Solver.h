@@ -60,6 +60,15 @@ public:
   /// effective timeout to the remaining budget. The solver survives an
   /// interrupt — the context stays valid and later checks are unharmed
   /// (the interrupted query's verdict is simply discarded).
+  ///
+  /// The budget reaches Z3 as its `timeout` param: unbounded for a
+  /// check with a token (the watcher enforces the budget), the
+  /// effective budget for one without. The param is set on the solver
+  /// only when that value differs from the one already in force, since
+  /// setting Z3 params costs about as much as a small query and calls
+  /// on concurrent threads slow each other down; a run of token checks
+  /// never re-sets it, while the budget ladder's rungs and a switch
+  /// between token and token-less checks do.
   SatResult check(unsigned TimeoutMs = 0, CancelToken Token = CancelToken());
 
   /// Re-checks the current assertions on a fresh, non-incremental Z3

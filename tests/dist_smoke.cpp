@@ -17,7 +17,7 @@
 //  * ThreadPool::drain(Deadline) shedding — discardedTasks counts
 //    exactly the queued-but-unstarted tasks, in-flight tasks complete;
 //  * DistCoordinator recovery — planted kills/exits/corrupt frames/
-//    hangs with predictable counters, a seeded kill sweep, serial-refold
+//    wrong-shaped summaries/hangs with predictable counters, a seeded kill sweep, serial-refold
 //    last resort, pool reuse across runs, and cancellation.
 //
 // Every planted fault uses distAttemptKey(run, attempt, shard), so the
@@ -774,6 +774,69 @@ TEST(DistCoordinator, CorruptReplyFrameIsCaughtNeverMiscounted) {
   EXPECT_EQ(Rep.Output, R.Serial);
   EXPECT_GE(Rep.CorruptFrames, 1u);
   EXPECT_GE(Rep.Retries, 1u);
+}
+
+TEST(DistCoordinator, FitsSegmentAcceptsWorkersAndRejectsEveryMisshape) {
+  // One program per plan shape (no-prefix scalar and multi-state, bag,
+  // constant prefix, cond-prefix summary), plus count_102's plan run as
+  // a re-folding one. Every summary runWorker gives fits its segment;
+  // one value too many in any part, or a wrong count, does not.
+  std::vector<std::pair<const char *, bool>> Cases = {
+      {"sum", false},        {"second_max", false}, {"count_distinct", false},
+      {"all_equal", false},  {"count_102", false},  {"max_dist_ones", false},
+      {"count_102", true}};
+  for (auto [Name, Refold] : Cases) {
+    const lang::SerialProgram &P = *lang::findBenchmark(Name);
+    synth::ParallelPlan Plan = synthFor(Name).Plan;
+    if (Refold)
+      Plan.Kind = synth::Scenario::CondPrefixRefold;
+    runtime::CompiledPlan CP(P, Plan);
+    std::vector<int64_t> Data = runtime::generateWorkload(P, 600, 21);
+    for (size_t Len : {size_t(0), size_t(1), size_t(3), Data.size()}) {
+      SCOPED_TRACE(std::string(Name) + (Refold ? " refold" : "") + " len " +
+                   std::to_string(Len));
+      runtime::WorkerOutput W = CP.runWorker({Data.data(), Len});
+      EXPECT_TRUE(CP.fitsSegment(W, Len));
+      EXPECT_FALSE(CP.fitsSegment(W, Len + 1));
+      for (std::vector<int64_t> runtime::WorkerOutput::*Part :
+           {&runtime::WorkerOutput::D, &runtime::WorkerOutput::Head,
+            &runtime::WorkerOutput::Merged, &runtime::WorkerOutput::Tables,
+            &runtime::WorkerOutput::PrefixData}) {
+        runtime::WorkerOutput Bad = W;
+        (Bad.*Part).push_back(0);
+        // Past a boundary, a re-folding worker's prefix is only bounded
+        // by its count: the boundary's index is not in the summary.
+        if (Part == &runtime::WorkerOutput::PrefixData && Refold && W.Found)
+          EXPECT_EQ(CP.fitsSegment(Bad, Len), Bad.PrefixData.size() < Len);
+        else
+          EXPECT_FALSE(CP.fitsSegment(Bad, Len));
+      }
+    }
+  }
+}
+
+TEST(DistCoordinator, WrongShapedResultIsCorruptNeverMerged) {
+  // Every first attempt replies with a checksummed Result whose summary
+  // has one value too many; each is caught as corrupt before it reaches
+  // the merge, and the retries give the exact serial answer.
+  for (const char *Name : {"sum", "all_equal", "count_102"}) {
+    DistRun R(Name);
+    FaultInjector FI(5);
+    FaultSpec Shape;
+    for (uint64_t Shard = 0; Shard != 8; ++Shard)
+      Shape.Keys.push_back(dist::distAttemptKey(0, 0, Shard));
+    FI.arm(dist::SiteResultShape, Shape);
+
+    dist::DistConfig Cfg;
+    Cfg.Workers = 3;
+    Cfg.Faults = &FI;
+    dist::DistCoordinator Coord(R.Plan, Cfg);
+    dist::DistRunReport Rep = Coord.run(R.Segs);
+    EXPECT_EQ(Rep.Output, R.Serial) << Name;
+    EXPECT_GE(Rep.CorruptFrames, 1u) << Name;
+    EXPECT_GE(Rep.WorkersKilled, 1u) << Name;
+    EXPECT_GE(Rep.ShardsReassigned, 1u) << Name;
+  }
 }
 
 TEST(DistCoordinator, HungWorkerIsKilledOrOutracedBySpeculation) {

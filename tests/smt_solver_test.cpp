@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
+#include <string>
 #include <thread>
 
 using namespace grassp::ir;
@@ -13,6 +16,27 @@ using namespace grassp::smt;
 namespace {
 
 ExprRef iv(const char *N) { return var(N, TypeKind::Int); }
+
+double secondsSince(std::chrono::steady_clock::time_point T0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+      .count();
+}
+
+/// Asserts the pigeonhole principle for \p N pigeons in N - 1 holes:
+/// unsat, and exponential for Z3 in N (here N = 7 takes about 0.2 s and
+/// N = 8 about 3 s), yet finite, so a check whose timeout is wrongly
+/// unbounded answers Unsat instead of hanging.
+void addPigeonhole(SmtSolver &S, int N) {
+  std::vector<ExprRef> X;
+  for (int I = 0; I != N; ++I) {
+    X.push_back(iv(("pigeon" + std::to_string(I)).c_str()));
+    S.add(ge(X.back(), constInt(0)));
+    S.add(lt(X.back(), constInt(N - 1)));
+  }
+  for (int I = 0; I != N; ++I)
+    for (int J = I + 1; J != N; ++J)
+      S.add(ne(X[I], X[J]));
+}
 
 TEST(SmtSolver, SatAndModel) {
   SmtSolver S;
@@ -196,6 +220,86 @@ TEST(SmtSolver, BudgetInterruptLeavesNoStaleInterrupt) {
   EXPECT_EQ(S.check(30000, T), SatResult::Unsat);
   S.pop();
   EXPECT_EQ(S.numChecks(), 3u);
+}
+
+TEST(SmtSolver, TimeoutFollowsEachCheckOnOneSolver) {
+  // The Z3 timeout is set on a solver only when it changes; each check
+  // must still run under its own: unbounded, then a 1ms budget, then
+  // unbounded again for a token check (the watcher owns its budget).
+  SmtSolver S;
+  S.add(ge(iv("z"), constInt(0)));
+  ASSERT_EQ(S.check(), SatResult::Sat);
+
+  S.push();
+  addPigeonhole(S, 7);
+  EXPECT_EQ(S.check(1), SatResult::Unknown);
+  S.pop();
+
+  // Not cut off at the 1ms left from the previous check: the query
+  // runs until the token fires.
+  S.push();
+  addPigeonhole(S, 8);
+  grassp::CancelToken T = grassp::CancelToken::root();
+  std::thread Firer([&T] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    T.cancel();
+  });
+  auto T0 = std::chrono::steady_clock::now();
+  SatResult R = S.check(30000, T);
+  double Elapsed = secondsSince(T0);
+  Firer.join();
+  EXPECT_EQ(R, SatResult::Cancelled);
+  EXPECT_GE(Elapsed, 0.12);
+  EXPECT_LT(Elapsed, 10.0);
+  S.pop();
+
+  // And a token-less budget after a token check is in force again.
+  S.push();
+  addPigeonhole(S, 7);
+  EXPECT_EQ(S.check(1), SatResult::Unknown);
+  S.pop();
+  EXPECT_EQ(S.numChecks(), 4u);
+}
+
+std::atomic<int> SigintsSeen{0};
+void countSigint(int) { SigintsSeen.fetch_add(1); }
+
+TEST(SmtSolver, RecheckFreshKeepsCtrlCOffAndHonoursTheBudget) {
+  SmtSolver S;
+  S.add(ge(iv("z"), constInt(0)));
+  ASSERT_EQ(S.check(), SatResult::Sat);
+  S.push();
+  addPigeonhole(S, 7);
+  EXPECT_EQ(S.recheckFresh(1), SatResult::Unknown);
+  S.pop();
+
+  // A SIGINT mid-check reaches the process's handler, not Z3's: with
+  // ctrl_c on, Z3 would swallow it and give up on the query (Unknown)
+  // long before the token fires.
+  S.push();
+  addPigeonhole(S, 8);
+  struct sigaction Count = {}, Old = {};
+  Count.sa_handler = countSigint;
+  sigemptyset(&Count.sa_mask);
+  ASSERT_EQ(sigaction(SIGINT, &Count, &Old), 0);
+  SigintsSeen = 0;
+  grassp::CancelToken T = grassp::CancelToken::root();
+  std::thread Firer([&T] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::raise(SIGINT);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    T.cancel();
+  });
+  auto T0 = std::chrono::steady_clock::now();
+  SatResult R = S.recheckFresh(30000, T);
+  double Elapsed = secondsSince(T0);
+  Firer.join();
+  sigaction(SIGINT, &Old, nullptr);
+  EXPECT_EQ(R, SatResult::Cancelled);
+  EXPECT_EQ(SigintsSeen.load(), 1);
+  EXPECT_GE(Elapsed, 0.12);
+  EXPECT_LT(Elapsed, 10.0);
+  S.pop();
 }
 
 TEST(SmtSolver, RecheckFreshSeesTheOpenScope) {
