@@ -2,12 +2,8 @@
 
 #include "chc/Certify.h"
 
+#include "smt/Z3Lower.h"
 #include "support/Timing.h"
-
-#include <cassert>
-#include <unordered_map>
-
-#include <z3++.h>
 
 using namespace grassp::ir;
 
@@ -30,92 +26,11 @@ const char *certStatusName(CertStatus S) {
 
 namespace {
 
-/// Lowers IR terms to Z3 within one context (mirrors smt/Solver but local
-/// to the fixedpoint session).
-class Lowerer {
-public:
-  explicit Lowerer(z3::context &Ctx) : Ctx(Ctx) {}
-
-  z3::expr lower(const ExprRef &E) {
-    Retained.push_back(E); // pin: cache keys are raw node addresses.
-    auto It = Cache.find(E.get());
-    if (It != Cache.end())
-      return It->second;
-    z3::expr Z = lowerUncached(E);
-    Cache.emplace(E.get(), Z);
-    return Z;
-  }
-
-private:
-  z3::expr lowerUncached(const ExprRef &E) {
-    switch (E->getOp()) {
-    case Op::ConstInt:
-      return Ctx.int_val(static_cast<int64_t>(E->intValue()));
-    case Op::ConstBool:
-      return Ctx.bool_val(E->boolValue());
-    case Op::Var:
-      return E->getType() == TypeKind::Bool
-                 ? Ctx.bool_const(E->varName().c_str())
-                 : Ctx.int_const(E->varName().c_str());
-    case Op::Neg:
-      return -lower(E->operand(0));
-    case Op::Not:
-      return !lower(E->operand(0));
-    case Op::Ite:
-      return z3::ite(lower(E->operand(0)), lower(E->operand(1)),
-                     lower(E->operand(2)));
-    default:
-      break;
-    }
-    z3::expr A = lower(E->operand(0));
-    z3::expr B = lower(E->operand(1));
-    switch (E->getOp()) {
-    case Op::Add:
-      return A + B;
-    case Op::Sub:
-      return A - B;
-    case Op::Mul:
-      return A * B;
-    case Op::Div:
-      return A / B;
-    case Op::Mod:
-      return z3::mod(A, B);
-    case Op::Min:
-      return z3::ite(A <= B, A, B);
-    case Op::Max:
-      return z3::ite(A >= B, A, B);
-    case Op::Eq:
-      return A == B;
-    case Op::Ne:
-      return A != B;
-    case Op::Lt:
-      return A < B;
-    case Op::Le:
-      return A <= B;
-    case Op::Gt:
-      return A > B;
-    case Op::Ge:
-      return A >= B;
-    case Op::And:
-      return A && B;
-    case Op::Or:
-      return A || B;
-    default:
-      assert(false && "unhandled opcode in CHC lowering");
-      return Ctx.bool_val(false);
-    }
-  }
-
-  z3::context &Ctx;
-  std::unordered_map<const Expr *, z3::expr> Cache;
-  std::vector<ExprRef> Retained;
-};
-
 /// Builds the fixedpoint session: registers inv and err, adds the fact,
 /// transition rule, and error rule. Returns the err relation to query.
 z3::func_decl buildFixedpoint(z3::context &Ctx, z3::fixedpoint &Fp,
                               const ChcSystem &Sys) {
-  Lowerer L(Ctx);
+  smt::Z3Lowerer L(Ctx);
 
   z3::sort_vector Sorts(Ctx);
   for (const ChcVar &V : Sys.Vars)

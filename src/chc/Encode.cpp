@@ -68,23 +68,15 @@ void addGatedState(ChcSystem &Sys, const lang::SerialProgram &Prog,
   }
 }
 
-/// Applies the plan merge (binary combine fold) over m symbolic states.
+/// The plan's merge output over m symbolic states: PlanExecutor's
+/// binary merge, folded left.
 ExprRef mergedOutput(const lang::SerialProgram &Prog,
                      const synth::ParallelPlan &Plan, unsigned M) {
   SymbolicPolicy P;
+  synth::PlanExecutor<SymbolicPolicy> Exec(Prog, Plan, P);
   SymState Acc = segmentStateVars(Prog, 1);
-  for (unsigned I = 2; I <= M; ++I) {
-    SymState B = segmentStateVars(Prog, I);
-    ir::DomainEnv<SymbolicPolicy> Env;
-    for (size_t K = 0; K != Prog.State.size(); ++K) {
-      Env.emplace("a_" + Prog.State.field(K).Name, Acc[K]);
-      Env.emplace("b_" + Prog.State.field(K).Name, B[K]);
-    }
-    SymState Out;
-    for (size_t K = 0; K != Prog.State.size(); ++K)
-      Out.push_back(ir::evalExpr(Plan.Merge.Combine[K], Env, P));
-    Acc = std::move(Out);
-  }
+  for (unsigned I = 2; I <= M; ++I)
+    Acc = Exec.applyMerge(Acc, segmentStateVars(Prog, I));
   return lang::outputOf(Prog, Acc, P);
 }
 

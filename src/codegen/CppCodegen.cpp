@@ -2,6 +2,8 @@
 
 #include "codegen/CppCodegen.h"
 #include "codegen/ExprCpp.h"
+#include "lang/Interp.h"
+#include "synth/PlanEval.h"
 
 #include <sstream>
 
@@ -233,150 +235,82 @@ std::string emitNoOrConstPrefix(const SerialProgram &Prog,
   return OS.str();
 }
 
+/// Emits one assignment "<Lhs[I]> = <E[I]>;" per expression.
+void emitAssignments(std::ostringstream &OS,
+                     const std::vector<std::string> &Lhs,
+                     const std::vector<ExprRef> &Exprs,
+                     const std::map<std::string, std::string> &VarMap) {
+  for (size_t I = 0; I != Exprs.size(); ++I)
+    OS << "  " << Lhs[I] << " = " << exprToCpp(Exprs[I], VarMap) << ";\n";
+}
+
+/// "<Arr>[0]" .. "<Arr>[N-1]".
+std::vector<std::string> elements(const std::string &Arr, size_t N) {
+  std::vector<std::string> Out;
+  for (size_t K = 0; K != N; ++K)
+    Out.push_back(Arr + "[" + std::to_string(K) + "]");
+  return Out;
+}
+
+/// The B4 translation. Its sum_step, upd and combine_boundary are
+/// PlanExecutor's own terms, built over variables exactly as
+/// runtime::CompiledPlan builds the functions it compiles, and rendered
+/// as straight-line C++; the tables are one slot array in the order of
+/// synth::SummaryLayout.
 std::string emitCondPrefixSummary(const SerialProgram &Prog,
                                   const ParallelPlan &Plan,
                                   const CppEmitOptions &Opts) {
-  const CondPrefixInfo &CP = Plan.Cond;
-  size_t NV = CP.numValuations();
-  size_t NC = CP.CtrlFields.size();
-  size_t NA = CP.AccFields.size();
+  ir::SymbolicPolicy P;
+  PlanExecutor<ir::SymbolicPolicy> Exec(Prog, Plan, P);
+  SummaryLayout Slots(Prog, Plan);
+  ExprRef In = var(inputVarName(), TypeKind::Int);
+  std::vector<std::string> SlotLvalues = elements("t", Slots.size());
+  std::map<std::string, std::string> M = stateMap(Prog, "c", "in");
+  for (size_t K = 0; K != Slots.size(); ++K)
+    M[Slots.names()[K]] = SlotLvalues[K];
 
   std::ostringstream OS;
   OS << "// Generated by grassp-codegen: " << Prog.Description << "\n"
      << "// scenario: cond-prefix-summary; prefix_cond(in) = "
-     << ir::toString(CP.PrefixCond) << "\n\n"
+     << ir::toString(Plan.Cond.PrefixCond) << "\n\n"
      << cppPreamble() << "\n";
   emitStateStruct(Prog, OS);
   emitWorkload(Prog, Opts, OS);
 
-  std::map<std::string, std::string> InMap{{inputVarName(), "in"}};
-  OS << "static inline i64 prefix_cond(i64 in) { return "
-     << exprToCpp(CP.PrefixCond, InMap) << "; }\n\n";
+  OS << "static inline bool prefix_cond(i64 in) { return "
+     << exprToCpp(Plan.Cond.PrefixCond, M) << "; }\n\n";
 
-  OS << "static const int NV = " << NV << ";\n"
-     << "static const int NC = " << NC << ";\n"
-     << "static const int NA = " << NA << ";\n"
-     << "static const i64 CTRL_VALS[NV][NC] = {\n";
-  for (size_t V = 0; V != NV; ++V) {
-    OS << "  {";
-    for (size_t K = 0; K != NC; ++K)
-      OS << (K ? ", " : "") << CP.CtrlValues[V][K];
-    OS << "},\n";
-  }
-  OS << "};\n\n"
-     << "static int ctrl_index(const i64 *c) {\n"
-     << "  for (int v = 0; v != NV; ++v) {\n"
-     << "    bool m = true;\n"
-     << "    for (int k = 0; k != NC; ++k) m = m && c[k] == CTRL_VALS[v][k];\n"
-     << "    if (m) return v;\n"
-     << "  }\n  return -1;\n}\n\n";
+  ir::ConcretePolicy CPol;
+  PlanExecutor<ir::ConcretePolicy> Conc(Prog, Plan, CPol);
+  std::vector<int64_t> Init = Slots.flatten(Conc.runWorker({}));
+  OS << "// The prefix summary's table slots, as a worker starts them.\n"
+     << "static const int NS = " << Slots.size() << ";\n"
+     << "static const i64 INIT_TABLES[NS > 0 ? NS : 1] = {";
+  for (size_t K = 0; K != Init.size(); ++K)
+    OS << (K ? ", " : "") << Init[K];
+  OS << "};\n\n";
 
-  // The synthesized sum: per-valuation control transitions and
-  // parametric accumulator transforms (nested-ite form).
-  OS << "static i64 ctrl_step(int v, int k, i64 in) {\n"
-     << "  switch (v * NC + k) {\n";
-  for (size_t V = 0; V != NV; ++V)
-    for (size_t K = 0; K != NC; ++K)
-      OS << "  case " << (V * NC + K) << ": return "
-         << exprToCpp(CP.CtrlStep[V][K], InMap) << ";\n";
-  OS << "  }\n  return 0;\n}\n"
-     << "static i64 acc_mode(int v, int j, i64 in) {\n"
-     << "  switch (v * NA + j) {\n";
-  for (size_t V = 0; V != NV; ++V)
-    for (size_t J = 0; J != NA; ++J)
-      OS << "  case " << (V * NA + J) << ": return "
-         << exprToCpp(CP.AccMode[V][J], InMap) << ";\n";
-  OS << "  }\n  return 0;\n}\n"
-     << "static i64 acc_arg(int v, int j, i64 in) {\n"
-     << "  switch (v * NA + j) {\n";
-  for (size_t V = 0; V != NV; ++V)
-    for (size_t J = 0; J != NA; ++J)
-      OS << "  case " << (V * NA + J) << ": return "
-         << exprToCpp(CP.AccArg[V][J], InMap) << ";\n";
-  OS << "  }\n  return 0;\n}\n\n";
+  // The prefix step: stepWorker before any boundary, tables as variables.
+  synth::WorkerResult<ir::SymbolicPolicy> W = Exec.runWorker({});
+  Slots.unflatten(Slots.vars(), W);
+  Exec.stepWorker(W, In);
+  OS << "// The synthesized sum, applied online while scanning the prefix.\n"
+     << "static void sum_step(i64 *t, i64 in) {\n"
+     << "  i64 n[NS > 0 ? NS : 1];\n";
+  emitAssignments(OS, elements("n", Slots.size()), Slots.flatten(W), M);
+  OS << "  std::memcpy(t, n, sizeof n);\n}\n\n";
 
-  // Accumulator flavors as combiner functions.
-  OS << "static i64 acc_op(int j, i64 a, i64 b) {\n  switch (j) {\n";
-  for (size_t J = 0; J != NA; ++J) {
-    OS << "  case " << J << ": return ";
-    switch (CP.AccFlavors[J]) {
-    case AccFlavor::Plus:
-      OS << "a + b;\n";
-      break;
-    case AccFlavor::Max:
-      OS << "g_imax(a, b);\n";
-      break;
-    case AccFlavor::Min:
-      OS << "g_imin(a, b);\n";
-      break;
-    case AccFlavor::And:
-      OS << "(a && b) ? 1 : 0;\n";
-      break;
-    case AccFlavor::Or:
-      OS << "(a || b) ? 1 : 0;\n";
-      break;
-    case AccFlavor::SetLike:
-      OS << "b;\n";
-      break;
-    }
-  }
-  OS << "  }\n  return b;\n}\n\n";
-
-  // Field-index tables.
-  auto EmitIdx = [&](const char *Name, const std::vector<size_t> &Idx) {
-    OS << "static const int " << Name << "[] = {";
-    for (size_t I = 0; I != Idx.size(); ++I)
-      OS << (I ? ", " : "") << Idx[I];
-    OS << "};\n";
-  };
-  EmitIdx("CTRL_FIELD", CP.CtrlFields);
-  EmitIdx("ACC_FIELD", CP.AccFields);
-  OS << "static i64 *field_ptr(State &s, int f) {\n"
-     << "  switch (f) {\n";
-  for (size_t I = 0; I != Prog.State.size(); ++I)
-    OS << "  case " << I << ": return &s." << Prog.State.field(I).Name
-       << ";\n";
-  OS << "  }\n  return nullptr;\n}\n\n";
-
-  OS << R"(struct Delta {
-  int ctrl[NV];
-  i64 mode[NV][NA > 0 ? NA : 1];
-  i64 arg[NV][NA > 0 ? NA : 1];
-};
-
-struct Worker {
+  OS << R"(struct Worker {
   bool found = false;
   i64 boundary = 0;
   State d;
-  Delta delta;
+  i64 t[NS > 0 ? NS : 1];
 };
 
-// The synthesized sum, applied online while scanning the prefix.
-static void sum_step(Delta &dl, i64 in) {
-  for (int v = 0; v != NV; ++v) {
-    int cur = dl.ctrl[v];
-    for (int j = 0; j != NA; ++j) {
-      i64 m2 = acc_mode(cur, j, in), a2 = acc_arg(cur, j, in);
-      if (m2 == 1) { dl.mode[v][j] = 1; dl.arg[v][j] = a2; }
-      else if (m2 == 2) {
-        if (dl.mode[v][j] == 0) { dl.mode[v][j] = 2; dl.arg[v][j] = a2; }
-        else dl.arg[v][j] = acc_op(j, dl.arg[v][j], a2);
-      }
-    }
-    i64 next[NC];
-    for (int k = 0; k != NC; ++k) next[k] = ctrl_step(cur, k, in);
-    int idx = ctrl_index(next);
-    if (idx >= 0) dl.ctrl[v] = idx;
-  }
-}
-
 static void run_worker(Worker &w, const i64 *p, size_t n) {
-  for (int v = 0; v != NV; ++v) {
-    w.delta.ctrl[v] = v;
-    for (int j = 0; j != NA; ++j) { w.delta.mode[v][j] = 0; w.delta.arg[v][j] = 0; }
-  }
+  std::memcpy(w.t, INIT_TABLES, sizeof w.t);
   size_t i = 0;
-  for (; i != n && !prefix_cond(p[i]); ++i) sum_step(w.delta, p[i]);
+  for (; i != n && !prefix_cond(p[i]); ++i) sum_step(w.t, p[i]);
   if (i != n) {
     w.found = true;
     w.boundary = p[i];
@@ -384,83 +318,38 @@ static void run_worker(Worker &w, const i64 *p, size_t n) {
   }
 }
 
-// The synthesized upd: applies a prefix summary to the carried state.
-static void upd(State &c, const Worker &w) {
-  i64 cv[NC];
-  for (int k = 0; k != NC; ++k) cv[k] = *field_ptr(c, CTRL_FIELD[k]);
-  int idx = ctrl_index(cv);
-  if (idx < 0) return;
-  int end = w.delta.ctrl[idx];
-  for (int k = 0; k != NC; ++k)
-    *field_ptr(c, CTRL_FIELD[k]) = CTRL_VALS[end][k];
-  for (int j = 0; j != NA; ++j) {
-    i64 m = w.delta.mode[idx][j], a = w.delta.arg[idx][j];
-    i64 *f = field_ptr(c, ACC_FIELD[j]);
-    if (m == 1) *f = a;
-    else if (m == 2) *f = acc_op(j, *f, a);
-  }
-}
-
-static void combine_boundary(State &c, const Worker &w) {
-  State t = c; step(t, w.boundary);
-  State w0; step(w0, w.boundary);
-  State d = w.d;
-  State r = d; // control fields and set-like accumulators take d.
-  for (int j = 0; j != NA; ++j) {
-    i64 *rf = field_ptr(r, ACC_FIELD[j]);
-    State tt = t, dd = d, zz = w0;
-    i64 tv = *field_ptr(tt, ACC_FIELD[j]);
-    i64 dv = *field_ptr(dd, ACC_FIELD[j]);
-    i64 zv = *field_ptr(zz, ACC_FIELD[j]);
-    *rf = COMBINE_BODY;
-  }
-  c = r;
-}
 )";
 
-  // Patch in the per-flavor combine body.
-  std::string Text = OS.str();
-  std::ostringstream CB;
-  CB << "[&]{ switch (j) {\n";
-  for (size_t J = 0; J != NA; ++J) {
-    CB << "      case " << J << ": return ";
-    switch (CP.AccFlavors[J]) {
-    case AccFlavor::Plus:
-      CB << "tv + (dv - zv);\n";
-      break;
-    case AccFlavor::Max:
-      CB << "g_imax(tv, dv);\n";
-      break;
-    case AccFlavor::Min:
-      CB << "g_imin(tv, dv);\n";
-      break;
-    case AccFlavor::And:
-      CB << "(i64)((tv && (!zv || dv)) ? 1 : 0);\n";
-      break;
-    case AccFlavor::Or:
-      CB << "(i64)((tv || (dv && !zv)) ? 1 : 0);\n";
-      break;
-    case AccFlavor::SetLike:
-      CB << "dv;\n";
-      break;
-    }
-  }
-  CB << "      } return dv; }()";
-  size_t Pos = Text.find("COMBINE_BODY");
-  Text.replace(Pos, 12, CB.str());
+  StateVec<ir::SymbolicPolicy> C = freshState(Prog, ""),
+                               D = freshState(Prog, "w_d_");
+  OS << "// The synthesized upd: applies a prefix summary to the carried "
+        "state.\n"
+     << "static void upd(State &c, const i64 *t) {\n  State r;\n";
+  std::vector<std::string> Result;
+  for (const Field &F : Prog.State.fields())
+    Result.push_back("r." + F.Name);
+  emitAssignments(OS, Result, materializeUpdExprs(Prog, Plan), M);
+  OS << "  c = r;\n}\n\n";
 
-  std::ostringstream Tail;
-  Tail << "\nstatic i64 merge_all(const std::vector<Worker> &w) {\n"
-       << "  State c;\n"
-       << "  for (const Worker &x : w) {\n"
-       << "    upd(c, x);\n"
-       << "    if (x.found) combine_boundary(c, x);\n"
-       << "  }\n  return output(c);\n}\n\n";
-  std::ostringstream Main;
-  emitMainCommon(Opts, Main,
+  for (const Field &F : Prog.State.fields())
+    M["w_d_" + F.Name] = "d." + F.Name;
+  OS << "// Crossing boundary element in: f on the carried state, then the\n"
+     << "// per-flavor combine with the worker's suffix fold d.\n"
+     << "static void combine_boundary(State &c, const State &d, i64 in) {\n"
+     << "  State r;\n";
+  emitAssignments(OS, Result, scalarTerms(Exec.crossBoundary(C, In, D)), M);
+  OS << "  c = r;\n}\n\n";
+
+  OS << "static i64 merge_all(const std::vector<Worker> &w) {\n"
+     << "  State c;\n"
+     << "  for (const Worker &x : w) {\n"
+     << "    upd(c, x.t);\n"
+     << "    if (x.found) combine_boundary(c, x.d, x.boundary);\n"
+     << "  }\n  return output(c);\n}\n\n";
+  emitMainCommon(Opts, OS,
                  "run_worker(w[i], data.data() + lo[i], hi[i] - lo[i]);",
                  "merge_all(w)");
-  return Text + Tail.str() + Main.str();
+  return OS.str();
 }
 
 } // namespace

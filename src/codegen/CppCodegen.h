@@ -33,7 +33,11 @@ struct CppEmitOptions {
 
 /// Emits the standalone translation. Supports all scenarios except
 /// CondPrefixRefold (an internal ablation comparator); returns "" for
-/// unsupported plans.
+/// unsupported plans. A CondPrefixSummary (B4) translation holds no
+/// hand-written plan semantics: its sum_step, upd and combine_boundary
+/// render the synth::PlanExecutor terms that runtime::CompiledPlan
+/// compiles and the induction proves, over one slot array in
+/// synth::SummaryLayout order.
 std::string emitStandaloneCpp(const lang::SerialProgram &Prog,
                               const synth::ParallelPlan &Plan,
                               const CppEmitOptions &Opts = CppEmitOptions());

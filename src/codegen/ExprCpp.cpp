@@ -3,6 +3,7 @@
 #include "codegen/ExprCpp.h"
 
 #include <cassert>
+#include <cstdint>
 #include <sstream>
 
 using namespace grassp::ir;
@@ -31,7 +32,11 @@ void render(const ExprRef &E,
   };
   switch (E->getOp()) {
   case Op::ConstInt:
-    OS << "INT64_C(" << E->intValue() << ")";
+    // -9223372036854775808 is not a literal: its magnitude overflows.
+    if (E->intValue() == INT64_MIN)
+      OS << "INT64_MIN";
+    else
+      OS << "INT64_C(" << E->intValue() << ")";
     return;
   case Op::ConstBool:
     OS << (E->boolValue() ? "INT64_C(1)" : "INT64_C(0)");
@@ -42,11 +47,11 @@ void render(const ExprRef &E,
     return;
   }
   case Op::Add:
-    return Infix("+");
+    return Call("g_add");
   case Op::Sub:
-    return Infix("-");
+    return Call("g_sub");
   case Op::Mul:
-    return Infix("*");
+    return Call("g_mul");
   case Op::Div:
     return Call("g_ediv");
   case Op::Mod:
@@ -72,7 +77,7 @@ void render(const ExprRef &E,
   case Op::Or:
     return Infix("||");
   case Op::Neg:
-    OS << "(-";
+    OS << "g_neg(";
     render(E->operand(0), VarMap, OS);
     OS << ')';
     return;
@@ -118,17 +123,25 @@ const char *cppPreamble() {
 
 using i64 = int64_t;
 
-// Euclidean division/remainder matching SMT-LIB semantics.
+// The IR's total int64 arithmetic (ir/Arith.h): + - * and negation
+// wrap in two's complement, computed through uint64_t so overflow is
+// defined; div is floor division and mod the Euclidean remainder, both
+// 0 for a zero divisor, and INT64_MIN / -1 wraps to INT64_MIN.
+static inline i64 g_add(i64 a, i64 b) { return (i64)((uint64_t)a + (uint64_t)b); }
+static inline i64 g_sub(i64 a, i64 b) { return (i64)((uint64_t)a - (uint64_t)b); }
+static inline i64 g_mul(i64 a, i64 b) { return (i64)((uint64_t)a * (uint64_t)b); }
+static inline i64 g_neg(i64 a) { return (i64)(0 - (uint64_t)a); }
 static inline i64 g_ediv(i64 a, i64 b) {
   if (b == 0) return 0;
+  if (b == -1) return g_neg(a);
   i64 q = a / b;
   if (a % b != 0 && ((a < 0) != (b < 0))) --q;
   return q;
 }
 static inline i64 g_emod(i64 a, i64 b) {
-  if (b == 0) return 0;
+  if (b == 0 || b == -1) return 0;
   i64 r = a % b;
-  if (r < 0) r += (b < 0 ? -b : b);
+  if (r < 0) r = g_add(r, b < 0 ? g_neg(b) : b);
   return r;
 }
 static inline i64 g_imin(i64 a, i64 b) { return a < b ? a : b; }

@@ -2,9 +2,6 @@
 
 #include "ir/Matchers.h"
 
-#include <algorithm>
-#include <cassert>
-
 namespace grassp {
 namespace ir {
 
@@ -60,108 +57,6 @@ StepShape analyzeStepShape(const ExprRef &E) {
   StepShape S;
   analyzeShape(E, S);
   return S;
-}
-
-int64_t AccTransform::apply(int64_t A) const {
-  switch (K) {
-  case Id:
-    return A;
-  case Plus:
-    return A + C;
-  case MaxC:
-    return std::max(A, C);
-  case MinC:
-    return std::min(A, C);
-  case Set:
-    return C;
-  case Unknown:
-    break;
-  }
-  assert(false && "applying Unknown transform");
-  return A;
-}
-
-AccTransform composeTransforms(const AccTransform &First,
-                               const AccTransform &Second) {
-  if (First.isUnknown() || Second.isUnknown())
-    return AccTransform::unknown();
-  if (Second.K == AccTransform::Id)
-    return First;
-  if (First.K == AccTransform::Id)
-    return Second;
-  if (Second.K == AccTransform::Set)
-    return Second;
-  if (First.K == AccTransform::Set)
-    return AccTransform::set(Second.apply(First.C));
-  if (First.K == Second.K) {
-    switch (First.K) {
-    case AccTransform::Plus:
-      return AccTransform::plus(First.C + Second.C);
-    case AccTransform::MaxC:
-      return AccTransform::maxc(std::max(First.C, Second.C));
-    case AccTransform::MinC:
-      return AccTransform::minc(std::min(First.C, Second.C));
-    default:
-      break;
-    }
-  }
-  return AccTransform::unknown();
-}
-
-AccTransform classifyAccStep(const ExprRef &E, const std::string &AccName) {
-  // Constant result: assignment.
-  if (E->isConstInt())
-    return AccTransform::set(E->intValue());
-  if (E->isConstBool())
-    return AccTransform::set(E->boolValue() ? 1 : 0);
-  if (E->isVar())
-    return E->varName() == AccName ? AccTransform::id()
-                                   : AccTransform::unknown();
-
-  auto ClassifyWithConst = [&](const ExprRef &A, const ExprRef &B,
-                               auto Make) -> AccTransform {
-    // One side must fold to a constant, the other classifies recursively.
-    const ExprRef *VarSide = nullptr;
-    int64_t C = 0;
-    if (A->isConstInt()) {
-      C = A->intValue();
-      VarSide = &B;
-    } else if (B->isConstInt()) {
-      C = B->intValue();
-      VarSide = &A;
-    } else {
-      return AccTransform::unknown();
-    }
-    AccTransform Inner = classifyAccStep(*VarSide, AccName);
-    if (Inner.isUnknown())
-      return Inner;
-    return composeTransforms(Inner, Make(C));
-  };
-
-  switch (E->getOp()) {
-  case Op::Add:
-    return ClassifyWithConst(E->operand(0), E->operand(1),
-                             [](int64_t C) { return AccTransform::plus(C); });
-  case Op::Sub: {
-    // acc - c == acc + (-c); c - acc is not representable.
-    const ExprRef &A = E->operand(0);
-    const ExprRef &B = E->operand(1);
-    if (!B->isConstInt())
-      return AccTransform::unknown();
-    AccTransform Inner = classifyAccStep(A, AccName);
-    if (Inner.isUnknown())
-      return Inner;
-    return composeTransforms(Inner, AccTransform::plus(-B->intValue()));
-  }
-  case Op::Max:
-    return ClassifyWithConst(E->operand(0), E->operand(1),
-                             [](int64_t C) { return AccTransform::maxc(C); });
-  case Op::Min:
-    return ClassifyWithConst(E->operand(0), E->operand(1),
-                             [](int64_t C) { return AccTransform::minc(C); });
-  default:
-    return AccTransform::unknown();
-  }
 }
 
 } // namespace ir

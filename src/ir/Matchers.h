@@ -1,19 +1,15 @@
 //===- ir/Matchers.h - Structural analyses over step expressions ---------===//
 //
-// Analyses used by the conditional-prefix (stage 3) synthesis:
+// Step-shape analysis, used by the conditional-prefix (stage 3)
+// synthesis: which variables occur at *value* positions of a
+// field-update expression vs. only inside `ite` conditions. A state
+// field has finite control range when its update only ever assigns
+// constants or other finite-control fields (the input may steer the
+// choice but never flows into the value).
 //
-//  * step-shape analysis: which variables occur at *value* positions of a
-//    field-update expression vs. only inside `ite` conditions. A state
-//    field has finite control range when its update only ever assigns
-//    constants or other finite-control fields (the input may steer the
-//    choice but never flows into the value).
-//
-//  * accumulator-transform classification: once control fields and the
-//    input element are fixed to concrete values, an accumulator field's
-//    update folds to one of a small algebra of unary transforms
-//    (identity, +c, max c, min c, := c). These transforms compose, which
-//    is what lets a prefix of arbitrary length be summarized by the
-//    synthesized `sum` function (paper Sect. 7).
+// How accumulators transform and compose inside a prefix summary is not
+// modelled here: it is synth/CondPrefix.cpp's accumulator flavors, and
+// synth::PlanExecutor is their one semantics.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +18,6 @@
 
 #include "ir/Expr.h"
 
-#include <cstdint>
 #include <set>
 #include <string>
 
@@ -42,40 +37,6 @@ struct StepShape {
 
 /// Computes the \c StepShape of \p E.
 StepShape analyzeStepShape(const ExprRef &E);
-
-/// A unary transform over a single accumulator value. Closed under
-/// composition within one flavour (+, max, min), plus identity and
-/// constant assignment; \c Unknown is the failure element.
-struct AccTransform {
-  enum Kind { Id, Plus, MaxC, MinC, Set, Unknown };
-  Kind K = Id;
-  int64_t C = 0;
-
-  static AccTransform id() { return {Id, 0}; }
-  static AccTransform unknown() { return {Unknown, 0}; }
-  static AccTransform plus(int64_t C) { return C == 0 ? id() : AccTransform{Plus, C}; }
-  static AccTransform maxc(int64_t C) { return {MaxC, C}; }
-  static AccTransform minc(int64_t C) { return {MinC, C}; }
-  static AccTransform set(int64_t C) { return {Set, C}; }
-
-  bool isUnknown() const { return K == Unknown; }
-
-  /// Applies the transform to \p A.
-  int64_t apply(int64_t A) const;
-
-  bool operator==(const AccTransform &O) const { return K == O.K && C == O.C; }
-};
-
-/// Returns "Second after First" (apply First, then Second); Unknown if the
-/// composition leaves the representable family.
-AccTransform composeTransforms(const AccTransform &First,
-                               const AccTransform &Second);
-
-/// Classifies expression \p E — assumed to mention at most the single
-/// variable \p AccName — as a transform of that variable. Returns Unknown
-/// when \p E does not fit the algebra (e.g. the accumulator occurs inside
-/// a condition, or under multiplication).
-AccTransform classifyAccStep(const ExprRef &E, const std::string &AccName);
 
 } // namespace ir
 } // namespace grassp

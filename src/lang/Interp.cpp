@@ -14,6 +14,14 @@ StateVec<ir::SymbolicPolicy> freshState(const SerialProgram &Prog,
   return St;
 }
 
+std::vector<ir::ExprRef> scalarTerms(const StateVec<ir::SymbolicPolicy> &St) {
+  std::vector<ir::ExprRef> Out;
+  Out.reserve(St.size());
+  for (const ir::DomainValue<ir::SymbolicPolicy> &V : St)
+    Out.push_back(V.Sc);
+  return Out;
+}
+
 int64_t runSerial(const SerialProgram &Prog,
                   const std::vector<int64_t> &Elements) {
   ir::ConcretePolicy P;

@@ -93,6 +93,9 @@ typename S::Scalar outputOf(const SerialProgram &Prog, const StateVec<S> &St,
 StateVec<ir::SymbolicPolicy> freshState(const SerialProgram &Prog,
                                         const std::string &Prefix);
 
+/// The scalar terms of a symbolic scalar state, in field order.
+std::vector<ir::ExprRef> scalarTerms(const StateVec<ir::SymbolicPolicy> &St);
+
 /// Runs the serial program over a flat element sequence; Bool outputs are
 /// reported as 0/1.
 int64_t runSerial(const SerialProgram &Prog,

@@ -104,14 +104,16 @@ double scheduleTasksDegraded(const std::vector<double> &TaskSec,
                                       : Effective * Cfg.RemoteReadPenalty;
 
     // Hadoop-style speculation: a straggler's backup copy launches on
-    // another surviving node once the task has overrun; the earlier
-    // finisher wins and the loser is killed. The backup reads remotely
-    // and re-runs the task at its normal (un-stalled) duration.
-    if (Cfg.SpeculativeExecution && extra(I) > 0 && AliveCount >= 2) {
+    // another surviving node once the task has run for SlowFactor times
+    // its normal duration; the earlier finisher wins and the loser is
+    // killed. The backup reads remotely and re-runs the task at its
+    // normal (un-stalled) duration.
+    if (extra(I) > 0 && AliveCount >= 2) {
       unsigned BackupNode = leastLoadedAlive(Load, Alive, Node);
       if (BackupNode != ~0u) {
         ++Local.SpeculativeTasks;
-        double Detect = Cfg.SpeculativeSlowFactor * TaskSec[I];
+        constexpr double SlowFactor = 1.5;
+        double Detect = SlowFactor * TaskSec[I];
         double BackupDur =
             TaskSec[I] * Cfg.RemoteReadPenalty + Cfg.TaskDispatchSec;
         double BackupFinish =

@@ -50,11 +50,6 @@ struct ClusterConfig {
   FaultInjector *Faults = nullptr;
   /// Heartbeat timeout before a dead node's tasks are re-executed.
   double NodeFailureDetectSec = 10.0;
-  /// Hadoop-style speculative execution for straggling map tasks.
-  bool SpeculativeExecution = true;
-  /// A straggler's backup launches after the task has run for this
-  /// multiple of its normal duration.
-  double SpeculativeSlowFactor = 1.5;
 };
 
 struct JobReport {

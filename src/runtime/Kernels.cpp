@@ -63,13 +63,6 @@ SegmentView view(const std::vector<int64_t> &V) {
 
 using SymState = lang::StateVec<ir::SymbolicPolicy>;
 
-std::vector<ir::ExprRef> scalars(const SymState &St) {
-  std::vector<ir::ExprRef> Out;
-  for (const ir::DomainValue<ir::SymbolicPolicy> &V : St)
-    Out.push_back(V.Sc);
-  return Out;
-}
-
 /// Compiles \p Roots, optimized, over the variables of \p Inputs in
 /// order.
 ir::BytecodeFunction
@@ -260,8 +253,8 @@ CompiledPlan::CompiledPlan(const lang::SerialProgram &Prog,
       Plan.Kind == synth::Scenario::ConstPrefix) {
     if (!Plan.Merge.Refold)
       MergeFn = compileOver(Plan.Merge.Combine,
-                            {scalars(lang::freshState(Prog, "a_")),
-                             scalars(lang::freshState(Prog, "b_"))});
+                            {lang::scalarTerms(lang::freshState(Prog, "a_")),
+                             lang::scalarTerms(lang::freshState(Prog, "b_"))});
     return;
   }
   // Cond-prefix plans: every function is PlanExecutor's own terms, built
@@ -282,8 +275,8 @@ CompiledPlan::CompiledPlan(const lang::SerialProgram &Prog,
   PrefixFn = compileOver(Roots, {Slots.vars(), {In}});
 
   SymState C = lang::freshState(Prog, ""), D = lang::freshState(Prog, "w_d_");
-  BoundaryFn = compileOver(scalars(Exec.crossBoundary(C, In, D)),
-                           {scalars(C), scalars(D), {In}});
+  BoundaryFn = compileOver(lang::scalarTerms(Exec.crossBoundary(C, In, D)),
+                           {lang::scalarTerms(C), lang::scalarTerms(D), {In}});
 
   ir::ConcretePolicy CPol;
   synth::PlanExecutor<ir::ConcretePolicy> Conc(Prog, Plan, CPol);
@@ -292,7 +285,7 @@ CompiledPlan::CompiledPlan(const lang::SerialProgram &Prog,
     return;
 
   UpdFn = compileOver(synth::materializeUpdExprs(Prog, Plan),
-                      {scalars(C), Slots.vars()});
+                      {lang::scalarTerms(C), Slots.vars()});
   synth::SummaryLayout SlotsA(Prog, Plan, "a_"), SlotsB(Prog, Plan, "b_");
   synth::WorkerResult<ir::SymbolicPolicy> A, B;
   SlotsA.unflatten(SlotsA.vars(), A);

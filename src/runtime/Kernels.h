@@ -30,8 +30,10 @@
 // prefix step, upd, boundary combine and the composition of two prefix
 // summaries are built once by synth::PlanExecutor over variables — the
 // same terms the induction, the CHC encoder and the corpus screen
-// evaluate — and compiled to optimized bytecode. Only the merge m of the
-// other plan shapes comes from the plan's own expressions.
+// evaluate, and that codegen renders as the emitted C++'s sum_step, upd
+// and combine_boundary — and compiled to optimized bytecode. Only the
+// merge m of the other plan shapes comes from the plan's own
+// expressions.
 //
 //===----------------------------------------------------------------------===//
 

@@ -1,15 +1,13 @@
 //===- smt/Solver.cpp ------------------------------------------------------=//
 
 #include "smt/Solver.h"
+#include "smt/Z3Lower.h"
 
 #include <atomic>
 #include <cassert>
 #include <chrono>
 #include <optional>
 #include <thread>
-#include <unordered_map>
-
-#include <z3++.h>
 
 namespace grassp {
 namespace smt {
@@ -39,17 +37,13 @@ struct SmtSolver::Impl {
   z3::context Ctx;
   z3::solver Solver;
   std::optional<z3::model> Model;
-  std::unordered_map<const ir::Expr *, z3::expr> Cache;
-  /// Keeps every asserted root (and thus its whole DAG) alive for as
-  /// long as Cache holds entries: the cache keys are raw node addresses,
-  /// so a freed-and-reallocated node must never alias a cached one.
-  /// releaseTerms() drops both together.
-  std::vector<ir::ExprRef> Retained;
+  /// Keeps every asserted root until releaseTerms().
+  Z3Lowerer Lower;
 
   /// The `timeout` param in force on Solver.
   unsigned SolverTimeout = NoTimeout;
 
-  Impl() : Solver(Ctx) { configure(Solver, SolverTimeout); }
+  Impl() : Solver(Ctx), Lower(Ctx) { configure(Solver, SolverTimeout); }
 
   /// Sets both params a solver needs in one call. Setting params is
   /// not cheap: Z3 validates them against the solver's whole parameter
@@ -74,76 +68,6 @@ struct SmtSolver::Impl {
   /// z3Timeout() gives for \p EffectiveMs and \p Token.
   SatResult run(z3::solver &S, unsigned EffectiveMs,
                 const CancelToken &Token);
-
-  z3::expr lower(const ir::ExprRef &E) {
-    auto It = Cache.find(E.get());
-    if (It != Cache.end())
-      return It->second;
-    z3::expr Z = lowerUncached(E);
-    Cache.emplace(E.get(), Z);
-    return Z;
-  }
-
-  z3::expr lowerUncached(const ir::ExprRef &E) {
-    using ir::Op;
-    switch (E->getOp()) {
-    case Op::ConstInt:
-      return Ctx.int_val(static_cast<int64_t>(E->intValue()));
-    case Op::ConstBool:
-      return Ctx.bool_val(E->boolValue());
-    case Op::Var:
-      if (E->getType() == ir::TypeKind::Bool)
-        return Ctx.bool_const(E->varName().c_str());
-      assert(E->getType() == ir::TypeKind::Int && "bag var reached solver");
-      return Ctx.int_const(E->varName().c_str());
-    case Op::Neg:
-      return -lower(E->operand(0));
-    case Op::Not:
-      return !lower(E->operand(0));
-    case Op::Ite:
-      return z3::ite(lower(E->operand(0)), lower(E->operand(1)),
-                     lower(E->operand(2)));
-    default:
-      break;
-    }
-    z3::expr A = lower(E->operand(0));
-    z3::expr B = lower(E->operand(1));
-    switch (E->getOp()) {
-    case Op::Add:
-      return A + B;
-    case Op::Sub:
-      return A - B;
-    case Op::Mul:
-      return A * B;
-    case Op::Div:
-      return A / B; // SMT-LIB integer div.
-    case Op::Mod:
-      return z3::mod(A, B);
-    case Op::Min:
-      return z3::ite(A <= B, A, B);
-    case Op::Max:
-      return z3::ite(A >= B, A, B);
-    case Op::Eq:
-      return A == B;
-    case Op::Ne:
-      return A != B;
-    case Op::Lt:
-      return A < B;
-    case Op::Le:
-      return A <= B;
-    case Op::Gt:
-      return A > B;
-    case Op::Ge:
-      return A >= B;
-    case Op::And:
-      return A && B;
-    case Op::Or:
-      return A || B;
-    default:
-      assert(false && "unhandled opcode in SMT lowering");
-      return Ctx.bool_val(false);
-    }
-  }
 };
 
 SmtSolver::SmtSolver() : I(std::make_unique<Impl>()) {}
@@ -151,16 +75,14 @@ SmtSolver::~SmtSolver() = default;
 
 void SmtSolver::add(const ir::ExprRef &E) {
   assert(E->getType() == ir::TypeKind::Bool && "assertions must be Bool");
-  I->Retained.push_back(E);
-  I->Solver.add(I->lower(E));
+  I->Solver.add(I->Lower.lower(E));
 }
 
 void SmtSolver::push() { I->Solver.push(); }
 void SmtSolver::pop() { I->Solver.pop(); }
 
 void SmtSolver::releaseTerms() {
-  I->Cache.clear();
-  I->Retained.clear();
+  I->Lower.clear();
 }
 
 namespace {

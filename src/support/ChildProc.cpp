@@ -143,9 +143,11 @@ int ChildPool::reap(unsigned S, bool Kill) {
     return -1;
   Slot Sl = Slots[S];
   Slots[S] = Slot();
-  ::close(Sl.Fd);
+  // Kill before closing: a child that sees its socket close first may
+  // exit 0 on its own, and its status would then not say it was killed.
   if (Kill)
     ::kill(Sl.Pid, SIGKILL);
+  ::close(Sl.Fd);
   return waitFor(Sl.Pid);
 }
 

@@ -70,8 +70,8 @@ public:
   /// Returns the slots forked.
   std::vector<unsigned> refill();
 
-  /// Empties slot \p S: closes the parent end, SIGKILLs the child when
-  /// \p Kill is set, and waits for it. Returns the wait status (-1 when
+  /// Empties slot \p S: SIGKILLs the child when \p Kill is set, closes
+  /// the parent end, and waits for it. Returns the wait status (-1 when
   /// it could not be reaped).
   int reap(unsigned S, bool Kill);
 

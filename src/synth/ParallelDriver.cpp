@@ -230,7 +230,7 @@ TaskResult ParallelDriver::synthesizeOne(const lang::SerialProgram &Prog,
           "ms SMT budget, giving up");
       return T;
     }
-    Budget *= Opts.BudgetMultiplier > 1.0 ? Opts.BudgetMultiplier : 2.0;
+    Budget *= 2; // each rung doubles the budget.
   }
 }
 

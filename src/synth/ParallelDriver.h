@@ -15,7 +15,7 @@
 //    (plan, stage, candidate/SMT counts) for any --jobs value.
 //
 // Budget policy: each task climbs an exponential budget ladder. Attempt
-// k runs under SmtTimeoutMs * BudgetMultiplier^k (capped at MaxBudgetMs
+// k runs under SmtTimeoutMs * 2^k (capped at MaxBudgetMs
 // when set); a failed run whose bounded checks returned Unknown (solver
 // timeout) earns the next rung, up to MaxRetries rungs. Failures with
 // no Unknown verdict are genuine search exhaustion and report Failed
@@ -56,8 +56,6 @@ struct DriverOptions {
   /// Extra ladder rungs granted to a task whose failure involved
   /// Unknown verdicts.
   unsigned MaxRetries = 1;
-  /// Ladder growth per rung; 2.0 doubles the budget each retry.
-  double BudgetMultiplier = 2.0;
   /// Budget ceiling in ms (0 = uncapped).
   unsigned MaxBudgetMs = 0;
   /// Wall-clock watchdog per task: once a task has spent this many

@@ -139,12 +139,7 @@ materializeUpdExprs(const lang::SerialProgram &Prog,
   W.Boundary = ir::constInt(0);
   Slots.unflatten(Slots.vars(), W);
 
-  lang::StateVec<S> Out = Exec.applyUpd(C, W);
-  std::vector<ir::ExprRef> Exprs;
-  Exprs.reserve(Out.size());
-  for (const auto &DV : Out)
-    Exprs.push_back(DV.Sc);
-  return Exprs;
+  return lang::scalarTerms(Exec.applyUpd(C, W));
 }
 
 int64_t runPlanConcrete(const lang::SerialProgram &Prog,

@@ -5,7 +5,8 @@
 // group sweep the adversarial shape set through every execution tier
 // with zero divergences, every benchmark's tiers are cross-checked
 // against the interpreter on fuzz-generated workloads, the emitted-C++
-// path is exercised on one benchmark (skipped without a host compiler),
+// path is exercised on sum and on every B4 winner (skipped without a
+// host compiler),
 // and a deliberately broken merge rule is planted to prove the oracle
 // actually catches and minimizes divergences. The open-ended soak lives
 // in `grassp fuzz --seconds N`.
@@ -123,6 +124,35 @@ TEST(FuzzSmoke, EmittedPathAgreesOnSum) {
   unsigned WantPaths =
       9u + (CP.tierAvailable(grassp::runtime::ExecTier::Native) ? 1u : 0u);
   EXPECT_EQ(Rep.PathsCompared, WantPaths);
+}
+
+// The emitted-C++ path on every B4 winner: each translation renders its
+// own plan's PlanExecutor terms, so one benchmark does not cover the
+// others.
+TEST(FuzzSmoke, EmittedPathAgreesOnEveryB4Winner) {
+  if (!gt::DiffOracle::hostCompilerAvailable())
+    GTEST_SKIP() << "no host g++; the in-process tiers are already covered";
+  for (const char *Name : {"count_run1", "count_102", "count_123",
+                           "count_10203", "max_dist_ones", "max_sum_zeros"}) {
+    const SerialProgram *P = findBenchmark(Name);
+    ASSERT_NE(P, nullptr);
+    grassp::synth::SynthesisResult R = grassp::synth::synthesize(*P);
+    ASSERT_TRUE(R.Success) << Name;
+
+    gt::FuzzOptions Opts = smokeOptions();
+    Opts.UseEmitted = true;
+    Opts.Sizes = {0, 1, 3, 17};
+    gt::FuzzReport Rep = gt::fuzzBenchmark(*P, R.Plan, Opts);
+    EXPECT_FALSE(Rep.Diverged) << Name << " " << Rep.Shape << ": "
+                               << Rep.Detail;
+    // The representatives' paths plus the emitted binary.
+    grassp::runtime::CompiledProgram CP(*P);
+    unsigned WantPaths =
+        8u + (CP.tierAvailable(grassp::runtime::ExecTier::Specialized) ? 1u
+                                                                      : 0u) +
+        (CP.tierAvailable(grassp::runtime::ExecTier::Native) ? 1u : 0u);
+    EXPECT_EQ(Rep.PathsCompared, WantPaths) << Name;
+  }
 }
 
 // The tier-equivalence property, plan-free so it covers all 27

@@ -1,4 +1,4 @@
-//===- tests/ir_matchers_test.cpp - Step-shape & transform algebra --------==//
+//===- tests/ir_matchers_test.cpp - Step-shape analysis -------------------==//
 
 #include "ir/Matchers.h"
 
@@ -43,73 +43,6 @@ TEST(StepShape, BooleanStructureIsSteeringOnly) {
   EXPECT_TRUE(S.ValueVars.empty());
   EXPECT_TRUE(S.CondVars.count("seen"));
   EXPECT_TRUE(S.CondVars.count("in"));
-}
-
-//===----------------------------------------------------------------------===
-// AccTransform algebra.
-//===----------------------------------------------------------------------===
-
-using T = AccTransform;
-
-TEST(AccTransform, Apply) {
-  EXPECT_EQ(T::id().apply(7), 7);
-  EXPECT_EQ(T::plus(3).apply(7), 10);
-  EXPECT_EQ(T::maxc(9).apply(7), 9);
-  EXPECT_EQ(T::minc(2).apply(7), 2);
-  EXPECT_EQ(T::set(5).apply(7), 5);
-}
-
-struct ComposeCase {
-  T First, Second;
-};
-
-class ComposeLaw : public ::testing::TestWithParam<ComposeCase> {};
-
-TEST_P(ComposeLaw, CompositionMatchesSequentialApplication) {
-  const ComposeCase &C = GetParam();
-  T Composed = composeTransforms(C.First, C.Second);
-  if (Composed.isUnknown())
-    GTEST_SKIP() << "composition outside the family";
-  for (int64_t A : {-10, -1, 0, 1, 3, 100})
-    EXPECT_EQ(Composed.apply(A), C.Second.apply(C.First.apply(A)));
-}
-
-std::vector<ComposeCase> allPairs() {
-  std::vector<T> Ts = {T::id(),     T::plus(2), T::plus(-3), T::maxc(4),
-                       T::maxc(-1), T::minc(0), T::set(7),   T::set(-2)};
-  std::vector<ComposeCase> Out;
-  for (const T &A : Ts)
-    for (const T &B : Ts)
-      Out.push_back({A, B});
-  return Out;
-}
-
-INSTANTIATE_TEST_SUITE_P(Pairs, ComposeLaw, ::testing::ValuesIn(allPairs()));
-
-TEST(AccTransform, MixedFlavorsAreUnknown) {
-  EXPECT_TRUE(composeTransforms(T::plus(1), T::maxc(2)).isUnknown());
-  EXPECT_TRUE(composeTransforms(T::maxc(1), T::plus(2)).isUnknown());
-}
-
-TEST(ClassifyAccStep, BasicShapes) {
-  ExprRef A = iv("a");
-  EXPECT_EQ(classifyAccStep(A, "a"), T::id());
-  EXPECT_EQ(classifyAccStep(constInt(3), "a"), T::set(3));
-  EXPECT_EQ(classifyAccStep(add(A, constInt(2)), "a"), T::plus(2));
-  EXPECT_EQ(classifyAccStep(sub(A, constInt(2)), "a"), T::plus(-2));
-  EXPECT_EQ(classifyAccStep(smax(A, constInt(2)), "a"), T::maxc(2));
-  EXPECT_EQ(classifyAccStep(smin(constInt(2), A), "a"), T::minc(2));
-  // Nested: (a + 1) + 2 == +3.
-  EXPECT_EQ(classifyAccStep(add(add(A, constInt(1)), constInt(2)), "a"),
-            T::plus(3));
-}
-
-TEST(ClassifyAccStep, RejectsNonTransforms) {
-  ExprRef A = iv("a");
-  EXPECT_TRUE(classifyAccStep(mul(A, constInt(2)), "a").isUnknown());
-  EXPECT_TRUE(classifyAccStep(add(A, A), "a").isUnknown());
-  EXPECT_TRUE(classifyAccStep(iv("b"), "a").isUnknown());
-  EXPECT_TRUE(classifyAccStep(sub(constInt(2), A), "a").isUnknown());
 }
 
 } // namespace
